@@ -407,6 +407,8 @@ def parse_text(text, field_override=None):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("line %d column %d: %s" % (exc.lineno, exc.colno, exc.msg)) from exc
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
     return parse_document(obj, field_override)
 
 

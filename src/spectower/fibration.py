@@ -495,4 +495,4 @@ def truncation_map(sfc, action, src_window, dst_window):
                 ent[(i, j)] = sfc.complex.field.one
         blocks[k] = Matrix(sfc.complex.field, dst.complex.dim(k), len(sgens), ent, _normalized=True)
     cmap = ChainMap(src.complex, dst.complex, blocks, check=True)
-    return FilteredChainMap(cmap, src.to_filtered(), dst.to_filtered(), check=True)
+    return FilteredChainMap(cmap, src, dst, check=True)

@@ -221,10 +221,6 @@ class Matrix:
         ent = {(j, i): v for (i, j), v in self._e.items()}
         return Matrix(self.field, self.ncols, self.nrows, ent, _normalized=True)
 
-    def column(self, j):
-        ent = {(i, 0): v for (i, jj), v in self._e.items() if jj == j}
-        return Matrix(self.field, self.nrows, 1, ent, _normalized=True)
-
     def take_columns(self, cols):
         pos = {c: k for k, c in enumerate(cols)}
         ent = {}
@@ -261,10 +257,6 @@ class Matrix:
 
     def pivot_columns(self):
         return self._echelon()[0]
-
-    def column_space_basis(self):
-        """The pivot columns of self: a canonical basis of the column span."""
-        return self.take_columns(list(self.pivot_columns()))
 
     def kernel(self):
         """Matrix whose columns are a canonical basis of {v : self*v = 0}.
@@ -310,14 +302,9 @@ class Matrix:
         r = len(pivots)
         # leftover rows are zero in columns < n; any nonzero leftover marks
         # an inconsistent rhs column
-        if f.p == 2:
-            for row in rows[r:]:
-                if row:
-                    return None
-        else:
-            for row in rows[r:]:
-                if row:
-                    return None
+        for row in rows[r:]:
+            if row:
+                return None
         ent = {}
         if f.p == 2:
             for i, pc in enumerate(pivots):

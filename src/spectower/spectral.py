@@ -4,23 +4,29 @@ Conventions
 -----------
 A filtration is decreasing, C = F_0 ⊇ F_1 ⊇ ... ⊇ F_n ⊇ F_{n+1} = 0,
 compatible with the degree +1 differential.  Pages carry differentials
-d_r of bidegree (r, -r+1) and satisfy E_{r+1} = H(E_r, d_r); both facts
-are re-verified numerically while the tower is built, so a page that
-comes back without raising is certified against the classical
-subquotient description
+d_r of bidegree (r, -r+1) and satisfy E_{r+1} = H(E_r, d_r).
 
-    E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2}),
-    Z_r^{p,q} = {x in F_p C^{p+q} : dx in F_{p+r} C^{p+q+1}}.
+Every page is a view over one persistence column reduction R = D V of a
+split complex (Barannikov normal form; Zomorodian-Carlsson 2005,
+Basu-Parida 2017): a column x whose R column is lowest at y pairs x -> y
+with gap s = block(y) - block(x), and E_r^{p,q} has a basis of the
+block-p generators of degree p+q that are unpaired or in a pair of gap
+>= r; d_r matches the ends of the gap-r pairs.  A FilteredComplex is
+split first by bases adapted to F_n ⊆ ... ⊆ F_1 ⊆ C^k.  Checks that run:
+R = D V, one multiplication per degree; d_r o d_r = 0 and
+E_{r+1} = H(E_r, d_r) dimensionwise on every page; and `converge`
+certifies E_inf against F_pH, computed from ranks on the F_p spans and
+not from the pairing.  The subquotient description
+E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2}),
+Z_r^{p,q} = {x in F_p C^{p+q} : dx in F_{p+r}}, is the test oracle.
 
-Entry representatives are kept as ambient vectors in C^{p+q} (never as
-abstract quotient coordinates), which makes the zig-zag cross-check and
-the E_infinity / H comparison direct linear algebra.
-
-Pages stabilize at r = n+1 for a length-n filtration: d_r moves p by r,
-so beyond that bound it leaves the support rectangle.  That bound is a
-theorem, not a heuristic, and `converge` relies on it.
+Entry representatives are ambient vectors in C^{p+q}, which makes the
+zig-zag cross-check direct linear algebra.  Pages stabilize at r = n+1
+for a length-n filtration (d_r moves p by r), and `page(r)` for a larger
+r is E_inf.
 """
 
+from .complexes import CochainComplex
 from .errors import InvariantError, PreconditionError
 from .matrix import Matrix, quotient_basis, span_contains
 
@@ -37,47 +43,41 @@ __all__ = [
 
 
 class Page:
-    """One page E_r: bigraded dimensions, witnesses, and d_r matrices.
+    """One page E_r: a view over the reduction of its tower.
 
     `reps(p, q)` columns are ambient cocycle-like vectors in C^{p+q}
     representing a basis of E_r^{p,q}; `class_of` expresses any ambient
     element of Z_r^{p,q} in that basis.
     """
 
-    __slots__ = ("r", "field", "_cells", "_diff", "flagged")
+    __slots__ = ("r", "field", "_red", "_cells", "_diff", "_reps", "flagged")
 
-    def __init__(self, r, field, cells, diffs, flagged):
+    def __init__(self, r, red, cells, diffs):
         self.r = r
-        self.field = field
-        self._cells = cells  # (p, q) -> (reps Matrix, denominator span Matrix)
-        self._diff = diffs  # (p, q) -> Matrix into cell (p+r, q-r+1)
-        self.flagged = flagged  # nonzero cells with q < 0
+        self.field = red.field
+        self._red = red
+        self._cells = cells  # (p, q) -> indices of surviving generators, nonzero cells only
+        self._diff = diffs  # (p, q) -> nonzero Matrix into cell (p+r, q-r+1)
+        self._reps = {}
+        self.flagged = tuple(sorted(c for c in cells if c[1] < 0))  # nonzero cells with q < 0
 
     def dim(self, p, q):
-        cell = self._cells.get((p, q))
-        return cell[0].ncols if cell else 0
+        return len(self._cells.get((p, q), ()))
 
     def reps(self, p, q):
-        cell = self._cells.get((p, q))
-        if cell is None:
-            raise KeyError("no cell (%d, %d) on page %d" % (p, q, self.r))
-        return cell[0]
+        m = self._reps.get((p, q))
+        if m is None:
+            red, k = self._red, p + q
+            m = red.matrix(k, [red.w[(k, i)] for i in self._cells.get((p, q), ())])
+            m = self._reps[(p, q)] = red.frame[k][0] * m if k in red.frame else m
+        return m
 
     def cells(self):
         """Sorted (p, q) with nonzero dimension."""
-        return sorted(k for k, cell in self._cells.items() if cell[0].ncols)
+        return sorted(self._cells)
 
     def dims(self):
-        return {k: self._cells[k][0].ncols for k in self.cells()}
-
-    def total_dims(self):
-        """Total-degree dimensions: k -> sum over p+q = k."""
-        out = {}
-        for (p, q), cell in self._cells.items():
-            d = cell[0].ncols
-            if d:
-                out[p + q] = out.get(p + q, 0) + d
-        return dict(sorted(out.items()))
+        return {c: len(self._cells[c]) for c in self.cells()}
 
     def differential(self, p, q):
         """The matrix of d_r : E_r^{p,q} -> E_r^{p+r, q-r+1}."""
@@ -87,7 +87,7 @@ class Page:
         return m
 
     def has_nonzero_differential(self):
-        return any(not m.is_zero() for m in self._diff.values())
+        return bool(self._diff)
 
     def class_of(self, p, q, vec):
         """Coordinates of an ambient Z_r^{p,q} element in this cell's basis.
@@ -95,17 +95,7 @@ class Page:
         Accepts a column Matrix (or several columns) over C^{p+q}; returns
         None when a column is not in Z_r^{p,q} at all.
         """
-        cell = self._cells.get((p, q))
-        if cell is None:
-            if vec.is_zero():
-                return Matrix.zero(vec.field, 0, vec.ncols)
-            return None
-        reps, denom = cell
-        stacked = Matrix.hstack(vec.field, reps.nrows, [reps, denom])
-        x = stacked.solve(vec)
-        if x is None:
-            return None
-        return x.take_rows(range(reps.ncols))
+        return self._red.class_of(self.r, p, q, self._cells.get((p, q), ()), vec)
 
 
 class ConvergenceReport:
@@ -131,22 +121,168 @@ class ConvergenceReport:
         return dict(sorted(out.items()))
 
 
+class _Reduction:
+    """The reduction R = D V of a split complex and the pages it yields.
+
+    Generators of C^k are indexed in block-descending order (`order[k]`
+    lists their positions), so F_p C^k is a prefix.  Columns in index
+    coordinates are int bitmasks over F_2, {index: value} dicts otherwise.
+    `frame[k]` = (T, T^-1) takes split coordinates of C^k to ambient ones.
+    """
+
+    def __init__(self, sfc, frame=None):
+        cx = sfc.complex
+        self.field = cx.field
+        self.f2 = cx.field.p == 2
+        self.frame = frame or {}
+        self.order, self.index, self.block = {}, {}, {}
+        for k in cx.degrees():
+            gens = cx.basis.gens(k)
+            self.order[k] = sorted(range(len(gens)), key=lambda i: -sfc.blocks[gens[i]])
+            self.index[k] = {pos: i for i, pos in enumerate(self.order[k])}
+            self.block[k] = [sfc.blocks[gens[pos]] for pos in self.order[k]]
+        self.w = {}  # (k, i) -> W column over C^k
+        self.mate = {}  # (k, i) -> (k +- 1, j, gap): the other end of its pair
+        for k in cx.degrees():
+            self._reduce(k, cx.d(k))
+        self.pages = []
+
+    def _columns(self, k, m):
+        """The columns of m, a Matrix over C^k, in index coordinates."""
+        idx = self.index.get(k, {})
+        cols = [0 if self.f2 else {} for _ in range(m.ncols)]
+        for (i, j), v in m._e.items():
+            if self.f2:
+                cols[j] |= 1 << idx[i]
+            else:
+                cols[j][idx[i]] = v
+        return cols
+
+    def matrix(self, k, cols):
+        """Columns over C^k in index coordinates, as a Matrix over positions."""
+        order = self.order.get(k, ())
+        ent = {}
+        for c, col in enumerate(cols):
+            if self.f2:
+                col = {i: 1 for i in range(col.bit_length()) if col >> i & 1}
+            for i, v in col.items():
+                ent[(order[i], c)] = v
+        return Matrix(self.field, len(order), len(cols), ent, _normalized=True)
+
+    def _sub(self, col, c, other):
+        """col - c * other; dict columns change in place."""
+        if self.f2:
+            return col ^ other
+        f = self.field
+        for i, v in other.items():
+            nv = f.sub(col.get(i, f.zero), f.mul(c, v))
+            if nv:
+                col[i] = nv
+            else:
+                col.pop(i, None)
+        return col
+
+    def _reduce(self, k, d):
+        f = self.field
+        dcols = self._columns(k + 1, d)
+        rcols = [dcols[pos] for pos in self.order[k]]
+        vcols = [1 << j if self.f2 else {j: f.one} for j in range(len(rcols))]
+        owner = {}  # lowest entry -> the column that has it
+        for j, col in enumerate(rcols):
+            while col:
+                low = col.bit_length() - 1 if self.f2 else max(col)
+                i = owner.get(low)
+                if i is None:
+                    owner[low] = j
+                    break
+                c = 1 if self.f2 else f.div(col[low], rcols[i][low])
+                col, vcols[j] = self._sub(col, c, rcols[i]), self._sub(vcols[j], c, vcols[i])
+            rcols[j] = col
+        if d * self.matrix(k, vcols) != self.matrix(k + 1, rcols):
+            raise InvariantError("reduction R = D V fails in degree %d: engine bug" % k)
+        for low, j in owner.items():
+            gap = self.block[k + 1][low] - self.block[k][j]
+            self.mate[(k, j)] = (k + 1, low, gap)
+            self.mate[(k + 1, low)] = (k, j, gap)
+            self.w[(k + 1, low)] = rcols[j]
+        for j, v in enumerate(vcols):
+            if (k, j) not in self.w:
+                self.w[(k, j)] = v
+            elif rcols[j]:
+                raise InvariantError("death end %d in degree %d has a nonzero R column: engine bug" % (j, k))
+
+    def class_of(self, r, p, q, ids, vec):
+        """Coordinates on the basis `ids` of E_r^{p,q}, or None off Z_r^{p,q}.
+
+        Back substitution writes each column in the W basis (W_i is lowest
+        at i).  It lies in Z_r^{p,q} iff it avoids blocks < p and each birth
+        end whose partner has block < p+r; modulo B_r only `ids` remain.
+        """
+        k, f = p + q, self.field
+        if vec.nrows != len(self.order.get(k, ())):
+            raise ValueError("class_of: %d rows, expected dim C^%d" % (vec.nrows, k))
+        if k in self.frame:
+            vec = self.frame[k][1] * vec
+        ent = {}
+        for c, col in enumerate(self._columns(k, vec)):
+            while col:
+                low = col.bit_length() - 1 if self.f2 else max(col)
+                w = self.w[(k, low)]
+                v = 1 if self.f2 else f.div(col[low], w[low])
+                col = self._sub(col, v, w)
+                mate = self.mate.get((k, low))
+                early_birth = mate and mate[0] > k and self.block[k][low] + mate[2] < p + r
+                if self.block[k][low] < p or early_birth:
+                    return None
+                if low in ids:
+                    ent[(ids.index(low), c)] = v
+        return Matrix(f, len(ids), vec.ncols, ent, _normalized=True)
+
+    def next_page(self):
+        """Append page r, checked against page r-1 when r >= 1."""
+        r = len(self.pages)
+        cells = {}  # the unpaired generators and both ends of each pair of gap >= r
+        for k, blocks in self.block.items():
+            for i, b in enumerate(blocks):
+                if self.mate.get((k, i), (0, 0, r))[2] >= r:
+                    cells.setdefault((b, k - b), []).append(i)
+        ent = {}
+        for (k, i), (kk, j, gap) in self.mate.items():
+            if kk > k and gap == r:
+                src = (self.block[k][i], k - self.block[k][i])
+                tgt = (src[0] + r, src[1] - r + 1)
+                ent.setdefault(src, {})[(cells[tgt].index(j), cells[src].index(i))] = self.field.one
+        diffs = {c: Matrix(self.field, len(cells[(c[0] + r, c[1] - r + 1)]), len(cells[c]), e, _normalized=True)
+                 for c, e in ent.items()}
+        page = Page(r, self, cells, diffs)
+        for (p, q), m in diffs.items():
+            nxt = diffs.get((p + r, q - r + 1))
+            if nxt is not None and not (nxt * m).is_zero():
+                raise InvariantError("d_%d o d_%d != 0 at (p=%d, q=%d): engine bug" % (r, r, p, q))
+        if r:
+            prev, s = self.pages[-1], r - 1
+            ranks = {c: m.rank() for c, m in prev._diff.items()}
+            for (p, q) in set(prev._cells) | set(cells):
+                expect = prev.dim(p, q) - ranks.get((p, q), 0) - ranks.get((p - s, q + s - 1), 0)
+                if page.dim(p, q) != expect:
+                    raise InvariantError("page %d cell (%d, %d) has dim %d but H(E_%d, d_%d) gives %d: engine bug"
+                                         % (r, p, q, page.dim(p, q), s, s, expect))
+        self.pages.append(page)
+
+
 class FilteredComplex:
     """A cochain complex with a decreasing, d-compatible filtration.
 
     `steps[p-1]` gives per-degree span matrices of F_p C^k for
-    p = 1 .. n; F_0 is the whole complex and F_{n+1} = 0.  Pages are
-    computed lazily and cached per r (the cache is write-once per key).
+    p = 1 .. n; F_0 is the whole complex and F_{n+1} = 0.  Pages come
+    from the reduction of a split copy: in a basis of each C^k adapted
+    to F_n ⊆ ... ⊆ F_1 ⊆ C^k, d is block-nondecreasing.
     """
 
     def __init__(self, complex, steps, check=True):
         self.complex = complex
-        norm = []
-        for step in steps:
-            norm.append({int(k): m for k, m in step.items() if m.ncols})
-        self.steps = norm
-        self._zspans = {}
-        self._pages = {}
+        self.steps = [{int(k): m for k, m in step.items() if m.ncols} for step in steps]
+        self._red = None
         self._converged = None
         if check:
             self._check()
@@ -196,138 +332,58 @@ class FilteredComplex:
                         "differential does not respect the filtration at (p=%d, k=%d)" % (p, k)
                     )
 
-    # -- subquotient machinery -------------------------------------------
-
-    def _zspan(self, r, p, q):
-        """Spanning matrix of Z_r^{p,q} (ambient coordinates in C^{p+q}).
-
-        For r <= 0 this is F_p C^{p+q} itself.  Memoized, since B_r reuses
-        the Z_{r-1} spans of neighbouring cells.
-        """
-        if r < 0:
-            r = -1  # all negative levels coincide
-        key = (r, p, q)
-        hit = self._zspans.get(key)
-        if hit is not None:
-            return hit
-        k = p + q
-        u = self.span(p, k)
-        if r <= 0:
-            out = u
-        else:
-            v = self.span(p + r, k + 1)
-            du = self.complex.d(k) * u
-            stacked = Matrix.hstack(u.field, du.nrows, [du, -v])
-            ker = stacked.kernel()
-            out = u * ker.take_rows(range(u.ncols))
-        self._zspans[key] = out
-        return out
-
-    def _denominator(self, r, p, q):
-        """Span of Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1, q+r-2}."""
-        k = p + q
-        first = self._zspan(r - 1, p + 1, q - 1)
-        lower = self._zspan(r - 1, p - r + 1, q + r - 2)
-        second = self.complex.d(k - 1) * lower
-        return Matrix.hstack(first.field, self.complex.dim(k), [first, second])
+    def _reduction(self):
+        """The reduction of the split copy, with the adapted bases as frame."""
+        cx = self.complex
+        f = cx.field
+        frame, blocks = {}, {}
+        for k in cx.degrees():
+            basis = Matrix.zero(f, cx.dim(k), 0)
+            for p in range(self.n, -1, -1):
+                new = quotient_basis(self.span(p, k), basis)
+                blocks.update(zip(cx.basis.gens(k)[basis.ncols:], [p] * new.ncols))
+                basis = Matrix.hstack(f, cx.dim(k), [basis, new])
+            frame[k] = (basis, basis.inverse())
+        diff = {k: frame[k + 1][1] * cx.d(k) * frame[k][0] for k in frame if k + 1 in frame}
+        split = SplitFilteredComplex(CochainComplex(f, cx.basis, diff, check=False), blocks)
+        return _Reduction(split, frame)
 
     def page(self, r):
-        """The page E_r with differentials; verified against E_{r-1} for r >= 1."""
+        """The page E_r with differentials; E_inf for r > n+1."""
         if r < 0:
             raise ValueError("page index must be >= 0")
-        cached = self._pages.get(r)
-        if cached is not None:
-            return cached
-        cx = self.complex
-        cells = {}
-        flagged = []
-        for p in range(0, self.n + 1):
-            for k in cx.degrees():
-                q = k - p
-                z = self._zspan(r, p, q)
-                denom = self._denominator(r, p, q)
-                reps = quotient_basis(z, denom)
-                cells[(p, q)] = (reps, denom)
-                if reps.ncols and q < 0:
-                    flagged.append((p, q))
-        diffs = {}
-        for (p, q), (reps, _) in cells.items():
-            if not reps.ncols:
-                continue
-            tp, tq = p + r, q - r + 1
-            target = cells.get((tp, tq))
-            if target is None or not target[0].ncols:
-                continue
-            imgs = cx.d(p + q) * reps
-            treps, tdenom = target
-            stacked = Matrix.hstack(cx.field, treps.nrows, [treps, tdenom])
-            x = stacked.solve(imgs)
-            if x is None:
-                raise InvariantError(
-                    "d_%d image escaped its page cell at (p=%d, q=%d): engine bug" % (r, p, q)
-                )
-            m = x.take_rows(range(treps.ncols))
-            if not m.is_zero():
-                diffs[(p, q)] = m
-        page = Page(r, cx.field, cells, diffs, tuple(sorted(flagged)))
-        self._verify_page(page)
-        self._pages[r] = page
-        return page
-
-    def _verify_page(self, page):
-        """Certify E_r = H(E_{r-1}, d_{r-1}) dimensionwise and d_r o d_r = 0."""
-        r = page.r
-        for (p, q) in page.cells():
-            out = page.differential(p, q)
-            nxt = page.differential(p + r, q - r + 1)
-            if not (nxt * out).is_zero():
-                raise InvariantError("d_%d o d_%d != 0 at (p=%d, q=%d): engine bug" % (r, r, p, q))
-        if r == 0:
-            return
-        prev = self.page(r - 1)
-        s = r - 1
-        keys = set(page._cells) | set(prev._cells)
-        for (p, q) in keys:
-            out_rank = prev.differential(p, q).rank()
-            in_rank = prev.differential(p - s, q + s - 1).rank()
-            expect = prev.dim(p, q) - out_rank - in_rank
-            if page.dim(p, q) != expect:
-                raise InvariantError(
-                    "page %d cell (%d, %d) has dim %d but H(E_%d, d_%d) gives %d: engine bug"
-                    % (r, p, q, page.dim(p, q), s, s, expect)
-                )
-
-    # -- convergence -------------------------------------------------------
-
-    def h_filtration_dim(self, p, k):
-        """dim F_p H^k, computed directly as the image of H(F_p C) in H(C)."""
-        zf = self._zspan(self.n + 1 - p, p, k - p)
-        b = self.complex.d(k - 1)
-        stacked = Matrix.hstack(b.field, self.complex.dim(k), [zf, b])
-        return stacked.rank() - b.rank()
+        if self._red is None:
+            self._red = self._reduction()
+        top = min(r, self.n + 1)
+        while len(self._red.pages) <= top:
+            self._red.next_page()
+        page = self._red.pages[top]
+        return page if r == top else Page(r, self._red, page._cells, {})
 
     def converge(self):
-        """Iterate pages to stabilization and certify E_inf against F_pH."""
+        """Iterate pages to stabilization and certify E_inf against F_pH,
+        computed from ranks of d on the F_p spans, not from the pairing."""
         if self._converged is not None:
             return self._converged
-        rmax = self.n + 1
+        n, cx = self.n, self.complex
         r_stop = 0
-        for r in range(0, rmax + 1):
+        for r in range(0, n + 2):
             if self.page(r).has_nonzero_differential():
                 r_stop = r + 1
-        last = self.page(rmax)
-        einf = last.dims()
-        h = self.complex.cohomology()
-        h_dims = h.dims()
+        einf = self.page(n + 1).dims()
+        h_dims = cx.cohomology().dims()
         h_filt = {}
-        for p in range(0, self.n + 2):
-            for k in self.complex.degrees():
-                d = self.h_filtration_dim(p, k)
+        for p in range(0, n + 2):
+            for k in cx.degrees():
+                u = self.span(p, k)
+                z = u * (cx.d(k) * u).kernel()
+                b = cx.d(k - 1)
+                d = Matrix.hstack(cx.field, cx.dim(k), [z, b]).rank() - b.rank()
                 if d:
                     h_filt[(p, k)] = d
         certified = True
-        for p in range(0, self.n + 1):
-            for k in self.complex.degrees():
+        for p in range(0, n + 1):
+            for k in cx.degrees():
                 graded = h_filt.get((p, k), 0) - h_filt.get((p + 1, k), 0)
                 if einf.get((p, k - p), 0) != graded:
                     certified = False
@@ -338,19 +394,19 @@ class FilteredComplex:
         return self._converged
 
 
-class SplitFilteredComplex:
+class SplitFilteredComplex(FilteredComplex):
     """A complex split as C^k = ⊕_p C_p^k with a block-nondecreasing d.
 
-    `blocks` maps generator ids to their p-index.  The induced filtration
-    F_p = span of blocks >= p embeds this canonically into the general
-    FilteredComplex machinery; the zig-zag operations below exploit the
-    splitting directly.
+    `blocks` maps generator ids to their p-index, and F_p is the span of
+    the blocks >= p.  Pages come from the reduction of d itself; the
+    zig-zag operations below exploit the splitting directly.
     """
 
     def __init__(self, complex, blocks, check=True):
         self.complex = complex
         self.blocks = {g: int(p) for g, p in blocks.items()}
-        self._filtered = None
+        self._red = None
+        self._converged = None
         if check:
             self._check()
 
@@ -389,26 +445,19 @@ class SplitFilteredComplex:
         cols = self.block_indices(k, p)
         return self.complex.d(k).submatrix(rows, cols)
 
+    def span(self, p, k):
+        """A matrix whose columns span F_p C^k: the generators of blocks >= p."""
+        cx = self.complex
+        idx = [i for i, g in enumerate(cx.basis.gens(k)) if self.blocks[g] >= p]
+        return Matrix.identity(cx.field, cx.dim(k)).take_columns(idx)
+
     def to_filtered(self):
-        """The canonical embedding into the general filtered form (cached)."""
-        if self._filtered is None:
-            cx = self.complex
-            steps = []
-            for p in range(1, self.n + 1):
-                step = {}
-                for k in cx.degrees():
-                    idx = [i for i, g in enumerate(cx.basis.gens(k)) if self.blocks[g] >= p]
-                    if idx:
-                        step[k] = Matrix.identity(cx.field, cx.dim(k)).take_columns(idx)
-                steps.append(step)
-            self._filtered = FilteredComplex(cx, steps, check=False)
-        return self._filtered
+        """The same filtration as a general FilteredComplex."""
+        steps = [{k: self.span(p, k) for k in self.complex.degrees()} for p in range(1, self.n + 1)]
+        return FilteredComplex(self.complex, steps, check=False)
 
-    def page(self, r):
-        return self.to_filtered().page(r)
-
-    def converge(self):
-        return self.to_filtered().converge()
+    def _reduction(self):
+        return _Reduction(self)
 
 
 class ZigzagWitness:
@@ -451,65 +500,26 @@ def zigzag_class_and_d(sfc, r, degree, alpha):
         raise PreconditionError("alpha is zero; it defines no leading block")
     p = support.pop()
 
-    unknown_cols = []
-    col_spans = []
-    for i in range(1, r):
-        idx = sfc.block_indices(k, p + i)
-        unknown_cols.append(idx)
-        col_spans.append(len(idx))
-    rows_rhs = []
-    row_blocks = []
-    for j in range(r):
-        ridx = sfc.block_indices(k + 1, p + j)
-        row_blocks.append(ridx)
-        rows_rhs.append(ridx)
-
+    # d never lowers the block index, so the staircase system is the
+    # submatrix of d from blocks p+1..p+r-1 into blocks p..p+r-1
+    unknown = [i for b in range(p + 1, p + r) for i in sfc.block_indices(k, b)]
+    rows = [i for b in range(p, p + r) for i in sfc.block_indices(k + 1, b)]
     f = cx.field
     d = cx.d(k)
-    blocks = []
-    for j in range(r):
-        row = []
-        for i in range(1, r):
-            if i <= j:
-                row.append(d.submatrix(row_blocks[j], unknown_cols[i - 1]))
-            else:
-                row.append(Matrix.zero(f, len(row_blocks[j]), col_spans[i - 1]))
-        blocks.append(row)
-    width = sum(col_spans)
-    system = Matrix.vstack(
-        f,
-        width,
-        [Matrix.hstack(f, len(row_blocks[j]), blocks[j]) for j in range(r)],
-    ) if width else Matrix.zero(f, sum(len(rb) for rb in row_blocks), 0)
-
-    dalpha = d * alpha
-    rhs = Matrix.vstack(
-        f, 1, [(-dalpha).take_rows(row_blocks[j]) for j in range(r)]
-    )
-    sol = system.solve(rhs)
+    sol = d.submatrix(rows, unknown).solve(-(d * alpha).take_rows(rows))
     if sol is None:
         return None
-
-    chain = alpha
-    off = 0
-    for i in range(1, r):
-        idx = unknown_cols[i - 1]
-        ent = {}
-        for t, pos in enumerate(idx):
-            v = sol.get(off + t, 0)
-            if v != f.zero:
-                ent[(pos, 0)] = v
-        chain = chain + Matrix(f, cx.dim(k), 1, ent, _normalized=True)
-        off += len(idx)
+    lift = {(unknown[t], 0): v for (t, _), v in sol._e.items()}
+    chain = alpha + Matrix(f, cx.dim(k), 1, lift, _normalized=True)
     dchain = d * chain
     img_idx = set(sfc.block_indices(k + 1, p + r))
     ent = {key: v for key, v in dchain._e.items() if key[0] in img_idx}
     image = Matrix(f, cx.dim(k + 1), 1, ent, _normalized=True)
     # blocks p..p+r-1 of d(chain) vanish by construction; check it anyway
-    for j in range(r):
-        for pos in row_blocks[j]:
-            if (pos, 0) in dchain._e:
-                raise InvariantError("zig-zag system solution failed to clear block %d" % (p + j))
+    for pos in rows:
+        if (pos, 0) in dchain._e:
+            block = sfc.blocks[cx.basis.gens(k + 1)[pos]]
+            raise InvariantError("zig-zag system solution failed to clear block %d" % block)
     return ZigzagWitness(p, k, r, chain, image)
 
 

@@ -187,3 +187,32 @@ def test_e2_raw_output():
     code, out, _ = run(["e2", data("klein_twisted.json"), "--raw"])
     assert code == 0
     assert out == "2\t0\t0\t1\n2\t1\t0\t1\n"
+
+
+def test_page_far_past_a_long_gap(tmp_path):
+    # one pair with a block gap of 700: pages up to 700 are built in a loop,
+    # not by one recursion level per page
+    import json
+    import time
+
+    doc = tmp_path / "gap700.json"
+    doc.write_text(json.dumps({
+        "kind": "split_filtered_complex",
+        "field": "F2",
+        "generators": [["a", 0, 0], ["b", 1, 700]],
+        "differential": [["a", "b", 1]],
+    }))
+    start = time.perf_counter()
+    code, out, err = run(["pages", str(doc), "--page", "700", "--raw"])
+    assert code == 0, err
+    assert out == "700\t0\t0\t1\n700\t700\t-699\t1\n"
+    assert run(["pages", str(doc), "--page", "701", "--raw"]) == (0, "", "")
+    assert time.perf_counter() - start < 5
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path):
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = run(["homology", str(doc)])
+    assert code == 2
+    assert err.startswith("parse error: ") and err.count("\n") == 1

@@ -257,8 +257,12 @@ def check_tower_invariants(sfc):
                     - page.differential(p - r, q + r - 1).rank()
                 )
                 assert nxt_page.dim(p, q) == expect
-    # (iv) convergence: E_inf totals match the direct cohomology
+    # (iv) convergence: E_inf totals match the direct cohomology, and pages
+    # past the stabilization bound are E_inf
     assert conv.einf_total_dims() == sfc.complex.cohomology().dims()
+    for r in (sfc.n + 2, sfc.n + 40):
+        assert sfc.page(r).dims() == conv.einf
+        assert not sfc.page(r).has_nonzero_differential()
     assert oracle_cohomology_dims(sfc.complex) == sfc.complex.cohomology().dims()
 
 
@@ -422,49 +426,65 @@ def test_tower_over_larger_primes():
         assert conv.einf_total_dims() == sfc.complex.cohomology().dims()
 
 
+def conjugated(rng, fc):
+    """fc with the complex and every filtration span moved by a random
+    degreewise isomorphism: the same tower through dense, non-coordinate
+    spans of the general FilteredComplex path."""
+    from helpers import random_invertible
+
+    cx, field = fc.complex, fc.complex.field
+    t = {k: random_invertible(rng, field, cx.dim(k)) for k in cx.degrees()}
+    diff = {k: t[k + 1] * cx.d(k) * t[k].inverse() for k in cx.degrees() if not cx.d(k).is_zero()}
+    steps = []
+    for p in range(1, fc.n + 1):
+        steps.append({k: t[k] * fc.span(p, k) for k in cx.degrees() if fc.span(p, k).ncols})
+    return FilteredComplex(CochainComplex(field, cx.basis, diff), steps)
+
+
 def test_pages_match_dense_textbook_oracle():
     # every page dimension recomputed by a fully independent dense
-    # implementation of the subquotient definition
+    # implementation of the subquotient definition, for split towers and
+    # their conjugates; on every cell, class_of inverts reps, kills the
+    # boundaries d Z_{r-1}^{p-r+1, q+r-2}, and refuses exactly the basis
+    # vectors of C^{p+q} outside Z_r^{p,q}
     from helpers import DensePageOracle
 
     rng = random.Random(777)
-    for trial in range(9):
-        field = FIELDS[trial % 3]
-        sfc = random_split_complex(rng, field, max_gens=14, max_len=4)
-        fc = sfc.to_filtered()
-        oracle = DensePageOracle.from_filtered(fc)
-        for r in range(0, fc.n + 2):
-            assert oracle.page_dims(r, fc.complex.degrees()) == fc.page(r).dims()
+    for trial in range(16):
+        field = (Field(2), Field(3), Field(2 ** 61 - 1), Field())[trial % 4]
+        sfc = random_split_complex(rng, field, max_gens=18, max_len=5)
+        for fc in (sfc, conjugated(rng, sfc)):
+            cx = fc.complex
+            oracle = DensePageOracle.from_filtered(fc)
+            for r in range(0, fc.n + 2):
+                page = fc.page(r)
+                assert oracle.page_dims(r, cx.degrees()) == page.dims()
+                for p in range(0, fc.n + 1):
+                    for k in cx.degrees():
+                        dim = page.dim(p, k - p)
+                        if dim:
+                            assert page.class_of(p, k - p, page.reps(p, k - p)) == Matrix.identity(field, dim)
+                        lower = oracle.zspan(r - 1, p - r + 1, k - p + r - 2)
+                        ent = {(i, j): v for j, col in enumerate(lower) for i, v in enumerate(col)}
+                        bd = cx.d(k - 1) * Matrix(field, cx.dim(k - 1), len(lower), ent)
+                        assert page.class_of(p, k - p, bd) == Matrix.zero(field, dim, len(lower))
+                        z = oracle.zspan(r, p, k - p)
+                        for i in range(cx.dim(k)):
+                            e = [field.one if j == i else field.zero for j in range(cx.dim(k))]
+                            member = oracle._rank_cols(z + [e]) == oracle._rank_cols(z)
+                            assert (page.class_of(p, k - p, Matrix.basis_column(field, cx.dim(k), i)) is None) != member
 
 
 def test_tower_invariant_under_global_change_of_basis():
     # conjugating the complex and every filtration span by a degreewise
     # isomorphism must not change any page dimension; this drives the
     # general FilteredComplex path with dense, non-coordinate spans
-    from helpers import random_invertible
-
     rng = random.Random(4040)
     for trial in range(6):
         field = FIELDS[trial % 3]
         sfc = random_split_complex(rng, field, max_gens=16, max_len=4)
         fc = sfc.to_filtered()
-        cx = fc.complex
-        t = {k: random_invertible(rng, field, cx.dim(k)) for k in cx.degrees()}
-        diff = {}
-        for k in cx.degrees():
-            m = cx.d(k)
-            if not m.is_zero():
-                diff[k] = t[k + 1] * m * t[k].inverse()
-        conj_cx = CochainComplex(field, cx.basis, diff)
-        steps = []
-        for p in range(1, fc.n + 1):
-            step = {}
-            for k in cx.degrees():
-                sp = fc.span(p, k)
-                if sp.ncols:
-                    step[k] = t[k] * sp
-            steps.append(step)
-        conj_fc = FilteredComplex(conj_cx, steps)
+        conj_fc = conjugated(rng, fc)
         for r in range(0, fc.n + 2):
             assert conj_fc.page(r).dims() == fc.page(r).dims()
         a, b = conj_fc.converge(), fc.converge()
