@@ -418,6 +418,8 @@ def load_document(path, field_override=None):
             text = fh.read()
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s is not UTF-8: byte %d: %s" % (path, exc.start, exc.reason)) from exc
     return parse_text(text, field_override)
 
 

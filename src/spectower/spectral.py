@@ -13,10 +13,13 @@ with gap s = block(y) - block(x), and E_r^{p,q} has a basis of the
 block-p generators of degree p+q that are unpaired or in a pair of gap
 >= r; d_r matches the ends of the gap-r pairs.  A FilteredComplex is
 split first by bases adapted to F_n ⊆ ... ⊆ F_1 ⊆ C^k.  Checks that run:
-R = D V, one multiplication per degree; d_r o d_r = 0 and
+R = D V, column by column on the packed columns; d_r o d_r = 0 and
 E_{r+1} = H(E_r, d_r) dimensionwise on every page; and `converge`
-certifies E_inf against F_pH, computed from ranks on the F_p spans and
-not from the pairing.  The subquotient description
+certifies E_inf against F_pH and H, neither read from the pairing:
+dim F_pH^k = rank(B^k + F_p) - rank B^k - rank d|F_p from one echelon
+pass per degree over the prefixes F_n ⊆ ... ⊆ F_0, and
+dim H^k = dim C^k - rank d^k - rank d^{k-1} by Matrix.rank.  The
+subquotient description
 E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2}),
 Z_r^{p,q} = {x in F_p C^{p+q} : dx in F_{p+r}}, is the test oracle.
 
@@ -121,6 +124,75 @@ class ConvergenceReport:
         return dict(sorted(out.items()))
 
 
+def _packed_columns(m, index=None):
+    """The columns of m as int bitmasks over F_2, {row: value} dicts
+    otherwise; rows renumbered through `index` when it is given."""
+    f2 = m.field.p == 2
+    cols = [0 if f2 else {} for _ in range(m.ncols)]
+    for (i, j), v in m._e.items():
+        if index is not None:
+            i = index[i]
+        if f2:
+            cols[j] |= 1 << i
+        else:
+            cols[j][i] = v
+    return cols
+
+
+def _apply(f, cols, vec):
+    """sum_i vec_i * cols[i] for packed columns."""
+    if f.p == 2:
+        out = 0
+        while vec:
+            i = vec.bit_length() - 1
+            out ^= cols[i]
+            vec ^= 1 << i
+        return out
+    acc = {}
+    for i, c in vec.items():
+        for r, v in cols[i].items():
+            acc[r] = acc.get(r, 0) + c * v
+    if f.p is not None:
+        return {r: v % f.p for r, v in acc.items() if v % f.p}
+    return {r: v for r, v in acc.items() if v}
+
+
+def _sub(f, col, c, other):
+    """col - c * other for packed columns; dict columns change in place."""
+    if f.p == 2:
+        return col ^ other
+    for i, v in other.items():
+        nv = f.sub(col.get(i, f.zero), f.mul(c, v))
+        if nv:
+            col[i] = nv
+        else:
+            col.pop(i, None)
+    return col
+
+
+def _grows(f, basis, col):
+    """Reduce col against the echelon basis {pivot: column}; True, with the
+    remainder added to the basis, iff col is outside its span."""
+    if f.p == 2:
+        while col:
+            low = col.bit_length() - 1
+            b = basis.get(low)
+            if b is None:
+                basis[low] = col
+                return True
+            col ^= b
+        return False
+    col = dict(col)
+    while col:
+        low = max(col)
+        b = basis.get(low)
+        if b is None:
+            basis[low] = col
+            return True
+        _sub(f, col, f.div(col[low], b[low]), b)
+    return False
+
+
 class _Reduction:
     """The reduction R = D V of a split complex and the pages it yields.
 
@@ -147,17 +219,6 @@ class _Reduction:
             self._reduce(k, cx.d(k))
         self.pages = []
 
-    def _columns(self, k, m):
-        """The columns of m, a Matrix over C^k, in index coordinates."""
-        idx = self.index.get(k, {})
-        cols = [0 if self.f2 else {} for _ in range(m.ncols)]
-        for (i, j), v in m._e.items():
-            if self.f2:
-                cols[j] |= 1 << idx[i]
-            else:
-                cols[j][idx[i]] = v
-        return cols
-
     def matrix(self, k, cols):
         """Columns over C^k in index coordinates, as a Matrix over positions."""
         order = self.order.get(k, ())
@@ -169,23 +230,11 @@ class _Reduction:
                 ent[(order[i], c)] = v
         return Matrix(self.field, len(order), len(cols), ent, _normalized=True)
 
-    def _sub(self, col, c, other):
-        """col - c * other; dict columns change in place."""
-        if self.f2:
-            return col ^ other
-        f = self.field
-        for i, v in other.items():
-            nv = f.sub(col.get(i, f.zero), f.mul(c, v))
-            if nv:
-                col[i] = nv
-            else:
-                col.pop(i, None)
-        return col
-
     def _reduce(self, k, d):
         f = self.field
-        dcols = self._columns(k + 1, d)
+        dcols = _packed_columns(d, self.index.get(k + 1, {}))
         rcols = [dcols[pos] for pos in self.order[k]]
+        dv = list(rcols) if self.f2 else [dict(c) for c in rcols]  # D, before reduction mutates it
         vcols = [1 << j if self.f2 else {j: f.one} for j in range(len(rcols))]
         owner = {}  # lowest entry -> the column that has it
         for j, col in enumerate(rcols):
@@ -196,10 +245,11 @@ class _Reduction:
                     owner[low] = j
                     break
                 c = 1 if self.f2 else f.div(col[low], rcols[i][low])
-                col, vcols[j] = self._sub(col, c, rcols[i]), self._sub(vcols[j], c, vcols[i])
+                col, vcols[j] = _sub(f, col, c, rcols[i]), _sub(f, vcols[j], c, vcols[i])
             rcols[j] = col
-        if d * self.matrix(k, vcols) != self.matrix(k + 1, rcols):
-            raise InvariantError("reduction R = D V fails in degree %d: engine bug" % k)
+        for j, v in enumerate(vcols):
+            if _apply(f, dv, v) != rcols[j]:
+                raise InvariantError("reduction R = D V fails in degree %d: engine bug" % k)
         for low, j in owner.items():
             gap = self.block[k + 1][low] - self.block[k][j]
             self.mate[(k, j)] = (k + 1, low, gap)
@@ -224,12 +274,12 @@ class _Reduction:
         if k in self.frame:
             vec = self.frame[k][1] * vec
         ent = {}
-        for c, col in enumerate(self._columns(k, vec)):
+        for c, col in enumerate(_packed_columns(vec, self.index.get(k, {}))):
             while col:
                 low = col.bit_length() - 1 if self.f2 else max(col)
                 w = self.w[(k, low)]
                 v = 1 if self.f2 else f.div(col[low], w[low])
-                col = self._sub(col, v, w)
+                col = _sub(f, col, v, w)
                 mate = self.mate.get((k, low))
                 early_birth = mate and mate[0] > k and self.block[k][low] + mate[2] < p + r
                 if self.block[k][low] < p or early_birth:
@@ -360,6 +410,29 @@ class FilteredComplex:
         page = self._red.pages[top]
         return page if r == top else Page(r, self._red, page._cells, {})
 
+    def _h_filtration(self, k):
+        """((p, k), dim F_pH^k) for the nonzero F_pH^k, from prefix ranks.
+
+        One pass over the spans of F_n ⊆ ... ⊆ F_0 grows three echelon
+        bases: S = F_p; Z = d(F_p), so zr = rank d|F_p; and BB = B + F_p
+        with B = im d^{k-1}, of which br counts the growth past B.  Then
+        dim(Z^k ∩ F_p) = dim F_p - zr and dim(B ∩ F_p) = dim F_p - br, so
+        dim F_pH^k = br - zr.  Nothing here reads the reduction.
+        """
+        cx, f = self.complex, self.complex.field
+        dcols = _packed_columns(cx.d(k))
+        s, z, bb = {}, {}, {}
+        for col in _packed_columns(cx.d(k - 1)):
+            _grows(f, bb, col)
+        zr = br = 0
+        for p in range(self.n, -1, -1):
+            for col in _packed_columns(self.span(p, k)):
+                if _grows(f, s, col):
+                    zr += _grows(f, z, _apply(f, dcols, col))
+                    br += _grows(f, bb, col)
+            if br != zr:
+                yield (p, k), br - zr
+
     def converge(self):
         """Iterate pages to stabilization and certify E_inf against F_pH,
         computed from ranks of d on the F_p spans, not from the pairing."""
@@ -371,16 +444,12 @@ class FilteredComplex:
             if self.page(r).has_nonzero_differential():
                 r_stop = r + 1
         einf = self.page(n + 1).dims()
-        h_dims = cx.cohomology().dims()
-        h_filt = {}
-        for p in range(0, n + 2):
-            for k in cx.degrees():
-                u = self.span(p, k)
-                z = u * (cx.d(k) * u).kernel()
-                b = cx.d(k - 1)
-                d = Matrix.hstack(cx.field, cx.dim(k), [z, b]).rank() - b.rank()
-                if d:
-                    h_filt[(p, k)] = d
+        h_dims = {}
+        for k in cx.degrees():
+            h = cx.dim(k) - cx.d(k).rank() - cx.d(k - 1).rank()
+            if h:
+                h_dims[k] = h
+        h_filt = dict(sorted((pk, h) for k in cx.degrees() for pk, h in self._h_filtration(k)))
         certified = True
         for p in range(0, n + 1):
             for k in cx.degrees():
@@ -449,7 +518,8 @@ class SplitFilteredComplex(FilteredComplex):
         """A matrix whose columns span F_p C^k: the generators of blocks >= p."""
         cx = self.complex
         idx = [i for i, g in enumerate(cx.basis.gens(k)) if self.blocks[g] >= p]
-        return Matrix.identity(cx.field, cx.dim(k)).take_columns(idx)
+        return Matrix(cx.field, cx.dim(k), len(idx), {(i, c): cx.field.one for c, i in enumerate(idx)},
+                      _normalized=True)
 
     def to_filtered(self):
         """The same filtration as a general FilteredComplex."""

@@ -71,6 +71,23 @@ def oracle_cohomology_dims(cx):
     return {k: v for k, v in dims.items() if v}
 
 
+def oracle_h_filtration(fc):
+    """{(p, k): dim F_pH^k}, nonzero entries only, by the kernel formula:
+    with U spanning F_p C^k, Z^k ∩ F_p = U ker(d U), and F_pH^k =
+    (Z^k ∩ F_p + B^k) / B^k."""
+    cx = fc.complex
+    out = {}
+    for p in range(0, fc.n + 2):
+        for k in cx.degrees():
+            u = fc.span(p, k)
+            z = u * (cx.d(k) * u).kernel()
+            b = cx.d(k - 1)
+            d = Matrix.hstack(cx.field, cx.dim(k), [z, b]).rank() - b.rank()
+            if d:
+                out[(p, k)] = d
+    return out
+
+
 # -- random instances ---------------------------------------------------------
 
 

@@ -216,3 +216,11 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path):
     code, out, err = run(["homology", str(doc)])
     assert code == 2
     assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
+def test_non_utf8_document_is_a_parse_error(tmp_path):
+    doc = tmp_path / "utf16.json"
+    doc.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run(["homology", str(doc)])
+    assert code == 2
+    assert err.startswith("parse error: ") and "not UTF-8" in err and err.count("\n") == 1

@@ -475,6 +475,43 @@ def test_pages_match_dense_textbook_oracle():
                             assert (page.class_of(p, k - p, Matrix.basis_column(field, cx.dim(k), i)) is None) != member
 
 
+def test_h_filtration_matches_kernel_formula():
+    # F_pH from prefix ranks against the kernel/hstack formula, and H from
+    # ranks of d against cohomology(), for split towers and their
+    # conjugated general FilteredComplex
+    from helpers import oracle_h_filtration
+
+    rng = random.Random(909)
+    for trial in range(24):
+        field = (Field(2), Field(3), Field(2 ** 61 - 1), Field())[trial % 4]
+        sfc = random_split_complex(rng, field, max_gens=18, max_len=5)
+        for fc in (sfc, conjugated(rng, sfc)):
+            conv = fc.converge()
+            assert conv.h_filtration == oracle_h_filtration(fc)
+            assert conv.h_dims == fc.complex.cohomology().dims()
+            assert conv.certified
+
+
+def test_certification_does_not_read_the_pairing():
+    # deleting one pair from the reduction changes E_inf; F_pH comes from
+    # ranks alone, so it must not move, and certification must fail
+    rng = random.Random(606)
+    checked = 0
+    while checked < 60:
+        sfc = random_split_complex(rng, FIELDS[checked % 3], max_gens=18, max_len=4)
+        red = sfc._red = sfc._reduction()
+        births = sorted(key for key, (kk, _, _) in red.mate.items() if kk > key[0])
+        if not births:
+            continue
+        kk, j, _ = red.mate.pop(rng.choice(births))
+        del red.mate[(kk, j)]
+        clean = SplitFilteredComplex(sfc.complex, sfc.blocks).converge()
+        conv = sfc.converge()
+        assert conv.certified is False
+        assert conv.h_filtration == clean.h_filtration
+        checked += 1
+
+
 def test_tower_invariant_under_global_change_of_basis():
     # conjugating the complex and every filtration span by a degreewise
     # isomorphism must not change any page dimension; this drives the
