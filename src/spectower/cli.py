@@ -3,7 +3,8 @@
 Subcommands: homology, pages, e2, oracle-check, extend, compare-ls,
 kunneth.  All output is byte-deterministic.  Exit codes: 0 ok (for
 oracle-check and compare-ls: the check passed), 1 check failed,
-2 parse error, 3 invariant violation, 4 precondition violation.
+2 parse error, 3 invariant violation, 4 precondition violation,
+5 internal error (any other exception: a bug in spectower).
 """
 
 import argparse
@@ -330,6 +331,10 @@ def main(argv=None):
     except PreconditionError as exc:
         sys.stderr.write("precondition violation: %s\n" % exc)
         return 4
+    except Exception as exc:
+        msg = " ".join(str(exc).splitlines())
+        sys.stderr.write("internal error: %s: %s\n" % (type(exc).__name__, msg))
+        return 5
 
 
 if __name__ == "__main__":

@@ -199,6 +199,18 @@ class Matrix:
             )
         f = self.field
         p = f.p
+        if p == 2:  # columns of self as row bitmasks, XORed along each column of other
+            cols, acc, ent = {}, {}, {}
+            for i, j in self._e:
+                cols[j] = cols.get(j, 0) | 1 << i
+            for j, l in other._e:
+                if j in cols:
+                    acc[l] = acc.get(l, 0) ^ cols[j]
+            for l, x in acc.items():
+                while x:
+                    ent[((x & -x).bit_length() - 1, l)] = 1
+                    x &= x - 1
+            return Matrix(f, self.nrows, other.ncols, ent, _normalized=True)
         by_col = {}
         for (i, j), v in self._e.items():
             by_col.setdefault(j, []).append((i, v))

@@ -11,15 +11,19 @@ split complex (Barannikov normal form; Zomorodian-Carlsson 2005,
 Basu-Parida 2017): a column x whose R column is lowest at y pairs x -> y
 with gap s = block(y) - block(x), and E_r^{p,q} has a basis of the
 block-p generators of degree p+q that are unpaired or in a pair of gap
->= r; d_r matches the ends of the gap-r pairs.  A FilteredComplex is
-split first by bases adapted to F_n ⊆ ... ⊆ F_1 ⊆ C^k.  Checks that run:
+>= r; d_r matches the ends of the gap-r pairs.  Pages are built
+incrementally from the pairs bucketed by gap: page 0 holds every
+generator, page r is page r-1 less the two ends of each gap-(r-1) pair,
+so a page costs the cells it changes.  A FilteredComplex is split first
+by bases adapted to F_n ⊆ ... ⊆ F_1 ⊆ C^k.  Checks that run:
 R = D V, column by column on the packed columns; d_r o d_r = 0 and
 E_{r+1} = H(E_r, d_r) dimensionwise on every page; and `converge`
 certifies E_inf against F_pH and H, neither read from the pairing:
 dim F_pH^k = rank(B^k + F_p) - rank B^k - rank d|F_p from one echelon
-pass per degree over the prefixes F_n ⊆ ... ⊆ F_0, and
-dim H^k = dim C^k - rank d^k - rank d^{k-1} by Matrix.rank.  The
-subquotient description
+pass per degree over the prefixes F_n ⊆ ... ⊆ F_0 that walks each
+generator once (a split complex steps from F_{p+1} to F_p by its block-p
+generators), and dim H^k = dim C^k - rank d^k - rank d^{k-1} by
+Matrix.rank.  The subquotient description
 E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2}),
 Z_r^{p,q} = {x in F_p C^{p+q} : dx in F_{p+r}}, is the test oracle.
 
@@ -28,6 +32,8 @@ zig-zag cross-check direct linear algebra.  Pages stabilize at r = n+1
 for a length-n filtration (d_r moves p by r), and `page(r)` for a larger
 r is E_inf.
 """
+
+from bisect import bisect_left
 
 from .complexes import CochainComplex
 from .errors import InvariantError, PreconditionError
@@ -288,20 +294,42 @@ class _Reduction:
                     ent[(ids.index(low), c)] = v
         return Matrix(f, len(ids), vec.ncols, ent, _normalized=True)
 
+    def _cell(self, k, i):
+        b = self.block[k][i]
+        return (b, k - b)
+
     def next_page(self):
-        """Append page r, checked against page r-1 when r >= 1."""
+        """Append page r, checked against page r-1 when r >= 1.
+
+        Page 0 holds every generator; page r is page r-1 less both ends of
+        each gap-(r-1) pair, so only those cells are rebuilt and the other
+        cell tuples are shared.  d_r matches the ends of the gap-r pairs.
+        """
         r = len(self.pages)
-        cells = {}  # the unpaired generators and both ends of each pair of gap >= r
-        for k, blocks in self.block.items():
-            for i, b in enumerate(blocks):
-                if self.mate.get((k, i), (0, 0, r))[2] >= r:
+        if not r:
+            self.gaps = {}  # gap -> [(k, i, j)]: the pairs (k, i) -> (k+1, j), read when page 0 is built
+            for (k, i), (kk, j, gap) in self.mate.items():
+                if kk > k:
+                    self.gaps.setdefault(gap, []).append((k, i, j))
+            cells = {}
+            for k, blocks in self.block.items():
+                for i, b in enumerate(blocks):
                     cells.setdefault((b, k - b), []).append(i)
+            cells = {c: tuple(ids) for c, ids in cells.items()}
+        else:
+            dead = {}
+            for k, i, j in self.gaps.get(r - 1, ()):
+                dead.setdefault(self._cell(k, i), set()).add(i)
+                dead.setdefault(self._cell(k + 1, j), set()).add(j)
+            cells = dict(self.pages[-1]._cells)
+            for c, ids in dead.items():
+                cells[c] = tuple(i for i in cells[c] if i not in ids)
+                if not cells[c]:
+                    del cells[c]
         ent = {}
-        for (k, i), (kk, j, gap) in self.mate.items():
-            if kk > k and gap == r:
-                src = (self.block[k][i], k - self.block[k][i])
-                tgt = (src[0] + r, src[1] - r + 1)
-                ent.setdefault(src, {})[(cells[tgt].index(j), cells[src].index(i))] = self.field.one
+        for k, i, j in self.gaps.get(r, ()):  # cell tuples are ascending: bisect finds places
+            src, tgt = self._cell(k, i), self._cell(k + 1, j)
+            ent.setdefault(src, {})[(bisect_left(cells[tgt], j), bisect_left(cells[src], i))] = self.field.one
         diffs = {c: Matrix(self.field, len(cells[(c[0] + r, c[1] - r + 1)]), len(cells[c]), e, _normalized=True)
                  for c, e in ent.items()}
         page = Page(r, self, cells, diffs)
@@ -332,15 +360,11 @@ class FilteredComplex:
     def __init__(self, complex, steps, check=True):
         self.complex = complex
         self.steps = [{int(k): m for k, m in step.items() if m.ncols} for step in steps]
+        self.n = len(self.steps)  # filtration length: the largest p with F_p possibly nonzero
         self._red = None
         self._converged = None
         if check:
             self._check()
-
-    @property
-    def n(self):
-        """Filtration length: the largest p with F_p possibly nonzero."""
-        return len(self.steps)
 
     def span(self, p, k):
         """A matrix whose columns span F_p C^k inside C^k."""
@@ -413,9 +437,10 @@ class FilteredComplex:
     def _h_filtration(self, k):
         """((p, k), dim F_pH^k) for the nonzero F_pH^k, from prefix ranks.
 
-        One pass over the spans of F_n ⊆ ... ⊆ F_0 grows three echelon
-        bases: S = F_p; Z = d(F_p), so zr = rank d|F_p; and BB = B + F_p
-        with B = im d^{k-1}, of which br counts the growth past B.  Then
+        One pass over the step columns of F_n ⊆ ... ⊆ F_0 (`_step_columns`:
+        what F_p adds to F_{p+1}) grows three echelon bases: S = F_p;
+        Z = d(F_p), so zr = rank d|F_p; and BB = B + F_p with
+        B = im d^{k-1}, of which br counts the growth past B.  Then
         dim(Z^k ∩ F_p) = dim F_p - zr and dim(B ∩ F_p) = dim F_p - br, so
         dim F_pH^k = br - zr.  Nothing here reads the reduction.
         """
@@ -426,12 +451,17 @@ class FilteredComplex:
             _grows(f, bb, col)
         zr = br = 0
         for p in range(self.n, -1, -1):
-            for col in _packed_columns(self.span(p, k)):
+            for col in self._step_columns(p, k):
                 if _grows(f, s, col):
                     zr += _grows(f, z, _apply(f, dcols, col))
                     br += _grows(f, bb, col)
             if br != zr:
                 yield (p, k), br - zr
+
+    def _step_columns(self, p, k):
+        """Packed columns spanning F_p C^k; the S basis of `_h_filtration`
+        skips those already in F_{p+1} C^k."""
+        return _packed_columns(self.span(p, k))
 
     def converge(self):
         """Iterate pages to stabilization and certify E_inf against F_pH,
@@ -474,6 +504,8 @@ class SplitFilteredComplex(FilteredComplex):
     def __init__(self, complex, blocks, check=True):
         self.complex = complex
         self.blocks = {g: int(p) for g, p in blocks.items()}
+        self.n = max(self.blocks.values(), default=0)
+        self._groups = {}  # degree -> {block: positions of its generators}
         self._red = None
         self._converged = None
         if check:
@@ -497,16 +529,23 @@ class SplitFilteredComplex(FilteredComplex):
                         % (src[j], dst[i], -shift)
                     )
 
-    @property
-    def n(self):
-        return max(self.blocks.values(), default=0)
-
     def block_of(self, gid):
         return self.blocks[gid]
 
     def block_indices(self, k, p):
         """Coordinate positions of block-p generators inside C^k."""
-        return [i for i, g in enumerate(self.complex.basis.gens(k)) if self.blocks[g] == p]
+        groups = self._groups.get(k)
+        if groups is None:
+            groups = {}
+            for i, g in enumerate(self.complex.basis.gens(k)):
+                groups.setdefault(self.blocks[g], []).append(i)
+            groups = self._groups[k] = {b: tuple(ids) for b, ids in groups.items()}
+        return groups.get(p, ())
+
+    def _step_columns(self, p, k):
+        """Unit columns of the block-p generators: F_p C^k is F_{p+1} C^k plus these."""
+        f = self.complex.field
+        return [1 << i if f.p == 2 else {i: f.one} for i in self.block_indices(k, p)]
 
     def component_matrix(self, k, p, r):
         """The block d_r : C_p^k -> C_{p+r}^{k+1} of the differential."""

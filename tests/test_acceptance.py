@@ -408,6 +408,29 @@ def test_acceptance_9_performance_floor():
     report(9, "full tower: 2000 generators over F_2, filtration length 4", 1, elapsed, 10)
 
 
+def test_acceptance_9_deep_chain_cost():
+    # the chain a_i -> b_(i+1), a_i and b_i in block i: n+2 pages over
+    # 2n+2 generators, so a cost of pages times generators shows at once
+    F2 = Field(2)
+    n = 2000
+    gens = [("a%d" % i, 0) for i in range(n + 1)] + [("b%d" % i, 1) for i in range(n + 1)]
+    basis = GradedBasis(gens)
+    d = {0: Matrix.from_entries(F2, n + 1, n + 1, [(i + 1, i, 1) for i in range(n)])}
+    sfc = SplitFilteredComplex(CochainComplex(F2, basis, d), {g: int(g[1:]) for g, _ in gens})
+
+    t0 = time.monotonic()
+    conv = sfc.converge()
+    elapsed = time.monotonic() - t0
+    assert conv.certified
+    assert conv.r_stop == 2
+    # E_inf is a_n and b_0, nothing else
+    assert conv.einf == {(n, -n): 1, (0, 1): 1}
+    einf = sfc.page(n + 1)
+    assert einf.reps(n, -n) == Matrix.basis_column(F2, n + 1, n)
+    assert einf.reps(0, 1) == Matrix.basis_column(F2, n + 1, 0)
+    report(9, "deep chain: n = 2000 over F_2, unconjugated", 1, elapsed, 5)
+
+
 # -- 10: CLI contract ----------------------------------------------------------------
 
 

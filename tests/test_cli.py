@@ -81,6 +81,20 @@ def test_exit_code_wrong_document_kind():
     assert code == 4
 
 
+def test_unexpected_exception_is_an_internal_error(monkeypatch):
+    import spectower.cli
+
+    def boom(args):
+        raise RuntimeError("unexpected\nstate")
+
+    monkeypatch.setattr(spectower.cli, "cmd_homology", boom)
+    code, out, err = run(["homology", data("circle.json")])
+    assert code == 5
+    assert out == ""
+    assert err == "internal error: RuntimeError: unexpected state\n"
+    assert "Traceback" not in err
+
+
 def test_compare_mismatch_exits_nonzero():
     code, out, err = run(["compare-ls", data("torus_cellular.json"), data("klein_twisted.json")])
     assert code == 4  # total cohomology disagrees: refused as a precondition

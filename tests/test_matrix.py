@@ -125,6 +125,32 @@ def test_rank_nullity(data):
     assert m.rank() == oracle_matrix_rank(m)
 
 
+def _dense_product_mod2(a, b):
+    da, db = a.to_dense(), b.to_dense()
+    return [[sum(da[i][j] * db[j][l] for j in range(a.ncols)) % 2 for l in range(b.ncols)]
+            for i in range(a.nrows)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_f2_product_matches_dense_product(data):
+    # the packed F_2 product against a dense product mod 2, with 0-row and
+    # 0-column shapes, and a zero product a * ker(a) as in the d^2 check
+    m, n, l = (data.draw(st.integers(0, 9)) for _ in range(3))
+
+    def draw(rows, cols):
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=rows * cols, max_size=rows * cols))
+        return Matrix(F2, rows, cols, {(t // cols, t % cols): 1 for t, v in enumerate(bits) if v})
+
+    a, b = draw(m, n), draw(n, l)
+    prod = a * b
+    assert prod.shape == (m, l)
+    assert prod.to_dense() == _dense_product_mod2(a, b)
+    zero = a * a.kernel()
+    assert zero.is_zero()
+    assert zero.to_dense() == _dense_product_mod2(a, a.kernel())
+
+
 def test_rank_nullity_large_dims():
     rng = random.Random(99)
     for p in (2, 3, 5, 7):

@@ -492,6 +492,33 @@ def test_h_filtration_matches_kernel_formula():
             assert conv.certified
 
 
+def test_incremental_pages_on_sparse_block_indices():
+    # blocks {0, 3, 7}: no pair has gap 1, 2, 5 or 6, so those pages drop
+    # nothing and have no d_r, and F_1, F_2, F_4, F_5, F_6 add no
+    # generator; every page and F_pH against the oracles, for split towers
+    # and their conjugated general FilteredComplex
+    from helpers import DensePageOracle, oracle_h_filtration
+
+    rng = random.Random(3737)
+    checked = 0
+    while checked < 8:
+        base = random_split_complex(rng, (F2, Q)[checked % 2], max_gens=16, max_len=3)
+        if base.n != 2:
+            continue
+        sfc = SplitFilteredComplex(base.complex, {g: (0, 3, 7)[p] for g, p in base.blocks.items()})
+        for fc in (sfc, conjugated(rng, sfc)):
+            oracle = DensePageOracle.from_filtered(fc)
+            for r in range(0, fc.n + 3):
+                assert fc.page(r).dims() == oracle.page_dims(r, fc.complex.degrees())
+            for r in (1, 2, 5, 6):
+                assert not fc.page(r).has_nonzero_differential()
+                assert fc.page(r + 1).dims() == fc.page(r).dims()
+            conv = fc.converge()
+            assert conv.certified
+            assert conv.h_filtration == oracle_h_filtration(fc)
+        checked += 1
+
+
 def test_certification_does_not_read_the_pairing():
     # deleting one pair from the reduction changes E_inf; F_pH comes from
     # ranks alone, so it must not move, and certification must fail
