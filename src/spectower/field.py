@@ -14,6 +14,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _WORD_BOUND = 1 << 63
 
+_ZERO = Fraction(0)  # Fractions are immutable, so Q shares its constants
+_ONE = Fraction(1)
+
 
 def _is_prime(n):
     # deterministic Miller-Rabin, exact for n < 3.3e24
@@ -75,11 +78,11 @@ class Field:
 
     @property
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return _ZERO if self.p is None else 0
 
     @property
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return _ONE if self.p is None else 1
 
     def normalize(self, x):
         """Canonical form of x: Fraction over Q, residue in [0,p) over F_p.
@@ -87,12 +90,14 @@ class Field:
         Accepts ints, Fractions and strings like "-3" or "2/5".  Over F_p a
         fraction a/b maps to a * b^{-1} mod p; b divisible by p is an error.
         """
+        if type(x) is int:  # the common case, ahead of the isinstance chain
+            return Fraction(x) if self.p is None else x % self.p
         if isinstance(x, str):
             x = parse_scalar(x)
         if isinstance(x, float):
             raise TypeError("floating point scalars are not allowed")
         if self.p is None:
-            return Fraction(x)
+            return x if type(x) is Fraction else Fraction(x)
         if isinstance(x, Fraction):
             if x.denominator == 1:
                 return x.numerator % self.p

@@ -3,11 +3,17 @@
 Everything downstream (cohomology, page towers, transport) reduces to
 rank / kernel / solve over an exact field, so this module is the
 performance floor of the package.  Rows are kept sparse during
-elimination: dicts {col: value} in the generic case, packed integer
-bitmasks over F_2, where the heaviest instances live.  The reduced row
-echelon form of a matrix is unique, so every result here is canonical
-regardless of the sparsity-driven pivot-row choice.
+elimination: dicts {col: residue} over F_p, packed integer bitmasks over
+F_2, where the heaviest instances live, and dicts {col: int} over Q.
+Over Q the kernels clear denominators once, combine integer vectors by
+a*x - b*y and divide out the content (Bareiss-style, fraction-free), and
+build one Fraction per output entry.  The reduced row echelon form of a
+matrix is unique, so every result here is canonical regardless of the
+sparsity-driven pivot-row choice.
 """
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InvariantError
 from .field import Field
@@ -211,22 +217,26 @@ class Matrix:
                     ent[((x & -x).bit_length() - 1, l)] = 1
                     x &= x - 1
             return Matrix(f, self.nrows, other.ncols, ent, _normalized=True)
+        a, b = self._e, other._e
+        if p is None:  # integer factors: self = a / ad, other = b / bd
+            ad, (a,) = clear_denominators([a])
+            bd, (b,) = clear_denominators([b])
         by_col = {}
-        for (i, j), v in self._e.items():
+        for (i, j), v in a.items():
             by_col.setdefault(j, []).append((i, v))
         acc = {}
-        for (j, l), w in other._e.items():
+        for (j, l), w in b.items():
             hits = by_col.get(j)
             if not hits:
                 continue
             for i, v in hits:
                 key = (i, l)
                 acc[key] = acc.get(key, 0) + v * w
-        zero = f.zero
         if p is not None:
             ent = {k: s % p for k, s in acc.items() if s % p}
         else:
-            ent = {k: s for k, s in acc.items() if s != zero}
+            den = ad * bd
+            ent = {k: Fraction(s, den) for k, s in acc.items() if s}
         return Matrix(f, self.nrows, other.ncols, ent, _normalized=True)
 
     def transpose(self):
@@ -402,8 +412,11 @@ def _rref_f2(rows, piv_limit):
 
 
 def _rref_generic(field, rows, piv_limit):
+    """Dict rows over F_p; over Q the rows are cleared to integers first,
+    eliminated fraction-free, and each pivot row divided by its pivot last."""
     p = field.p
-    zero = field.zero
+    if p is None:
+        rows[:] = clear_denominators(rows)[1]
     pivots = []
     nrows = len(rows)
     for col in range(piv_limit):
@@ -420,37 +433,72 @@ def _rref_generic(field, rows, piv_limit):
         rows[k], rows[best] = rows[best], rows[k]
         prow = rows[k]
         pv = prow[col]
-        if pv != field.one:
-            inv = field.inv(pv)
-            if p is not None:
-                for c in prow:
-                    prow[c] = prow[c] * inv % p
-            else:
-                for c in prow:
-                    prow[c] = prow[c] * inv
+        if p is not None and pv != 1:
+            inv = pow(pv, -1, p)
+            for c in prow:
+                prow[c] = prow[c] * inv % p
         for i in range(nrows):
             if i == k:
                 continue
             row = rows[i]
             f = row.get(col)
-            if f is None or f == zero:
+            if not f:
                 continue
-            if p is not None:
-                for c, v in prow.items():
-                    nv = (row.get(c, 0) - f * v) % p
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-            else:
-                for c, v in prow.items():
-                    nv = row.get(c, zero) - f * v
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
+            if p is None:
+                rows[i] = int_combine(pv, [row], f, [prow])[0][0]
+                continue
+            for c, v in prow.items():
+                nv = (row.get(c, 0) - f * v) % p
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
         pivots.append(col)
+    if p is None:
+        for i, pc in enumerate(pivots):
+            rows[i] = as_fractions(rows[i], rows[i][pc])
     return pivots
+
+
+def clear_denominators(vecs):
+    """(δ, [δ·v for v in vecs]) for dicts of Fractions, δ the lcm of all
+    their denominators: the scaled dicts hold ints."""
+    den = lcm(*[v.denominator for x in vecs for v in x.values()])
+    return den, [{i: v.numerator * (den // v.denominator) for i, v in x.items()} for x in vecs]
+
+
+def as_fractions(vec, den):
+    """The dict of Fractions vec / den for an integer dict vec."""
+    return {i: Fraction(v, den) for i, v in vec.items()}
+
+
+def int_combine(a, xs, b, ys, den=0):
+    """(a·x - b·y for each x, y of the integer dict vectors xs, ys; a·den),
+    all divided by their common content after a and b are divided by theirs.
+
+    New dicts, zero entries dropped.  With den = 0 this makes the vectors
+    primitive; with a denominator shared by x, it keeps x / den exact.
+    """
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    c = den = a * den
+    out = []
+    for x, y in zip(xs, ys):
+        z = {i: a * v for i, v in x.items()} if a != 1 else dict(x)
+        for i, v in y.items():
+            v = z.get(i, 0) - b * v
+            if v:
+                z[i] = v
+            else:
+                del z[i]
+        c = gcd(c, *z.values())
+        out.append(z)
+    if c > 1:
+        out = [{i: v // c for i, v in z.items()} for z in out]
+        den //= c
+    return out, den
 
 
 # -- subspace helpers -------------------------------------------------------

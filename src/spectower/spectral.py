@@ -16,7 +16,8 @@ incrementally from the pairs bucketed by gap: page 0 holds every
 generator, page r is page r-1 less the two ends of each gap-(r-1) pair,
 so a page costs the cells it changes.  A FilteredComplex is split first
 by bases adapted to F_n ⊆ ... ⊆ F_1 ⊆ C^k.  Checks that run:
-R = D V, column by column on the packed columns; d_r o d_r = 0 and
+R = D V, column by column on the packed columns (over Q as the integer
+identity D' V' = δ R' on denominator-cleared columns); d_r o d_r = 0 and
 E_{r+1} = H(E_r, d_r) dimensionwise on every page; and `converge`
 certifies E_inf against F_pH and H, neither read from the pairing:
 dim F_pH^k = rank(B^k + F_p) - rank B^k - rank d|F_p from one echelon
@@ -37,7 +38,7 @@ from bisect import bisect_left
 
 from .complexes import CochainComplex
 from .errors import InvariantError, PreconditionError
-from .matrix import Matrix, quotient_basis, span_contains
+from .matrix import Matrix, as_fractions, clear_denominators, int_combine, quotient_basis, span_contains
 
 __all__ = [
     "FilteredComplex",
@@ -145,6 +146,13 @@ def _packed_columns(m, index=None):
     return cols
 
 
+def _integral_columns(m, index=None):
+    """(δ, packed columns of δ·m): over Q δ clears every denominator of m
+    and the columns hold ints; δ = 1 over F_p."""
+    cols = _packed_columns(m, index)
+    return (1, cols) if m.field.p is not None else clear_denominators(cols)
+
+
 def _apply(f, cols, vec):
     """sum_i vec_i * cols[i] for packed columns."""
     if f.p == 2:
@@ -178,7 +186,9 @@ def _sub(f, col, c, other):
 
 def _grows(f, basis, col):
     """Reduce col against the echelon basis {pivot: column}; True, with the
-    remainder added to the basis, iff col is outside its span."""
+    remainder added to the basis, iff col is outside its span.  Over Q the
+    columns hold ints and only ranks matter, so remainders are kept
+    primitive instead of exact."""
     if f.p == 2:
         while col:
             low = col.bit_length() - 1
@@ -195,7 +205,10 @@ def _grows(f, basis, col):
         if b is None:
             basis[low] = col
             return True
-        _sub(f, col, f.div(col[low], b[low]), b)
+        if f.p is None:
+            col = int_combine(b[low], [col], col[low], [b])[0][0]
+        else:
+            _sub(f, col, f.div(col[low], b[low]), b)
     return False
 
 
@@ -205,6 +218,9 @@ class _Reduction:
     Generators of C^k are indexed in block-descending order (`order[k]`
     lists their positions), so F_p C^k is a prefix.  Columns in index
     coordinates are int bitmasks over F_2, {index: value} dicts otherwise.
+    Over Q the reduction runs on ints: with D = D'/δ for an integer D',
+    the R and V columns j are integer columns over one denominator
+    den_j, and R = D V is checked as D' V'_j = δ R'_j.
     `frame[k]` = (T, T^-1) takes split coordinates of C^k to ambient ones.
     """
 
@@ -238,10 +254,12 @@ class _Reduction:
 
     def _reduce(self, k, d):
         f = self.field
-        dcols = _packed_columns(d, self.index.get(k + 1, {}))
+        q = f.p is None
+        delta, dcols = _integral_columns(d, self.index.get(k + 1, {}))
         rcols = [dcols[pos] for pos in self.order[k]]
-        dv = list(rcols) if self.f2 else [dict(c) for c in rcols]  # D, before reduction mutates it
-        vcols = [1 << j if self.f2 else {j: f.one} for j in range(len(rcols))]
+        dv = list(rcols) if self.f2 else [dict(c) for c in rcols]  # D', before reduction mutates it
+        vcols = [1 << j if self.f2 else {j: delta} for j in range(len(rcols))]
+        den = [delta] * len(rcols)  # over Q, R and V column j are rcols[j] / den[j], vcols[j] / den[j]
         owner = {}  # lowest entry -> the column that has it
         for j, col in enumerate(rcols):
             while col:
@@ -250,20 +268,25 @@ class _Reduction:
                 if i is None:
                     owner[low] = j
                     break
+                if q:  # den[i] cancels: a r_j - b r_i over a den_j
+                    (col, vcols[j]), den[j] = int_combine(rcols[i][low], [col, vcols[j]], col[low],
+                                                          [rcols[i], vcols[i]], den[j])
+                    continue
                 c = 1 if self.f2 else f.div(col[low], rcols[i][low])
                 col, vcols[j] = _sub(f, col, c, rcols[i]), _sub(f, vcols[j], c, vcols[i])
             rcols[j] = col
         for j, v in enumerate(vcols):
-            if _apply(f, dv, v) != rcols[j]:
+            r = {i: delta * x for i, x in rcols[j].items()} if delta != 1 else rcols[j]
+            if _apply(f, dv, v) != r:
                 raise InvariantError("reduction R = D V fails in degree %d: engine bug" % k)
         for low, j in owner.items():
             gap = self.block[k + 1][low] - self.block[k][j]
             self.mate[(k, j)] = (k + 1, low, gap)
             self.mate[(k + 1, low)] = (k, j, gap)
-            self.w[(k + 1, low)] = rcols[j]
+            self.w[(k + 1, low)] = as_fractions(rcols[j], den[j]) if q else rcols[j]
         for j, v in enumerate(vcols):
             if (k, j) not in self.w:
-                self.w[(k, j)] = v
+                self.w[(k, j)] = as_fractions(v, den[j]) if q else v
             elif rcols[j]:
                 raise InvariantError("death end %d in degree %d has a nonzero R column: engine bug" % (j, k))
 
@@ -445,9 +468,9 @@ class FilteredComplex:
         dim F_pH^k = br - zr.  Nothing here reads the reduction.
         """
         cx, f = self.complex, self.complex.field
-        dcols = _packed_columns(cx.d(k))
+        dcols = _integral_columns(cx.d(k))[1]  # one δ for all of d, so d' = δ d maps every column alike
         s, z, bb = {}, {}, {}
-        for col in _packed_columns(cx.d(k - 1)):
+        for col in _integral_columns(cx.d(k - 1))[1]:
             _grows(f, bb, col)
         zr = br = 0
         for p in range(self.n, -1, -1):
@@ -461,7 +484,7 @@ class FilteredComplex:
     def _step_columns(self, p, k):
         """Packed columns spanning F_p C^k; the S basis of `_h_filtration`
         skips those already in F_{p+1} C^k."""
-        return _packed_columns(self.span(p, k))
+        return _integral_columns(self.span(p, k))[1]
 
     def converge(self):
         """Iterate pages to stabilization and certify E_inf against F_pH,
@@ -544,8 +567,8 @@ class SplitFilteredComplex(FilteredComplex):
 
     def _step_columns(self, p, k):
         """Unit columns of the block-p generators: F_p C^k is F_{p+1} C^k plus these."""
-        f = self.complex.field
-        return [1 << i if f.p == 2 else {i: f.one} for i in self.block_indices(k, p)]
+        f2 = self.complex.field.p == 2
+        return [1 << i if f2 else {i: 1} for i in self.block_indices(k, p)]
 
     def component_matrix(self, k, p, r):
         """The block d_r : C_p^k -> C_{p+r}^{k+1} of the differential."""

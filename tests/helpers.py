@@ -17,35 +17,85 @@ from spectower.spectral import SplitFilteredComplex
 
 def oracle_rank(field, dense):
     """Textbook dense Gaussian elimination, first nonzero pivot, no frills."""
-    rows = [[field.normalize(v) for v in row] for row in dense]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != field.zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for i in range(len(rows)):
-            if i == rank:
-                continue
-            f = rows[i][col]
-            if f == field.zero:
-                continue
-            ratio = field.div(f, pv)
-            rows[i] = [field.sub(a, field.mul(ratio, b)) for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    return len(oracle_rref(field, dense)[0])
 
 
 def oracle_matrix_rank(m):
     return oracle_rank(m.field, m.to_dense())
+
+
+def oracle_rref(field, dense, piv_limit=None):
+    """(pivot columns, RREF rows) by textbook dense Gauss-Jordan: first
+    nonzero pivot, pivot row scaled to 1, column cleared above and below;
+    pivots only in columns < piv_limit, rows past the pivots' are zero there."""
+    m = [[field.normalize(v) for v in row] for row in dense]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    for c in range(ncols if piv_limit is None else piv_limit):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != field.zero), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [field.mul(inv, x) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != field.zero:
+                f = m[i][c]
+                m[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots, m
+
+
+def oracle_solve(a, b):
+    """Dense rows of the X with A X = B and every free variable zero, or
+    None when some column of B is outside the column span of A."""
+    field, n = a.field, a.ncols
+    pivots, m = oracle_rref(field, [ra + rb for ra, rb in zip(a.to_dense(), b.to_dense())], n)
+    if any(x != field.zero for row in m[len(pivots):] for x in row):
+        return None
+    x = [[field.zero] * b.ncols for _ in range(n)]
+    for i, pc in enumerate(pivots):
+        x[pc] = m[i][n:]
+    return x
+
+
+def oracle_reduction_basis(sfc):
+    """{(k, position): W column, dense over positions} by the textbook
+    persistence reduction in scalar field arithmetic: generators of each
+    degree in block-descending order, each column cleared against the
+    earlier column owning its lowest entry; W is the R column at a death
+    end and the V column elsewhere."""
+    cx, f = sfc.complex, sfc.complex.field
+    order = {k: sorted(range(cx.dim(k)), key=lambda i: -sfc.blocks[cx.basis.gens(k)[i]])
+             for k in cx.degrees()}
+    w = {}
+    for k in cx.degrees():
+        src, dst = order[k], order.get(k + 1, [])
+        dense = cx.d(k).to_dense()
+        r = [[dense[i][j] for i in dst] for j in src]
+        v = [[f.one if a == j else f.zero for a in range(len(src))] for j in range(len(src))]
+        owner = {}
+        for j in range(len(src)):
+            while any(x != f.zero for x in r[j]):
+                low = max(i for i, x in enumerate(r[j]) if x != f.zero)
+                i = owner.setdefault(low, j)
+                if i == j:
+                    break
+                c = f.div(r[j][low], r[i][low])
+                r[j] = [f.sub(a, f.mul(c, b)) for a, b in zip(r[j], r[i])]
+                v[j] = [f.sub(a, f.mul(c, b)) for a, b in zip(v[j], v[i])]
+        for low, j in owner.items():
+            col = [f.zero] * len(dst)
+            for t, x in enumerate(r[j]):
+                col[dst[t]] = x
+            w[(k + 1, dst[low])] = col
+        for j in range(len(src)):
+            col = [f.zero] * len(src)
+            for t, x in enumerate(v[j]):
+                col[src[t]] = x
+            w.setdefault((k, src[j]), col)
+    return w
 
 
 def oracle_kernel_f2(m):
@@ -100,36 +150,54 @@ def random_scalar(rng, field, nonzero=False):
     return Fraction(num, den)
 
 
-def random_matrix(rng, field, nrows, ncols, density=0.3):
+# pairwise coprime, so the lcm of a few of them is already large
+_WIDE_DENOMINATORS = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+                      73, 79, 83, 89, 97)
+
+
+def random_wide_scalar(rng, field, nonzero=False):
+    """Over Q, a numerator up to 10^6 over a denominator from
+    _WIDE_DENOMINATORS, so that integer elimination has denominators to
+    clear and contents to divide out; random_scalar over F_p."""
+    if field.p is not None:
+        return random_scalar(rng, field, nonzero)
+    num = rng.randint(-10 ** 6, 10 ** 6)
+    while nonzero and not num:
+        num = rng.randint(-10 ** 6, 10 ** 6)
+    return Fraction(num, rng.choice(_WIDE_DENOMINATORS))
+
+
+def random_matrix(rng, field, nrows, ncols, density=0.3, scalar=random_scalar):
     ent = {}
     for i in range(nrows):
         for j in range(ncols):
             if rng.random() < density:
-                v = random_scalar(rng, field)
+                v = scalar(rng, field)
                 if v:
                     ent[(i, j)] = v
     return Matrix(field, nrows, ncols, ent)
 
 
-def _random_unitriangular(rng, field, n, density=0.25):
+def _random_unitriangular(rng, field, n, density=0.25, scalar=random_scalar):
     """I + strictly upper triangular noise; invertible by construction."""
     ent = {(i, i): field.one for i in range(n)}
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < density:
-                v = random_scalar(rng, field, nonzero=True)
+                v = scalar(rng, field, nonzero=True)
                 ent[(i, j)] = v
     return Matrix(field, n, n, ent)
 
 
-def random_invertible(rng, field, n, density=0.25):
-    up = _random_unitriangular(rng, field, n, density)
-    low = _random_unitriangular(rng, field, n, density).transpose()
-    diag = Matrix(field, n, n, {(i, i): random_scalar(rng, field, nonzero=True) for i in range(n)})
+def random_invertible(rng, field, n, density=0.25, scalar=random_scalar):
+    up = _random_unitriangular(rng, field, n, density, scalar)
+    low = _random_unitriangular(rng, field, n, density, scalar).transpose()
+    diag = Matrix(field, n, n, {(i, i): scalar(rng, field, nonzero=True) for i in range(n)})
     return up * diag * low
 
 
-def random_split_complex(rng, field, max_gens=30, max_len=5, max_degree=5, pair_prob=0.7):
+def random_split_complex(rng, field, max_gens=30, max_len=5, max_degree=5, pair_prob=0.7,
+                         scalar=random_scalar):
     """A random SplitFilteredComplex with d^2 = 0 guaranteed.
 
     Start from a direct sum of two-term pieces (plus surviving classes)
@@ -169,14 +237,15 @@ def random_split_complex(rng, field, max_gens=30, max_len=5, max_degree=5, pair_
         used.add(h)
         i = basis.position(h)[1]
         j = basis.position(g)[1]
-        entries.setdefault(k, []).append((i, j, random_scalar(rng, field, nonzero=True)))
+        entries.setdefault(k, []).append((i, j, scalar(rng, field, nonzero=True)))
     diff = {
         k: Matrix.from_entries(field, basis.dim(k + 1), basis.dim(k), tr)
         for k, tr in entries.items()
     }
     # strictly lower triangular noise in the block-sorted order sends each
     # generator into blocks >= its own, hence preserves the filtration
-    conj = {k: _random_unitriangular(rng, field, basis.dim(k)).transpose() for k in basis.degrees()}
+    conj = {k: _random_unitriangular(rng, field, basis.dim(k), scalar=scalar).transpose()
+            for k in basis.degrees()}
     twisted = {}
     for k, m in diff.items():
         t_next = conj.get(k + 1, Matrix.identity(field, basis.dim(k + 1)))
@@ -420,30 +489,11 @@ def random_twisted_fibration(rng, field):
 # -- dense textbook oracle for page dimensions ----------------------------------
 
 
-def _dense_kernel(field, rows):
-    """Kernel basis of a dense matrix, textbook RREF, no library reuse."""
-    m = [[field.normalize(v) for v in row] for row in rows]
-    nrows = len(m)
+def oracle_kernel(field, rows):
+    """Kernel basis of a dense matrix, textbook RREF, no library reuse: the
+    canonical one, a unit at each free column and the RREF read back."""
+    pivots, m = oracle_rref(field, rows)
     ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c] != field.zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != field.zero:
-                f = m[i][c]
-                m[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
     pivset = set(pivots)
     basis = []
     for free in range(ncols):
@@ -529,7 +579,7 @@ class DensePageOracle:
         rows = [[stacked_cols[j][i] for j in range(len(stacked_cols))] for i in range(nrows)]
         if not rows:
             rows = [[self.field.zero] * len(stacked_cols)] if stacked_cols else []
-        kern = _dense_kernel(self.field, rows) if stacked_cols else []
+        kern = oracle_kernel(self.field, rows) if stacked_cols else []
         out = []
         for kv in kern:
             a = kv[: len(u)]

@@ -8,7 +8,15 @@ from spectower.errors import InvariantError
 from spectower.field import Field
 from spectower.matrix import Matrix, quotient_basis, span_contains, subquotient_dim
 
-from helpers import oracle_kernel_f2, oracle_matrix_rank, random_matrix
+from helpers import (
+    oracle_kernel,
+    oracle_kernel_f2,
+    oracle_matrix_rank,
+    oracle_rref,
+    oracle_solve,
+    random_matrix,
+    random_wide_scalar,
+)
 
 Q = Field()
 F2 = Field(2)
@@ -204,6 +212,77 @@ def test_matrix_is_immutable_value():
     assert m == m2  # computing the echelon form does not disturb equality
     assert m + (-m) == Matrix.zero(Q, 2, 2)
     assert m * m.inverse() == Matrix.identity(Q, 2)
+
+
+def _exact(m):
+    """Dense rows of a Q matrix, after checking every stored entry is a Fraction."""
+    assert all(type(v) is Fraction for _, _, v in m.entries())
+    return m.to_dense()
+
+
+def _wide(rng, nrows, ncols, density):
+    return random_matrix(rng, Q, nrows, ncols, density, random_wide_scalar)
+
+
+def test_q_elimination_matches_dense_oracle():
+    # rank, pivots, kernel and solve over Q, numerators up to 10^6 over
+    # coprime denominators up to 97, against dense Fraction Gauss-Jordan;
+    # every other matrix is a product through 1-2 columns, so kernels and
+    # consistent right-hand sides are common
+    rng = random.Random(5150)
+    for trial in range(60):
+        nrows, ncols = rng.randint(1, 7), rng.randint(0, 7)
+        if trial % 2:
+            inner = rng.randint(1, 2)
+            m = _wide(rng, nrows, inner, 0.8) * _wide(rng, inner, ncols, 0.8)
+        else:
+            m = _wide(rng, nrows, ncols, 0.6)
+        pivots, _ = oracle_rref(Q, m.to_dense())
+        assert m.rank() == len(pivots)
+        assert list(m.pivot_columns()) == pivots
+        kernel = oracle_kernel(Q, m.to_dense())
+        assert _exact(m.kernel()) == [[vec[i] for vec in kernel] for i in range(ncols)]
+        nrhs = rng.randint(1, 3)
+        rhs = m * _wide(rng, ncols, nrhs, 0.7) if rng.random() < 0.6 else _wide(rng, nrows, nrhs, 0.7)
+        x, want = m.solve(rhs), oracle_solve(m, rhs)
+        assert (x is None) == (want is None)
+        if x is not None:
+            assert _exact(x) == want
+
+
+def test_q_product_matches_dense_product():
+    # the integer Q product against a dense Fraction product, with 0-row and
+    # 0-column shapes, and a zero product a * ker(a)
+    rng = random.Random(6160)
+    for _ in range(60):
+        m, n, l = (rng.randint(0, 6) for _ in range(3))
+        a, b = _wide(rng, m, n, 0.5), _wide(rng, n, l, 0.5)
+        da, db = a.to_dense(), b.to_dense()
+        dense = [[sum((da[i][j] * db[j][k] for j in range(n)), Fraction(0)) for k in range(l)]
+                 for i in range(m)]
+        prod = a * b
+        assert prod.shape == (m, l)
+        assert _exact(prod) == dense
+        assert (a * a.kernel()).is_zero()
+
+
+def test_entries_normalised_by_type():
+    # ints take a fast path in Field.normalize; bools, Fractions and strings
+    # take the general one: each gives its canonical entry, floats are refused
+    cases = [(7, Fraction(7), 2), (-3, Fraction(-3), 2), (True, Fraction(1), 1),
+             (Fraction(3, 2), Fraction(3, 2), 4), ("2/3", Fraction(2, 3), 4), (" -4 ", Fraction(-4), 1)]
+    for v, in_q, in_f5 in cases:
+        for field, want in ((Q, in_q), (F5, in_f5)):
+            for m in (Matrix.from_entries(field, 1, 1, [(0, 0, v)]), Matrix(field, 1, 1, {(0, 0): v})):
+                assert m.entries() == [(0, 0, want)]
+                assert type(m.get(0, 0)) is type(want)
+    assert Matrix.from_entries(F5, 1, 2, [(0, 0, 5), (0, 1, False)]).is_zero()
+    for field in (Q, F2, F5):
+        for bad in (0.5, 1.0):
+            with pytest.raises(TypeError):
+                Matrix.from_entries(field, 1, 1, [(0, 0, bad)])
+            with pytest.raises(TypeError):
+                Matrix(field, 1, 1, {(0, 0): bad})
 
 
 def test_from_entries_accumulates_duplicates():

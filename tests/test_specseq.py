@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,7 @@ from spectower.spectral import (
     zigzag_class_and_d,
 )
 
-from helpers import oracle_cohomology_dims, random_split_complex
+from helpers import oracle_cohomology_dims, random_scalar, random_split_complex
 
 Q = Field()
 F2 = Field(2)
@@ -426,14 +427,14 @@ def test_tower_over_larger_primes():
         assert conv.einf_total_dims() == sfc.complex.cohomology().dims()
 
 
-def conjugated(rng, fc):
+def conjugated(rng, fc, scalar=random_scalar):
     """fc with the complex and every filtration span moved by a random
     degreewise isomorphism: the same tower through dense, non-coordinate
     spans of the general FilteredComplex path."""
     from helpers import random_invertible
 
     cx, field = fc.complex, fc.complex.field
-    t = {k: random_invertible(rng, field, cx.dim(k)) for k in cx.degrees()}
+    t = {k: random_invertible(rng, field, cx.dim(k), scalar=scalar) for k in cx.degrees()}
     diff = {k: t[k + 1] * cx.d(k) * t[k].inverse() for k in cx.degrees() if not cx.d(k).is_zero()}
     steps = []
     for p in range(1, fc.n + 1):
@@ -490,6 +491,31 @@ def test_h_filtration_matches_kernel_formula():
             assert conv.h_filtration == oracle_h_filtration(fc)
             assert conv.h_dims == fc.complex.cohomology().dims()
             assert conv.certified
+
+
+def test_q_towers_with_wide_rationals_match_oracles():
+    # Q towers and their conjugates with numerators up to 10^6 over coprime
+    # denominators up to 97: the W columns (page-0 representatives) equal a
+    # textbook Fraction reduction entry for entry, and every page and F_pH
+    # match the subquotient oracle and the kernel formula
+    from helpers import DensePageOracle, oracle_h_filtration, oracle_reduction_basis, random_wide_scalar
+
+    rng = random.Random(9797)
+    for _ in range(10):
+        sfc = random_split_complex(rng, Q, max_gens=14, max_len=4, scalar=random_wide_scalar)
+        cx, w, page = sfc.complex, oracle_reduction_basis(sfc), sfc.page(0)
+        for p, q in page.cells():
+            reps = page.reps(p, q)
+            cols = [w[(p + q, i)] for i, g in enumerate(cx.basis.gens(p + q)) if sfc.blocks[g] == p]
+            assert reps.to_dense() == [list(row) for row in zip(*cols)]
+            assert all(type(v) is Fraction for _, _, v in reps.entries())
+        for fc in (sfc, conjugated(rng, sfc, random_wide_scalar)):
+            oracle = DensePageOracle.from_filtered(fc)
+            for r in range(0, fc.n + 2):
+                assert fc.page(r).dims() == oracle.page_dims(r, fc.complex.degrees())
+            conv = fc.converge()
+            assert conv.certified
+            assert conv.h_filtration == oracle_h_filtration(fc)
 
 
 def test_incremental_pages_on_sparse_block_indices():
