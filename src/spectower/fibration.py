@@ -48,7 +48,8 @@ class FibrationData:
 
     edge_action maps an edge id to {degree: Matrix}; degrees not mentioned
     act as the identity.  Every action must be a chain isomorphism of the
-    fiber complex.  corrections is a list of
+    fiber complex; each declared block is inverted once, at construction,
+    by one verified solve.  corrections is a list of
     (src_point, src_fiber_gen, dst_point, dst_fiber_gen, scalar) entries
     raising the base index by at least 2.
     """
@@ -58,10 +59,9 @@ class FibrationData:
         self.fiber = fiber
         self.shift_n = int(shift_n)
         self.shift_k = int(shift_k)
-        for x in base.points:
+        for x, k in base.points.items():
             if JOIN in x:
                 raise ParseError("critical point id %r must not contain %r" % (x, JOIN))
-        for x, k in base.points.items():
             if k < 0:
                 raise ParseError("critical point %r has negative index %d" % (x, k))
         self.edge_action = {}
@@ -97,18 +97,19 @@ class FibrationData:
         self.corrections = tuple(corr)
         self._assembled = None
 
-    def action_matrix(self, eid, k):
-        m = self.edge_action.get(eid, {}).get(k)
-        if m is None:
-            return Matrix.identity(self.fiber.field, self.fiber.dim(k))
-        return m
+    def action_matrix(self, eid, k, sign=1):
+        """The action of edge eid in fiber degree k, or its inverse for sign -1."""
+        m = (self.edge_action if sign == 1 else self._inverses).get(eid, {}).get(k)
+        return m if m is not None else Matrix.identity(self.fiber.field, self.fiber.dim(k))
 
     def _check_actions(self):
         fib = self.fiber
+        self._inverses = {}
         for eid in self.base.graph.edges:
-            for k in set(fib.degrees()) | set(self.edge_action.get(eid, {})):
-                m = self.action_matrix(eid, k)
-                if m.rank() != m.nrows:
+            inv = self._inverses[eid] = {}
+            for k, m in self.edge_action.get(eid, {}).items():
+                inv[k] = m.solve(Matrix.identity(fib.field, m.nrows))
+                if inv[k] is None:
                     raise InvariantError("edge %r action in degree %d is not invertible" % (eid, k))
             for k in fib.degrees():
                 lhs = self.action_matrix(eid, k + 1) * fib.d(k)
@@ -131,10 +132,7 @@ def chain_transport(fd, word):
             raise PreconditionError("transport word is not composable at edge %r" % e)
         at = b
         for k in out:
-            m = fd.action_matrix(e, k)
-            if s == -1:
-                m = m.inverse()
-            out[k] = m * out[k]
+            out[k] = fd.action_matrix(e, k, s) * out[k]
     return out
 
 
@@ -152,8 +150,6 @@ def assemble_fibration(fd):
     gens = []
     blocks = {}
     for x, px in base.points.items():
-        if JOIN in x:
-            raise ParseError("critical point id %r must not contain %r" % (x, JOIN))
         for g, kg in fib.basis.generators:
             gid = x + JOIN + g
             gens.append((gid, px + kg))
@@ -169,10 +165,8 @@ def assemble_fibration(fd):
             for i, j, v in fib.d(k).entries():
                 entries.append((x + JOIN + src[j], x + JOIN + tgt[i], f.mul(sign, v)))
     for t in base.differential_trajectories():
-        tr = chain_transport(fd, t.word)
         sign = f.normalize(t.sign)
-        for k, m in tr.items():
-            minv = m.inverse()
+        for k, minv in chain_transport(fd, word_inverse(t.word)).items():
             tgt = src = fib.basis.gens(k)
             for i, j, v in minv.entries():
                 entries.append((t.dst + JOIN + src[j], t.src + JOIN + tgt[i], f.mul(sign, v)))
@@ -232,13 +226,15 @@ def cohomology_local_system(fd, q):
     if dim_q == 0:
         return None
     reps = fib_h.representatives(q)
-    transports = {}
-    for eid in fd.base.graph.edges:
-        imgs = fd.action_matrix(eid, q) * reps
-        coords = fib_h.coordinates(q, imgs)
-        if coords is None:
+    edges = fd.base.graph.edges
+    imgs = [fd.action_matrix(eid, q) * reps for eid in edges]
+    # one solve for every edge: solutions are canonical column by column
+    coords = fib_h.coordinates(q, Matrix.hstack(fd.fiber.field, reps.nrows, imgs))
+    for eid, m in zip(edges, imgs):
+        if coords is None and fib_h.coordinates(q, m) is None:
             raise InvariantError("edge %r action does not act on H^%d" % (eid, q))
-        transports[eid] = coords
+    transports = {eid: coords.take_columns(range(n * dim_q, (n + 1) * dim_q))
+                  for n, eid in enumerate(edges)}
     return LocalSystem(fd.base.graph, fd.fiber.field, dim_q, transports, check=True)
 
 
@@ -406,12 +402,19 @@ def transport_compose_check(fd, u_id, v_id, gamma_id):
 # -- action windows ------------------------------------------------------------
 
 
+def _exact(x, what, name):
+    """x as a Fraction, None as None; no floats, as Fraction(0.1) != 1/10."""
+    if isinstance(x, float):
+        raise ParseError("%s %r is the float %r; give an int or a Fraction" % (what, name, x))
+    return None if x is None else Fraction(x)
+
+
 def _normalize_action(sfc, action):
     out = {}
     for g, _ in sfc.complex.basis.generators:
         if g not in action:
             raise ParseError("generator %r has no action value" % g)
-        out[g] = Fraction(action[g])
+        out[g] = _exact(action[g], "action of generator", g)
     return out
 
 
@@ -440,8 +443,8 @@ def action_window(sfc, action, a=None, b=None):
     """
     act = _normalize_action(sfc, action)
     _check_action_decreasing(sfc, act)
-    a = Fraction(a) if a is not None else None
-    b = Fraction(b) if b is not None else None
+    a = _exact(a, "window bound", "a")
+    b = _exact(b, "window bound", "b")
     kept = {g for g, _ in sfc.complex.basis.generators if _in_window(act[g], a, b)}
     return _restrict_to(sfc, kept)
 
@@ -470,14 +473,12 @@ def truncation_map(sfc, action, src_window, dst_window):
     _check_action_decreasing(sfc, act)
     a, b = src_window
     a2, b2 = dst_window
-    fa = Fraction(a) if a is not None else None
-    fb = Fraction(b) if b is not None else None
-    fa2 = Fraction(a2) if a2 is not None else None
-    fb2 = Fraction(b2) if b2 is not None else None
+    fa = _exact(a, "window bound", "a")
+    fb = _exact(b, "window bound", "b")
+    fa2 = _exact(a2, "window bound", "a2")
+    fb2 = _exact(b2, "window bound", "b2")
     # bottoms: None = -inf; tops: None = +inf; both ends may only move up
-    if fa2 is None and fa is not None:
-        raise PreconditionError("truncation window must not extend downward: a2 >= a required")
-    if fa is not None and fa2 is not None and fa2 < fa:
+    if fa is not None and (fa2 is None or fa2 < fa):
         raise PreconditionError("truncation window must not extend downward: a2 >= a required")
     if fb2 is not None and (fb is None or fb2 < fb):
         raise PreconditionError("truncation window must not shrink at the top: b2 >= b required")

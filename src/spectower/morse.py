@@ -80,12 +80,6 @@ class MorseData:
                 return t
         raise KeyError("no trajectory %r" % tid)
 
-    def points_by_index(self):
-        out = {}
-        for x, k in self.points.items():
-            out.setdefault(k, []).append(x)
-        return out
-
 
 def _twisted_generators(names_with_degrees, fiber_dim):
     gens = []
@@ -115,15 +109,17 @@ def morse_complex(md, ls):
 
     Generators are (critical point) x (fiber basis), graded by Morse
     index; d(m<x>) sums sign * transport^{-1}(m) over trajectories into x
-    from one index higher.
+    from one index higher.  transport^{-1} is the transport along the
+    inverse word, made of the edge inverses the local system verified.
     """
+    from .localsystems import word_inverse  # loaded already: ls is a LocalSystem
     if ls.graph != md.graph:
         raise ParseError("local system lives on a different base graph")
     dim = ls.fiber_dim
     gens = _twisted_generators([(x, k) for x, k in md.points.items()], dim)
     entries = []
     for t in md.differential_trajectories():
-        tinv = ls.transport_along(t.word, start=t.src).inverse()
+        tinv = ls.transport_along(word_inverse(t.word), start=t.dst)
         for i, j, v in tinv.entries():
             entries.append(
                 (t.dst + JOIN + str(j), t.src + JOIN + str(i), ls.field.mul(ls.field.normalize(t.sign), v))

@@ -262,7 +262,7 @@ def random_fields(rng):
 
 
 from spectower.localsystems import BaseGraph  # noqa: E402
-from spectower.morse import MorseData, Trajectory  # noqa: E402
+from spectower.morse import JOIN, MorseData, Trajectory  # noqa: E402
 from spectower.fibration import FibrationData  # noqa: E402
 
 
@@ -484,6 +484,98 @@ def random_twisted_fibration(rng, field):
         elif rng.random() < 0.4:
             actions[eid] = random_chain_auto(rng, fiber, conj, hgens)
     return FibrationData(base, fiber, actions)
+
+
+def random_multistep_fibration(rng, field):
+    """A twisted fibration over a two-level base whose trajectory words run
+    through non-critical vertices: 2-3 steps each, with both signs in
+    every word, so that transport products have an order to get wrong.
+    Edges are shared between trajectories and most of them act; at least
+    one, and about half of the others, by its own non-identity mix on
+    fiber cohomology, so that E_2 transports need not commute either."""
+    fiber, conj, hgens, mixable = _mixable_fiber(rng, field)
+    q0 = rng.choice(mixable)
+    mins = ["m%d" % i for i in range(rng.randint(1, 2))]
+    maxs = ["X%d" % i for i in range(rng.randint(1, 3))]
+    mids = ["v%d" % i for i in range(rng.randint(1, 3))]
+    edges = {}
+    trajs = []
+    for top in maxs:
+        for _ in range(rng.randint(1, 3)):
+            path = [top] + [rng.choice(mids) for _ in range(rng.randint(1, 2))] + [rng.choice(mins)]
+            signs = [rng.choice([1, -1]) for _ in path[1:]]
+            if len(set(signs)) == 1:
+                signs[rng.randrange(len(signs))] *= -1
+            word = []
+            for a, b, s in zip(path, path[1:], signs):
+                ends = (a, b) if s == 1 else (b, a)
+                reuse = [e for e, ab in edges.items() if ab == ends]
+                eid = rng.choice(reuse) if reuse and rng.random() < 0.5 else "e%d" % len(edges)
+                edges[eid] = ends
+                word.append((eid, s))
+            trajs.append(Trajectory("t%d" % len(trajs), top, path[-1], rng.choice([1, -1]),
+                                    tuple(word)))
+    graph = BaseGraph(mins + maxs + mids, [(e, a, b) for e, (a, b) in edges.items()])
+    base = MorseData(graph, [(m, 0) for m in mins] + [(x, 1) for x in maxs], trajs)
+    special = rng.choice(list(edges))
+    actions = {}
+    for eid in edges:
+        if eid == special or rng.random() < 0.4:
+            mix = _nonidentity_mix(rng, field, len(hgens[q0]))
+            actions[eid] = random_chain_auto(rng, fiber, conj, hgens, h_action={q0: mix})
+        elif rng.random() < 0.6:
+            actions[eid] = random_chain_auto(rng, fiber, conj, hgens)
+    return FibrationData(base, fiber, actions)
+
+
+def _oracle_transport_inverse(blocks, identity, word):
+    """The inverse of the transport along word, by inverting the composed
+    product: each step's matrix (blocks[edge], identity if absent) is
+    applied after the ones before it."""
+    acc = identity
+    for e, s in word:
+        m = blocks.get(e, identity)
+        acc = (m if s == 1 else m.inverse()) * acc
+    return acc.inverse()
+
+
+def oracle_total_differential(fd):
+    """The assembled total complex of fd (no corrections), built the way
+    the assembler did before it transported along inverse words: every
+    trajectory block is the inverse of the composed chain transport."""
+    base, fib = fd.base, fd.fiber
+    f = fib.field
+    gens = [(x + JOIN + g, px + kg) for x, px in base.points.items() for g, kg in fib.basis.generators]
+    entries = []
+    for x, px in base.points.items():
+        sign = f.normalize(-1 if px % 2 else 1)
+        for k in fib.degrees():
+            tgt, src = fib.basis.gens(k + 1), fib.basis.gens(k)
+            for i, j, v in fib.d(k).entries():
+                entries.append((x + JOIN + src[j], x + JOIN + tgt[i], f.mul(sign, v)))
+    for t in base.differential_trajectories():
+        sign = f.normalize(t.sign)
+        for k in fib.degrees():
+            names = fib.basis.gens(k)
+            blocks = {e: bk[k] for e, bk in fd.edge_action.items() if k in bk}
+            minv = _oracle_transport_inverse(blocks, Matrix.identity(f, fib.dim(k)), t.word)
+            for i, j, v in minv.entries():
+                entries.append((t.dst + JOIN + names[j], t.src + JOIN + names[i], f.mul(sign, v)))
+    return CochainComplex.from_generator_entries(f, gens, entries, check=False)
+
+
+def oracle_morse_complex(md, ls):
+    """morse_complex(md, ls) with each trajectory block the inverse of the
+    composed transport along the trajectory's word."""
+    f = ls.field
+    gens = [(x + JOIN + str(i), k) for x, k in md.points.items() for i in range(ls.fiber_dim)]
+    entries = []
+    for t in md.differential_trajectories():
+        minv = _oracle_transport_inverse(ls.transport_maps, Matrix.identity(f, ls.fiber_dim), t.word)
+        for i, j, v in minv.entries():
+            entries.append((t.dst + JOIN + str(j), t.src + JOIN + str(i),
+                            f.mul(f.normalize(t.sign), v)))
+    return CochainComplex.from_generator_entries(f, gens, entries, check=False)
 
 
 # -- dense textbook oracle for page dimensions ----------------------------------

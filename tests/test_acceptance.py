@@ -10,6 +10,7 @@ import io
 import os
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -338,7 +339,7 @@ def test_acceptance_8_truncation_functoriality():
         sfc = random_split_complex(rng, field, max_gens=18, max_len=4)
         action = {}
         for g, k in sfc.complex.basis.generators:
-            action[g] = -10 * k + rng.randint(0, 9) / 10
+            action[g] = -10 * k + Fraction(rng.randint(0, 9), 10)
         degs = sorted(sfc.complex.degrees())
         cut = -10 * degs[rng.randrange(len(degs))]
         fmap = truncation_map(sfc, action, (None, None), (cut, None))

@@ -70,6 +70,27 @@ def test_exit_code_invariant_violation():
     assert "degree 0" in err and "degree 2" in err
 
 
+def test_singular_edge_action_exits_3(tmp_path):
+    import json
+
+    doc = tmp_path / "singular_action.json"
+    doc.write_text(json.dumps({
+        "kind": "fibration_data",
+        "field": "Q",
+        "base": {
+            "graph": {"vertices": ["m", "M"], "edges": [["a", "M", "m"]], "relations": []},
+            "points": [["m", 0], ["M", 1]],
+            "trajectories": [["ta", "M", "m", 1, ["a"]]],
+        },
+        "fiber": {"generators": [["u", 0], ["v", 0]], "differential": []},
+        "edge_action": {"a": [["u", "u", 1], ["u", "v", 2], ["v", "u", 2], ["v", "v", 4]]},
+        "corrections": [],
+    }))
+    code, out, err = run(["homology", str(doc)])
+    assert (code, out) == (3, "")
+    assert err == "invariant violation: edge 'a' action in degree 0 is not invertible\n"
+
+
 def test_exit_code_precondition():
     code, out, err = run(["extend", data("disconnected_subsystem.json"), data("disconnected_graph.json")])
     assert code == 4

@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from spectower.complexes import CochainComplex, tensor_product
-from spectower.errors import InvariantError, PreconditionError
+from spectower.errors import InvariantError, ParseError, PreconditionError
 from spectower.field import Field
 from spectower.localsystems import BaseGraph, parse_word
 from spectower.matrix import Matrix
@@ -21,6 +22,9 @@ from spectower.fibration import (
 from spectower.spectral import map_of_spectral_sequences
 
 from helpers import (
+    oracle_morse_complex,
+    oracle_total_differential,
+    random_multistep_fibration,
     random_product_fibration,
     random_split_complex,
     random_standard_fiber,
@@ -335,7 +339,7 @@ def test_action_window_and_truncation_maps():
             sfc = random_split_complex(rng, field, max_gens=16, max_len=4)
             action = {}
             for g, k in sfc.complex.basis.generators:
-                action[g] = -10 * k + rng.randint(0, 9) / 10
+                action[g] = -10 * k + Fraction(rng.randint(0, 9), 10)
             full = action_window(sfc, action, None, None)
             assert full.complex.cohomology().dims() == sfc.complex.cohomology().dims()
             degs = sorted(sfc.complex.degrees())
@@ -389,3 +393,47 @@ def test_random_twisted_fibrations_e2():
             fd = random_twisted_fibration(rng, field)
             t = e2_table(fd)  # raises on any disagreement with page 2
             assert t.entries == assemble_fibration(fd).page(2).dims()
+
+
+def _same_differentials(cx, want):
+    assert cx.basis == want.basis
+    for k in set(cx.degrees()) | set(want.degrees()):
+        assert cx.d(k) == want.d(k), k
+
+
+def test_multistep_words_match_inverted_composite_oracle():
+    # words of 2-3 steps with both signs: a wrong product order or a wrong
+    # inverse shows up entry for entry in d_1 of the total complex and of E_2
+    rng = random.Random(41)
+    fields = (Field(2), Field(3), Field(2 ** 61 - 1), Field())
+    for trial in range(20):
+        field = fields[trial % 4]
+        fd = random_multistep_fibration(rng, field)
+        assert any(len(t.word) > 1 for t in fd.base.differential_trajectories())
+        _same_differentials(assemble_fibration(fd).complex, oracle_total_differential(fd))
+        fib_h = fd.fiber.cohomology()
+        for q, sysq in e2_table(fd).systems.items():
+            reps = fib_h.representatives(q)
+            for eid in fd.base.graph.edges:
+                # the one solve over every edge equals the per-edge solves
+                assert sysq.transport_maps[eid] == fib_h.coordinates(q, fd.action_matrix(eid, q) * reps)
+            _same_differentials(morse_complex(fd.base, sysq), oracle_morse_complex(fd.base, sysq))
+
+
+def test_singular_declared_action_refused():
+    fiber = CochainComplex.from_generator_entries(Q, [("u", 0), ("v", 0)], [])
+    singular = {"a": {0: Matrix.from_rows(Q, [[1, 2], [2, 4]])}}
+    with pytest.raises(InvariantError, match="edge 'a' action in degree 0 is not invertible"):
+        FibrationData(circle_base(), fiber, singular)
+
+
+def test_float_actions_and_bounds_refused():
+    sfc = random_split_complex(random.Random(5), Q, max_gens=8, max_len=2)
+    action = {g: Fraction(-10 * k) for g, k in sfc.complex.basis.generators}
+    g0 = sfc.complex.basis.generators[0][0]
+    with pytest.raises(ParseError, match="action of generator %r is the float 0.1" % g0):
+        action_window(sfc, {**action, g0: 0.1})
+    with pytest.raises(ParseError, match="window bound 'b' is the float 0.5"):
+        action_window(sfc, action, None, 0.5)
+    with pytest.raises(ParseError, match="window bound 'a2' is the float -2.5"):
+        truncation_map(sfc, action, (None, None), (-2.5, None))

@@ -84,6 +84,29 @@ def test_solve_scalar_division():
     assert x.get(0, 0) == Fraction(3, 2)
 
 
+def test_inverse_of_singular_matrix_reports_rank():
+    # rows 0 + 1 = row 2 over every field; over F2 also row 0 = row 1 + row 2
+    for field, rows, r in ((F2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]], 2),
+                           (F3, [[1, 2, 0], [2, 1, 0], [0, 0, 1]], 2),
+                           (Q, [[1, 2, 3], [2, 4, 6], [0, 1, 1]], 2)):
+        m = Matrix.from_rows(field, rows)
+        with pytest.raises(InvariantError, match=r"^matrix is not invertible \(rank %d of 3\)$" % r):
+            m.inverse()
+    with pytest.raises(InvariantError, match="non-square 2x3"):
+        Matrix.from_rows(Q, [[1, 0, 0], [0, 1, 0]]).inverse()
+
+
+def test_inverse_is_two_sided():
+    rng = random.Random(9)
+    for field in (F2, F3, Q):
+        for n in range(1, 6):
+            m = random_matrix(rng, field, n, n, density=0.6)
+            if m.rank() < n:
+                continue
+            x = m.inverse()
+            assert m * x == Matrix.identity(field, n) == x * m
+
+
 def test_solve_shape_mismatch():
     with pytest.raises(ValueError):
         Matrix.identity(Q, 2).solve(Matrix.column_vector(Q, [1, 2, 3]))
