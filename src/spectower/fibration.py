@@ -430,10 +430,6 @@ def _check_action_decreasing(sfc, act):
                 )
 
 
-def _in_window(x, a, b):
-    return (a is None or a <= x) and (b is None or x <= b)
-
-
 def action_window(sfc, action, a=None, b=None):
     """Subquotient complex spanned by generators with action in [a, b].
 
@@ -443,15 +439,15 @@ def action_window(sfc, action, a=None, b=None):
     """
     act = _normalize_action(sfc, action)
     _check_action_decreasing(sfc, act)
-    a = _exact(a, "window bound", "a")
-    b = _exact(b, "window bound", "b")
-    kept = {g for g, _ in sfc.complex.basis.generators if _in_window(act[g], a, b)}
-    return _restrict_to(sfc, kept)
+    return _window(sfc, act, _exact(a, "window bound", "a"), _exact(b, "window bound", "b"))
 
 
-def _restrict_to(sfc, kept):
+def _window(sfc, act, a, b):
+    """action_window for a normalized, checked action and exact bounds."""
     cx = sfc.complex
-    gens = [(g, k) for g, k in cx.basis.generators if g in kept]
+    gens = [(g, k) for g, k in cx.basis.generators
+            if (a is None or a <= act[g]) and (b is None or act[g] <= b)]
+    kept = {g for g, _ in gens}
     entries = []
     for k in cx.degrees():
         src, tgt = cx.basis.gens(k), cx.basis.gens(k + 1)
@@ -483,8 +479,8 @@ def truncation_map(sfc, action, src_window, dst_window):
     if fb2 is not None and (fb is None or fb2 < fb):
         raise PreconditionError("truncation window must not shrink at the top: b2 >= b required")
 
-    src = action_window(sfc, action, a, b)
-    dst = action_window(sfc, action, a2, b2)
+    src = _window(sfc, act, fa, fb)
+    dst = _window(sfc, act, fa2, fb2)
     blocks = {}
     for k in set(src.complex.degrees()) | set(dst.complex.degrees()):
         sgens = src.complex.basis.gens(k)

@@ -2,14 +2,20 @@
 
 Everything downstream (cohomology, page towers, transport) reduces to
 rank / kernel / solve over an exact field, so this module is the
-performance floor of the package.  Rows are kept sparse during
-elimination: dicts {col: residue} over F_p, packed integer bitmasks over
-F_2, where the heaviest instances live, and dicts {col: int} over Q.
-Over Q the kernels clear denominators once, combine integer vectors by
-a*x - b*y and divide out the content (Bareiss-style, fraction-free), and
-build one Fraction per output entry.  The reduced row echelon form of a
-matrix is unique, so every result here is canonical regardless of the
-sparsity-driven pivot-row choice.
+performance floor of the package.  Vectors are kept sparse: packed
+integer bitmasks over F_2, where the heaviest instances live, dicts
+{index: residue} over F_p and dicts {index: int} over Q.  Over Q every
+kernel clears denominators once and combines integer vectors by
+a*x - b*y with the content divided out (Bareiss-style, fraction-free).
+
+Two kernels.  `rank` and `pivot_columns` come from one left-to-right
+pass over the packed columns (`_grows`, keyed by each column's lowest
+entry, as in the column reduction of PHAT, Bauer-Kerber-Reininghaus-
+Wagner 2017): a column is a pivot column iff it grows the span of the
+columns before it, which is the RREF pivot set, and over Q the pass
+builds no Fraction.  `kernel` and `solve` need the reduced row echelon
+form, which is unique, so their results are canonical regardless of the
+sparsity-driven pivot-row choice; it builds one Fraction per entry.
 """
 
 from fractions import Fraction
@@ -33,7 +39,7 @@ class Matrix:
     canonical scalars.  Equality is structural (field, shape, entries).
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_e", "_ech")
+    __slots__ = ("field", "nrows", "ncols", "_e", "_ech", "_piv")
 
     def __init__(self, field, nrows, ncols, entries=None, _normalized=False):
         self.field = field
@@ -52,7 +58,7 @@ class Matrix:
                     clean[(i, j)] = v
             entries = clean
         self._e = entries
-        self._ech = None
+        self._ech = self._piv = None
 
     # -- constructors ----------------------------------------------------
 
@@ -206,12 +212,9 @@ class Matrix:
         f = self.field
         p = f.p
         if p == 2:  # columns of self as row bitmasks, XORed along each column of other
-            cols, acc, ent = {}, {}, {}
-            for i, j in self._e:
-                cols[j] = cols.get(j, 0) | 1 << i
+            cols, acc, ent = _packed_columns(self), {}, {}
             for j, l in other._e:
-                if j in cols:
-                    acc[l] = acc.get(l, 0) ^ cols[j]
+                acc[l] = acc.get(l, 0) ^ cols[j]
             for l, x in acc.items():
                 while x:
                     ent[((x & -x).bit_length() - 1, l)] = 1
@@ -226,10 +229,7 @@ class Matrix:
             by_col.setdefault(j, []).append((i, v))
         acc = {}
         for (j, l), w in b.items():
-            hits = by_col.get(j)
-            if not hits:
-                continue
-            for i, v in hits:
+            for i, v in by_col.get(j, ()):
                 key = (i, l)
                 acc[key] = acc.get(key, 0) + v * w
         if p is not None:
@@ -266,28 +266,34 @@ class Matrix:
 
     # -- elimination ------------------------------------------------------
 
-    def _echelon(self):
-        """(pivot columns, RREF rows in packed form); cached."""
-        if self._ech is None:
-            rows = _pack_rows(self)
-            pivots = _rref_rows(self.field, rows, self.ncols)
-            self._ech = (tuple(pivots), rows)
-        return self._ech
+    def _pivots(self):
+        """The columns outside the span of the columns before them: one
+        `_grows` pass (over Q on cleared ints), or the RREF's if `kernel` ran."""
+        if self._piv is None:
+            basis, f = {}, self.field
+            self._piv = self._ech[0] if self._ech else tuple(
+                j for j, col in enumerate(_integral_columns(self)[1]) if _grows(f, basis, col))
+        return self._piv
 
     def rank(self):
-        return len(self._echelon()[0])
+        """The number of pivot columns, from one span-growth pass, no RREF."""
+        return len(self._pivots())
 
     def pivot_columns(self):
-        return self._echelon()[0]
+        """The RREF pivot columns, ascending, without building the RREF."""
+        return self._pivots()
 
     def kernel(self):
         """Matrix whose columns are a canonical basis of {v : self*v = 0}.
 
-        The basis comes from the RREF: one vector per free column, unit
-        there, pivot coordinates filled by back-substitution.
+        The basis comes from the RREF (cached): one vector per free column,
+        unit there, pivot coordinates filled by back-substitution.
         """
         f = self.field
-        pivots, rows = self._echelon()
+        if self._ech is None:
+            rows = _packed_columns(self.transpose())  # the rows of self
+            self._ech = (tuple(_rref_rows(f, rows, self.ncols)), rows)
+        pivots, rows = self._ech
         pivset = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivset]
         ent = {}
@@ -319,7 +325,7 @@ class Matrix:
         f = self.field
         n = self.ncols
         aug = Matrix.hstack(f, self.nrows, [self, rhs])
-        rows = _pack_rows(aug)
+        rows = _packed_columns(aug.transpose())
         pivots = _rref_rows(f, rows, n)
         r = len(pivots)
         # leftover rows are zero in columns < n; any nonzero leftover marks
@@ -361,17 +367,69 @@ class Matrix:
 # -- elimination cores ----------------------------------------------------
 
 
-def _pack_rows(m):
-    """Row-major packed copy: int bitmasks over F_2, dicts otherwise."""
-    if m.field.p == 2:
-        rows = [0] * m.nrows
-        for (i, j), _ in m._e.items():
-            rows[i] |= 1 << j
-    else:
-        rows = [dict() for _ in range(m.nrows)]
-        for (i, j), v in m._e.items():
-            rows[i][j] = v
-    return rows
+def _packed_columns(m, index=None):
+    """The columns of m as int bitmasks over F_2, {row: value} dicts
+    otherwise; rows renumbered through `index` when it is given."""
+    f2 = m.field.p == 2
+    cols = [0 if f2 else {} for _ in range(m.ncols)]
+    for (i, j), v in m._e.items():
+        if index is not None:
+            i = index[i]
+        if f2:
+            cols[j] |= 1 << i
+        else:
+            cols[j][i] = v
+    return cols
+
+
+def _integral_columns(m, index=None):
+    """(δ, packed columns of δ·m): over Q δ clears every denominator of m
+    and the columns hold ints; δ = 1 over F_p."""
+    if m.field.p is not None:
+        return 1, _packed_columns(m, index)
+    den, (e,) = clear_denominators([m._e])
+    return den, _packed_columns(Matrix(m.field, m.nrows, m.ncols, e, _normalized=True), index)
+
+
+def _sub(f, col, c, other):
+    """col - c * other for packed columns; dict columns change in place."""
+    if f.p == 2:
+        return col ^ other
+    for i, v in other.items():
+        nv = f.sub(col.get(i, f.zero), f.mul(c, v))
+        if nv:
+            col[i] = nv
+        else:
+            col.pop(i, None)
+    return col
+
+
+def _grows(f, basis, col):
+    """Reduce col against the echelon basis {pivot: column}; True, with the
+    remainder added to the basis, iff col is outside its span.  Over Q the
+    columns hold ints and only ranks matter, so remainders are kept
+    primitive instead of exact."""
+    if f.p == 2:
+        while col:
+            low = col.bit_length() - 1
+            b = basis.get(low)
+            if b is None:
+                basis[low] = col
+                return True
+            col ^= b
+        return False
+    col = dict(col)
+    while col:
+        low = max(col)
+        b = basis.get(low)
+        if b is None:
+            basis[low] = col
+            return True
+        if f.p is None:
+            col = int_combine(b[low], [col], col[low], [b])[0][0]
+        else:
+            _sub(f, col, f.div(col[low], b[low]), b)
+    return False
 
 
 def _rref_rows(field, rows, piv_limit):
@@ -507,11 +565,12 @@ def int_combine(a, xs, b, ys, den=0):
 
 
 def span_contains(big, small):
-    """True iff every column of `small` lies in the column span of `big`."""
+    """True iff every column of `small` lies in the column span of `big`:
+    one pivot pass over [big | small] finds no pivot among small's columns."""
     if big.nrows != small.nrows or big.field != small.field:
         raise ValueError("span_contains: shape/field mismatch")
-    stacked = Matrix.hstack(big.field, big.nrows, [big, small])
-    return stacked.rank() == big.rank()
+    pivots = Matrix.hstack(big.field, big.nrows, [big, small]).pivot_columns()
+    return not pivots or pivots[-1] < big.ncols
 
 
 def subquotient_dim(z, b):
@@ -524,8 +583,8 @@ def subquotient_dim(z, b):
 def quotient_basis(z, b):
     """Columns of `z` representing a basis of span(z)/span(b).
 
-    Eliminates [b | z] and picks the z-columns that add new pivots; the
-    choice is canonical because the RREF pivot set is.  Raises
+    Picks the z-columns that are pivot columns of [b | z], i.e. grow the
+    span of the columns before them; the choice is canonical.  Raises
     InvariantError unless span(b) ⊆ span(z).
     """
     f = z.field

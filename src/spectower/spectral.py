@@ -23,8 +23,8 @@ certifies E_inf against F_pH and H, neither read from the pairing:
 dim F_pH^k = rank(B^k + F_p) - rank B^k - rank d|F_p from one echelon
 pass per degree over the prefixes F_n ⊆ ... ⊆ F_0 that walks each
 generator once (a split complex steps from F_{p+1} to F_p by its block-p
-generators), and dim H^k = dim C^k - rank d^k - rank d^{k-1} by
-Matrix.rank.  The subquotient description
+generators), and dim H^k = dim C^k - rank d^k - rank d^{k-1}; both run
+on the span-growth kernel `_grows` of matrix.py.  The subquotient description
 E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2}),
 Z_r^{p,q} = {x in F_p C^{p+q} : dx in F_{p+r}}, is the test oracle.
 
@@ -38,7 +38,8 @@ from bisect import bisect_left
 
 from .complexes import CochainComplex
 from .errors import InvariantError, PreconditionError
-from .matrix import Matrix, as_fractions, clear_denominators, int_combine, quotient_basis, span_contains
+from .matrix import (Matrix, _grows, _integral_columns, _packed_columns, _sub, as_fractions, int_combine,
+                     quotient_basis, span_contains)
 
 __all__ = [
     "FilteredComplex",
@@ -131,28 +132,6 @@ class ConvergenceReport:
         return dict(sorted(out.items()))
 
 
-def _packed_columns(m, index=None):
-    """The columns of m as int bitmasks over F_2, {row: value} dicts
-    otherwise; rows renumbered through `index` when it is given."""
-    f2 = m.field.p == 2
-    cols = [0 if f2 else {} for _ in range(m.ncols)]
-    for (i, j), v in m._e.items():
-        if index is not None:
-            i = index[i]
-        if f2:
-            cols[j] |= 1 << i
-        else:
-            cols[j][i] = v
-    return cols
-
-
-def _integral_columns(m, index=None):
-    """(δ, packed columns of δ·m): over Q δ clears every denominator of m
-    and the columns hold ints; δ = 1 over F_p."""
-    cols = _packed_columns(m, index)
-    return (1, cols) if m.field.p is not None else clear_denominators(cols)
-
-
 def _apply(f, cols, vec):
     """sum_i vec_i * cols[i] for packed columns."""
     if f.p == 2:
@@ -169,47 +148,6 @@ def _apply(f, cols, vec):
     if f.p is not None:
         return {r: v % f.p for r, v in acc.items() if v % f.p}
     return {r: v for r, v in acc.items() if v}
-
-
-def _sub(f, col, c, other):
-    """col - c * other for packed columns; dict columns change in place."""
-    if f.p == 2:
-        return col ^ other
-    for i, v in other.items():
-        nv = f.sub(col.get(i, f.zero), f.mul(c, v))
-        if nv:
-            col[i] = nv
-        else:
-            col.pop(i, None)
-    return col
-
-
-def _grows(f, basis, col):
-    """Reduce col against the echelon basis {pivot: column}; True, with the
-    remainder added to the basis, iff col is outside its span.  Over Q the
-    columns hold ints and only ranks matter, so remainders are kept
-    primitive instead of exact."""
-    if f.p == 2:
-        while col:
-            low = col.bit_length() - 1
-            b = basis.get(low)
-            if b is None:
-                basis[low] = col
-                return True
-            col ^= b
-        return False
-    col = dict(col)
-    while col:
-        low = max(col)
-        b = basis.get(low)
-        if b is None:
-            basis[low] = col
-            return True
-        if f.p is None:
-            col = int_combine(b[low], [col], col[low], [b])[0][0]
-        else:
-            _sub(f, col, f.div(col[low], b[low]), b)
-    return False
 
 
 class _Reduction:

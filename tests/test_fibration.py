@@ -19,7 +19,7 @@ from spectower.fibration import (
     transport_compose_check,
     truncation_map,
 )
-from spectower.spectral import map_of_spectral_sequences
+from spectower.spectral import SplitFilteredComplex, map_of_spectral_sequences
 
 from helpers import (
     oracle_morse_complex,
@@ -357,6 +357,24 @@ def test_truncation_window_direction_enforced():
         truncation_map(sfc, action, (0, None), (-1, None))
     with pytest.raises(PreconditionError):
         truncation_map(sfc, action, (None, 5), (None, 4))
+
+
+def test_truncation_map_checks_the_action_once(monkeypatch):
+    # both windows are built from one normalized action, checked once per
+    # call; a non-decreasing action is refused with the action_window message
+    import spectower.fibration as fibration
+
+    cx = CochainComplex.from_generator_entries(Q, [("a", 0), ("b", 1), ("c", 1)], [("a", "b", 1)])
+    sfc = SplitFilteredComplex(cx, {"a": 0, "b": 1, "c": 0})
+    calls = []
+    check = fibration._check_action_decreasing
+    monkeypatch.setattr(fibration, "_check_action_decreasing", lambda *args: calls.append(1) or check(*args))
+    fmap = truncation_map(sfc, {"a": 0, "b": -1, "c": -2}, (None, None), (Fraction(-3, 2), None))
+    assert len(calls) == 1
+    assert fmap.target.complex.basis.generators == (("a", 0), ("b", 1))
+    with pytest.raises(InvariantError, match="differential entry 'a' -> 'b' does not strictly decrease"):
+        truncation_map(sfc, {"a": 0, "b": 0, "c": 0}, (None, None), (None, None))
+    assert len(calls) == 2
 
 
 # -- random fibration sweeps ------------------------------------------------------

@@ -12,6 +12,7 @@ from helpers import (
     oracle_kernel,
     oracle_kernel_f2,
     oracle_matrix_rank,
+    oracle_rank,
     oracle_rref,
     oracle_solve,
     random_matrix,
@@ -318,3 +319,74 @@ def test_span_contains():
     small = Matrix.from_rows(Q, [[1], [2], [0]])
     assert span_contains(big, small)
     assert not span_contains(small, big)
+
+
+# -- the span-growth pass behind rank and pivot_columns -----------------------------
+
+
+RANK_FIELDS = (F2, F3, Field(2 ** 61 - 1), Q)
+
+
+def _rank_case(rng, field):
+    """A random matrix, 0 x n and n x 0 shapes included, with about a fifth
+    of its columns zeroed; every other one is a product through 1-3
+    columns, so that most columns depend on earlier ones.  Over Q the
+    entries have mixed denominators."""
+    nrows, ncols = rng.randint(0, 9), rng.randint(0, 9)
+    if nrows and ncols and rng.random() < 0.5:
+        inner = rng.randint(1, 3)
+        m = (random_matrix(rng, field, nrows, inner, 0.7, random_wide_scalar)
+             * random_matrix(rng, field, inner, ncols, 0.7, random_wide_scalar))
+    else:
+        m = random_matrix(rng, field, nrows, ncols, rng.choice([0.2, 0.5]), random_wide_scalar)
+    zero = {j for j in range(ncols) if rng.random() < 0.2}
+    return Matrix.from_entries(field, nrows, ncols, [t for t in m.entries() if t[1] not in zero])
+
+
+def _fresh(m):
+    """An equal matrix with nothing cached."""
+    return Matrix.from_entries(m.field, m.nrows, m.ncols, m.entries())
+
+
+def test_pivot_pass_matches_dense_rref():
+    # rank() and pivot_columns() against dense Gauss-Jordan pivots, both from
+    # the span-growth pass (rank first) and from the RREF kernel() caches
+    rng = random.Random(7070)
+    for field in RANK_FIELDS:
+        for _ in range(80):
+            m = _rank_case(rng, field)
+            pivots = oracle_rref(field, m.to_dense())[0]
+            first = _fresh(m)
+            assert first.rank() == len(pivots)
+            assert list(first.pivot_columns()) == pivots
+            assert first.kernel().ncols == m.ncols - len(pivots)
+            after_kernel = _fresh(m)
+            assert after_kernel.kernel().ncols == m.ncols - len(pivots)
+            assert list(after_kernel.pivot_columns()) == pivots
+            assert after_kernel.rank() == len(pivots)
+
+
+def test_span_contains_and_quotient_basis_match_dense_rank():
+    # span_contains(big, small) iff the dense rank of [big | small] is that of
+    # big; quotient_basis(z, b) keeps the z-columns that are dense pivots of
+    # [b | z], and refuses a b outside span z
+    rng = random.Random(7171)
+    for field in RANK_FIELDS:
+        for _ in range(80):
+            m = _rank_case(rng, field)
+            cut = rng.randint(0, m.ncols)
+            big, small = m.take_columns(range(cut)), m.take_columns(range(cut, m.ncols))
+            if rng.random() < 0.5:
+                small = big * random_matrix(rng, field, cut, rng.randint(0, 3), 0.6, random_wide_scalar)
+            both = Matrix.hstack(field, m.nrows, [big, small])
+            inside = oracle_rank(field, both.to_dense()) == oracle_matrix_rank(big)
+            assert span_contains(big, small) == inside
+            for z, b in ((both, big), (big, small)):
+                if z is big and not inside:
+                    with pytest.raises(InvariantError):
+                        quotient_basis(z, b)
+                    continue
+                pivots = oracle_rref(field, Matrix.hstack(field, m.nrows, [b, z]).to_dense())[0]
+                chosen = quotient_basis(z, b)
+                assert chosen == z.take_columns([c - b.ncols for c in pivots if c >= b.ncols])
+                assert chosen.ncols == oracle_matrix_rank(z) - oracle_matrix_rank(b)

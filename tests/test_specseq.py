@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from spectower.complexes import ChainMap, CochainComplex
+from spectower.complexes import ChainMap, CochainComplex, GradedBasis
 from spectower.errors import InvariantError, PreconditionError
 from spectower.field import Field
 from spectower.matrix import Matrix
@@ -581,3 +581,20 @@ def test_tower_invariant_under_global_change_of_basis():
         assert a.certified and b.certified
         assert a.einf == b.einf
         assert a.h_filtration == b.h_filtration
+
+
+def test_unconjugated_chain_converges_within_budget():
+    # the chain a_i -> b_(i+1), a_i and b_i in block i, at n = 3000: the ranks
+    # of d^0 (3001 x 3001, 3000 nonzeros) behind h_dims cost one column pass,
+    # not a row scan per column
+    import time
+
+    n = 3000
+    start = time.perf_counter()
+    gens = [("a%d" % i, 0) for i in range(n + 1)] + [("b%d" % i, 1) for i in range(n + 1)]
+    d = {0: Matrix.from_entries(F2, n + 1, n + 1, [(i + 1, i, 1) for i in range(n)])}
+    sfc = SplitFilteredComplex(CochainComplex(F2, GradedBasis(gens), d), {g: int(g[1:]) for g, _ in gens})
+    conv = sfc.converge()
+    assert conv.certified
+    assert conv.einf == {(n, -n): 1, (0, 1): 1}
+    assert time.perf_counter() - start < 1
