@@ -87,10 +87,16 @@ class CochainComplex:
         if check:
             self.check_d_squared()
 
-    def check_d_squared(self):
+    def d_squared_defects(self):
+        """(k, d^{k+1} d^k) for each degree k, ascending, where it is not zero."""
         for k in sorted(self._d):
-            if not (self.d(k + 1) * self.d(k)).is_zero():
-                raise InvariantError("d^2 != 0 from degree %d to degree %d" % (k, k + 2))
+            prod = self.d(k + 1) * self.d(k)
+            if not prod.is_zero():
+                yield k, prod
+
+    def check_d_squared(self):
+        for k, _ in self.d_squared_defects():
+            raise InvariantError("d^2 != 0 from degree %d to degree %d" % (k, k + 2))
 
     @classmethod
     def from_generator_entries(cls, field, generators, entries, check=True, display_shift=0):
@@ -127,9 +133,6 @@ class CochainComplex:
         if m is None:
             return Matrix.zero(self.field, self.dim(k + 1), self.dim(k))
         return m
-
-    def euler_characteristic(self):
-        return sum((-1) ** k * self.dim(k) for k in self.degrees())
 
     def vector(self, coeffs):
         """(degree, column Matrix) for a homogeneous combination {id: scalar}."""
@@ -180,9 +183,6 @@ class CohomologyResult:
 
     def dims(self):
         return {k: v for k, v in sorted(self._dims.items()) if v}
-
-    def total_dim(self):
-        return sum(self._dims.values())
 
     def representatives(self, k):
         m = self._reps.get(k)

@@ -102,6 +102,16 @@ def _scalar_in(field, v):
     raise ParseError("bad scalar %r" % (v,))
 
 
+def _int_in(v, what):
+    """v as an int: a JSON integer, or a string of one (a JSON object key)."""
+    if isinstance(v, (int, str)):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    raise ParseError("%s: bad integer %r" % (what, v))
+
+
 def _matrix_out(field, m):
     return [[i, j, _scalar_out(field, v)] for i, j, v in m.entries()]
 
@@ -179,7 +189,10 @@ def _graph_in(body, what="base_graph"):
     for e in edges:
         if not isinstance(e, list) or len(e) != 3:
             raise ParseError("%s: bad edge %r" % (what, e))
-    return BaseGraph(verts, edges, body.get("relations", []))
+    rels = body.get("relations", [])
+    if not isinstance(rels, list):
+        raise ParseError("%s: bad relations" % what)
+    return BaseGraph(verts, edges, [_word_in(w, what + " relation") for w in rels])
 
 
 def _local_system_in(field, graph, body, what="local_system"):
@@ -286,15 +299,17 @@ def parse_document(obj, field_override=None):
             raise ParseError("filtered_complex: bad filtration")
         by_p = {}
         for st in filt:
-            if not isinstance(st, dict) or "p" not in st:
+            if not isinstance(st, dict) or "p" not in st or not isinstance(st.get("spans", {}), dict):
                 raise ParseError("filtered_complex: bad filtration step %r" % (st,))
-            by_p[int(st["p"])] = st.get("spans", {})
+            by_p[_int_in(st["p"], "filtered_complex filtration step p")] = st.get("spans", {})
         if by_p and sorted(by_p) != list(range(1, max(by_p) + 1)):
             raise ParseError("filtered_complex: filtration steps must cover p = 1..n")
         for p in sorted(by_p):
             spans = {}
             for kstr, vecs in by_p[p].items():
-                k = int(kstr)
+                k = _int_in(kstr, "filtered_complex spans degree")
+                if not isinstance(vecs, list):
+                    raise ParseError("filtered_complex: bad spans %r in degree %d" % (vecs, k))
                 names = cx.basis.gens(k)
                 pos = {g: i for i, g in enumerate(names)}
                 cols = []
@@ -344,6 +359,17 @@ def parse_document(obj, field_override=None):
         cells = obj.get("cells")
         if not isinstance(cells, list):
             raise ParseError("cellular_data: missing cells")
+        for c in cells:
+            if not isinstance(c, list) or not 2 <= len(c) <= 4:
+                raise ParseError("cellular_data: bad cell %r" % (c,))
+            _int_in(c[1], "cellular_data cell %r dimension" % (c[0],))
+            if len(c) > 3:
+                _int_in(c[3], "cellular_data cell %r orientation" % (c[0],))
+        filt = obj.get("filtration")
+        if filt is not None:
+            if not isinstance(filt, dict):
+                raise ParseError("cellular_data: bad filtration")
+            filt = {c: _int_in(p, "cellular_data filtration of %r" % c) for c, p in filt.items()}
         incs = []
         for e in obj.get("incidences", []):
             if not isinstance(e, list) or len(e) != 4 or not isinstance(e[2], int):
@@ -354,7 +380,7 @@ def parse_document(obj, field_override=None):
             if not isinstance(e, list) or len(e) != 4:
                 raise ParseError("cellular_data: bad exceptional incidence %r" % (e,))
             excs.append((e[0], e[1], _word_in(e[2], "cellular_data"), _word_in(e[3], "cellular_data")))
-        cd = CellularData(cells, incs, excs, graph=graph, filtration=obj.get("filtration"))
+        cd = CellularData(cells, incs, excs, graph=graph, filtration=filt)
         ls = None
         if obj.get("local_system") is not None:
             if graph is None:
@@ -365,8 +391,12 @@ def parse_document(obj, field_override=None):
     if kind == "fibration_data":
         base_md, _ = _morse_in(field, obj.get("base", {}), "fibration_data.base")
         fiber = _complex_from_body(field, obj.get("fiber", {}), "fibration_data.fiber")
-        actions = {}
-        for e, triples in obj.get("edge_action", {}).items():
+        actions, table = {}, obj.get("edge_action", {})
+        if not isinstance(table, dict):
+            raise ParseError("fibration_data: bad edge_action table")
+        for e, triples in table.items():
+            if not isinstance(triples, list):
+                raise ParseError("fibration_data: bad action %r on edge %r" % (triples, e))
             by_deg = {}
             for t in triples:
                 if not isinstance(t, list) or len(t) != 3:
@@ -394,8 +424,8 @@ def parse_document(obj, field_override=None):
             fiber,
             actions,
             corr,
-            shift_n=obj.get("shift_n", 0),
-            shift_k=obj.get("shift_k", 0),
+            shift_n=_int_in(obj.get("shift_n", 0), "fibration_data shift_n"),
+            shift_k=_int_in(obj.get("shift_k", 0), "fibration_data shift_k"),
         )
         return Document(kind, field, fd, shift_n=fd.shift_n, shift_k=fd.shift_k)
 

@@ -180,18 +180,10 @@ def assemble_fibration(fd):
 
 
 def _check_total_d2(cx, blocks):
-    bad = []
-    for k in sorted(cx._d):
-        prod = cx.d(k + 1) * cx.d(k)
-        if prod.is_zero():
-            continue
-        for i, j, _ in prod.entries():
-            g = cx.basis.gens(k)[j]
-            p = blocks[g]
-            bad.append((p, k - p))
+    bad = [(blocks[cx.basis.gens(k)[j]], k) for k, prod in cx.d_squared_defects() for _, j, _ in prod.entries()]
     if bad:
-        p, q = min(bad)
-        raise InvariantError("total differential fails d^2 = 0 at bidegree (p=%d, q=%d)" % (p, q))
+        p, k = min(bad)
+        raise InvariantError("total differential fails d^2 = 0 at bidegree (p=%d, q=%d)" % (p, k - p))
 
 
 class E2Table:

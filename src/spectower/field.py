@@ -61,10 +61,6 @@ class Field:
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
 
-    @property
-    def is_rationals(self):
-        return self.p is None
-
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
 

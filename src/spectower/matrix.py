@@ -8,14 +8,15 @@ integer bitmasks over F_2, where the heaviest instances live, dicts
 kernel clears denominators once and combines integer vectors by
 a*x - b*y with the content divided out (Bareiss-style, fraction-free).
 
-Two kernels.  `rank` and `pivot_columns` come from one left-to-right
-pass over the packed columns (`_grows`, keyed by each column's lowest
-entry, as in the column reduction of PHAT, Bauer-Kerber-Reininghaus-
-Wagner 2017): a column is a pivot column iff it grows the span of the
-columns before it, which is the RREF pivot set, and over Q the pass
-builds no Fraction.  `kernel` and `solve` need the reduced row echelon
-form, which is unique, so their results are canonical regardless of the
-sparsity-driven pivot-row choice; it builds one Fraction per entry.
+One elimination.  All elimination is one left-to-right pass over the packed
+columns, each reduced against the earlier column owning its lowest entry
+(the column reduction R = D V of persistence; PHAT, Bauer-Kerber-
+Reininghaus-Wagner 2017).  A column is a pivot column iff it grows the
+span of the columns before it, which is the RREF pivot set.  `rank`,
+`pivot_columns` and the subspace helpers keep no V (`_grows`); `kernel`
+and `solve` track each column's combination V (`_tracked`), and read the
+canonical RREF kernel basis and free-variables-zero solution off it.
+Over Q the pass builds no Fraction until the output, one per entry.
 """
 
 from fractions import Fraction
@@ -39,7 +40,7 @@ class Matrix:
     canonical scalars.  Equality is structural (field, shape, entries).
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_e", "_ech", "_piv")
+    __slots__ = ("field", "nrows", "ncols", "_e", "_piv")
 
     def __init__(self, field, nrows, ncols, entries=None, _normalized=False):
         self.field = field
@@ -58,7 +59,7 @@ class Matrix:
                     clean[(i, j)] = v
             entries = clean
         self._e = entries
-        self._ech = self._piv = None
+        self._piv = None
 
     # -- constructors ----------------------------------------------------
 
@@ -117,18 +118,6 @@ class Matrix:
                 ent[(i, j + off)] = v
             off += m.ncols
         return cls(field, nrows, off, ent, _normalized=True)
-
-    @classmethod
-    def vstack(cls, field, ncols, mats):
-        ent = {}
-        off = 0
-        for m in mats:
-            if m.ncols != ncols or m.field != field:
-                raise ValueError("vstack shape/field mismatch")
-            for (i, j), v in m._e.items():
-                ent[(i + off, j)] = v
-            off += m.nrows
-        return cls(field, off, ncols, ent, _normalized=True)
 
     # -- basic structure -------------------------------------------------
 
@@ -268,87 +257,65 @@ class Matrix:
 
     def _pivots(self):
         """The columns outside the span of the columns before them: one
-        `_grows` pass (over Q on cleared ints), or the RREF's if `kernel` ran."""
+        `_grows` pass (over Q on cleared ints), or `kernel`'s / `solve`'s."""
         if self._piv is None:
             basis, f = {}, self.field
-            self._piv = self._ech[0] if self._ech else tuple(
-                j for j, col in enumerate(_integral_columns(self)[1]) if _grows(f, basis, col))
+            self._piv = tuple(j for j, col in enumerate(_integral_columns(self)[1]) if _grows(f, basis, col))
         return self._piv
 
     def rank(self):
-        """The number of pivot columns, from one span-growth pass, no RREF."""
+        """The number of pivot columns, from one span-growth pass."""
         return len(self._pivots())
 
     def pivot_columns(self):
         """The RREF pivot columns, ascending, without building the RREF."""
         return self._pivots()
 
+    def _column_pass(self, cols):
+        """One tracked pass over the first ncols packed `cols`: (the echelon
+        basis {low: (column, V)}, [(j, V)] for each column j in the span of
+        the columns before it); caches the pivot columns."""
+        f, basis, deps, piv = self.field, {}, [], []
+        for j in range(self.ncols):
+            v = _tracked(f, basis, j, cols[j])
+            if v is None:
+                piv.append(j)
+            else:
+                deps.append((j, v))
+        self._piv = tuple(piv)
+        return basis, deps
+
     def kernel(self):
         """Matrix whose columns are a canonical basis of {v : self*v = 0}.
 
-        The basis comes from the RREF (cached): one vector per free column,
-        unit there, pivot coordinates filled by back-substitution.
+        A column j in the span of the columns before it has V = e_j plus
+        earlier pivot columns only, so V / V[j] is the kernel vector that is
+        1 at j and 0 at every other free column: the RREF basis.
         """
-        f = self.field
-        if self._ech is None:
-            rows = _packed_columns(self.transpose())  # the rows of self
-            self._ech = (tuple(_rref_rows(f, rows, self.ncols)), rows)
-        pivots, rows = self._ech
-        pivset = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivset]
-        ent = {}
-        one = f.one
-        if f.p == 2:
-            for k, fc in enumerate(free):
-                ent[(fc, k)] = one
-                bit = 1 << fc
-                for i, pc in enumerate(pivots):
-                    if rows[i] & bit:
-                        ent[(pc, k)] = one
-        else:
-            for k, fc in enumerate(free):
-                ent[(fc, k)] = one
-                for i, pc in enumerate(pivots):
-                    v = rows[i].get(fc)
-                    if v is not None:
-                        ent[(pc, k)] = f.neg(v)
-        return Matrix(f, self.ncols, len(free), ent, _normalized=True)
+        deps = self._column_pass(_integral_columns(self)[1])[1]
+        return _combinations(self.field, self.ncols, deps)
 
     def solve(self, rhs):
         """Some X with self * X = rhs, or None if any column has no solution.
 
-        Free variables are set to zero, so the solution is canonical.  The
-        result is verified by multiplication before being returned.
+        Each column of -rhs, tracked as column n, is reduced against the
+        pivot basis of self; with nothing left over, X = V[:n] / V[n] lies on
+        pivot columns, so free variables are zero and the solution is
+        canonical.  The result is verified by multiplication before being
+        returned.
         """
         if rhs.nrows != self.nrows or rhs.field != self.field:
             raise ValueError("solve: shape/field mismatch")
-        f = self.field
-        n = self.ncols
-        aug = Matrix.hstack(f, self.nrows, [self, rhs])
-        rows = _packed_columns(aug.transpose())
-        pivots = _rref_rows(f, rows, n)
-        r = len(pivots)
-        # leftover rows are zero in columns < n; any nonzero leftover marks
-        # an inconsistent rhs column
-        for row in rows[r:]:
-            if row:
+        f, n = self.field, self.ncols
+        cols = _integral_columns(Matrix.hstack(f, self.nrows, [self, -rhs]))[1]
+        basis = self._column_pass(cols)[0]
+        sols = []
+        for col in cols[n:]:
+            v = _tracked(f, basis, n, col)
+            if v is None:
                 return None
-        ent = {}
-        if f.p == 2:
-            for i, pc in enumerate(pivots):
-                high = rows[i] >> n
-                j = 0
-                while high:
-                    if high & 1:
-                        ent[(pc, j)] = 1
-                    high >>= 1
-                    j += 1
-        else:
-            for i, pc in enumerate(pivots):
-                for c, v in rows[i].items():
-                    if c >= n:
-                        ent[(pc, c - n)] = v
-        x = Matrix(f, n, rhs.ncols, ent, _normalized=True)
+            sols.append((n, v))
+        x = _combinations(f, n, sols)
         if self * x != rhs:
             return None
         return x
@@ -432,92 +399,57 @@ def _grows(f, basis, col):
     return False
 
 
-def _rref_rows(field, rows, piv_limit):
-    """In-place RREF; pivots only in columns < piv_limit.
-
-    Returns the pivot column list; afterwards rows[i] carries pivot
-    pivots[i] for i < rank, and every other row is zero in all columns
-    < piv_limit.  Pivot rows are scaled to a unit pivot, and pivot
-    columns are cleared everywhere else (full reduction), so the result
-    is the canonical RREF whatever the pivot-row choice.
-    """
-    if field.p == 2:
-        return _rref_f2(rows, piv_limit)
-    return _rref_generic(field, rows, piv_limit)
-
-
-def _rref_f2(rows, piv_limit):
-    pivots = []
-    nrows = len(rows)
-    for col in range(piv_limit):
-        bit = 1 << col
-        best = -1
-        best_w = 0
-        for i in range(len(pivots), nrows):
-            r = rows[i]
-            if r & bit:
-                w = r.bit_count()
-                if best < 0 or w < best_w:
-                    best, best_w = i, w
-        if best < 0:
-            continue
-        k = len(pivots)
-        rows[k], rows[best] = rows[best], rows[k]
-        prow = rows[k]
-        for i in range(nrows):
-            if i != k and rows[i] & bit:
-                rows[i] ^= prow
-        pivots.append(col)
-    return pivots
+def _tracked(f, basis, j, col):
+    """Reduce column j against the echelon basis {low: (column, V)}, with V
+    the combination of input columns it is, starting at e_j.  Returns V if
+    col reduces to zero; otherwise adds (remainder, V) to the basis and
+    returns None.  Over Q the pair stays integral and primitive, so V is
+    exact only up to a common factor; over F_p it is never scaled."""
+    if f.p == 2:
+        v = 1 << j
+        while col:
+            low = col.bit_length() - 1
+            b = basis.get(low)
+            if b is None:
+                basis[low] = (col, v)
+                return None
+            col ^= b[0]
+            v ^= b[1]
+        return v
+    col, v = dict(col), {j: 1}
+    while col:
+        low = max(col)
+        b = basis.get(low)
+        if b is None:
+            basis[low] = (col, v)
+            return None
+        if f.p is None:
+            col, v = int_combine(b[0][low], [col, v], col[low], b)[0]
+        else:
+            c = f.div(col[low], b[0][low])
+            _sub(f, col, c, b[0])
+            _sub(f, v, c, b[1])
+    return v
 
 
-def _rref_generic(field, rows, piv_limit):
-    """Dict rows over F_p; over Q the rows are cleared to integers first,
-    eliminated fraction-free, and each pivot row divided by its pivot last."""
-    p = field.p
-    if p is None:
-        rows[:] = clear_denominators(rows)[1]
-    pivots = []
-    nrows = len(rows)
-    for col in range(piv_limit):
-        best = -1
-        best_w = 0
-        for i in range(len(pivots), nrows):
-            if col in rows[i]:
-                w = len(rows[i])
-                if best < 0 or w < best_w:
-                    best, best_w = i, w
-        if best < 0:
-            continue
-        k = len(pivots)
-        rows[k], rows[best] = rows[best], rows[k]
-        prow = rows[k]
-        pv = prow[col]
-        if p is not None and pv != 1:
-            inv = pow(pv, -1, p)
-            for c in prow:
-                prow[c] = prow[c] * inv % p
-        for i in range(nrows):
-            if i == k:
-                continue
-            row = rows[i]
-            f = row.get(col)
-            if not f:
-                continue
-            if p is None:
-                rows[i] = int_combine(pv, [row], f, [prow])[0][0]
-                continue
-            for c, v in prow.items():
-                nv = (row.get(c, 0) - f * v) % p
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-        pivots.append(col)
-    if p is None:
-        for i, pc in enumerate(pivots):
-            rows[i] = as_fractions(rows[i], rows[i][pc])
-    return pivots
+def _combinations(f, nrows, deps):
+    """The nrows x len(deps) matrix whose k-th column is v[:nrows] / v[t]
+    for the k-th (t, v) of deps: one Fraction per entry over Q; over F_p
+    v[t] = 1."""
+    ent = {}
+    if f.p == 2:
+        low = (1 << nrows) - 1
+        for k, (_, v) in enumerate(deps):
+            x = v & low
+            while x:
+                ent[((x & -x).bit_length() - 1, k)] = 1
+                x &= x - 1
+    else:
+        for k, (t, v) in enumerate(deps):
+            for i, x in v.items():
+                if i < nrows:
+                    ent[(i, k)] = x if f.p else Fraction(x, v[t])
+    return Matrix(f, nrows, len(deps), ent, _normalized=True)
 
 
 def clear_denominators(vecs):

@@ -92,10 +92,7 @@ def _twisted_generators(names_with_degrees, fiber_dim):
 
 
 def _report_d2_pairs(cx, what):
-    for k in sorted(cx._d):
-        prod = cx.d(k + 1) * cx.d(k)
-        if prod.is_zero():
-            continue
+    for k, prod in cx.d_squared_defects():
         i, j, _ = prod.entries()[0]
         src = cx.basis.gens(k)[j].split(JOIN)[0]
         dst = cx.basis.gens(k + 2)[i].split(JOIN)[0]

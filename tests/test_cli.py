@@ -64,6 +64,43 @@ def test_exit_code_parse_error():
     assert "line" in err and "column" in err
 
 
+def _set(path, value):
+    def mutate(doc):
+        *outer, last = path
+        for key in outer:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+MALFORMED = [
+    ("step_p", "interval_filtered.json", _set(["filtration", 0, "p"], "x"), "filtration step p"),
+    ("degree_key", "interval_filtered.json", _set(["filtration", 0, "spans"], {"a": []}), "spans degree"),
+    ("spans_list", "interval_filtered.json", _set(["filtration", 0, "spans"], []), "filtration step"),
+    ("shift_n", "hopf.json", _set(["shift_n"], "a"), "shift_n"),
+    ("edge_action_list", "hopf.json", _set(["edge_action"], []), "edge_action"),
+    ("relation_int", "circle_graph.json", _set(["relations"], [5]), "relation"),
+    ("cell_int", "klein_cellular.json", _set(["cells", 1], 5), "bad cell"),
+    ("cell_dimension", "klein_cellular.json", _set(["cells", 1, 1], "a"), "dimension"),
+]
+
+
+@pytest.mark.parametrize("name,source,mutate,part", MALFORMED, ids=[c[0] for c in MALFORMED])
+def test_malformed_document_is_a_parse_error(tmp_path, name, source, mutate, part):
+    # ill-shaped payloads are rejected where they are parsed, with one line
+    # naming the document part, not left to fail inside a builder (exit 5)
+    import json
+
+    with open(data(source), "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    mutate(doc)
+    path = tmp_path / (name + ".json")
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["homology", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1 and part in err
+
+
 def test_exit_code_invariant_violation():
     code, out, err = run(["homology", data("bad_d2.json")])
     assert code == 3

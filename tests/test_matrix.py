@@ -239,39 +239,15 @@ def test_matrix_is_immutable_value():
 
 
 def _exact(m):
-    """Dense rows of a Q matrix, after checking every stored entry is a Fraction."""
-    assert all(type(v) is Fraction for _, _, v in m.entries())
+    """Dense rows of m, after checking every stored entry is canonical: a
+    Fraction over Q, a residue in [1, p) over F_p."""
+    p = m.field.p
+    assert all(type(v) is Fraction if p is None else type(v) is int and 0 < v < p for _, _, v in m.entries())
     return m.to_dense()
 
 
 def _wide(rng, nrows, ncols, density):
     return random_matrix(rng, Q, nrows, ncols, density, random_wide_scalar)
-
-
-def test_q_elimination_matches_dense_oracle():
-    # rank, pivots, kernel and solve over Q, numerators up to 10^6 over
-    # coprime denominators up to 97, against dense Fraction Gauss-Jordan;
-    # every other matrix is a product through 1-2 columns, so kernels and
-    # consistent right-hand sides are common
-    rng = random.Random(5150)
-    for trial in range(60):
-        nrows, ncols = rng.randint(1, 7), rng.randint(0, 7)
-        if trial % 2:
-            inner = rng.randint(1, 2)
-            m = _wide(rng, nrows, inner, 0.8) * _wide(rng, inner, ncols, 0.8)
-        else:
-            m = _wide(rng, nrows, ncols, 0.6)
-        pivots, _ = oracle_rref(Q, m.to_dense())
-        assert m.rank() == len(pivots)
-        assert list(m.pivot_columns()) == pivots
-        kernel = oracle_kernel(Q, m.to_dense())
-        assert _exact(m.kernel()) == [[vec[i] for vec in kernel] for i in range(ncols)]
-        nrhs = rng.randint(1, 3)
-        rhs = m * _wide(rng, ncols, nrhs, 0.7) if rng.random() < 0.6 else _wide(rng, nrows, nrhs, 0.7)
-        x, want = m.solve(rhs), oracle_solve(m, rhs)
-        assert (x is None) == (want is None)
-        if x is not None:
-            assert _exact(x) == want
 
 
 def test_q_product_matches_dense_product():
@@ -350,7 +326,8 @@ def _fresh(m):
 
 def test_pivot_pass_matches_dense_rref():
     # rank() and pivot_columns() against dense Gauss-Jordan pivots, both from
-    # the span-growth pass (rank first) and from the RREF kernel() caches
+    # the span-growth pass (rank first) and from the pivots kernel()'s
+    # tracked pass caches
     rng = random.Random(7070)
     for field in RANK_FIELDS:
         for _ in range(80):
@@ -364,6 +341,29 @@ def test_pivot_pass_matches_dense_rref():
             assert after_kernel.kernel().ncols == m.ncols - len(pivots)
             assert list(after_kernel.pivot_columns()) == pivots
             assert after_kernel.rank() == len(pivots)
+
+
+def test_elimination_matches_dense_oracle():
+    # kernel and solve against dense Gauss-Jordan, entry for entry, over F2,
+    # F3, F_(2^61-1) and Q (numerators up to 10^6 over coprime denominators
+    # up to 97), 0 x n and n x 0 shapes and zero columns included; each rhs
+    # column is m times a random vector (consistent) or random (mostly not),
+    # solved alone and all together
+    rng = random.Random(5150)
+    for field in RANK_FIELDS:
+        for _ in range(60):
+            m = _rank_case(rng, field)
+            kernel = oracle_kernel(field, m.to_dense() or [[field.zero] * m.ncols])
+            assert _exact(m.kernel()) == [[vec[i] for vec in kernel] for i in range(m.ncols)]
+            every = rng.random() < 0.5
+            cols = [m * random_matrix(rng, field, m.ncols, 1, 0.7, random_wide_scalar)
+                    if every or rng.random() < 0.5 else random_matrix(rng, field, m.nrows, 1, 0.7, random_wide_scalar)
+                    for _ in range(rng.randint(1, 3))]
+            for rhs in cols + [Matrix.hstack(field, m.nrows, cols)]:
+                x, want = m.solve(rhs), oracle_solve(m, rhs)
+                assert (x is None) == (want is None)
+                if x is not None:
+                    assert _exact(x) == want
 
 
 def test_span_contains_and_quotient_basis_match_dense_rank():
