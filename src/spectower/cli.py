@@ -4,7 +4,9 @@ Subcommands: homology, pages, e2, oracle-check, extend, compare-ls,
 kunneth.  All output is byte-deterministic.  Exit codes: 0 ok (for
 oracle-check and compare-ls: the check passed), 1 check failed,
 2 parse error, 3 invariant violation, 4 precondition violation,
-5 internal error (any other exception: a bug in spectower).
+5 internal error (any other exception: a bug in spectower).  Output
+stays bounded: `pages --all` prints at most MAX_SPAN pages, and a table
+spans at most MAX_SPAN values of p or of q; past that, exit 4.
 """
 
 import argparse
@@ -15,6 +17,9 @@ from .errors import InvariantError, ParseError, PreconditionError
 from .fibration import FibrationData, e2_table, leray_serre_compare
 from .localsystems import extend_subsystem
 from .morse import JOIN
+
+MAX_SPAN = 100
+
 
 def _fmt_cell(d):
     return str(d) if d else "."
@@ -27,6 +32,9 @@ def render_table(entries, sn=0, sk=0):
     shifted = {(p + sn, q + sk): d for (p, q), d in entries.items()}
     ps = sorted({p for p, _ in shifted})
     qs = sorted({q for _, q in shifted})
+    if max(ps[-1] - ps[0], qs[-1] - qs[0]) >= MAX_SPAN:
+        raise PreconditionError("a table spans p %d..%d and q %d..%d, more than %d values; use --format tsv"
+                                % (ps[0], ps[-1], qs[0], qs[-1], MAX_SPAN))
     prange = list(range(ps[0], ps[-1] + 1))
     qrange = list(range(qs[0], qs[-1] + 1))
     tokens = [str(p) for p in prange] + [str(q) for q in qrange]
@@ -82,6 +90,9 @@ def cmd_pages(args):
     if args.all:
         conv = tower.converge()
         last = max(1, conv.r_stop)
+        if last > MAX_SPAN:
+            raise PreconditionError("the tower stabilizes at page %d, past the %d pages --all prints; "
+                                    "ask for one page with --page R" % (last, MAX_SPAN))
         for r in range(1, last + 1):
             if tsv:
                 lines += _tsv_lines(r, tower.page(r).dims(), sn, sk)
@@ -133,10 +144,7 @@ def cmd_oracle_check(args):
     conv = tower.converge()
     direct = tower.complex.cohomology().dims()
     totals = conv.einf_total_dims()
-    degenerate = not any(
-        tower.page(r).has_nonzero_differential()
-        for r in range(2, tower.n + 2)
-    )
+    degenerate = conv.r_stop <= 2  # no d_r with r >= 2 is nonzero
     lines = []
     span = tower.complex.degrees()
     degs = list(range(span[0], span[-1] + 1)) if span else []

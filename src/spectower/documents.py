@@ -149,8 +149,15 @@ def _complex_body(field, cx):
             diff.append([src[j], tgt[i], _scalar_out(field, v)])
     return gens, diff
 
+
+def _object_in(body, what):
+    if not isinstance(body, dict):
+        raise ParseError("%s: expected an object" % what)
+    return body
+
+
 def _complex_from_body(field, body, what, check=True):
-    gens = body.get("generators")
+    gens = _object_in(body, what).get("generators")
     if not isinstance(gens, list):
         raise ParseError("%s: missing generators" % what)
     pairs = []
@@ -180,9 +187,7 @@ def _graph_out(g):
 
 
 def _graph_in(body, what="base_graph"):
-    if not isinstance(body, dict):
-        raise ParseError("%s: expected an object" % what)
-    verts = body.get("vertices")
+    verts = _object_in(body, what).get("vertices")
     edges = body.get("edges", [])
     if not isinstance(verts, list) or not isinstance(edges, list):
         raise ParseError("%s: bad vertices/edges" % what)
@@ -196,7 +201,7 @@ def _graph_in(body, what="base_graph"):
 
 
 def _local_system_in(field, graph, body, what="local_system"):
-    dim = body.get("fiber_dim")
+    dim = _object_in(body, what).get("fiber_dim")
     if not isinstance(dim, int) or dim < 0:
         raise ParseError("%s: bad fiber_dim %r" % (what, dim))
     tr = body.get("transport", {})
@@ -217,7 +222,7 @@ def _local_system_out(field, ls):
 
 
 def _morse_in(field, body, what="morse_data"):
-    graph = _graph_in(body.get("graph"), what + ".graph")
+    graph = _graph_in(_object_in(body, what).get("graph"), what + ".graph")
     pts = body.get("points")
     if not isinstance(pts, list):
         raise ParseError("%s: missing points" % what)

@@ -298,22 +298,24 @@ class Matrix:
     def solve(self, rhs):
         """Some X with self * X = rhs, or None if any column has no solution.
 
-        Each column of -rhs, tracked as column n, is reduced against the
-        pivot basis of self; with nothing left over, X = V[:n] / V[n] lies on
-        pivot columns, so free variables are zero and the solution is
-        canonical.  The result is verified by multiplication before being
-        returned.
+        Each column of rhs, tracked as column n, is reduced against the
+        pivot basis of self; with nothing left over, A V[:n] = -V[n] rhs, so
+        X = V[:n] / -V[n] lies on pivot columns, free variables are zero and
+        the solution is canonical.  The result is verified by
+        multiplication before being returned.
         """
         if rhs.nrows != self.nrows or rhs.field != self.field:
             raise ValueError("solve: shape/field mismatch")
         f, n = self.field, self.ncols
-        cols = _integral_columns(Matrix.hstack(f, self.nrows, [self, -rhs]))[1]
+        cols = _integral_columns(Matrix.hstack(f, self.nrows, [self, rhs]))[1]
         basis = self._column_pass(cols)[0]
         sols = []
         for col in cols[n:]:
             v = _tracked(f, basis, n, col)
             if v is None:
                 return None
+            if f.p != 2:  # over F_2, -1 = 1
+                v[n] = -v[n]
             sols.append((n, v))
         x = _combinations(f, n, sols)
         if self * x != rhs:
@@ -435,7 +437,7 @@ def _tracked(f, basis, j, col):
 def _combinations(f, nrows, deps):
     """The nrows x len(deps) matrix whose k-th column is v[:nrows] / v[t]
     for the k-th (t, v) of deps: one Fraction per entry over Q; over F_p
-    v[t] = 1."""
+    v[t] = ±1, its own inverse."""
     ent = {}
     if f.p == 2:
         low = (1 << nrows) - 1
@@ -448,7 +450,7 @@ def _combinations(f, nrows, deps):
         for k, (t, v) in enumerate(deps):
             for i, x in v.items():
                 if i < nrows:
-                    ent[(i, k)] = x if f.p else Fraction(x, v[t])
+                    ent[(i, k)] = (x if v[t] == 1 else f.neg(x)) if f.p else Fraction(x, v[t])
     return Matrix(f, nrows, len(deps), ent, _normalized=True)
 
 

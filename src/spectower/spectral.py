@@ -11,30 +11,35 @@ split complex (Barannikov normal form; Zomorodian-Carlsson 2005,
 Basu-Parida 2017): a column x whose R column is lowest at y pairs x -> y
 with gap s = block(y) - block(x), and E_r^{p,q} has a basis of the
 block-p generators of degree p+q that are unpaired or in a pair of gap
->= r; d_r matches the ends of the gap-r pairs.  Pages are built
-incrementally from the pairs bucketed by gap: page 0 holds every
-generator, page r is page r-1 less the two ends of each gap-(r-1) pair,
-so a page costs the cells it changes.  A FilteredComplex is split first
-by bases adapted to F_n ⊆ ... ⊆ F_1 ⊆ C^k.  Checks that run:
+>= r; d_r matches the ends of the gap-r pairs.  So pages change only at
+the breakpoints r = 0, where every generator survives, and r = s+1 for
+each gap s that some pair has: page s+1 is the breakpoint before it less
+both ends of each gap-s pair, and page(r) is a view of the last
+breakpoint at or below r with d_r from the gap-r pairs.  Work grows with
+the pairs, not with the filtration length.  A FilteredComplex is split
+first by bases adapted to F_n ⊆ ... ⊆ F_1 ⊆ C^k.  Checks that run:
 R = D V, column by column on the packed columns (over Q as the integer
 identity D' V' = δ R' on denominator-cleared columns); d_r o d_r = 0 and
-E_{r+1} = H(E_r, d_r) dimensionwise on every page; and `converge`
-certifies E_inf against F_pH and H, neither read from the pairing:
+E_{r+1} = H(E_r, d_r) dimensionwise wherever d_r ≠ 0, the only places a
+page changes; and `converge` certifies E_inf against F_pH and H,
+neither read from the pairing:
 dim F_pH^k = rank(B^k + F_p) - rank B^k - rank d|F_p from one echelon
 pass per degree over the prefixes F_n ⊆ ... ⊆ F_0 that walks each
 generator once (a split complex steps from F_{p+1} to F_p by its block-p
-generators), and dim H^k = dim C^k - rank d^k - rank d^{k-1}; both run
-on the span-growth kernel `_grows` of matrix.py.  The subquotient description
+generators, so only occupied blocks are visited), and
+dim H^k = dim C^k - rank d^k - rank d^{k-1}; both run on the span-growth
+kernel `_grows` of matrix.py.  F_pH^k is kept as a step function of p,
+only where it differs from F_{p+1}H^k.  The subquotient description
 E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2}),
 Z_r^{p,q} = {x in F_p C^{p+q} : dx in F_{p+r}}, is the test oracle.
 
 Entry representatives are ambient vectors in C^{p+q}, which makes the
-zig-zag cross-check direct linear algebra.  Pages stabilize at r = n+1
-for a length-n filtration (d_r moves p by r), and `page(r)` for a larger
-r is E_inf.
+zig-zag cross-check direct linear algebra.  Pages stabilize at the last
+breakpoint r_stop <= n+1 for a length-n filtration (d_r moves p by r),
+and `page(r)` for any larger r is E_inf.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 from .complexes import CochainComplex
 from .errors import InvariantError, PreconditionError
@@ -112,8 +117,11 @@ class Page:
 class ConvergenceReport:
     """Stabilized tower data plus the direct filtration on cohomology.
 
+    E_r = E_inf for r >= r_stop, the last breakpoint.  h_filtration holds
+    dim F_pH^k at the sorted (p, k) where it differs from dim F_{p+1}H^k;
+    `h_dim` reads it as a step function of p.
     certified is True iff dim E_inf^{p,q} = dim F_pH^{p+q} - dim F_{p+1}H^{p+q}
-    for every (p, q); a False value signals an engine bug, never valid input.
+    for every (p, q) and F_0H = H; a False value signals an engine bug.
     """
 
     __slots__ = ("r_stop", "einf", "h_filtration", "h_dims", "certified")
@@ -124,6 +132,10 @@ class ConvergenceReport:
         self.h_filtration = h_filtration
         self.h_dims = h_dims
         self.certified = certified
+
+    def h_dim(self, p, k):
+        """dim F_pH^k: the value at the smallest stored p' >= p, or 0."""
+        return next((h for (pp, kk), h in self.h_filtration.items() if kk == k and pp >= p), 0)
 
     def einf_total_dims(self):
         out = {}
@@ -177,7 +189,8 @@ class _Reduction:
         self.mate = {}  # (k, i) -> (k +- 1, j, gap): the other end of its pair
         for k in cx.degrees():
             self._reduce(k, cx.d(k))
-        self.pages = []
+        self.views = {}  # r -> Page
+        self.cells = []  # the cells of each breakpoint built so far
 
     def matrix(self, k, cols):
         """Columns over C^k in index coordinates, as a Matrix over positions."""
@@ -259,54 +272,66 @@ class _Reduction:
         b = self.block[k][i]
         return (b, k - b)
 
-    def next_page(self):
-        """Append page r, checked against page r-1 when r >= 1.
+    def page(self, r):
+        """E_r: the cells of the last breakpoint at or below r, with d_r
+        matching the ends of the gap-r pairs and d_r o d_r = 0 checked.
 
-        Page 0 holds every generator; page r is page r-1 less both ends of
-        each gap-(r-1) pair, so only those cells are rebuilt and the other
-        cell tuples are shared.  d_r matches the ends of the gap-r pairs.
+        Breakpoints are r = 0, where every generator survives, and r = s+1
+        for each gap s that some pair has: only d_s changes a page.  Views
+        are cached per r and share their breakpoint's cell tuples, so the
+        work grows with the breakpoints and pairs, not the filtration length.
         """
-        r = len(self.pages)
-        if not r:
-            self.gaps = {}  # gap -> [(k, i, j)]: the pairs (k, i) -> (k+1, j), read when page 0 is built
+        page = self.views.get(r)
+        if page is not None:
+            return page
+        if not self.cells:  # the gap buckets, read from the pairing when a page is first asked for
+            self.gaps = {}  # gap -> [(k, i, j)]: the pairs (k, i) -> (k+1, j)
             for (k, i), (kk, j, gap) in self.mate.items():
                 if kk > k:
                     self.gaps.setdefault(gap, []).append((k, i, j))
+            self.breaks = [0] + [s + 1 for s in sorted(self.gaps)]
             cells = {}
             for k, blocks in self.block.items():
                 for i, b in enumerate(blocks):
                     cells.setdefault((b, k - b), []).append(i)
-            cells = {c: tuple(ids) for c, ids in cells.items()}
-        else:
-            dead = {}
-            for k, i, j in self.gaps.get(r - 1, ()):
-                dead.setdefault(self._cell(k, i), set()).add(i)
-                dead.setdefault(self._cell(k + 1, j), set()).add(j)
-            cells = dict(self.pages[-1]._cells)
-            for c, ids in dead.items():
-                cells[c] = tuple(i for i in cells[c] if i not in ids)
-                if not cells[c]:
-                    del cells[c]
-        ent = {}
+            self.cells.append({c: tuple(ids) for c, ids in cells.items()})
+        t = bisect_right(self.breaks, r) - 1
+        while len(self.cells) <= t:
+            self._advance()
+        cells, ent = self.cells[t], {}
         for k, i, j in self.gaps.get(r, ()):  # cell tuples are ascending: bisect finds places
             src, tgt = self._cell(k, i), self._cell(k + 1, j)
             ent.setdefault(src, {})[(bisect_left(cells[tgt], j), bisect_left(cells[src], i))] = self.field.one
         diffs = {c: Matrix(self.field, len(cells[(c[0] + r, c[1] - r + 1)]), len(cells[c]), e, _normalized=True)
                  for c, e in ent.items()}
-        page = Page(r, self, cells, diffs)
         for (p, q), m in diffs.items():
             nxt = diffs.get((p + r, q - r + 1))
             if nxt is not None and not (nxt * m).is_zero():
                 raise InvariantError("d_%d o d_%d != 0 at (p=%d, q=%d): engine bug" % (r, r, p, q))
-        if r:
-            prev, s = self.pages[-1], r - 1
-            ranks = {c: m.rank() for c, m in prev._diff.items()}
-            for (p, q) in set(prev._cells) | set(cells):
-                expect = prev.dim(p, q) - ranks.get((p, q), 0) - ranks.get((p - s, q + s - 1), 0)
-                if page.dim(p, q) != expect:
-                    raise InvariantError("page %d cell (%d, %d) has dim %d but H(E_%d, d_%d) gives %d: engine bug"
-                                         % (r, p, q, page.dim(p, q), s, s, expect))
-        self.pages.append(page)
+        page = self.views[r] = Page(r, self, cells, diffs)
+        return page
+
+    def _advance(self):
+        """Build the next breakpoint s+1: page s less both ends of each
+        gap-s pair, checked against H(E_s, d_s) dimensionwise."""
+        s = self.breaks[len(self.cells)] - 1
+        prev = self.page(s)
+        dead = {}
+        for k, i, j in self.gaps[s]:
+            dead.setdefault(self._cell(k, i), set()).add(i)
+            dead.setdefault(self._cell(k + 1, j), set()).add(j)
+        cells = dict(prev._cells)
+        for c, ids in dead.items():
+            cells[c] = tuple(i for i in cells[c] if i not in ids)
+            if not cells[c]:
+                del cells[c]
+        ranks = {c: m.rank() for c, m in prev._diff.items()}
+        for (p, q) in prev._cells:
+            expect = prev.dim(p, q) - ranks.get((p, q), 0) - ranks.get((p - s, q + s - 1), 0)
+            if len(cells.get((p, q), ())) != expect:
+                raise InvariantError("page %d cell (%d, %d) has dim %d but H(E_%d, d_%d) gives %d: engine bug"
+                                     % (s + 1, p, q, len(cells.get((p, q), ())), s, s, expect))
+        self.cells.append(cells)
 
 
 class FilteredComplex:
@@ -384,40 +409,43 @@ class FilteredComplex:
         return _Reduction(split, frame)
 
     def page(self, r):
-        """The page E_r with differentials; E_inf for r > n+1."""
+        """The page E_r with differentials; E_inf from the last breakpoint on."""
         if r < 0:
             raise ValueError("page index must be >= 0")
         if self._red is None:
             self._red = self._reduction()
-        top = min(r, self.n + 1)
-        while len(self._red.pages) <= top:
-            self._red.next_page()
-        page = self._red.pages[top]
-        return page if r == top else Page(r, self._red, page._cells, {})
+        return self._red.page(r)
 
     def _h_filtration(self, k):
-        """((p, k), dim F_pH^k) for the nonzero F_pH^k, from prefix ranks.
+        """((p, k), dim F_pH^k) where it differs from dim F_{p+1}H^k, from
+        prefix ranks.
 
         One pass over the step columns of F_n ⊆ ... ⊆ F_0 (`_step_columns`:
         what F_p adds to F_{p+1}) grows three echelon bases: S = F_p;
         Z = d(F_p), so zr = rank d|F_p; and BB = B + F_p with
         B = im d^{k-1}, of which br counts the growth past B.  Then
         dim(Z^k ∩ F_p) = dim F_p - zr and dim(B ∩ F_p) = dim F_p - br, so
-        dim F_pH^k = br - zr.  Nothing here reads the reduction.
+        dim F_pH^k = br - zr.  Only the p in `_levels(k)` can change it.
+        Nothing here reads the reduction.
         """
         cx, f = self.complex, self.complex.field
         dcols = _integral_columns(cx.d(k))[1]  # one δ for all of d, so d' = δ d maps every column alike
         s, z, bb = {}, {}, {}
         for col in _integral_columns(cx.d(k - 1))[1]:
             _grows(f, bb, col)
-        zr = br = 0
-        for p in range(self.n, -1, -1):
+        zr = br = h = 0
+        for p in self._levels(k):
             for col in self._step_columns(p, k):
                 if _grows(f, s, col):
                     zr += _grows(f, z, _apply(f, dcols, col))
                     br += _grows(f, bb, col)
-            if br != zr:
-                yield (p, k), br - zr
+            if br - zr != h:
+                h = br - zr
+                yield (p, k), h
+
+    def _levels(self, k):
+        """The p, descending, at which F_p C^k may differ from F_{p+1} C^k."""
+        return range(self.n, -1, -1)
 
     def _step_columns(self, p, k):
         """Packed columns spanning F_p C^k; the S basis of `_h_filtration`
@@ -425,31 +453,20 @@ class FilteredComplex:
         return _integral_columns(self.span(p, k))[1]
 
     def converge(self):
-        """Iterate pages to stabilization and certify E_inf against F_pH,
-        computed from ranks of d on the F_p spans, not from the pairing."""
+        """Walk the breakpoints to stabilization and certify E_inf against
+        F_pH, computed from ranks of d on the F_p spans, not from the pairing."""
         if self._converged is not None:
             return self._converged
-        n, cx = self.n, self.complex
-        r_stop = 0
-        for r in range(0, n + 2):
-            if self.page(r).has_nonzero_differential():
-                r_stop = r + 1
-        einf = self.page(n + 1).dims()
-        h_dims = {}
-        for k in cx.degrees():
-            h = cx.dim(k) - cx.d(k).rank() - cx.d(k - 1).rank()
-            if h:
-                h_dims[k] = h
+        cx = self.complex
+        r_stop = self.page(0)._red.breaks[-1]  # the last breakpoint: every d_r with r >= r_stop is zero
+        einf = self.page(r_stop).dims()
+        h_dims = {k: h for k in cx.degrees() if (h := cx.dim(k) - cx.d(k).rank() - cx.d(k - 1).rank())}
         h_filt = dict(sorted((pk, h) for k in cx.degrees() for pk, h in self._h_filtration(k)))
-        certified = True
-        for p in range(0, n + 1):
-            for k in cx.degrees():
-                graded = h_filt.get((p, k), 0) - h_filt.get((p + 1, k), 0)
-                if einf.get((p, k - p), 0) != graded:
-                    certified = False
-        for k in set(h_dims) | {kk for _, kk in h_filt}:
-            if h_filt.get((0, k), 0) != h_dims.get(k, 0):
-                certified = False
+        graded, below = {}, {}  # below[k]: dim F_{p+1}H^k, then dim F_0H^k once the walk ends
+        for (p, k), h in sorted(h_filt.items(), reverse=True):
+            graded[(p, k - p)] = h - below.get(k, 0)
+            below[k] = h
+        certified = graded == einf and below == h_dims
         self._converged = ConvergenceReport(r_stop, einf, h_filt, h_dims, certified)
         return self._converged
 
@@ -503,16 +520,14 @@ class SplitFilteredComplex(FilteredComplex):
             groups = self._groups[k] = {b: tuple(ids) for b, ids in groups.items()}
         return groups.get(p, ())
 
+    def _levels(self, k):
+        """The occupied blocks of C^k, descending: F_p = F_{p+1} elsewhere."""
+        return sorted({self.blocks[g] for g in self.complex.basis.gens(k)}, reverse=True)
+
     def _step_columns(self, p, k):
         """Unit columns of the block-p generators: F_p C^k is F_{p+1} C^k plus these."""
         f2 = self.complex.field.p == 2
         return [1 << i if f2 else {i: 1} for i in self.block_indices(k, p)]
-
-    def component_matrix(self, k, p, r):
-        """The block d_r : C_p^k -> C_{p+r}^{k+1} of the differential."""
-        rows = self.block_indices(k + 1, p + r)
-        cols = self.block_indices(k, p)
-        return self.complex.d(k).submatrix(rows, cols)
 
     def span(self, p, k):
         """A matrix whose columns span F_p C^k: the generators of blocks >= p."""

@@ -121,6 +121,11 @@ def oracle_cohomology_dims(cx):
     return {k: v for k, v in dims.items() if v}
 
 
+def component_matrix(sfc, k, p, r):
+    """The block d_r : C_p^k -> C_{p+r}^{k+1} of the differential of a split complex."""
+    return sfc.complex.d(k).submatrix(sfc.block_indices(k + 1, p + r), sfc.block_indices(k, p))
+
+
 def oracle_h_filtration(fc):
     """{(p, k): dim F_pH^k}, nonzero entries only, by the kernel formula:
     with U spanning F_p C^k, Z^k ∩ F_p = U ker(d U), and F_pH^k =

@@ -470,6 +470,7 @@ def test_acceptance_10_cli_contract():
             "oracle_torus": ["oracle-check", "torus_product.json"],
             "oracle_interval_filtered": ["oracle-check", "interval_filtered.json"],
             "oracle_hopf": ["oracle-check", "hopf.json"],
+            "oracle_gap_huge": ["oracle-check", "gap_huge.json"],
             "extend_wedge": ["extend", "wedge2_subsystem.json", "wedge2_graph.json"],
             "extend_squares": ["extend", "circle_squares_subsystem.json", "circle_graph.json"],
             "compare_klein": ["compare-ls", "klein_cellular.json", "klein_twisted.json"],

@@ -34,6 +34,7 @@ GOLDEN_CASES = [
     ("oracle_torus", ["oracle-check", data("torus_product.json")]),
     ("oracle_interval_filtered", ["oracle-check", data("interval_filtered.json")]),
     ("oracle_hopf", ["oracle-check", data("hopf.json")]),
+    ("oracle_gap_huge", ["oracle-check", data("gap_huge.json")]),
     ("extend_wedge", ["extend", data("wedge2_subsystem.json"), data("wedge2_graph.json")]),
     ("extend_squares", ["extend", data("circle_squares_subsystem.json"), data("circle_graph.json")]),
     ("compare_klein", ["compare-ls", data("klein_cellular.json"), data("klein_twisted.json")]),
@@ -82,6 +83,10 @@ MALFORMED = [
     ("relation_int", "circle_graph.json", _set(["relations"], [5]), "relation"),
     ("cell_int", "klein_cellular.json", _set(["cells", 1], 5), "bad cell"),
     ("cell_dimension", "klein_cellular.json", _set(["cells", 1, 1], "a"), "dimension"),
+    ("fibration_base_int", "hopf.json", _set(["base"], 5), "fibration_data.base"),
+    ("fibration_fiber_list", "hopf.json", _set(["fiber"], []), "fibration_data.fiber"),
+    ("filtered_complex_int", "interval_filtered.json", _set(["complex"], 5), "filtered_complex.complex"),
+    ("local_system_int", "hopf.json", _set(["base", "local_system"], 5), "fibration_data.base.local_system"),
 ]
 
 
@@ -259,6 +264,36 @@ def test_e2_raw_output():
     code, out, _ = run(["e2", data("klein_twisted.json"), "--raw"])
     assert code == 0
     assert out == "2\t0\t0\t1\n2\t1\t0\t1\n"
+
+
+def test_oracle_check_at_block_gap_1e30_within_budget():
+    # one pair with a block gap of 10^30: pages are built only at the
+    # breakpoints 0 and 10^30 + 1, and F_pH walks the two occupied blocks
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run(["oracle-check", data("gap_huge.json")])
+    assert code == 0, err
+    assert "degenerates at E_2: no" in out
+    assert time.perf_counter() - start < 1
+
+
+def test_pages_all_past_the_span_limit_exits_4():
+    from spectower.cli import MAX_SPAN
+
+    code, out, err = run(["pages", data("gap_huge.json"), "--all", "--raw"])
+    assert (code, out) == (4, "")
+    assert err.startswith("precondition violation: ") and err.count("\n") == 1
+    assert "--page" in err and str(MAX_SPAN) in err
+
+
+def test_table_past_the_span_limit_exits_4():
+    # the p span of a page is 10^30 + 1; the tsv form of the same page is fine
+    code, out, err = run(["pages", data("gap_huge.json"), "--page", "1"])
+    assert (code, out) == (4, "")
+    assert err.startswith("precondition violation: ") and err.count("\n") == 1 and "--format tsv" in err
+    code, out, _ = run(["pages", data("gap_huge.json"), "--page", "1", "--format", "tsv"])
+    assert code == 0 and out.count("\n") == 2
 
 
 def test_page_far_past_a_long_gap(tmp_path):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectower.complexes import ChainMap, CochainComplex, GradedBasis
 from spectower.errors import InvariantError, PreconditionError
@@ -15,7 +16,7 @@ from spectower.spectral import (
     zigzag_class_and_d,
 )
 
-from helpers import oracle_cohomology_dims, random_scalar, random_split_complex
+from helpers import component_matrix, oracle_cohomology_dims, oracle_h_filtration, random_scalar, random_split_complex
 
 Q = Field()
 F2 = Field(2)
@@ -155,12 +156,12 @@ def test_zigzag_r1_is_d0_kernel_and_d1_image():
                     p = sfc.block_of(gens[i])
                     alpha = Matrix.basis_column(field, cx.dim(k), i)
                     zz = zigzag_class_and_d(sfc, 1, k, alpha)
-                    d0 = sfc.component_matrix(k, p, 0)
+                    d0 = component_matrix(sfc, k, p, 0)
                     cols = sfc.block_indices(k, p)
                     a_blk = alpha.take_rows(cols)
                     if (d0 * a_blk).is_zero():
                         assert zz is not None
-                        d1 = sfc.component_matrix(k, p, 1)
+                        d1 = component_matrix(sfc, k, p, 1)
                         img_rows = sfc.block_indices(k + 1, p + 1)
                         assert zz.image.take_rows(img_rows) == d1 * a_blk
                     else:
@@ -276,8 +277,8 @@ def test_first_page_is_block_cohomology():
             want = {}
             for p in range(0, sfc.n + 1):
                 for k in sfc.complex.degrees():
-                    d0 = sfc.component_matrix(k, p, 0)
-                    dprev = sfc.component_matrix(k - 1, p, 0)
+                    d0 = component_matrix(sfc, k, p, 0)
+                    dprev = component_matrix(sfc, k - 1, p, 0)
                     dim = len(sfc.block_indices(k, p)) - d0.rank() - dprev.rank()
                     if dim:
                         want[(p, k - p)] = dim
@@ -427,6 +428,17 @@ def test_tower_over_larger_primes():
         assert conv.einf_total_dims() == sfc.complex.cohomology().dims()
 
 
+def assert_h_filtration_matches_oracle(fc, conv):
+    """h_dim(p, k) against the kernel formula at every p in 0..n+1 and every
+    degree, zeros included; each stored entry is a change point of p."""
+    want = oracle_h_filtration(fc)
+    for p in range(0, fc.n + 2):
+        for k in fc.complex.degrees():
+            assert conv.h_dim(p, k) == want.get((p, k), 0)
+    for (p, k), h in conv.h_filtration.items():
+        assert h != conv.h_dim(p + 1, k)
+
+
 def conjugated(rng, fc, scalar=random_scalar):
     """fc with the complex and every filtration span moved by a random
     degreewise isomorphism: the same tower through dense, non-coordinate
@@ -480,15 +492,13 @@ def test_h_filtration_matches_kernel_formula():
     # F_pH from prefix ranks against the kernel/hstack formula, and H from
     # ranks of d against cohomology(), for split towers and their
     # conjugated general FilteredComplex
-    from helpers import oracle_h_filtration
-
     rng = random.Random(909)
     for trial in range(24):
         field = (Field(2), Field(3), Field(2 ** 61 - 1), Field())[trial % 4]
         sfc = random_split_complex(rng, field, max_gens=18, max_len=5)
         for fc in (sfc, conjugated(rng, sfc)):
             conv = fc.converge()
-            assert conv.h_filtration == oracle_h_filtration(fc)
+            assert_h_filtration_matches_oracle(fc, conv)
             assert conv.h_dims == fc.complex.cohomology().dims()
             assert conv.certified
 
@@ -498,7 +508,7 @@ def test_q_towers_with_wide_rationals_match_oracles():
     # denominators up to 97: the W columns (page-0 representatives) equal a
     # textbook Fraction reduction entry for entry, and every page and F_pH
     # match the subquotient oracle and the kernel formula
-    from helpers import DensePageOracle, oracle_h_filtration, oracle_reduction_basis, random_wide_scalar
+    from helpers import DensePageOracle, oracle_reduction_basis, random_wide_scalar
 
     rng = random.Random(9797)
     for _ in range(10):
@@ -515,7 +525,7 @@ def test_q_towers_with_wide_rationals_match_oracles():
                 assert fc.page(r).dims() == oracle.page_dims(r, fc.complex.degrees())
             conv = fc.converge()
             assert conv.certified
-            assert conv.h_filtration == oracle_h_filtration(fc)
+            assert_h_filtration_matches_oracle(fc, conv)
 
 
 def test_incremental_pages_on_sparse_block_indices():
@@ -523,7 +533,7 @@ def test_incremental_pages_on_sparse_block_indices():
     # nothing and have no d_r, and F_1, F_2, F_4, F_5, F_6 add no
     # generator; every page and F_pH against the oracles, for split towers
     # and their conjugated general FilteredComplex
-    from helpers import DensePageOracle, oracle_h_filtration
+    from helpers import DensePageOracle
 
     rng = random.Random(3737)
     checked = 0
@@ -541,7 +551,7 @@ def test_incremental_pages_on_sparse_block_indices():
                 assert fc.page(r + 1).dims() == fc.page(r).dims()
             conv = fc.converge()
             assert conv.certified
-            assert conv.h_filtration == oracle_h_filtration(fc)
+            assert_h_filtration_matches_oracle(fc, conv)
         checked += 1
 
 
@@ -563,6 +573,21 @@ def test_certification_does_not_read_the_pairing():
         assert conv.certified is False
         assert conv.h_filtration == clean.h_filtration
         checked += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(FIELDS), st.integers(1, 5), st.sampled_from([0, 1, 3, 10 ** 30]))
+def test_scaled_block_indices_give_the_page_at_the_ceiling(seed, field, c, o):
+    # block p -> c p + o multiplies every pair gap by c, so E_r of the scaled
+    # tower is E_ceil(r/c) of the original with (p, q) -> (c p + o, q + p - c p - o)
+    sfc = random_split_complex(random.Random(seed), field, max_gens=14, max_len=4)
+    scaled = SplitFilteredComplex(sfc.complex, {g: c * p + o for g, p in sfc.blocks.items()})
+    for r in range(0, c * (sfc.n + 1) + 2):
+        want = {(c * p + o, q + p - c * p - o): d for (p, q), d in sfc.page(-(-r // c)).dims().items()}
+        assert scaled.page(r).dims() == want
+    conv = scaled.converge()
+    assert conv.certified
+    assert conv.einf == {(c * p + o, q + p - c * p - o): d for (p, q), d in sfc.converge().einf.items()}
 
 
 def test_tower_invariant_under_global_change_of_basis():
