@@ -40,7 +40,7 @@ from .localsystems import (
     parse_word,
     transport,
 )
-from .matrix import Matrix, quotient_basis, span_contains, subquotient_dim
+from .matrix import Matrix, quotient_basis, span_contains
 from .morse import CellularData, MorseData, Trajectory, cellular_complex, morse_complex
 from .documents import Document, load_document, parse_text, print_document
 from .spectral import (
@@ -104,7 +104,6 @@ __all__ = [
     "print_document",
     "quotient_basis",
     "span_contains",
-    "subquotient_dim",
     "tensor_product",
     "transport",
     "transport_compose_check",

@@ -116,7 +116,17 @@ def _matrix_out(field, m):
     return [[i, j, _scalar_out(field, v)] for i, j, v in m.entries()]
 
 
+def _list_in(body, key, what):
+    """body[key] as a list, [] when the key is absent."""
+    v = body.get(key, [])
+    if not isinstance(v, list):
+        raise ParseError("%s: bad %s %r, expected a list" % (what, key, v))
+    return v
+
+
 def _matrix_in(field, nrows, ncols, triples, what):
+    if not isinstance(triples, list):
+        raise ParseError("%s: bad matrix %r, expected a list of entries" % (what, triples))
     ent = []
     for t in triples:
         if not isinstance(t, list) or len(t) != 3:
@@ -166,7 +176,7 @@ def _complex_from_body(field, body, what, check=True):
             raise ParseError("%s: bad generator %r" % (what, g))
         pairs.append((str(g[0]), g[1]))
     entries = []
-    for e in body.get("differential", []):
+    for e in _list_in(body, "differential", what):
         if not isinstance(e, list) or len(e) != 3:
             raise ParseError("%s: bad differential entry %r" % (what, e))
         entries.append((str(e[0]), str(e[1]), _scalar_in(field, e[2])))
@@ -188,16 +198,13 @@ def _graph_out(g):
 
 def _graph_in(body, what="base_graph"):
     verts = _object_in(body, what).get("vertices")
-    edges = body.get("edges", [])
-    if not isinstance(verts, list) or not isinstance(edges, list):
-        raise ParseError("%s: bad vertices/edges" % what)
+    if not isinstance(verts, list):
+        raise ParseError("%s: bad vertices" % what)
+    edges = _list_in(body, "edges", what)
     for e in edges:
         if not isinstance(e, list) or len(e) != 3:
             raise ParseError("%s: bad edge %r" % (what, e))
-    rels = body.get("relations", [])
-    if not isinstance(rels, list):
-        raise ParseError("%s: bad relations" % what)
-    return BaseGraph(verts, edges, [_word_in(w, what + " relation") for w in rels])
+    return BaseGraph(verts, edges, [_word_in(w, what + " relation") for w in _list_in(body, "relations", what)])
 
 
 def _local_system_in(field, graph, body, what="local_system"):
@@ -232,7 +239,7 @@ def _morse_in(field, body, what="morse_data"):
             raise ParseError("%s: bad point %r" % (what, p))
         points.append((str(p[0]), p[1]))
     trajs = []
-    for t in body.get("trajectories", []):
+    for t in _list_in(body, "trajectories", what):
         if not isinstance(t, list) or len(t) != 5:
             raise ParseError("%s: bad trajectory %r" % (what, t))
         tid, src, dst, sign, word = t
@@ -299,11 +306,8 @@ def parse_document(obj, field_override=None):
     if kind == "filtered_complex":
         cx = _complex_from_body(field, obj.get("complex", {}), "filtered_complex.complex")
         steps = []
-        filt = obj.get("filtration", [])
-        if not isinstance(filt, list):
-            raise ParseError("filtered_complex: bad filtration")
         by_p = {}
-        for st in filt:
+        for st in _list_in(obj, "filtration", "filtered_complex"):
             if not isinstance(st, dict) or "p" not in st or not isinstance(st.get("spans", {}), dict):
                 raise ParseError("filtered_complex: bad filtration step %r" % (st,))
             by_p[_int_in(st["p"], "filtered_complex filtration step p")] = st.get("spans", {})
@@ -347,11 +351,11 @@ def parse_document(obj, field_override=None):
         if not isinstance(carrier, list) or not carrier:
             raise ParseError("local_subsystem: missing carrier")
         paths = []
-        for p in obj.get("paths", []):
+        for p in _list_in(obj, "paths", "local_subsystem"):
             if not isinstance(p, dict) or "name" not in p or "word" not in p:
                 raise ParseError("local_subsystem: bad path %r" % (p,))
             m = _matrix_in(field, dim, dim, p.get("transport", []),
-                           "local_subsystem path %r" % p["name"])
+                           "local_subsystem path %r transport" % p["name"])
             paths.append((p["name"], _word_in(p["word"], "local_subsystem"), m))
         return Document(kind, field, LocalSubsystem(field, dim, carrier, paths))
 
@@ -376,12 +380,12 @@ def parse_document(obj, field_override=None):
                 raise ParseError("cellular_data: bad filtration")
             filt = {c: _int_in(p, "cellular_data filtration of %r" % c) for c, p in filt.items()}
         incs = []
-        for e in obj.get("incidences", []):
+        for e in _list_in(obj, "incidences", "cellular_data"):
             if not isinstance(e, list) or len(e) != 4 or not isinstance(e[2], int):
                 raise ParseError("cellular_data: bad incidence %r" % (e,))
             incs.append((e[0], e[1], e[2], _word_in(e[3], "cellular_data")))
         excs = []
-        for e in obj.get("exceptional", []):
+        for e in _list_in(obj, "exceptional", "cellular_data"):
             if not isinstance(e, list) or len(e) != 4:
                 raise ParseError("cellular_data: bad exceptional incidence %r" % (e,))
             excs.append((e[0], e[1], _word_in(e[2], "cellular_data"), _word_in(e[3], "cellular_data")))
@@ -420,7 +424,7 @@ def parse_document(obj, field_override=None):
                 for k, tr in by_deg.items()
             }
         corr = []
-        for c in obj.get("corrections", []):
+        for c in _list_in(obj, "corrections", "fibration_data"):
             if not isinstance(c, list) or len(c) != 5:
                 raise ParseError("fibration_data: bad correction %r" % (c,))
             corr.append((c[0], c[1], c[2], c[3], _scalar_in(field, c[4])))

@@ -21,7 +21,7 @@ engine always works in raw (Morse index, fiber degree) coordinates.
 
 from fractions import Fraction
 
-from .complexes import ChainMap, CochainComplex
+from .complexes import ChainMap, CochainComplex, GradedBasis
 from .errors import InvariantError, ParseError, PreconditionError
 from .localsystems import LocalSystem, free_reduce, word_inverse
 from .matrix import Matrix
@@ -414,12 +414,11 @@ def _check_action_decreasing(sfc, act):
     cx = sfc.complex
     for k in cx.degrees():
         src, tgt = cx.basis.gens(k), cx.basis.gens(k + 1)
-        for i, j, _ in cx.d(k).entries():
-            if not act[tgt[i]] < act[src[j]]:
-                raise InvariantError(
-                    "differential entry %r -> %r does not strictly decrease the action"
-                    % (src[j], tgt[i])
-                )
+        bad = [(i, j) for i, j in cx.d(k).support() if not act[tgt[i]] < act[src[j]]]
+        if bad:
+            i, j = min(bad)
+            raise InvariantError("differential entry %r -> %r does not strictly decrease the action"
+                                 % (src[j], tgt[i]))
 
 
 def action_window(sfc, action, a=None, b=None):
@@ -440,13 +439,9 @@ def _window(sfc, act, a, b):
     gens = [(g, k) for g, k in cx.basis.generators
             if (a is None or a <= act[g]) and (b is None or act[g] <= b)]
     kept = {g for g, _ in gens}
-    entries = []
-    for k in cx.degrees():
-        src, tgt = cx.basis.gens(k), cx.basis.gens(k + 1)
-        for i, j, v in cx.d(k).entries():
-            if src[j] in kept and tgt[i] in kept:
-                entries.append((src[j], tgt[i], v))
-    sub = CochainComplex.from_generator_entries(cx.field, gens, entries, check=True)
+    pos = {k: [i for i, g in enumerate(cx.basis.gens(k)) if g in kept] for k in cx.degrees()}
+    diff = {k: cx.d(k).submatrix(pos.get(k + 1, ()), pos[k]) for k in cx.degrees()}
+    sub = CochainComplex(cx.field, GradedBasis(gens), diff, check=True)
     return SplitFilteredComplex(sub, {g: sfc.blocks[g] for g, _ in gens})
 
 
@@ -482,6 +477,6 @@ def truncation_map(sfc, action, src_window, dst_window):
             i = dpos.get(g)
             if i is not None:
                 ent[(i, j)] = sfc.complex.field.one
-        blocks[k] = Matrix(sfc.complex.field, dst.complex.dim(k), len(sgens), ent, _normalized=True)
+        blocks[k] = Matrix(sfc.complex.field, dst.complex.dim(k), len(sgens), ent)
     cmap = ChainMap(src.complex, dst.complex, blocks, check=True)
     return FilteredChainMap(cmap, src, dst, check=True)

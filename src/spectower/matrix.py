@@ -2,33 +2,38 @@
 
 Everything downstream (cohomology, page towers, transport) reduces to
 rank / kernel / solve over an exact field, so this module is the
-performance floor of the package.  Vectors are kept sparse: packed
-integer bitmasks over F_2, where the heaviest instances live, dicts
-{index: residue} over F_p and dicts {index: int} over Q.  Over Q every
-kernel clears denominators once and combines integer vectors by
-a*x - b*y with the content divided out (Bareiss-style, fraction-free).
+performance floor of the package.
 
-One elimination.  All elimination is one left-to-right pass over the packed
+Columns are the one stored form of a Matrix (the column-major layout of
+PHAT, Bauer-Kerber-Reininghaus-Wagner 2017).  `cols[j]` is column j:
+an int bitmask over F_2 (bit i set iff entry (i, j) is 1), where the
+heaviest instances live, and a dict {row: value} of nonzero values
+otherwise, residues in [1, p) over F_p.  Over Q the dict values are ints
+and the matrix is cols / den for one positive int `den`, with the content
+divided out (gcd(den, every value) = 1) so that equality stays
+structural.  A product over Q multiplies integer columns and the two
+denominators; elimination combines integer columns by a*x - b*y with the
+content divided out (Bareiss-style, fraction-free).  The accessors
+`entries`, `get` and `to_dense` are the only places that build Fractions.
+
+One elimination.  All elimination is one left-to-right pass over the
 columns, each reduced against the earlier column owning its lowest entry
-(the column reduction R = D V of persistence; PHAT, Bauer-Kerber-
-Reininghaus-Wagner 2017).  A column is a pivot column iff it grows the
-span of the columns before it, which is the RREF pivot set.  `rank`,
-`pivot_columns` and the subspace helpers keep no V (`_grows`); `kernel`
-and `solve` track each column's combination V (`_tracked`), and read the
-canonical RREF kernel basis and free-variables-zero solution off it.
-Over Q the pass builds no Fraction until the output, one per entry.
+(the column reduction R = D V of persistence).  A column is a pivot
+column iff it grows the span of the columns before it, which is the RREF
+pivot set.  `rank`, `pivot_columns` and the subspace helpers keep no V
+(`_grows`); `kernel` and `solve` track each column's combination V
+(`_tracked`), and read the canonical RREF kernel basis and
+free-variables-zero solution off it.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InvariantError
-from .field import Field
 
 __all__ = [
     "Matrix",
     "span_contains",
-    "subquotient_dim",
     "quotient_basis",
 ]
 
@@ -36,48 +41,48 @@ __all__ = [
 class Matrix:
     """A sparse matrix over a Field.  Treat instances as immutable values.
 
-    Entries are stored as a dict {(row, col): value} holding only nonzero
-    canonical scalars.  Equality is structural (field, shape, entries).
+    Stored as columns: `cols` (bitmasks over F_2, {row: value} dicts
+    otherwise) and `den`, the positive denominator over Q and 1 over F_p.
+    Equality is structural (field, shape, columns, denominator).
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_e", "_piv")
+    __slots__ = ("field", "nrows", "ncols", "cols", "den", "_piv")
 
-    def __init__(self, field, nrows, ncols, entries=None, _normalized=False):
-        self.field = field
-        self.nrows = nrows
-        self.ncols = ncols
-        if entries is None:
-            entries = {}
-        if not _normalized:
-            clean = {}
-            zero = field.zero
-            for (i, j), v in entries.items():
-                if not (0 <= i < nrows and 0 <= j < ncols):
-                    raise ValueError("entry (%d,%d) outside %dx%d" % (i, j, nrows, ncols))
+    def __init__(self, field, nrows, ncols, entries=None):
+        """From a dict {(row, col): value} of scalars Field.normalize accepts."""
+        self._fill(field, nrows, ncols, [(i, j, v) for (i, j), v in (entries or {}).items()])
+
+    def _fill(self, field, nrows, ncols, triples):
+        p = field.p
+        cols = [0 if p == 2 else {} for _ in range(ncols)]
+        for i, j, v in triples:
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise ValueError("entry (%d,%d) outside %dx%d" % (i, j, nrows, ncols))
+            if type(v) is not int:
                 v = field.normalize(v)
-                if v != zero:
-                    clean[(i, j)] = v
-            entries = clean
-        self._e = entries
-        self._piv = None
+            elif p is not None:  # reduced mod p; over Q an int stays an int
+                v %= p
+            if p == 2:
+                cols[j] ^= v << i
+            else:
+                col = cols[j]
+                col[i] = col[i] + v if i in col else v
+        den = 1
+        if p is None:  # the lcm of reduced denominators leaves no common content
+            den = lcm(*[v.denominator for col in cols for v in col.values()])
+            cols = [{i: v.numerator * (den // v.denominator) for i, v in col.items() if v} for col in cols]
+        elif p != 2:
+            cols = [{i: v % p for i, v in col.items() if v % p} for col in cols]
+        self.field, self.nrows, self.ncols, self.cols, self.den, self._piv = field, nrows, ncols, cols, den, None
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def from_entries(cls, field, nrows, ncols, triples):
         """Build from (row, col, value) triples; duplicates accumulate."""
-        zero = field.zero
-        acc = {}
-        for i, j, v in triples:
-            if not (0 <= i < nrows and 0 <= j < ncols):
-                raise ValueError("entry (%d,%d) outside %dx%d" % (i, j, nrows, ncols))
-            v = field.normalize(v)
-            key = (i, j)
-            if key in acc:
-                v = field.add(acc[key], v)
-            acc[key] = v
-        acc = {k: v for k, v in acc.items() if v != zero}
-        return cls(field, nrows, ncols, acc, _normalized=True)
+        m = cls.__new__(cls)
+        m._fill(field, nrows, ncols, triples)
+        return m
 
     @classmethod
     def from_rows(cls, field, rows, ncols=None):
@@ -91,12 +96,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n):
-        one = field.one
-        return cls(field, n, n, {(i, i): one for i in range(n)}, _normalized=True)
+        return _matrix(field, n, [1 << i if field.p == 2 else {i: 1} for i in range(n)])
 
     @classmethod
     def zero(cls, field, nrows, ncols):
-        return cls(field, nrows, ncols, {}, _normalized=True)
+        return _matrix(field, nrows, [0 if field.p == 2 else {} for _ in range(ncols)])
 
     @classmethod
     def column_vector(cls, field, values):
@@ -105,19 +109,20 @@ class Matrix:
 
     @classmethod
     def basis_column(cls, field, n, i):
-        return cls(field, n, 1, {(i, 0): field.one}, _normalized=True)
+        return cls(field, n, 1, {(i, 0): field.one})
 
     @classmethod
     def hstack(cls, field, nrows, mats):
-        ent = {}
-        off = 0
+        """The matrices side by side; over Q on the lcm of their denominators,
+        which leaves no common content."""
         for m in mats:
             if m.nrows != nrows or m.field != field:
                 raise ValueError("hstack shape/field mismatch")
-            for (i, j), v in m._e.items():
-                ent[(i, j + off)] = v
-            off += m.ncols
-        return cls(field, nrows, off, ent, _normalized=True)
+        den, cols = lcm(*[m.den for m in mats]), []
+        for m in mats:
+            s = den // m.den
+            cols += m.cols if s == 1 else [{i: s * v for i, v in c.items()} for c in m.cols]
+        return _matrix(field, nrows, cols, den)
 
     # -- basic structure -------------------------------------------------
 
@@ -126,25 +131,42 @@ class Matrix:
         return (self.nrows, self.ncols)
 
     def entries(self):
-        """Sorted (row, col, value) triples."""
-        return [(i, j, v) for (i, j), v in sorted(self._e.items())]
+        """Sorted (row, col, value) triples; over Q one Fraction per entry."""
+        if self.field.p == 2:
+            out = [(i, j, 1) for j, x in enumerate(self.cols) for i in _bits(x)]
+        elif self.field.p is None:
+            den = self.den
+            out = [(i, j, Fraction(v, den)) for j, c in enumerate(self.cols) for i, v in c.items()]
+        else:
+            out = [(i, j, v) for j, c in enumerate(self.cols) for i, v in c.items()]
+        return sorted(out, key=lambda t: (t[0], t[1]))
+
+    def support(self):
+        """(row, col) of each nonzero entry, column by column."""
+        if self.field.p == 2:
+            return [(i, j) for j, x in enumerate(self.cols) for i in _bits(x)]
+        return [(i, j) for j, c in enumerate(self.cols) for i in c]
 
     def get(self, i, j):
-        return self._e.get((i, j), self.field.zero)
+        col = self.cols[j]
+        if self.field.p == 2:
+            return col >> i & 1
+        return col.get(i, 0) if self.field.p else Fraction(col.get(i, 0), self.den)
 
     @property
     def nnz(self):
-        return len(self._e)
+        return sum(x.bit_count() for x in self.cols) if self.field.p == 2 else sum(map(len, self.cols))
 
     def is_zero(self):
-        return not self._e
+        return not any(self.cols)
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.field == other.field
             and self.shape == other.shape
-            and self._e == other._e
+            and self.den == other.den
+            and self.cols == other.cols
         )
 
     __hash__ = None
@@ -155,7 +177,7 @@ class Matrix:
     def to_dense(self):
         zero = self.field.zero
         out = [[zero] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self._e.items():
+        for i, j, v in self.entries():
             out[i][j] = v
         return out
 
@@ -164,21 +186,24 @@ class Matrix:
     def __add__(self, other):
         if self.field != other.field or self.shape != other.shape:
             raise ValueError("shape/field mismatch in +")
-        f = self.field
-        zero = f.zero
-        ent = dict(self._e)
-        for k, v in other._e.items():
-            nv = f.add(ent.get(k, zero), v)
-            if nv == zero:
-                ent.pop(k, None)
-            else:
-                ent[k] = nv
-        return Matrix(self.field, self.nrows, self.ncols, ent, _normalized=True)
+        f, p = self.field, self.field.p
+        if p == 2:
+            return _matrix(f, self.nrows, [x ^ y for x, y in zip(self.cols, other.cols)])
+        den = lcm(self.den, other.den)
+        sx, sy, out = den // self.den, den // other.den, []
+        for x, y in zip(self.cols, other.cols):
+            z = {i: sx * v for i, v in x.items()}
+            for i, v in y.items():
+                z[i] = z.get(i, 0) + sy * v
+            out.append({i: v % p for i, v in z.items() if v % p} if p else {i: v for i, v in z.items() if v})
+        return _matrix(f, self.nrows, out, den)
 
     def __neg__(self):
-        f = self.field
-        ent = {k: f.neg(v) for k, v in self._e.items()}
-        return Matrix(self.field, self.nrows, self.ncols, ent, _normalized=True)
+        p = self.field.p
+        if p == 2:
+            return self
+        return _matrix(self.field, self.nrows, [{i: p - v if p else -v for i, v in c.items()} for c in self.cols],
+                       self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -188,8 +213,12 @@ class Matrix:
         c = f.normalize(c)
         if c == f.zero:
             return Matrix.zero(f, self.nrows, self.ncols)
-        ent = {k: f.mul(v, c) for k, v in self._e.items()}
-        return Matrix(f, self.nrows, self.ncols, ent, _normalized=True)
+        if f.p == 2:
+            return self
+        if f.p:
+            return _matrix(f, self.nrows, [{i: v * c % f.p for i, v in x.items()} for x in self.cols])
+        n = c.numerator
+        return _matrix(f, self.nrows, [{i: v * n for i, v in x.items()} for x in self.cols], self.den * c.denominator)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -198,69 +227,62 @@ class Matrix:
             raise ValueError(
                 "cannot multiply %dx%d by %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols)
             )
-        f = self.field
-        p = f.p
-        if p == 2:  # columns of self as row bitmasks, XORed along each column of other
-            cols, acc, ent = _packed_columns(self), {}, {}
-            for j, l in other._e:
-                acc[l] = acc.get(l, 0) ^ cols[j]
-            for l, x in acc.items():
-                while x:
-                    ent[((x & -x).bit_length() - 1, l)] = 1
-                    x &= x - 1
-            return Matrix(f, self.nrows, other.ncols, ent, _normalized=True)
-        a, b = self._e, other._e
-        if p is None:  # integer factors: self = a / ad, other = b / bd
-            ad, (a,) = clear_denominators([a])
-            bd, (b,) = clear_denominators([b])
-        by_col = {}
-        for (i, j), v in a.items():
-            by_col.setdefault(j, []).append((i, v))
-        acc = {}
-        for (j, l), w in b.items():
-            for i, v in by_col.get(j, ()):
-                key = (i, l)
-                acc[key] = acc.get(key, 0) + v * w
-        if p is not None:
-            ent = {k: s % p for k, s in acc.items() if s % p}
-        else:
-            den = ad * bd
-            ent = {k: Fraction(s, den) for k, s in acc.items() if s}
-        return Matrix(f, self.nrows, other.ncols, ent, _normalized=True)
+        # column l of the product is self applied to column l of other;
+        # over Q on integer columns, over the product of the denominators
+        f, a = self.field, self.cols
+        return _matrix(f, self.nrows, [_apply(f, a, y) for y in other.cols], self.den * other.den)
 
     def transpose(self):
-        ent = {(j, i): v for (i, j), v in self._e.items()}
-        return Matrix(self.field, self.ncols, self.nrows, ent, _normalized=True)
+        if self.field.p == 2:
+            out = [0] * self.nrows
+            for j, x in enumerate(self.cols):
+                for i in _bits(x):
+                    out[i] |= 1 << j
+        else:
+            out = [{} for _ in range(self.nrows)]
+            for j, c in enumerate(self.cols):
+                for i, v in c.items():
+                    out[i][j] = v
+        return _matrix(self.field, self.ncols, out, self.den)
 
     def take_columns(self, cols):
-        pos = {c: k for k, c in enumerate(cols)}
-        ent = {}
-        for (i, j), v in self._e.items():
-            k = pos.get(j)
-            if k is not None:
-                ent[(i, k)] = v
-        return Matrix(self.field, self.nrows, len(cols), ent, _normalized=True)
+        return _matrix(self.field, self.nrows, [self.cols[c] for c in cols], self.den)
 
     def take_rows(self, rows):
-        pos = {r: k for k, r in enumerate(rows)}
-        ent = {}
-        for (i, j), v in self._e.items():
-            k = pos.get(i)
-            if k is not None:
-                ent[(k, j)] = v
-        return Matrix(self.field, len(rows), self.ncols, ent, _normalized=True)
+        if self.field.p != 2:
+            pos = {r: k for k, r in enumerate(rows)}
+            return _matrix(self.field, len(rows), [{pos[i]: v for i, v in c.items() if i in pos} for c in self.cols],
+                           self.den)
+        runs, start = [], 0  # over F_2 a run of rows that stay adjacent moves as one shift
+        for k in range(1, len(rows) + 1):
+            if k == len(rows) or rows[k] != rows[k - 1] + 1:
+                runs.append((rows[start], start, (1 << (k - start)) - 1))
+                start = k
+        bit, out = {r: 1 << k for k, r in enumerate(rows)}, []
+        for x in self.cols:
+            y = 0
+            if len(runs) < x.bit_count():  # fewer shifts than bits
+                y = sum((x >> s & m) << t for s, t, m in runs)
+                x = 0
+            while x:
+                low = x & -x
+                y |= bit.get(low.bit_length() - 1, 0)
+                x ^= low
+            out.append(y)
+        return _matrix(self.field, len(rows), out)
 
     def submatrix(self, rows, cols):
-        return self.take_rows(rows).take_columns(cols)
+        return self.take_columns(cols).take_rows(rows)
 
     # -- elimination ------------------------------------------------------
 
     def _pivots(self):
         """The columns outside the span of the columns before them: one
-        `_grows` pass (over Q on cleared ints), or `kernel`'s / `solve`'s."""
+        `_grows` pass (over Q on the integer columns), or `kernel`'s /
+        `solve`'s."""
         if self._piv is None:
             basis, f = {}, self.field
-            self._piv = tuple(j for j, col in enumerate(_integral_columns(self)[1]) if _grows(f, basis, col))
+            self._piv = tuple(j for j, col in enumerate(self.cols) if _grows(f, basis, col))
         return self._piv
 
     def rank(self):
@@ -272,7 +294,7 @@ class Matrix:
         return self._pivots()
 
     def _column_pass(self, cols):
-        """One tracked pass over the first ncols packed `cols`: (the echelon
+        """One tracked pass over the first ncols columns `cols`: (the echelon
         basis {low: (column, V)}, [(j, V)] for each column j in the span of
         the columns before it); caches the pivot columns."""
         f, basis, deps, piv = self.field, {}, [], []
@@ -292,7 +314,7 @@ class Matrix:
         earlier pivot columns only, so V / V[j] is the kernel vector that is
         1 at j and 0 at every other free column: the RREF basis.
         """
-        deps = self._column_pass(_integral_columns(self)[1])[1]
+        deps = self._column_pass(self.cols)[1]
         return _combinations(self.field, self.ncols, deps)
 
     def solve(self, rhs):
@@ -307,7 +329,7 @@ class Matrix:
         if rhs.nrows != self.nrows or rhs.field != self.field:
             raise ValueError("solve: shape/field mismatch")
         f, n = self.field, self.ncols
-        cols = _integral_columns(Matrix.hstack(f, self.nrows, [self, rhs]))[1]
+        cols = Matrix.hstack(f, self.nrows, [self, rhs]).cols  # over Q a common rescaling: same V
         basis = self._column_pass(cols)[0]
         sols = []
         for col in cols[n:]:
@@ -333,35 +355,67 @@ class Matrix:
         return x
 
 
+def _matrix(field, nrows, cols, den=1):
+    """The Matrix cols / den from columns with no zero entry; over Q the
+    content is divided out and den made positive."""
+    if den != 1:
+        g = gcd(den, *[v for c in cols for v in c.values()])
+        g = -g if den < 0 else g
+        if g != 1:
+            cols = [{i: v // g for i, v in c.items()} for c in cols]
+            den //= g
+    m = Matrix.__new__(Matrix)
+    m.field, m.nrows, m.ncols, m.cols, m.den, m._piv = field, nrows, len(cols), cols, den, None
+    return m
+
+
+def _divided(field, nrows, pairs):
+    """The Matrix whose k-th column is col / d for the k-th (col, d) of
+    pairs: integer dict columns over one lcm over Q; over F_p d is a unit,
+    and over F_2 d = 1 and col a bitmask."""
+    if field.p is None:
+        den = lcm(*[d for _, d in pairs])
+        return _matrix(field, nrows, [c if d == den else {i: v * (den // d) for i, v in c.items()}
+                                      for c, d in pairs], den)
+    return _matrix(field, nrows, [c if d == 1 else {i: field.div(v, d) for i, v in c.items()} for c, d in pairs])
+
+
+def _low(col):
+    """The largest row of a nonzero column."""
+    return col.bit_length() - 1 if type(col) is int else max(col)
+
+
+def _bits(x):
+    """The set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 # -- elimination cores ----------------------------------------------------
 
 
-def _packed_columns(m, index=None):
-    """The columns of m as int bitmasks over F_2, {row: value} dicts
-    otherwise; rows renumbered through `index` when it is given."""
-    f2 = m.field.p == 2
-    cols = [0 if f2 else {} for _ in range(m.ncols)]
-    for (i, j), v in m._e.items():
-        if index is not None:
-            i = index[i]
-        if f2:
-            cols[j] |= 1 << i
-        else:
-            cols[j][i] = v
-    return cols
-
-
-def _integral_columns(m, index=None):
-    """(δ, packed columns of δ·m): over Q δ clears every denominator of m
-    and the columns hold ints; δ = 1 over F_p."""
-    if m.field.p is not None:
-        return 1, _packed_columns(m, index)
-    den, (e,) = clear_denominators([m._e])
-    return den, _packed_columns(Matrix(m.field, m.nrows, m.ncols, e, _normalized=True), index)
+def _apply(f, cols, vec):
+    """sum_i vec_i * cols[i] for columns `cols` and a column `vec`."""
+    if f.p == 2:
+        out = 0
+        while vec:
+            low = vec & -vec
+            out ^= cols[low.bit_length() - 1]
+            vec ^= low
+        return out
+    acc = {}
+    for i, c in vec.items():
+        for r, v in cols[i].items():
+            acc[r] = acc.get(r, 0) + c * v
+    if f.p is not None:
+        return {r: v % f.p for r, v in acc.items() if v % f.p}
+    return {r: v for r, v in acc.items() if v}
 
 
 def _sub(f, col, c, other):
-    """col - c * other for packed columns; dict columns change in place."""
+    """col - c * other for columns; dict columns change in place."""
     if f.p == 2:
         return col ^ other
     for i, v in other.items():
@@ -436,34 +490,11 @@ def _tracked(f, basis, j, col):
 
 def _combinations(f, nrows, deps):
     """The nrows x len(deps) matrix whose k-th column is v[:nrows] / v[t]
-    for the k-th (t, v) of deps: one Fraction per entry over Q; over F_p
-    v[t] = ±1, its own inverse."""
-    ent = {}
+    for the k-th (t, v) of deps; over F_p v[t] = ±1."""
     if f.p == 2:
         low = (1 << nrows) - 1
-        for k, (_, v) in enumerate(deps):
-            x = v & low
-            while x:
-                ent[((x & -x).bit_length() - 1, k)] = 1
-                x &= x - 1
-    else:
-        for k, (t, v) in enumerate(deps):
-            for i, x in v.items():
-                if i < nrows:
-                    ent[(i, k)] = (x if v[t] == 1 else f.neg(x)) if f.p else Fraction(x, v[t])
-    return Matrix(f, nrows, len(deps), ent, _normalized=True)
-
-
-def clear_denominators(vecs):
-    """(δ, [δ·v for v in vecs]) for dicts of Fractions, δ the lcm of all
-    their denominators: the scaled dicts hold ints."""
-    den = lcm(*[v.denominator for x in vecs for v in x.values()])
-    return den, [{i: v.numerator * (den // v.denominator) for i, v in x.items()} for x in vecs]
-
-
-def as_fractions(vec, den):
-    """The dict of Fractions vec / den for an integer dict vec."""
-    return {i: Fraction(v, den) for i, v in vec.items()}
+        return _matrix(f, nrows, [v & low for _, v in deps])
+    return _divided(f, nrows, [({i: x for i, x in v.items() if i < nrows}, v[t]) for t, v in deps])
 
 
 def int_combine(a, xs, b, ys, den=0):
@@ -505,13 +536,6 @@ def span_contains(big, small):
         raise ValueError("span_contains: shape/field mismatch")
     pivots = Matrix.hstack(big.field, big.nrows, [big, small]).pivot_columns()
     return not pivots or pivots[-1] < big.ncols
-
-
-def subquotient_dim(z, b):
-    """dim(span z / span b); raises InvariantError unless span b ⊆ span z."""
-    if not span_contains(z, b):
-        raise InvariantError("subquotient: B is not contained in Z")
-    return z.rank() - b.rank()
 
 
 def quotient_basis(z, b):

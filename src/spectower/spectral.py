@@ -18,8 +18,8 @@ both ends of each gap-s pair, and page(r) is a view of the last
 breakpoint at or below r with d_r from the gap-r pairs.  Work grows with
 the pairs, not with the filtration length.  A FilteredComplex is split
 first by bases adapted to F_n ⊆ ... ⊆ F_1 ⊆ C^k.  Checks that run:
-R = D V, column by column on the packed columns (over Q as the integer
-identity D' V' = δ R' on denominator-cleared columns); d_r o d_r = 0 and
+R = D V, column by column on the columns of d (over Q as the integer
+identity D' V' = δ R' on its integer columns D' = δ d); d_r o d_r = 0 and
 E_{r+1} = H(E_r, d_r) dimensionwise wherever d_r ≠ 0, the only places a
 page changes; and `converge` certifies E_inf against F_pH and H,
 neither read from the pairing:
@@ -43,8 +43,7 @@ from bisect import bisect_left, bisect_right
 
 from .complexes import CochainComplex
 from .errors import InvariantError, PreconditionError
-from .matrix import (Matrix, _grows, _integral_columns, _packed_columns, _sub, as_fractions, int_combine,
-                     quotient_basis, span_contains)
+from .matrix import Matrix, _apply, _divided, _grows, _low, _sub, int_combine, quotient_basis, span_contains
 
 __all__ = [
     "FilteredComplex",
@@ -144,33 +143,16 @@ class ConvergenceReport:
         return dict(sorted(out.items()))
 
 
-def _apply(f, cols, vec):
-    """sum_i vec_i * cols[i] for packed columns."""
-    if f.p == 2:
-        out = 0
-        while vec:
-            i = vec.bit_length() - 1
-            out ^= cols[i]
-            vec ^= 1 << i
-        return out
-    acc = {}
-    for i, c in vec.items():
-        for r, v in cols[i].items():
-            acc[r] = acc.get(r, 0) + c * v
-    if f.p is not None:
-        return {r: v % f.p for r, v in acc.items() if v % f.p}
-    return {r: v for r, v in acc.items() if v}
-
-
 class _Reduction:
     """The reduction R = D V of a split complex and the pages it yields.
 
     Generators of C^k are indexed in block-descending order (`order[k]`
-    lists their positions), so F_p C^k is a prefix.  Columns in index
-    coordinates are int bitmasks over F_2, {index: value} dicts otherwise.
-    Over Q the reduction runs on ints: with D = D'/δ for an integer D',
-    the R and V columns j are integer columns over one denominator
-    den_j, and R = D V is checked as D' V'_j = δ R'_j.
+    lists their positions, `index[k]` the inverse), so F_p C^k is a prefix.
+    Columns in index coordinates are int bitmasks over F_2, {index: value}
+    dicts otherwise.  Over Q the reduction runs on ints: with D = D'/δ for
+    the integer columns D' of d, the R and V columns j are integer columns
+    over one denominator den_j, and R = D V is checked as D' V'_j = δ R'_j.
+    A W column is kept as the pair (column, den_j); den_j = 1 over F_p.
     `frame[k]` = (T, T^-1) takes split coordinates of C^k to ambient ones.
     """
 
@@ -183,7 +165,7 @@ class _Reduction:
         for k in cx.degrees():
             gens = cx.basis.gens(k)
             self.order[k] = sorted(range(len(gens)), key=lambda i: -sfc.blocks[gens[i]])
-            self.index[k] = {pos: i for i, pos in enumerate(self.order[k])}
+            self.index[k] = sorted(range(len(gens)), key=self.order[k].__getitem__)
             self.block[k] = [sfc.blocks[gens[pos]] for pos in self.order[k]]
         self.w = {}  # (k, i) -> W column over C^k
         self.mate = {}  # (k, i) -> (k +- 1, j, gap): the other end of its pair
@@ -192,29 +174,22 @@ class _Reduction:
         self.views = {}  # r -> Page
         self.cells = []  # the cells of each breakpoint built so far
 
-    def matrix(self, k, cols):
-        """Columns over C^k in index coordinates, as a Matrix over positions."""
-        order = self.order.get(k, ())
-        ent = {}
-        for c, col in enumerate(cols):
-            if self.f2:
-                col = {i: 1 for i in range(col.bit_length()) if col >> i & 1}
-            for i, v in col.items():
-                ent[(order[i], c)] = v
-        return Matrix(self.field, len(order), len(cols), ent, _normalized=True)
+    def matrix(self, k, ws):
+        """W columns (column, den) over C^k in index coordinates, as a Matrix over positions."""
+        return _divided(self.field, len(self.index.get(k, ())), ws).take_rows(self.index.get(k, ()))
 
     def _reduce(self, k, d):
         f = self.field
         q = f.p is None
-        delta, dcols = _integral_columns(d, self.index.get(k + 1, {}))
-        rcols = [dcols[pos] for pos in self.order[k]]
-        dv = list(rcols) if self.f2 else [dict(c) for c in rcols]  # D', before reduction mutates it
+        d = d.submatrix(self.order.get(k + 1, ()), self.order[k])
+        delta, dv = d.den, d.cols  # D' = δ D in index coordinates, never mutated
+        rcols = list(dv) if self.f2 else [dict(c) for c in dv]
         vcols = [1 << j if self.f2 else {j: delta} for j in range(len(rcols))]
         den = [delta] * len(rcols)  # over Q, R and V column j are rcols[j] / den[j], vcols[j] / den[j]
         owner = {}  # lowest entry -> the column that has it
         for j, col in enumerate(rcols):
             while col:
-                low = col.bit_length() - 1 if self.f2 else max(col)
+                low = _low(col)
                 i = owner.get(low)
                 if i is None:
                     owner[low] = j
@@ -234,10 +209,10 @@ class _Reduction:
             gap = self.block[k + 1][low] - self.block[k][j]
             self.mate[(k, j)] = (k + 1, low, gap)
             self.mate[(k + 1, low)] = (k, j, gap)
-            self.w[(k + 1, low)] = as_fractions(rcols[j], den[j]) if q else rcols[j]
+            self.w[(k + 1, low)] = (rcols[j], den[j])
         for j, v in enumerate(vcols):
             if (k, j) not in self.w:
-                self.w[(k, j)] = as_fractions(v, den[j]) if q else v
+                self.w[(k, j)] = (v, den[j])
             elif rcols[j]:
                 raise InvariantError("death end %d in degree %d has a nonzero R column: engine bug" % (j, k))
 
@@ -247,26 +222,34 @@ class _Reduction:
         Back substitution writes each column in the W basis (W_i is lowest
         at i).  It lies in Z_r^{p,q} iff it avoids blocks < p and each birth
         end whose partner has block < p+r; modulo B_r only `ids` remain.
+        Over Q it runs fraction-free: the column and its coordinates x stay
+        integral over one denominator, as in `_reduce`.
         """
         k, f = p + q, self.field
-        if vec.nrows != len(self.order.get(k, ())):
+        order = self.order.get(k, ())
+        if vec.nrows != len(order):
             raise ValueError("class_of: %d rows, expected dim C^%d" % (vec.nrows, k))
         if k in self.frame:
             vec = self.frame[k][1] * vec
-        ent = {}
-        for c, col in enumerate(_packed_columns(vec, self.index.get(k, {}))):
+        coords = []
+        for col in vec.take_rows(order).cols:
+            x, den = 0 if self.f2 else {}, vec.den
             while col:
-                low = col.bit_length() - 1 if self.f2 else max(col)
-                w = self.w[(k, low)]
-                v = 1 if self.f2 else f.div(col[low], w[low])
-                col = _sub(f, col, v, w)
+                low = _low(col)
+                w, dw = self.w[(k, low)]
+                if f.p is None:  # col / den less (col[low] dw / den w[low]) W, W = w / dw
+                    (col, x), den = int_combine(w[low], [col, x], col[low], [w, {low: -dw}], den)
+                elif self.f2:
+                    col, x = col ^ w, x | 1 << low
+                else:
+                    x[low] = v = f.div(col[low], w[low])
+                    col = _sub(f, col, v, w)
                 mate = self.mate.get((k, low))
                 early_birth = mate and mate[0] > k and self.block[k][low] + mate[2] < p + r
                 if self.block[k][low] < p or early_birth:
                     return None
-                if low in ids:
-                    ent[(ids.index(low), c)] = v
-        return Matrix(f, len(ids), vec.ncols, ent, _normalized=True)
+            coords.append((x, den))
+        return _divided(f, len(order), coords).take_rows(ids)
 
     def _cell(self, k, i):
         b = self.block[k][i]
@@ -301,8 +284,8 @@ class _Reduction:
         cells, ent = self.cells[t], {}
         for k, i, j in self.gaps.get(r, ()):  # cell tuples are ascending: bisect finds places
             src, tgt = self._cell(k, i), self._cell(k + 1, j)
-            ent.setdefault(src, {})[(bisect_left(cells[tgt], j), bisect_left(cells[src], i))] = self.field.one
-        diffs = {c: Matrix(self.field, len(cells[(c[0] + r, c[1] - r + 1)]), len(cells[c]), e, _normalized=True)
+            ent.setdefault(src, []).append((bisect_left(cells[tgt], j), bisect_left(cells[src], i), 1))
+        diffs = {c: Matrix.from_entries(self.field, len(cells[(c[0] + r, c[1] - r + 1)]), len(cells[c]), e)
                  for c, e in ent.items()}
         for (p, q), m in diffs.items():
             nxt = diffs.get((p + r, q - r + 1))
@@ -429,9 +412,9 @@ class FilteredComplex:
         Nothing here reads the reduction.
         """
         cx, f = self.complex, self.complex.field
-        dcols = _integral_columns(cx.d(k))[1]  # one δ for all of d, so d' = δ d maps every column alike
+        dcols = cx.d(k).cols  # one δ for all of d, so d' = δ d maps every column alike
         s, z, bb = {}, {}, {}
-        for col in _integral_columns(cx.d(k - 1))[1]:
+        for col in cx.d(k - 1).cols:
             _grows(f, bb, col)
         zr = br = h = 0
         for p in self._levels(k):
@@ -448,9 +431,9 @@ class FilteredComplex:
         return range(self.n, -1, -1)
 
     def _step_columns(self, p, k):
-        """Packed columns spanning F_p C^k; the S basis of `_h_filtration`
+        """Columns spanning F_p C^k; the S basis of `_h_filtration`
         skips those already in F_{p+1} C^k."""
-        return _integral_columns(self.span(p, k))[1]
+        return self.span(p, k).cols
 
     def converge(self):
         """Walk the breakpoints to stabilization and certify E_inf against
@@ -497,15 +480,14 @@ class SplitFilteredComplex(FilteredComplex):
             if self.blocks[g] < 0:
                 raise InvariantError("generator %r has negative block index" % g)
         for k in cx.degrees():
-            src = cx.basis.gens(k)
-            dst = cx.basis.gens(k + 1)
-            for i, j, _ in cx.d(k).entries():
-                shift = self.blocks[dst[i]] - self.blocks[src[j]]
-                if shift < 0:
-                    raise InvariantError(
-                        "differential entry %r -> %r lowers the block index by %d"
-                        % (src[j], dst[i], -shift)
-                    )
+            src, dst = cx.basis.gens(k), cx.basis.gens(k + 1)
+            order = sorted(range(len(dst)), key=lambda i: -self.blocks[dst[i]])
+            # rows in block-descending order, so the last row of a column has its lowest block
+            cols = cx.d(k).take_rows(order).cols
+            if any(c and self.blocks[dst[order[_low(c)]]] < self.blocks[src[j]] for j, c in enumerate(cols)):
+                i, j = min((i, j) for i, j in cx.d(k).support() if self.blocks[dst[i]] < self.blocks[src[j]])
+                raise InvariantError("differential entry %r -> %r lowers the block index by %d"
+                                     % (src[j], dst[i], self.blocks[src[j]] - self.blocks[dst[i]]))
 
     def block_of(self, gid):
         return self.blocks[gid]
@@ -533,13 +515,7 @@ class SplitFilteredComplex(FilteredComplex):
         """A matrix whose columns span F_p C^k: the generators of blocks >= p."""
         cx = self.complex
         idx = [i for i, g in enumerate(cx.basis.gens(k)) if self.blocks[g] >= p]
-        return Matrix(cx.field, cx.dim(k), len(idx), {(i, c): cx.field.one for c, i in enumerate(idx)},
-                      _normalized=True)
-
-    def to_filtered(self):
-        """The same filtration as a general FilteredComplex."""
-        steps = [{k: self.span(p, k) for k in self.complex.degrees()} for p in range(1, self.n + 1)]
-        return FilteredComplex(self.complex, steps, check=False)
+        return Matrix.identity(cx.field, cx.dim(k)).take_columns(idx)
 
     def _reduction(self):
         return _Reduction(self)
@@ -578,7 +554,7 @@ def zigzag_class_and_d(sfc, r, degree, alpha):
     if alpha.shape != (cx.dim(k), 1):
         raise ValueError("alpha has shape %s, expected a column over C^%d" % (alpha.shape, k))
     gens = cx.basis.gens(k)
-    support = {sfc.blocks[gens[i]] for (i, _), v in alpha._e.items()}
+    support = {sfc.blocks[gens[i]] for i, _, _ in alpha.entries()}
     if len(support) > 1:
         raise PreconditionError("alpha is supported in blocks %s, expected one" % sorted(support))
     if not support:
@@ -594,15 +570,13 @@ def zigzag_class_and_d(sfc, r, degree, alpha):
     sol = d.submatrix(rows, unknown).solve(-(d * alpha).take_rows(rows))
     if sol is None:
         return None
-    lift = {(unknown[t], 0): v for (t, _), v in sol._e.items()}
-    chain = alpha + Matrix(f, cx.dim(k), 1, lift, _normalized=True)
+    chain = alpha + Matrix.from_entries(f, cx.dim(k), 1, [(unknown[t], 0, v) for t, _, v in sol.entries()])
     dchain = d * chain
     img_idx = set(sfc.block_indices(k + 1, p + r))
-    ent = {key: v for key, v in dchain._e.items() if key[0] in img_idx}
-    image = Matrix(f, cx.dim(k + 1), 1, ent, _normalized=True)
+    image = Matrix.from_entries(f, cx.dim(k + 1), 1, [t for t in dchain.entries() if t[0] in img_idx])
     # blocks p..p+r-1 of d(chain) vanish by construction; check it anyway
     for pos in rows:
-        if (pos, 0) in dchain._e:
+        if dchain.get(pos, 0):
             block = sfc.blocks[cx.basis.gens(k + 1)[pos]]
             raise InvariantError("zig-zag system solution failed to clear block %d" % block)
     return ZigzagWitness(p, k, r, chain, image)

@@ -7,9 +7,10 @@ library internals) so they stay independent of the code under test.
 from fractions import Fraction
 
 from spectower.complexes import CochainComplex, GradedBasis
+from spectower.errors import InvariantError
 from spectower.field import Field
-from spectower.matrix import Matrix
-from spectower.spectral import SplitFilteredComplex
+from spectower.matrix import Matrix, span_contains
+from spectower.spectral import FilteredComplex, SplitFilteredComplex
 
 
 # -- oracles ----------------------------------------------------------------
@@ -45,6 +46,19 @@ def oracle_rref(field, dense, piv_limit=None):
                 m[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(m[i], m[r])]
         pivots.append(c)
     return pivots, m
+
+
+def oracle_product(field, da, db, ncols):
+    """The product of the dense rows da and db (ncols columns) by the
+    textbook triple loop in scalar field arithmetic."""
+    out = []
+    for row in da:
+        acc = [field.zero] * ncols
+        for j, x in enumerate(row):
+            for k in range(ncols):
+                acc[k] = field.add(acc[k], field.mul(x, db[j][k]))
+        out.append(acc)
+    return out
 
 
 def oracle_solve(a, b):
@@ -141,6 +155,19 @@ def oracle_h_filtration(fc):
             if d:
                 out[(p, k)] = d
     return out
+
+
+def subquotient_dim(z, b):
+    """dim(span z / span b); raises InvariantError unless span b ⊆ span z."""
+    if not span_contains(z, b):
+        raise InvariantError("subquotient: B is not contained in Z")
+    return z.rank() - b.rank()
+
+
+def to_filtered(sfc):
+    """The filtration of a SplitFilteredComplex as a general FilteredComplex."""
+    steps = [{k: sfc.span(p, k) for k in sfc.complex.degrees()} for p in range(1, sfc.n + 1)]
+    return FilteredComplex(sfc.complex, steps, check=False)
 
 
 # -- random instances ---------------------------------------------------------
@@ -352,7 +379,7 @@ def random_chain_auto(rng, cx, conj, hgens, h_action=None, homotopy_noise=True):
                     v = mix.get(a, b)
                     if v != field.zero:
                         ent[(pos_a, pos_b)] = v
-        b = Matrix(field, n, n, ent, _normalized=True)
+        b = Matrix(field, n, n, ent)
         p = conj.get(k, Matrix.identity(field, n))
         blocks[k] = p * b * p.inverse()
     if homotopy_noise:

@@ -42,6 +42,7 @@ from helpers import (
     random_product_fibration,
     random_split_complex,
     random_twisted_fibration,
+    to_filtered,
 )
 
 FIELDS = (Field(2), Field(3), Field())
@@ -78,7 +79,7 @@ def _check_instance(sfc, rng):
                 assert nxt.dim(p, q) == expect
     # zig-zag vs subquotient on sampled single-block elements
     cx = sfc.complex
-    filt = sfc.to_filtered()
+    filt = to_filtered(sfc)
     degrees = [k for k in cx.degrees() if cx.dim(k)]
     for _ in range(2):
         k = rng.choice(degrees)

@@ -87,6 +87,12 @@ MALFORMED = [
     ("fibration_fiber_list", "hopf.json", _set(["fiber"], []), "fibration_data.fiber"),
     ("filtered_complex_int", "interval_filtered.json", _set(["complex"], 5), "filtered_complex.complex"),
     ("local_system_int", "hopf.json", _set(["base", "local_system"], 5), "fibration_data.base.local_system"),
+    ("differential_int", "circle.json", _set(["differential"], 5), "cochain_complex: bad differential"),
+    ("paths_int", "wedge2_subsystem.json", _set(["paths"], 5), "local_subsystem: bad paths"),
+    ("transport_int", "wedge2_subsystem.json", _set(["paths", 0, "transport"], 5), "transport"),
+    ("trajectories_int", "hopf.json", _set(["base", "trajectories"], 5), "fibration_data.base: bad trajectories"),
+    ("fiber_differential_null", "hopf.json", _set(["fiber", "differential"], None),
+     "fibration_data.fiber: bad differential"),
 ]
 
 

@@ -6,17 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from spectower.errors import InvariantError
 from spectower.field import Field
-from spectower.matrix import Matrix, quotient_basis, span_contains, subquotient_dim
+from spectower.matrix import Matrix, quotient_basis, span_contains
 
 from helpers import (
     oracle_kernel,
     oracle_kernel_f2,
     oracle_matrix_rank,
+    oracle_product,
     oracle_rank,
     oracle_rref,
     oracle_solve,
     random_matrix,
     random_wide_scalar,
+    subquotient_dim,
 )
 
 Q = Field()
@@ -390,3 +392,84 @@ def test_span_contains_and_quotient_basis_match_dense_rank():
                 chosen = quotient_basis(z, b)
                 assert chosen == z.take_columns([c - b.ncols for c in pivots if c >= b.ncols])
                 assert chosen.ncols == oracle_matrix_rank(z) - oracle_matrix_rank(b)
+
+
+# -- the column form: arithmetic against dense oracles, and no Fractions over Q --------
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_arithmetic_matches_dense_oracles(data):
+    # chained products (either association), + and -, scale, transpose,
+    # take_rows / take_columns and hstack against dense field arithmetic, with
+    # 0-row and 0-column shapes; and equality is structural whichever way a
+    # matrix was built: from_entries with duplicates, a product, and an
+    # hstack of its column blocks give equal matrices with equal entries()
+    field = data.draw(st.sampled_from(RANK_FIELDS), label="field")
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6), label="seed"))
+    m, n, l, o = (rng.randint(0, 6) for _ in range(4))
+
+    def draw(rows, cols):
+        return random_matrix(rng, field, rows, cols, rng.choice([0.2, 0.6]), random_wide_scalar)
+
+    a, a2, b, c = draw(m, n), draw(m, n), draw(n, l), draw(l, o)
+    da, da2 = a.to_dense(), a2.to_dense()
+    ab = a * b
+    dense_ab = oracle_product(field, da, b.to_dense(), l)
+    assert ab.shape == (m, l) and _exact(ab) == dense_ab
+    abc = ab * c
+    assert abc == a * (b * c)
+    assert _exact(abc) == oracle_product(field, dense_ab, c.to_dense(), o)
+    assert (a * a.kernel()).is_zero()
+
+    assert _exact(a + a2) == [[field.add(x, y) for x, y in zip(r, r2)] for r, r2 in zip(da, da2)]
+    assert _exact(a - a2) == [[field.sub(x, y) for x, y in zip(r, r2)] for r, r2 in zip(da, da2)]
+    assert (a - a).is_zero() and -(-a) == a
+    s = field.normalize(random_wide_scalar(rng, field))
+    assert _exact(a.scale(s)) == [[field.mul(x, s) for x in r] for r in da]
+    assert _exact(a.transpose()) == [[da[i][j] for i in range(m)] for j in range(n)]
+    rows, cols = rng.sample(range(m), rng.randint(0, m)), rng.sample(range(n), rng.randint(0, n))
+    assert _exact(a.take_rows(rows)) == [da[i] for i in rows]
+    assert _exact(a.take_columns(cols)) == [[r[j] for j in cols] for r in da]
+    assert _exact(a.submatrix(rows, cols)) == [[da[i][j] for j in cols] for i in rows]
+    assert _exact(Matrix.hstack(field, m, [a, a2])) == [r + r2 for r, r2 in zip(da, da2)]
+
+    triples = []
+    for i, j, v in ab.entries():
+        u = field.normalize(random_wide_scalar(rng, field))
+        triples += [(i, j, u), (i, j, field.sub(v, u))]
+    rng.shuffle(triples)
+    cut = rng.randint(0, l)
+    for same in (Matrix.from_entries(field, m, l, triples),
+                 Matrix(field, m, l, {(i, j): v for i, j, v in ab.entries()}),
+                 Matrix.hstack(field, m, [ab.take_columns(range(cut)), ab.take_columns(range(cut, l))])):
+        assert same == ab and same.entries() == ab.entries()
+
+
+def test_q_arithmetic_builds_no_fractions(monkeypatch):
+    # over Q a Matrix is integer columns over one denominator: a chained
+    # product, equality, rank and solve (with its verification product)
+    # build no Fraction; entries() builds exactly one per stored entry
+    import spectower.matrix as mx
+
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    rng = random.Random(8080)
+    a, b, c = _wide(rng, 6, 7, 0.6), _wide(rng, 7, 5, 0.6), _wide(rng, 5, 6, 0.6)
+    sq = _wide(rng, 6, 6, 0.6) + Matrix.identity(Q, 6).scale(Fraction(10 ** 7, 3))
+    rhs = sq * _wide(rng, 6, 2, 0.8)
+    monkeypatch.setattr(mx, "Fraction", Counted)
+    left = a * b * c
+    same = left == a * (b * c)
+    rank = left.rank()
+    x = sq.solve(rhs)
+    assert built == []
+    assert len(left.entries()) == left.nnz == len(built)
+    monkeypatch.undo()
+    assert same and left.den > 1 and x is not None and sq * x == rhs
+    assert rank == oracle_matrix_rank(left)

@@ -16,7 +16,8 @@ from spectower.spectral import (
     zigzag_class_and_d,
 )
 
-from helpers import component_matrix, oracle_cohomology_dims, oracle_h_filtration, random_scalar, random_split_complex
+from helpers import (component_matrix, oracle_cohomology_dims, oracle_h_filtration, random_scalar, random_split_complex,
+                     to_filtered)
 
 Q = Field()
 F2 = Field(2)
@@ -189,7 +190,7 @@ def test_zigzag_hopf_d2_spans_target():
 def zigzag_matches_subquotient(sfc, rng, probes=3):
     """Spec invariant (iii): membership and d_r images mod boundaries."""
     cx = sfc.complex
-    filt = sfc.to_filtered()
+    filt = to_filtered(sfc)
     f = cx.field
     for k in cx.degrees():
         gens = cx.basis.gens(k)
@@ -308,7 +309,7 @@ def test_representatives_are_deterministic():
 
 def test_identity_map_of_towers():
     sfc = hopf_model()
-    fc = sfc.to_filtered()
+    fc = to_filtered(sfc)
     f = ChainMap.identity(fc.complex)
     fmap = FilteredChainMap(f, fc, fc)
     maps = map_of_spectral_sequences(fmap)
@@ -342,7 +343,7 @@ def test_inclusion_of_filtration_step():
             ent[(pos[g], j)] = Q.one
         blocks[k] = Matrix(Q, cx.dim(k), sub.dim(k), ent)
     inc = ChainMap(sub, cx, blocks)
-    fmap = FilteredChainMap(inc, sub_split.to_filtered(), sfc.to_filtered())
+    fmap = FilteredChainMap(inc, to_filtered(sub_split), to_filtered(sfc))
     maps = map_of_spectral_sequences(fmap)
     p0_src = sub_split.page(0)
     for (p, q), m in maps[0].items():
@@ -352,7 +353,7 @@ def test_inclusion_of_filtration_step():
 
 def test_filtration_violation_detected():
     sfc = hopf_model()
-    fc = sfc.to_filtered()
+    fc = to_filtered(sfc)
     # a degree-1 map smearing F_2 back into block 0 is not filtration-preserving
     cx = fc.complex
     blocks = {k: Matrix.identity(Q, cx.dim(k)) for k in cx.degrees()}
@@ -398,7 +399,7 @@ def test_truncation_analog_on_small_instance():
                 ent[(pos[g], j)] = Q.one
         blocks[k] = Matrix(Q, quot.dim(k), cx.dim(k), ent)
     proj = ChainMap(cx, quot, blocks)
-    fmap = FilteredChainMap(proj, sfc.to_filtered(), qsplit.to_filtered())
+    fmap = FilteredChainMap(proj, to_filtered(sfc), to_filtered(qsplit))
     maps = map_of_spectral_sequences(fmap)  # commuting squares verified inside
     assert set(maps) == set(range(0, 4))
 
@@ -598,7 +599,7 @@ def test_tower_invariant_under_global_change_of_basis():
     for trial in range(6):
         field = FIELDS[trial % 3]
         sfc = random_split_complex(rng, field, max_gens=16, max_len=4)
-        fc = sfc.to_filtered()
+        fc = to_filtered(sfc)
         conj_fc = conjugated(rng, fc)
         for r in range(0, fc.n + 2):
             assert conj_fc.page(r).dims() == fc.page(r).dims()
