@@ -12,11 +12,11 @@ spans at most MAX_SPAN values of p or of q; past that, exit 4.
 import argparse
 import sys
 
+from .complexes import JOIN
 from .documents import Document, load_document, print_document
 from .errors import InvariantError, ParseError, PreconditionError
 from .fibration import FibrationData, e2_table, leray_serre_compare
 from .localsystems import extend_subsystem
-from .morse import JOIN
 
 MAX_SPAN = 100
 

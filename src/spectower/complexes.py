@@ -7,10 +7,12 @@ reduced against the image of d^{k-1}, so repeated runs produce identical
 representatives.
 """
 
-from .errors import InvariantError
-from .matrix import Matrix, quotient_basis
+from math import lcm
 
-TENSOR_SEP = "|"
+from .errors import InvariantError
+from .matrix import Matrix, _matrix, quotient_basis
+
+JOIN = "|"  # the x|g id of a generator of a product basis
 
 
 class GradedBasis:
@@ -120,6 +122,39 @@ class CochainComplex:
             k: Matrix.from_entries(field, basis.dim(k + 1), basis.dim(k), tr)
             for k, tr in triples.items()
         }
+        return cls(field, basis, diff, check=check, display_shift=display_shift)
+
+    @classmethod
+    def from_blocks(cls, field, outer, inner, blocks, check=True, display_shift=0):
+        """The complex on the product basis x|g, of degree kx + kg, for the (x, kx)
+        of the sequence `outer` and the GradedBasis `inner`, x-major: d adds the
+        blocks (x, y, k, M) straight into the columns of d^(kx + k), M mapping the
+        inner degree-k generators under x to the degree-(kx + k + 1 - ky) ones
+        under y; over Q on the lcm of the block denominators."""
+        deg, p, placed, dens, off, count = dict(outer), field.p, [], {}, {}, {}
+        basis = GradedBasis([(x + JOIN + g, kx + kg) for x, kx in outer for g, kg in inner.generators])
+        for x, kx in outer:
+            for k in inner.degrees():  # (x, k) follows the earlier x' of total degree kx + k
+                off[(x, k)] = count.get(kx + k, 0)
+                count[kx + k] = off[(x, k)] + inner.dim(k)
+        for x, y, k, m in blocks:
+            kk, k2 = deg[x] + k, deg[x] + k + 1 - deg[y]
+            if m.shape != (inner.dim(k2), inner.dim(k)) or m.field != field:
+                raise ValueError("block %r -> %r from inner degree %d has shape %s" % (x, y, k, m.shape))
+            if not m.is_zero():  # so inner degrees k and k2 have generators
+                placed.append((kk, off[(x, k)], off[(y, k2)], m))
+                dens[kk] = lcm(dens.get(kk, 1), m.den)
+        cols = {kk: [0 if p == 2 else {} for _ in range(basis.dim(kk))] for kk in dens}
+        for kk, c0, r0, m in placed:
+            out, s = cols[kk], dens[kk] // m.den
+            for j, c in enumerate(m.cols, c0):
+                if p == 2:
+                    out[j] ^= c << r0
+                else:
+                    out[j].update({r0 + i: out[j].get(r0 + i, 0) + s * v for i, v in c.items()})
+        if p != 2:  # reduced mod p, less the entries that cancelled
+            cols = {kk: [{i: w for i, v in c.items() if (w := v % p if p else v)} for c in cs] for kk, cs in cols.items()}
+        diff = {kk: _matrix(field, basis.dim(kk + 1), cs, dens[kk]) for kk, cs in cols.items()}
         return cls(field, basis, diff, check=check, display_shift=display_shift)
 
     def dim(self, k):
@@ -247,33 +282,24 @@ class ChainMap:
 def tensor_product(a, b, check=True):
     """Tensor product complex; generator ids are "ga|gb".
 
-    d(x (x) y) = dx (x) y + (-1)^{deg x} x (x) dy, so the product of two
-    complexes passes the d^2 = 0 check by construction.
+    d(x (x) y) = dx (x) y + (-1)^{deg x} x (x) dy: a block a_ij * identity
+    on each C_b^k, and (-1)^{deg x} d_b under each generator x of a, so the
+    product of two complexes passes the d^2 = 0 check by construction.
     """
     if a.field != b.field:
         raise ValueError("tensor product of complexes over different fields")
     for g, _ in a.basis.generators:
-        if TENSOR_SEP in g:
-            raise ValueError("generator id %r contains the tensor separator %r" % (g, TENSOR_SEP))
-    gens = []
-    for ga, da in a.basis.generators:
-        for gb, db in b.basis.generators:
-            gens.append((ga + TENSOR_SEP + gb, da + db))
-    entries = []
+        if JOIN in g:
+            raise ValueError("generator id %r contains the tensor separator %r" % (g, JOIN))
+    f, blocks = a.field, []
+    ident = {kb: Matrix.identity(f, b.dim(kb)) for kb in b.degrees()}
     for k in a.degrees():
-        m = a.d(k)
-        tgt, src = a.basis.gens(k + 1), a.basis.gens(k)
-        for i, j, v in m.entries():
-            for gb, _ in b.basis.generators:
-                entries.append((src[j] + TENSOR_SEP + gb, tgt[i] + TENSOR_SEP + gb, v))
+        m, tgt, src = a.d(k), a.basis.gens(k + 1), a.basis.gens(k)
+        for i, j in m.support():
+            blocks += [(src[j], tgt[i], kb, e.scale(m.get(i, j))) for kb, e in ident.items()]
     for ga, da in a.basis.generators:
-        sign = a.field.normalize(-1 if da % 2 else 1)
-        for k in b.degrees():
-            m = b.d(k)
-            tgt, src = b.basis.gens(k + 1), b.basis.gens(k)
-            for i, j, v in m.entries():
-                entries.append((ga + TENSOR_SEP + src[j], ga + TENSOR_SEP + tgt[i], a.field.mul(sign, v)))
-    return CochainComplex.from_generator_entries(a.field, gens, entries, check=check)
+        blocks += [(ga, ga, kb, -b.d(kb) if da % 2 else b.d(kb)) for kb in b.degrees()]
+    return CochainComplex.from_blocks(f, a.basis.generators, b.basis, blocks, check=check)
 
 
 def induced_map_on_cohomology(f):

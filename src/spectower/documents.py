@@ -35,6 +35,8 @@ KINDS = (
     "fibration_data",
 )
 
+MAX_FIBER_DIM = 1000  # a larger declared fiber_dim exits 4 before one column is allocated
+
 
 class Document:
     """A parsed document: kind tag, field, and the payload object."""
@@ -207,10 +209,17 @@ def _graph_in(body, what="base_graph"):
     return BaseGraph(verts, edges, [_word_in(w, what + " relation") for w in _list_in(body, "relations", what)])
 
 
-def _local_system_in(field, graph, body, what="local_system"):
+def _fiber_dim_in(body, what):
     dim = _object_in(body, what).get("fiber_dim")
     if not isinstance(dim, int) or dim < 0:
         raise ParseError("%s: bad fiber_dim %r" % (what, dim))
+    if dim > MAX_FIBER_DIM:
+        raise PreconditionError("%s: fiber_dim %d is above the limit %d" % (what, dim, MAX_FIBER_DIM))
+    return dim
+
+
+def _local_system_in(field, graph, body, what="local_system"):
+    dim = _fiber_dim_in(body, what)
     tr = body.get("transport", {})
     if not isinstance(tr, dict):
         raise ParseError("%s: bad transport table" % what)
@@ -344,9 +353,7 @@ def parse_document(obj, field_override=None):
         return Document(kind, field, _local_system_in(field, graph, obj))
 
     if kind == "local_subsystem":
-        dim = obj.get("fiber_dim")
-        if not isinstance(dim, int) or dim < 0:
-            raise ParseError("local_subsystem: bad fiber_dim %r" % (dim,))
+        dim = _fiber_dim_in(obj, "local_subsystem")
         carrier = obj.get("carrier")
         if not isinstance(carrier, list) or not carrier:
             raise ParseError("local_subsystem: missing carrier")

@@ -1,8 +1,8 @@
 """Fibration assembler: fiber complex over a Morse base, block by block.
 
-Total generators are (critical point) x (fiber generator), graded by
-Morse index + fiber degree and filtered by Morse index.  The assembled
-differential is
+Total generators are x|g for each critical point x and fiber generator
+g, graded by Morse index + fiber degree and filtered by Morse index.
+`CochainComplex.from_blocks` places the blocks of the differential
 
     d_0 = the fiber differential over each point, carrying the Koszul
           sign (-1)^p over an index-p point (edge actions are chain maps,
@@ -10,8 +10,8 @@ differential is
     d_1 = the twisted Morse differential (trajectory transports act on
           the fiber complex; the block from the fiber over the lower
           point to the fiber over the upper one is sign * transport^{-1}),
-    d_r (r >= 2) = user-supplied correction blocks raising the base
-          index by exactly r,
+    d_r (r >= 2) = user-supplied correction entries raising the base
+          index by r, one single-entry block each,
 
 and the assembler's job is to validate d^2 = 0 and feed the tower.
 
@@ -21,11 +21,11 @@ engine always works in raw (Morse index, fiber degree) coordinates.
 
 from fractions import Fraction
 
-from .complexes import ChainMap, CochainComplex, GradedBasis
+from .complexes import JOIN, ChainMap, CochainComplex, GradedBasis
 from .errors import InvariantError, ParseError, PreconditionError
 from .localsystems import LocalSystem, free_reduce, word_inverse
 from .matrix import Matrix
-from .morse import JOIN, cellular_complex, morse_complex
+from .morse import cellular_complex, morse_complex
 from .spectral import FilteredChainMap, SplitFilteredComplex
 
 __all__ = [
@@ -147,35 +147,23 @@ def assemble_fibration(fd):
         return fd._assembled
     base, fib = fd.base, fd.fiber
     f = fib.field
-    gens = []
-    blocks = {}
-    for x, px in base.points.items():
-        for g, kg in fib.basis.generators:
-            gid = x + JOIN + g
-            gens.append((gid, px + kg))
-            blocks[gid] = px
-    entries = []
-    for x, px in base.points.items():
-        # Koszul sign: edge actions are chain maps (they commute with the
-        # fiber differential), so the fiberwise block over an index-p point
-        # carries (-1)^p for the cross terms with d_1 to cancel
-        sign = f.normalize(-1 if px % 2 else 1)
-        for k in fib.degrees():
-            tgt, src = fib.basis.gens(k + 1), fib.basis.gens(k)
-            for i, j, v in fib.d(k).entries():
-                entries.append((x + JOIN + src[j], x + JOIN + tgt[i], f.mul(sign, v)))
+    # Koszul sign: edge actions are chain maps (they commute with the
+    # fiber differential), so the fiberwise block over an index-p point
+    # carries (-1)^p for the cross terms with d_1 to cancel
+    neg = {k: -fib.d(k) for k in fib.degrees()}
+    blocks = [(x, x, k, neg[k] if px % 2 else fib.d(k)) for x, px in base.points.items() for k in fib.degrees()]
     for t in base.differential_trajectories():
-        sign = f.normalize(t.sign)
-        for k, minv in chain_transport(fd, word_inverse(t.word)).items():
-            tgt = src = fib.basis.gens(k)
-            for i, j, v in minv.entries():
-                entries.append((t.dst + JOIN + src[j], t.src + JOIN + tgt[i], f.mul(sign, v)))
+        blocks += [(t.dst, t.src, k, minv if t.sign == 1 else -minv)
+                   for k, minv in chain_transport(fd, word_inverse(t.word)).items()]
     for sp, sf, dp, df, v in fd.corrections:
-        entries.append((sp + JOIN + sf, dp + JOIN + df, v))
-    cx = CochainComplex.from_generator_entries(f, gens, entries, check=False,
-                                               display_shift=fd.shift_n + fd.shift_k)
-    _check_total_d2(cx, blocks)
-    fd._assembled = SplitFilteredComplex(cx, blocks)
+        (ks, s_off), (kd, d_off) = fib.basis.position(sf), fib.basis.position(df)
+        blocks.append((sp, dp, ks, Matrix(f, fib.dim(kd), fib.dim(ks), {(d_off, s_off): v})))
+    cx = CochainComplex.from_blocks(f, base.points.items(), fib.basis, blocks, check=False,
+                                    display_shift=fd.shift_n + fd.shift_k)
+    pts = [px for px in base.points.values() for _ in fib.basis.generators]  # x-major, like the basis
+    filt = {g: px for (g, _), px in zip(cx.basis.generators, pts)}
+    _check_total_d2(cx, filt)
+    fd._assembled = SplitFilteredComplex(cx, filt)
     return fd._assembled
 
 
@@ -291,10 +279,10 @@ def leray_serre_compare(cd_total, fd, field=None):
         raise PreconditionError("total-space cellular data carries no filtration labels")
     total_cx = cellular_complex(cd_total, ls=None, field=f)
     labels = {}
-    for cell in cd_total.order:
+    for (g, _), cell in zip(total_cx.basis.generators, cd_total.order):  # one generator per cell
         if cell not in cd_total.filtration:
             raise PreconditionError("cell %r has no filtration label" % cell)
-        labels[cell + JOIN + "0"] = cd_total.filtration[cell]
+        labels[g] = cd_total.filtration[cell]
     cell_tower = SplitFilteredComplex(total_cx, labels)
     fib_tower = assemble_fibration(fd)
 

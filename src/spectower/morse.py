@@ -1,24 +1,23 @@
 """Morse and cellular cochain complexes twisted by a local system.
 
-Trajectory convention: a trajectory record (id, src, dst, sign, word)
-flows downward, from the higher-index critical point `src` to the
-lower-index `dst`, and its transport word follows the flow (a path from
-src's vertex to dst's vertex in the base graph).  The cohomological
-differential raises the Morse index, so the block it contributes maps
-the fiber over `dst` to the fiber over `src`, via the *inverse* of the
-word transport.
+Both have the generators x|i, for each critical point or cell x and fiber
+index i < fiber_dim, and are placed by `CochainComplex.from_blocks`, one
+fiber-to-fiber block per trajectory or incidence.  A trajectory record
+(id, src, dst, sign, word) flows downward, from the higher-index point
+`src` to the lower-index `dst`, and its word follows the flow (a path in
+the base graph).  The cohomological differential raises the Morse index,
+so its block maps the fiber over `dst` to the fiber over `src`: sign *
+the transport along the *inverse* word.
 
-Cells are anchored at base-graph vertices; incidence transport words
-connect anchor vertices.  The 0/1-cell exceptional case (a 1-cell whose
-two endpoints coincide) replaces the single incidence term with
+Cells are anchored at base-graph vertices; incidence words connect the
+anchors, and an incidence contributes coeff * transport.  The 0/1-cell
+exceptional case (a 1-cell whose two endpoints coincide) contributes
 orientation * (plus-transport - minus-transport).
 """
 
-from .complexes import CochainComplex
+from .complexes import JOIN, CochainComplex, GradedBasis
 from .errors import InvariantError, ParseError
 from .matrix import Matrix
-
-JOIN = "|"
 
 
 class Trajectory:
@@ -81,14 +80,15 @@ class MorseData:
         raise KeyError("no trajectory %r" % tid)
 
 
-def _twisted_generators(names_with_degrees, fiber_dim):
-    gens = []
-    for name, k in names_with_degrees:
+def _twisted_complex(f, outer, dim, blocks, what):
+    """The complex on x|i (i < dim) for the (x, k) of `outer`; d sums the blocks (x, y, M), fiber x to fiber y."""
+    for name, _ in outer:
         if JOIN in name:
             raise ParseError("id %r must not contain %r" % (name, JOIN))
-        for i in range(fiber_dim):
-            gens.append((name + JOIN + str(i), k))
-    return gens
+    fiber = GradedBasis([(str(i), 0) for i in range(dim)])
+    cx = CochainComplex.from_blocks(f, outer, fiber, [(x, y, 0, m) for x, y, m in blocks], check=False)
+    _report_d2_pairs(cx, what)
+    return cx
 
 
 def _report_d2_pairs(cx, what):
@@ -96,9 +96,7 @@ def _report_d2_pairs(cx, what):
         i, j, _ = prod.entries()[0]
         src = cx.basis.gens(k)[j].split(JOIN)[0]
         dst = cx.basis.gens(k + 2)[i].split(JOIN)[0]
-        raise InvariantError(
-            "twisted %s differential fails d^2 = 0 between %r and %r" % (what, src, dst)
-        )
+        raise InvariantError("twisted %s differential fails d^2 = 0 between %r and %r" % (what, src, dst))
 
 
 def morse_complex(md, ls):
@@ -112,18 +110,11 @@ def morse_complex(md, ls):
     from .localsystems import word_inverse  # loaded already: ls is a LocalSystem
     if ls.graph != md.graph:
         raise ParseError("local system lives on a different base graph")
-    dim = ls.fiber_dim
-    gens = _twisted_generators([(x, k) for x, k in md.points.items()], dim)
-    entries = []
+    blocks = []
     for t in md.differential_trajectories():
         tinv = ls.transport_along(word_inverse(t.word), start=t.dst)
-        for i, j, v in tinv.entries():
-            entries.append(
-                (t.dst + JOIN + str(j), t.src + JOIN + str(i), ls.field.mul(ls.field.normalize(t.sign), v))
-            )
-    cx = CochainComplex.from_generator_entries(ls.field, gens, entries, check=False)
-    _report_d2_pairs(cx, "Morse")
-    return cx
+        blocks.append((t.dst, t.src, tinv if t.sign == 1 else -tinv))
+    return _twisted_complex(ls.field, list(md.points.items()), ls.fiber_dim, blocks, "Morse")
 
 
 class CellularData:
@@ -236,32 +227,16 @@ def cellular_complex(cd, ls=None, field=None):
     With ls=None (or a trivial system) this is the untwisted incidence
     complex with `field` coefficients, entry for entry.
     """
-    if ls is None:
-        if field is None:
-            raise ValueError("cellular_complex needs a local system or a field")
-        dim = 1
-        f = field
-    else:
-        dim = ls.fiber_dim
-        f = ls.field
-        if cd.graph is not None and ls.graph != cd.graph:
-            raise ParseError("local system lives on a different base graph")
-    gens = _twisted_generators([(c, cd.cells[c][0]) for c in cd.order], dim)
-    ident = Matrix.identity(f, dim)
-    entries = []
-    for src, dst, coeff, word in cd.incidences:
-        t = ls.transport_along(word, start=cd.cells[src][1]) if ls is not None else ident
-        block = t.scale(coeff)
-        for i, j, v in block.entries():
-            entries.append((src + JOIN + str(j), dst + JOIN + str(i), v))
-    for src, dst, plus, minus in cd.exceptional:
-        if ls is None:
-            continue  # plus and minus transports cancel untwisted
-        tp = ls.transport_along(plus, start=cd.cells[src][1])
-        tm = ls.transport_along(minus, start=cd.cells[src][1])
-        block = (tp - tm).scale(cd.cells[src][2])
-        for i, j, v in block.entries():
-            entries.append((src + JOIN + str(j), dst + JOIN + str(i), v))
-    cx = CochainComplex.from_generator_entries(f, gens, entries, check=False)
-    _report_d2_pairs(cx, "cellular")
-    return cx
+    if ls is None and field is None:
+        raise ValueError("cellular_complex needs a local system or a field")
+    if ls is not None and cd.graph is not None and ls.graph != cd.graph:
+        raise ParseError("local system lives on a different base graph")
+    f, dim = (field, 1) if ls is None else (ls.field, ls.fiber_dim)
+
+    def t(word, cell):  # untwisted, the identity of rank one
+        return ls.transport_along(word, start=cd.cells[cell][1]) if ls is not None else Matrix.identity(f, 1)
+
+    blocks = [(src, dst, t(word, src).scale(coeff)) for src, dst, coeff, word in cd.incidences]
+    blocks += [(src, dst, (t(plus, src) - t(minus, src)).scale(cd.cells[src][2]))
+               for src, dst, plus, minus in (cd.exceptional if ls is not None else ())]  # untwisted they cancel
+    return _twisted_complex(f, [(c, cd.cells[c][0]) for c in cd.order], dim, blocks, "cellular")

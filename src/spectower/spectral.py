@@ -40,6 +40,7 @@ and `page(r)` for any larger r is E_inf.
 """
 
 from bisect import bisect_left, bisect_right
+from operator import neg
 
 from .complexes import CochainComplex
 from .errors import InvariantError, PreconditionError
@@ -163,14 +164,12 @@ class _Reduction:
         self.frame = frame or {}
         self.order, self.index, self.block = {}, {}, {}
         for k in cx.degrees():
-            gens = cx.basis.gens(k)
-            self.order[k] = sorted(range(len(gens)), key=lambda i: -sfc.blocks[gens[i]])
-            self.index[k] = sorted(range(len(gens)), key=self.order[k].__getitem__)
-            self.block[k] = [sfc.blocks[gens[pos]] for pos in self.order[k]]
+            self.order[k], self.block[k] = sfc.order[k]
+            self.index[k] = sorted(range(len(self.order[k])), key=self.order[k].__getitem__)
         self.w = {}  # (k, i) -> W column over C^k
         self.mate = {}  # (k, i) -> (k +- 1, j, gap): the other end of its pair
         for k in cx.degrees():
-            self._reduce(k, cx.d(k))
+            self._reduce(k, sfc.sorted_rows(k).take_columns(self.order[k]))
         self.views = {}  # r -> Page
         self.cells = []  # the cells of each breakpoint built so far
 
@@ -181,7 +180,6 @@ class _Reduction:
     def _reduce(self, k, d):
         f = self.field
         q = f.p is None
-        d = d.submatrix(self.order.get(k + 1, ()), self.order[k])
         delta, dv = d.den, d.cols  # D' = δ D in index coordinates, never mutated
         rcols = list(dv) if self.f2 else [dict(c) for c in dv]
         vcols = [1 << j if self.f2 else {j: delta} for j in range(len(rcols))]
@@ -466,7 +464,12 @@ class SplitFilteredComplex(FilteredComplex):
         self.complex = complex
         self.blocks = {g: int(p) for g, p in blocks.items()}
         self.n = max(self.blocks.values(), default=0)
-        self._groups = {}  # degree -> {block: positions of its generators}
+        self.order = {}  # degree k -> (positions of C^k in block-descending order, the block of each)
+        for k in complex.degrees():
+            b = [self.blocks.get(g, -1) for g in complex.basis.gens(k)]  # `_check` refuses a missing one
+            pos = sorted(range(len(b)), key=lambda i: -b[i])
+            self.order[k] = (pos, [b[i] for i in pos])
+        self._rows = {}  # degree k -> d^k with its rows in order[k + 1]
         self._red = None
         self._converged = None
         if check:
@@ -480,11 +483,9 @@ class SplitFilteredComplex(FilteredComplex):
             if self.blocks[g] < 0:
                 raise InvariantError("generator %r has negative block index" % g)
         for k in cx.degrees():
-            src, dst = cx.basis.gens(k), cx.basis.gens(k + 1)
-            order = sorted(range(len(dst)), key=lambda i: -self.blocks[dst[i]])
+            src, dst, low = cx.basis.gens(k), cx.basis.gens(k + 1), self.order.get(k + 1, ((), ()))[1]
             # rows in block-descending order, so the last row of a column has its lowest block
-            cols = cx.d(k).take_rows(order).cols
-            if any(c and self.blocks[dst[order[_low(c)]]] < self.blocks[src[j]] for j, c in enumerate(cols)):
+            if any(c and low[_low(c)] < self.blocks[src[j]] for j, c in enumerate(self.sorted_rows(k).cols)):
                 i, j = min((i, j) for i, j in cx.d(k).support() if self.blocks[dst[i]] < self.blocks[src[j]])
                 raise InvariantError("differential entry %r -> %r lowers the block index by %d"
                                      % (src[j], dst[i], self.blocks[src[j]] - self.blocks[dst[i]]))
@@ -492,19 +493,21 @@ class SplitFilteredComplex(FilteredComplex):
     def block_of(self, gid):
         return self.blocks[gid]
 
+    def sorted_rows(self, k):
+        """d^k with its rows in order[k + 1]: permuted once, for whichever
+        of the check and the reduction runs first."""
+        if k not in self._rows:
+            self._rows[k] = self.complex.d(k).take_rows(self.order.get(k + 1, ((), ()))[0])
+        return self._rows[k]
+
     def block_indices(self, k, p):
-        """Coordinate positions of block-p generators inside C^k."""
-        groups = self._groups.get(k)
-        if groups is None:
-            groups = {}
-            for i, g in enumerate(self.complex.basis.gens(k)):
-                groups.setdefault(self.blocks[g], []).append(i)
-            groups = self._groups[k] = {b: tuple(ids) for b, ids in groups.items()}
-        return groups.get(p, ())
+        """Coordinate positions of block-p generators inside C^k, ascending."""
+        pos, blocks = self.order.get(k, ((), ()))
+        return tuple(pos[bisect_left(blocks, -p, key=neg):bisect_right(blocks, -p, key=neg)])
 
     def _levels(self, k):
         """The occupied blocks of C^k, descending: F_p = F_{p+1} elsewhere."""
-        return sorted({self.blocks[g] for g in self.complex.basis.gens(k)}, reverse=True)
+        return list(dict.fromkeys(self.order[k][1]))
 
     def _step_columns(self, p, k):
         """Unit columns of the block-p generators: F_p C^k is F_{p+1} C^k plus these."""

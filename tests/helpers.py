@@ -294,7 +294,8 @@ def random_fields(rng):
 
 
 from spectower.localsystems import BaseGraph  # noqa: E402
-from spectower.morse import JOIN, MorseData, Trajectory  # noqa: E402
+from spectower.complexes import JOIN  # noqa: E402
+from spectower.morse import MorseData, Trajectory  # noqa: E402
 from spectower.fibration import FibrationData  # noqa: E402
 
 
@@ -560,21 +561,26 @@ def random_multistep_fibration(rng, field):
     return FibrationData(base, fiber, actions)
 
 
-def _oracle_transport_inverse(blocks, identity, word):
-    """The inverse of the transport along word, by inverting the composed
-    product: each step's matrix (blocks[edge], identity if absent) is
-    applied after the ones before it."""
+def _oracle_transport(blocks, identity, word):
+    """The transport along word as the composed product: each step's
+    matrix (blocks[edge], identity if absent) is applied after the ones
+    before it."""
     acc = identity
     for e, s in word:
         m = blocks.get(e, identity)
         acc = (m if s == 1 else m.inverse()) * acc
-    return acc.inverse()
+    return acc
+
+
+def _oracle_transport_inverse(blocks, identity, word):
+    """The inverse of the transport along word, by inverting the composed product."""
+    return _oracle_transport(blocks, identity, word).inverse()
 
 
 def oracle_total_differential(fd):
-    """The assembled total complex of fd (no corrections), built the way
-    the assembler did before it transported along inverse words: every
-    trajectory block is the inverse of the composed chain transport."""
+    """The assembled total complex of fd as string triples "x|g": the
+    fiber entries with their Koszul signs, every trajectory block the
+    inverse of the composed chain transport, and the correction entries."""
     base, fib = fd.base, fd.fiber
     f = fib.field
     gens = [(x + JOIN + g, px + kg) for x, px in base.points.items() for g, kg in fib.basis.generators]
@@ -593,7 +599,15 @@ def oracle_total_differential(fd):
             minv = _oracle_transport_inverse(blocks, Matrix.identity(f, fib.dim(k)), t.word)
             for i, j, v in minv.entries():
                 entries.append((t.dst + JOIN + names[j], t.src + JOIN + names[i], f.mul(sign, v)))
+    entries += [(sp + JOIN + sf, dp + JOIN + df, v) for sp, sf, dp, df, v in fd.corrections]
     return CochainComplex.from_generator_entries(f, gens, entries, check=False)
+
+
+def same_differentials(cx, want):
+    """Assert the same basis and every d^k equal, structurally."""
+    assert cx.basis == want.basis
+    for k in set(cx.degrees()) | set(want.degrees()):
+        assert cx.d(k) == want.d(k), k
 
 
 def oracle_morse_complex(md, ls):
@@ -607,6 +621,50 @@ def oracle_morse_complex(md, ls):
         for i, j, v in minv.entries():
             entries.append((t.dst + JOIN + str(j), t.src + JOIN + str(i),
                             f.mul(f.normalize(t.sign), v)))
+    return CochainComplex.from_generator_entries(f, gens, entries, check=False)
+
+
+def oracle_cellular_complex(cd, ls=None, field=None):
+    """cellular_complex(cd, ls, field) as string triples "c|i": each
+    incidence coeff * (composed transport), each exceptional incidence
+    orientation * (plus - minus), entry by entry on dense matrices; rank
+    one and untwisted when ls is None."""
+    f = ls.field if ls is not None else field
+    dim = ls.fiber_dim if ls is not None else 1
+    gens = [(c + JOIN + str(i), cd.cells[c][0]) for c in cd.order for i in range(dim)]
+    ident = Matrix.identity(f, dim)
+
+    def dense(word):
+        return _oracle_transport(ls.transport_maps, ident, word).to_dense() if ls is not None else [[f.one]]
+
+    entries = []
+    for src, dst, coeff, word in cd.incidences:
+        for i, row in enumerate(dense(word)):
+            entries += [(src + JOIN + str(j), dst + JOIN + str(i), f.mul(f.normalize(coeff), v))
+                        for j, v in enumerate(row)]
+    for src, dst, plus, minus in cd.exceptional if ls is not None else ():
+        orient = f.normalize(cd.cells[src][2])
+        for i, (rp, rm) in enumerate(zip(dense(plus), dense(minus))):
+            entries += [(src + JOIN + str(j), dst + JOIN + str(i), f.mul(orient, f.sub(vp, vm)))
+                        for j, (vp, vm) in enumerate(zip(rp, rm))]
+    return CochainComplex.from_generator_entries(f, gens, entries, check=False)
+
+
+def oracle_tensor_product(a, b):
+    """tensor_product(a, b) as string triples "ga|gb": dx (x) y entry by
+    entry for every gb, and (-1)^{deg x} x (x) dy for every ga."""
+    f = a.field
+    gens = [(ga + JOIN + gb, da + db) for ga, da in a.basis.generators for gb, db in b.basis.generators]
+    entries = []
+    for k in a.degrees():
+        tgt, src = a.basis.gens(k + 1), a.basis.gens(k)
+        for i, j, v in a.d(k).entries():
+            entries += [(src[j] + JOIN + gb, tgt[i] + JOIN + gb, v) for gb, _ in b.basis.generators]
+    for ga, da in a.basis.generators:
+        sign = f.normalize(-1 if da % 2 else 1)
+        for k in b.degrees():
+            tgt, src = b.basis.gens(k + 1), b.basis.gens(k)
+            entries += [(ga + JOIN + src[j], ga + JOIN + tgt[i], f.mul(sign, v)) for i, j, v in b.d(k).entries()]
     return CochainComplex.from_generator_entries(f, gens, entries, check=False)
 
 

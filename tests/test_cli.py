@@ -284,6 +284,32 @@ def test_oracle_check_at_block_gap_1e30_within_budget():
     assert time.perf_counter() - start < 1
 
 
+ONE_VERTEX = {"vertices": ["v"], "edges": [], "relations": []}
+FIBER_DIM_CASES = [
+    ("local_subsystem", "extend", {"kind": "local_subsystem", "carrier": ["v"], "paths": [], "fiber_dim": 10 ** 30}),
+    ("local_system", "homology", {"kind": "local_system", "graph": ONE_VERTEX, "transport": {}, "fiber_dim": 10 ** 30}),
+    ("morse_data.local_system", "homology", {"kind": "morse_data", "graph": ONE_VERTEX, "points": [["v", 0]],
+                                             "trajectories": [], "local_system": {"fiber_dim": 10 ** 30, "transport": {}}}),
+]
+
+
+@pytest.mark.parametrize("what, command, doc", FIBER_DIM_CASES)
+def test_fiber_dim_past_the_limit_exits_4_within_budget(tmp_path, what, command, doc):
+    # a declared fiber_dim of 10^30 is refused before one column is allocated
+    import json
+    import time
+
+    from spectower.documents import MAX_FIBER_DIM
+
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dict(doc, field="Q")))
+    start = time.perf_counter()
+    code, out, err = run([command, str(path)] + ([data("circle_graph.json")] if command == "extend" else []))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert err == "precondition violation: %s: fiber_dim %d is above the limit %d\n" % (what, 10 ** 30, MAX_FIBER_DIM)
+
+
 def test_pages_all_past_the_span_limit_exits_4():
     from spectower.cli import MAX_SPAN
 

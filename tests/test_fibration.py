@@ -29,6 +29,7 @@ from helpers import (
     random_split_complex,
     random_standard_fiber,
     random_twisted_fibration,
+    same_differentials,
     sphere_base,
 )
 
@@ -413,12 +414,6 @@ def test_random_twisted_fibrations_e2():
             assert t.entries == assemble_fibration(fd).page(2).dims()
 
 
-def _same_differentials(cx, want):
-    assert cx.basis == want.basis
-    for k in set(cx.degrees()) | set(want.degrees()):
-        assert cx.d(k) == want.d(k), k
-
-
 def test_multistep_words_match_inverted_composite_oracle():
     # words of 2-3 steps with both signs: a wrong product order or a wrong
     # inverse shows up entry for entry in d_1 of the total complex and of E_2
@@ -428,14 +423,14 @@ def test_multistep_words_match_inverted_composite_oracle():
         field = fields[trial % 4]
         fd = random_multistep_fibration(rng, field)
         assert any(len(t.word) > 1 for t in fd.base.differential_trajectories())
-        _same_differentials(assemble_fibration(fd).complex, oracle_total_differential(fd))
+        same_differentials(assemble_fibration(fd).complex, oracle_total_differential(fd))
         fib_h = fd.fiber.cohomology()
         for q, sysq in e2_table(fd).systems.items():
             reps = fib_h.representatives(q)
             for eid in fd.base.graph.edges:
                 # the one solve over every edge equals the per-edge solves
                 assert sysq.transport_maps[eid] == fib_h.coordinates(q, fd.action_matrix(eid, q) * reps)
-            _same_differentials(morse_complex(fd.base, sysq), oracle_morse_complex(fd.base, sysq))
+            same_differentials(morse_complex(fd.base, sysq), oracle_morse_complex(fd.base, sysq))
 
 
 def test_singular_declared_action_refused():
