@@ -111,7 +111,7 @@ class FibrationData:
                 inv[k] = m.solve(Matrix.identity(fib.field, m.nrows))
                 if inv[k] is None:
                     raise InvariantError("edge %r action in degree %d is not invertible" % (eid, k))
-            for k in fib.degrees():
+            for k in [k for k in fib.degrees() if k in inv or k + 1 in inv]:  # else it compares d with d
                 lhs = self.action_matrix(eid, k + 1) * fib.d(k)
                 rhs = fib.d(k) * self.action_matrix(eid, k)
                 if lhs != rhs:
@@ -124,16 +124,15 @@ class FibrationData:
 def chain_transport(fd, word):
     """Per-degree transport of the fiber complex along an edge word."""
     fib = fd.fiber
-    out = {k: Matrix.identity(fib.field, fib.dim(k)) for k in fib.degrees()}
-    at = None
+    out, at = {}, None  # degree -> the product of the declared blocks so far
     for e, s in word:
         a, b = fd.base.graph.step_endpoints((e, s))
         if at is not None and a != at:
             raise PreconditionError("transport word is not composable at edge %r" % e)
         at = b
-        for k in out:
-            out[k] = fd.action_matrix(e, k, s) * out[k]
-    return out
+        for k, m in (fd.edge_action if s == 1 else fd._inverses).get(e, {}).items():
+            out[k] = m * out[k] if k in out else m
+    return {k: out[k] if k in out else Matrix.identity(fib.field, fib.dim(k)) for k in fib.degrees()}
 
 
 def assemble_fibration(fd):
@@ -207,7 +206,7 @@ def cohomology_local_system(fd, q):
         return None
     reps = fib_h.representatives(q)
     edges = fd.base.graph.edges
-    imgs = [fd.action_matrix(eid, q) * reps for eid in edges]
+    imgs = [fd.edge_action[eid][q] * reps if q in fd.edge_action.get(eid, {}) else reps for eid in edges]
     # one solve for every edge: solutions are canonical column by column
     coords = fib_h.coordinates(q, Matrix.hstack(fd.fiber.field, reps.nrows, imgs))
     for eid, m in zip(edges, imgs):

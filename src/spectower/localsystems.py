@@ -247,15 +247,14 @@ class LocalSystem:
 
     def transport_along(self, word, start=None):
         """Ordered composition along the word (left factor traversed first)."""
-        acc = Matrix.identity(self.field, self.fiber_dim)
-        at = start
+        acc, at = None, start
         for step in word:
             a, b = self.graph.step_endpoints(step)
             if at is not None and a != at:
                 raise PreconditionError("word is not composable at edge %r" % step[0])
-            acc = self.step_matrix(step) * acc
+            acc = self.step_matrix(step) if acc is None else self.step_matrix(step) * acc
             at = b
-        return acc
+        return Matrix.identity(self.field, self.fiber_dim) if acc is None else acc
 
     def monodromy(self, loops, base):
         """Transport matrices of based loop words."""

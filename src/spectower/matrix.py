@@ -21,7 +21,7 @@ columns, each reduced against the earlier column owning its lowest entry
 (the column reduction R = D V of persistence).  A column is a pivot
 column iff it grows the span of the columns before it, which is the RREF
 pivot set.  `rank`, `pivot_columns` and the subspace helpers keep no V
-(`_grows`); `kernel` and `solve` track each column's combination V
+and stop at nrows pivots (`_echelon`); `kernel` and `solve` track V
 (`_tracked`), and read the canonical RREF kernel basis and
 free-variables-zero solution off it.
 """
@@ -278,11 +278,10 @@ class Matrix:
 
     def _pivots(self):
         """The columns outside the span of the columns before them: one
-        `_grows` pass (over Q on the integer columns), or `kernel`'s /
+        `_echelon` pass (over Q on the integer columns), or `kernel`'s /
         `solve`'s."""
         if self._piv is None:
-            basis, f = {}, self.field
-            self._piv = tuple(j for j, col in enumerate(self.cols) if _grows(f, basis, col))
+            self._piv = _echelon(self.field, self.nrows, self.cols)[0]
         return self._piv
 
     def rank(self):
@@ -453,6 +452,16 @@ def _grows(f, basis, col):
         else:
             _sub(f, col, f.div(col[low], b[low]), b)
     return False
+
+
+def _echelon(f, nrows, cols):
+    """(the pivot columns, the echelon basis {low: column}) of one `_grows`
+    pass over `cols`; past nrows pivots every column is in the span."""
+    basis, piv = {}, []
+    for j, col in enumerate(cols):
+        if len(piv) < nrows and _grows(f, basis, col):
+            piv.append(j)
+    return tuple(piv), basis
 
 
 def _tracked(f, basis, j, col):

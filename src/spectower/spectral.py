@@ -22,14 +22,13 @@ R = D V, column by column on the columns of d (over Q as the integer
 identity D' V' = δ R' on its integer columns D' = δ d); d_r o d_r = 0 and
 E_{r+1} = H(E_r, d_r) dimensionwise wherever d_r ≠ 0, the only places a
 page changes; and `converge` certifies E_inf against F_pH and H,
-neither read from the pairing:
-dim F_pH^k = rank(B^k + F_p) - rank B^k - rank d|F_p from one echelon
-pass per degree over the prefixes F_n ⊆ ... ⊆ F_0 that walks each
-generator once (a split complex steps from F_{p+1} to F_p by its block-p
-generators, so only occupied blocks are visited), and
-dim H^k = dim C^k - rank d^k - rank d^{k-1}; both run on the span-growth
-kernel `_grows` of matrix.py.  F_pH^k is kept as a step function of p,
-only where it differs from F_{p+1}H^k.  The subquotient description
+neither read from the pairing.  On a split complex F_p C^k is a prefix
+[0, t), and one echelon pass per d^k (its rank profile) gives
+dim F_pH^k = t - rank d^k|F_p - #{lows of im d^{k-1} below t}; a general
+filtration grows echelon bases of F_p, d(F_p) and im d^{k-1} + F_p over
+its spans.  dim H^k = dim C^k - rank d^k - rank d^{k-1}.  All of it runs
+on the span-growth kernel `_grows` of matrix.py.  F_pH^k is kept as a
+step function of p, only where it differs from F_{p+1}H^k.  The subquotient description
 E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2}),
 Z_r^{p,q} = {x in F_p C^{p+q} : dx in F_{p+r}}, is the test oracle.
 
@@ -44,7 +43,7 @@ from operator import neg
 
 from .complexes import CochainComplex
 from .errors import InvariantError, PreconditionError
-from .matrix import Matrix, _apply, _divided, _grows, _low, _sub, int_combine, quotient_basis, span_contains
+from .matrix import Matrix, _apply, _divided, _echelon, _grows, _low, _sub, int_combine, quotient_basis, span_contains
 
 __all__ = [
     "FilteredComplex",
@@ -399,15 +398,13 @@ class FilteredComplex:
 
     def _h_filtration(self, k):
         """((p, k), dim F_pH^k) where it differs from dim F_{p+1}H^k, from
-        prefix ranks.
+        span ranks.
 
-        One pass over the step columns of F_n ⊆ ... ⊆ F_0 (`_step_columns`:
-        what F_p adds to F_{p+1}) grows three echelon bases: S = F_p;
-        Z = d(F_p), so zr = rank d|F_p; and BB = B + F_p with
-        B = im d^{k-1}, of which br counts the growth past B.  Then
+        One walk over the spans of F_n ⊆ ... ⊆ F_0 grows three echelon
+        bases: S = F_p; Z = d(F_p), so zr = rank d|F_p; and BB = B + F_p
+        with B = im d^{k-1}, of which br counts the growth past B.  Then
         dim(Z^k ∩ F_p) = dim F_p - zr and dim(B ∩ F_p) = dim F_p - br, so
-        dim F_pH^k = br - zr.  Only the p in `_levels(k)` can change it.
-        Nothing here reads the reduction.
+        dim F_pH^k = br - zr.  Nothing here reads the reduction.
         """
         cx, f = self.complex, self.complex.field
         dcols = cx.d(k).cols  # one δ for all of d, so d' = δ d maps every column alike
@@ -415,23 +412,14 @@ class FilteredComplex:
         for col in cx.d(k - 1).cols:
             _grows(f, bb, col)
         zr = br = h = 0
-        for p in self._levels(k):
-            for col in self._step_columns(p, k):
+        for p in range(self.n, -1, -1):
+            for col in self.span(p, k).cols:
                 if _grows(f, s, col):
                     zr += _grows(f, z, _apply(f, dcols, col))
                     br += _grows(f, bb, col)
             if br - zr != h:
                 h = br - zr
                 yield (p, k), h
-
-    def _levels(self, k):
-        """The p, descending, at which F_p C^k may differ from F_{p+1} C^k."""
-        return range(self.n, -1, -1)
-
-    def _step_columns(self, p, k):
-        """Columns spanning F_p C^k; the S basis of `_h_filtration`
-        skips those already in F_{p+1} C^k."""
-        return self.span(p, k).cols
 
     def converge(self):
         """Walk the breakpoints to stabilization and certify E_inf against
@@ -470,6 +458,7 @@ class SplitFilteredComplex(FilteredComplex):
             pos = sorted(range(len(b)), key=lambda i: -b[i])
             self.order[k] = (pos, [b[i] for i in pos])
         self._rows = {}  # degree k -> d^k with its rows in order[k + 1]
+        self._prof = {}  # degree k -> (pivot columns, sorted lows) of d^k
         self._red = None
         self._converged = None
         if check:
@@ -495,7 +484,7 @@ class SplitFilteredComplex(FilteredComplex):
 
     def sorted_rows(self, k):
         """d^k with its rows in order[k + 1]: permuted once, for whichever
-        of the check and the reduction runs first."""
+        of the check, the reduction and the rank profile runs first."""
         if k not in self._rows:
             self._rows[k] = self.complex.d(k).take_rows(self.order.get(k + 1, ((), ()))[0])
         return self._rows[k]
@@ -505,14 +494,25 @@ class SplitFilteredComplex(FilteredComplex):
         pos, blocks = self.order.get(k, ((), ()))
         return tuple(pos[bisect_left(blocks, -p, key=neg):bisect_right(blocks, -p, key=neg)])
 
-    def _levels(self, k):
-        """The occupied blocks of C^k, descending: F_p = F_{p+1} elsewhere."""
-        return list(dict.fromkeys(self.order[k][1]))
-
-    def _step_columns(self, p, k):
-        """Unit columns of the block-p generators: F_p C^k is F_{p+1} C^k plus these."""
-        f2 = self.complex.field.p == 2
-        return [1 << i if f2 else {i: 1} for i in self.block_indices(k, p)]
+    def _h_filtration(self, k):
+        """((p, k), dim F_pH^k) at the occupied blocks p where it differs
+        from dim F_{p+1}H^k.  F_p C^k is the prefix [0, t) of order[k], and
+        an echelon basis of B^k = im d^{k-1} has distinct lows, so
+        dim F_pH^k = t - rank d^k|F_p - #{lows < t}.  One cached `_echelon`
+        pass over the columns of each d^j in order[j] (rows in order[j + 1])
+        gives its pivots and lows.  Nothing here reads the reduction.
+        """
+        for j in (k - 1, k):
+            if j not in self._prof:
+                d = self.sorted_rows(j)
+                piv, basis = _echelon(d.field, d.nrows, [d.cols[i] for i in self.order.get(j, ((), ()))[0]])
+                self._prof[j] = (piv, sorted(basis))
+        piv, lows, h = self._prof[k][0], self._prof[k - 1][1], 0
+        for b, t in {b: t for t, b in enumerate(self.order[k][1], 1)}.items():  # F_b C^k = [0, t)
+            new = t - bisect_left(piv, t) - bisect_left(lows, t)
+            if new != h:
+                h = new
+                yield (b, k), h
 
     def span(self, p, k):
         """A matrix whose columns span F_p C^k: the generators of blocks >= p."""

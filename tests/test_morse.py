@@ -202,3 +202,18 @@ def test_incidence_word_endpoints_validated():
             incidences=[("v", "w", 1, parse_word(["~e"]))],  # runs y -> x
             graph=g,
         )
+
+
+def test_wide_shift_monodromy_within_budget():
+    # F_2 fiber of dimension 4000, one identity transport and one cyclic shift P:
+    # d^0 = I + P^-1 has rank 3999, and the quotient of ker d^1 = C^1 by its
+    # image stops reducing identity columns once the basis spans every row
+    import time
+
+    n = 4000
+    g, md = circle_morse()
+    start = time.perf_counter()
+    shift = Matrix.from_entries(F2, n, n, [((i + 1) % n, i, 1) for i in range(n)])
+    ls = LocalSystem(g, F2, n, {"a": Matrix.identity(F2, n), "b": shift})
+    assert morse_complex(md, ls).cohomology().dims() == {0: 1, 1: 1}
+    assert time.perf_counter() - start < 0.5

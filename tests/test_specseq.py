@@ -504,6 +504,37 @@ def test_h_filtration_matches_kernel_formula():
             assert conv.certified
 
 
+def interleaved(rng, sfc, check):
+    """sfc with the basis of each degree shuffled, so that its blocks
+    interleave instead of coming block-sorted; with check=False nothing
+    permutes the rows of d before the first caller of `sorted_rows`."""
+    cx = sfc.complex
+    perm = {k: rng.sample(range(cx.dim(k)), cx.dim(k)) for k in cx.degrees()}
+    basis = GradedBasis([(cx.basis.gens(k)[i], k) for k in cx.degrees() for i in perm[k]])
+    diff = {k: cx.d(k).take_rows(perm[k + 1]).take_columns(perm[k]) for k in cx.degrees() if k + 1 in perm}
+    return SplitFilteredComplex(CochainComplex(cx.field, basis, diff, check=check), sfc.blocks, check=check)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([F2, Field(3), Field(2 ** 61 - 1), Q]), st.booleans())
+def test_split_rank_profile_matches_the_kernel_formula(seed, field, check):
+    # F_pH of a split tower from the rank profiles of its d^k, on bases whose
+    # blocks interleave, against the kernel formula and against the span walk
+    # of the same filtration as a general FilteredComplex
+    from helpers import random_wide_scalar
+
+    rng = random.Random(seed)
+    sfc = interleaved(rng, random_split_complex(rng, field, max_gens=18, max_len=5, scalar=random_wide_scalar),
+                      check)
+    assert check or not sfc._rows
+    profile = {pk: h for k in sfc.complex.degrees() for pk, h in sfc._h_filtration(k)}  # before any page
+    conv = sfc.converge()
+    assert conv.h_filtration == profile
+    assert_h_filtration_matches_oracle(sfc, conv)
+    assert conv.h_filtration == to_filtered(sfc).converge().h_filtration
+    assert conv.certified
+
+
 def test_q_towers_with_wide_rationals_match_oracles():
     # Q towers and their conjugates with numerators up to 10^6 over coprime
     # denominators up to 97: the W columns (page-0 representatives) equal a
