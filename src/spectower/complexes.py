@@ -169,17 +169,6 @@ class CochainComplex:
             return Matrix.zero(self.field, self.dim(k + 1), self.dim(k))
         return m
 
-    def vector(self, coeffs):
-        """(degree, column Matrix) for a homogeneous combination {id: scalar}."""
-        degs = {self.basis.position(g)[0] for g in coeffs}
-        if len(degs) != 1:
-            raise ValueError("combination is not homogeneous (degrees %s)" % sorted(degs))
-        k = degs.pop()
-        ent = {}
-        for g, v in coeffs.items():
-            ent[(self.basis.position(g)[1], 0)] = v
-        return k, Matrix(self.field, self.dim(k), 1, ent)
-
     def cohomology(self):
         if self._cohomology is None:
             dims, reps = {}, {}

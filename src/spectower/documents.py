@@ -95,13 +95,12 @@ def _scalar_out(field, v):
 
 
 def _scalar_in(field, v):
-    if isinstance(v, bool) or isinstance(v, float):
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise ParseError("bad scalar %r" % (v,))
-    if isinstance(v, int):
-        return field.normalize(v)
-    if isinstance(v, str):
-        return field.normalize(parse_scalar(v))
-    raise ParseError("bad scalar %r" % (v,))
+    x = parse_scalar(v)
+    if field.p is not None and x.denominator % field.p == 0:
+        raise ParseError("scalar %r has no value in %r: its denominator is divisible by %d" % (v, field, field.p))
+    return field.normalize(x)
 
 
 def _int_in(v, what):

@@ -226,7 +226,9 @@ class LocalSystem:
             if m.shape != (self.fiber_dim, self.fiber_dim) or m.field != field:
                 raise ParseError("transport for edge %r has shape %s" % (eid, m.shape))
             self.transport_maps[eid] = m
-            self._inverses[eid] = m.inverse()  # raises InvariantError if singular
+            self._inverses[eid] = m.solve(Matrix.identity(field, self.fiber_dim))
+            if self._inverses[eid] is None:
+                raise InvariantError("transport for edge %r is not invertible" % eid)
         if set(transport) - set(graph.edges):
             raise ParseError("transport given for unknown edges %s" % sorted(set(transport) - set(graph.edges)))
         if check:

@@ -12,9 +12,12 @@ otherwise, residues in [1, p) over F_p.  Over Q the dict values are ints
 and the matrix is cols / den for one positive int `den`, with the content
 divided out (gcd(den, every value) = 1) so that equality stays
 structural.  A product over Q multiplies integer columns and the two
-denominators; elimination combines integer columns by a*x - b*y with the
-content divided out (Bareiss-style, fraction-free).  The accessors
-`entries`, `get` and `to_dense` are the only places that build Fractions.
+denominators.  Elimination over F_p and Q takes one fraction-free step
+(Bareiss-style, `int_combine`): it combines integer columns by a*x - b*y,
+reduced mod p over F_p and with the content divided out over Q, and
+carries the scale beside the column, so no step takes a field inverse.
+The accessors `entries`, `get` and `to_dense` are the only places that
+build Fractions.
 
 One elimination.  All elimination is one left-to-right pass over the
 columns, each reduced against the earlier column owning its lowest entry
@@ -370,13 +373,16 @@ def _matrix(field, nrows, cols, den=1):
 
 def _divided(field, nrows, pairs):
     """The Matrix whose k-th column is col / d for the k-th (col, d) of
-    pairs: integer dict columns over one lcm over Q; over F_p d is a unit,
-    and over F_2 d = 1 and col a bitmask."""
-    if field.p is None:
+    pairs: integer dict columns over one lcm over Q; over F_p d is a unit
+    and each column is scaled by its one inverse; over F_2 d = 1 and col
+    a bitmask."""
+    p = field.p
+    if p is None:
         den = lcm(*[d for _, d in pairs])
         return _matrix(field, nrows, [c if d == den else {i: v * (den // d) for i, v in c.items()}
                                       for c, d in pairs], den)
-    return _matrix(field, nrows, [c if d == 1 else {i: field.div(v, d) for i, v in c.items()} for c, d in pairs])
+    return _matrix(field, nrows, [c if d == 1 else {i: v * u % p for i, v in c.items()}
+                                  for c, d in pairs for u in (pow(d, -1, p),)])
 
 
 def _low(col):
@@ -413,24 +419,11 @@ def _apply(f, cols, vec):
     return {r: v for r, v in acc.items() if v}
 
 
-def _sub(f, col, c, other):
-    """col - c * other for columns; dict columns change in place."""
-    if f.p == 2:
-        return col ^ other
-    for i, v in other.items():
-        nv = f.sub(col.get(i, f.zero), f.mul(c, v))
-        if nv:
-            col[i] = nv
-        else:
-            col.pop(i, None)
-    return col
-
-
 def _grows(f, basis, col):
     """Reduce col against the echelon basis {pivot: column}; True, with the
     remainder added to the basis, iff col is outside its span.  Over Q the
     columns hold ints and only ranks matter, so remainders are kept
-    primitive instead of exact."""
+    primitive instead of exact, and over F_p are scaled by units."""
     if f.p == 2:
         while col:
             low = col.bit_length() - 1
@@ -440,17 +433,13 @@ def _grows(f, basis, col):
                 return True
             col ^= b
         return False
-    col = dict(col)
     while col:
         low = max(col)
         b = basis.get(low)
         if b is None:
             basis[low] = col
             return True
-        if f.p is None:
-            col = int_combine(b[low], [col], col[low], [b])[0][0]
-        else:
-            _sub(f, col, f.div(col[low], b[low]), b)
+        col = int_combine(b[low], [col], col[low], [b], 0, f.p)[0][0]
     return False
 
 
@@ -468,8 +457,8 @@ def _tracked(f, basis, j, col):
     """Reduce column j against the echelon basis {low: (column, V)}, with V
     the combination of input columns it is, starting at e_j.  Returns V if
     col reduces to zero; otherwise adds (remainder, V) to the basis and
-    returns None.  Over Q the pair stays integral and primitive, so V is
-    exact only up to a common factor; over F_p it is never scaled."""
+    returns None.  The pair is exact only up to a common factor: a unit
+    over F_p, and over Q the pair stays integral and primitive."""
     if f.p == 2:
         v = 1 << j
         while col:
@@ -481,38 +470,43 @@ def _tracked(f, basis, j, col):
             col ^= b[0]
             v ^= b[1]
         return v
-    col, v = dict(col), {j: 1}
+    v = {j: 1}
     while col:
         low = max(col)
         b = basis.get(low)
         if b is None:
             basis[low] = (col, v)
             return None
-        if f.p is None:
-            col, v = int_combine(b[0][low], [col, v], col[low], b)[0]
-        else:
-            c = f.div(col[low], b[0][low])
-            _sub(f, col, c, b[0])
-            _sub(f, v, c, b[1])
+        col, v = int_combine(b[0][low], [col, v], col[low], b, 0, f.p)[0]
     return v
 
 
 def _combinations(f, nrows, deps):
     """The nrows x len(deps) matrix whose k-th column is v[:nrows] / v[t]
-    for the k-th (t, v) of deps; over F_p v[t] = ±1."""
+    for the k-th (t, v) of deps; v[t] is a unit over F_p, 1 over F_2."""
     if f.p == 2:
         low = (1 << nrows) - 1
         return _matrix(f, nrows, [v & low for _, v in deps])
     return _divided(f, nrows, [({i: x for i, x in v.items() if i < nrows}, v[t]) for t, v in deps])
 
 
-def int_combine(a, xs, b, ys, den=0):
-    """(a·x - b·y for each x, y of the integer dict vectors xs, ys; a·den),
-    all divided by their common content after a and b are divided by theirs.
+def int_combine(a, xs, b, ys, den=0, p=None):
+    """(a·x - b·y for each x, y of the integer dict vectors xs, ys; a·den).
 
-    New dicts, zero entries dropped.  With den = 0 this makes the vectors
-    primitive; with a denominator shared by x, it keeps x / den exact.
+    New dicts, zero entries dropped.  Over F_p (p given) everything is
+    reduced mod p and there is no content.  Over Q everything is divided
+    by its common content after a and b are divided by theirs: with den = 0
+    this makes the vectors primitive.  Either way, with a denominator
+    shared by x, it keeps x / den exact.
     """
+    if p:
+        out = []
+        for x, y in zip(xs, ys):
+            z = {i: a * v for i, v in x.items()}
+            for i, v in y.items():
+                z[i] = z.get(i, 0) - b * v
+            out.append({i: v % p for i, v in z.items() if v % p})
+        return out, a * den % p
     g = gcd(a, b)
     if g != 1:
         a //= g

@@ -17,6 +17,7 @@ orientation * (plus-transport - minus-transport).
 
 from .complexes import JOIN, CochainComplex, GradedBasis
 from .errors import InvariantError, ParseError
+from .field import Q
 from .matrix import Matrix
 
 
@@ -195,30 +196,21 @@ class CellularData:
         return [c for c in self.order if self.cells[c][0] == k]
 
     def _untwisted_matrix(self, k):
-        rows = self.cells_of_dim(k + 1)
-        cols = self.cells_of_dim(k)
-        rpos = {c: i for i, c in enumerate(rows)}
-        cpos = {c: j for j, c in enumerate(cols)}
-        m = [[0] * len(cols) for _ in rows]
-        for src, dst, coeff, _ in self.incidences:
-            if self.cells[src][0] == k:
-                m[rpos[dst]][cpos[src]] += coeff
-        return m
+        """The integer incidence matrix from the k-cells to the (k+1)-cells, over Q."""
+        rpos = {c: i for i, c in enumerate(self.cells_of_dim(k + 1))}
+        cpos = {c: j for j, c in enumerate(self.cells_of_dim(k))}
+        return Matrix.from_entries(Q, len(rpos), len(cpos), [(rpos[dst], cpos[src], coeff)
+                                   for src, dst, coeff, _ in self.incidences if self.cells[src][0] == k])
 
     def _check_untwisted(self):
         for k in self.dims():
-            a = self._untwisted_matrix(k)
-            b = self._untwisted_matrix(k + 1)
-            if not a or not b:
-                continue
-            for i in range(len(b)):
-                for j in range(len(a[0]) if a else 0):
-                    s = sum(b[i][t] * a[t][j] for t in range(len(a)))
-                    if s != 0:
-                        raise InvariantError(
-                            "untwisted incidence complex fails d^2 = 0 between %r and %r"
-                            % (self.cells_of_dim(k)[j], self.cells_of_dim(k + 2)[i])
-                        )
+            dd = self._untwisted_matrix(k + 1) * self._untwisted_matrix(k)
+            if not dd.is_zero():
+                i, j = min(dd.support())  # the lowest (k+2)-cell, then the lowest k-cell
+                raise InvariantError(
+                    "untwisted incidence complex fails d^2 = 0 between %r and %r"
+                    % (self.cells_of_dim(k)[j], self.cells_of_dim(k + 2)[i])
+                )
 
 
 def cellular_complex(cd, ls=None, field=None):

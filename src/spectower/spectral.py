@@ -43,7 +43,7 @@ from operator import neg
 
 from .complexes import CochainComplex
 from .errors import InvariantError, PreconditionError
-from .matrix import Matrix, _apply, _divided, _echelon, _grows, _low, _sub, int_combine, quotient_basis, span_contains
+from .matrix import Matrix, _apply, _divided, _echelon, _grows, _low, int_combine, quotient_basis, span_contains
 
 __all__ = [
     "FilteredComplex",
@@ -149,10 +149,11 @@ class _Reduction:
     Generators of C^k are indexed in block-descending order (`order[k]`
     lists their positions, `index[k]` the inverse), so F_p C^k is a prefix.
     Columns in index coordinates are int bitmasks over F_2, {index: value}
-    dicts otherwise.  Over Q the reduction runs on ints: with D = D'/δ for
-    the integer columns D' of d, the R and V columns j are integer columns
-    over one denominator den_j, and R = D V is checked as D' V'_j = δ R'_j.
-    A W column is kept as the pair (column, den_j); den_j = 1 over F_p.
+    dicts otherwise.  Over F_p and Q the reduction runs on ints: with
+    D = D'/δ for the integer columns D' of d (δ = 1 over F_p), the R and V
+    columns j are integer columns over one denominator den_j, a unit over
+    F_p, and R = D V is checked as D' V'_j = δ R'_j.  A W column is kept
+    as the pair (column, den_j); den_j = 1 over F_2.
     `frame[k]` = (T, T^-1) takes split coordinates of C^k to ambient ones.
     """
 
@@ -178,11 +179,10 @@ class _Reduction:
 
     def _reduce(self, k, d):
         f = self.field
-        q = f.p is None
-        delta, dv = d.den, d.cols  # D' = δ D in index coordinates, never mutated
-        rcols = list(dv) if self.f2 else [dict(c) for c in dv]
+        delta, dv = d.den, d.cols  # D' = δ D in index coordinates
+        rcols = list(dv)
         vcols = [1 << j if self.f2 else {j: delta} for j in range(len(rcols))]
-        den = [delta] * len(rcols)  # over Q, R and V column j are rcols[j] / den[j], vcols[j] / den[j]
+        den = [delta] * len(rcols)  # R and V column j are rcols[j] / den[j], vcols[j] / den[j]
         owner = {}  # lowest entry -> the column that has it
         for j, col in enumerate(rcols):
             while col:
@@ -191,12 +191,11 @@ class _Reduction:
                 if i is None:
                     owner[low] = j
                     break
-                if q:  # den[i] cancels: a r_j - b r_i over a den_j
+                if self.f2:
+                    col, vcols[j] = col ^ rcols[i], vcols[j] ^ vcols[i]
+                else:  # den[i] cancels: a r_j - b r_i over a den_j
                     (col, vcols[j]), den[j] = int_combine(rcols[i][low], [col, vcols[j]], col[low],
-                                                          [rcols[i], vcols[i]], den[j])
-                    continue
-                c = 1 if self.f2 else f.div(col[low], rcols[i][low])
-                col, vcols[j] = _sub(f, col, c, rcols[i]), _sub(f, vcols[j], c, vcols[i])
+                                                          [rcols[i], vcols[i]], den[j], f.p)
             rcols[j] = col
         for j, v in enumerate(vcols):
             r = {i: delta * x for i, x in rcols[j].items()} if delta != 1 else rcols[j]
@@ -219,8 +218,8 @@ class _Reduction:
         Back substitution writes each column in the W basis (W_i is lowest
         at i).  It lies in Z_r^{p,q} iff it avoids blocks < p and each birth
         end whose partner has block < p+r; modulo B_r only `ids` remain.
-        Over Q it runs fraction-free: the column and its coordinates x stay
-        integral over one denominator, as in `_reduce`.
+        It runs fraction-free over F_p and Q: the column and its coordinates
+        x stay integral over one denominator, as in `_reduce`.
         """
         k, f = p + q, self.field
         order = self.order.get(k, ())
@@ -234,13 +233,10 @@ class _Reduction:
             while col:
                 low = _low(col)
                 w, dw = self.w[(k, low)]
-                if f.p is None:  # col / den less (col[low] dw / den w[low]) W, W = w / dw
-                    (col, x), den = int_combine(w[low], [col, x], col[low], [w, {low: -dw}], den)
-                elif self.f2:
+                if self.f2:
                     col, x = col ^ w, x | 1 << low
-                else:
-                    x[low] = v = f.div(col[low], w[low])
-                    col = _sub(f, col, v, w)
+                else:  # col / den less (col[low] dw / den w[low]) W, W = w / dw
+                    (col, x), den = int_combine(w[low], [col, x], col[low], [w, {low: -dw}], den, f.p)
                 mate = self.mate.get((k, low))
                 early_birth = mate and mate[0] > k and self.block[k][low] + mate[2] < p + r
                 if self.block[k][low] < p or early_birth:

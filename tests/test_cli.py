@@ -139,6 +139,43 @@ def test_singular_edge_action_exits_3(tmp_path):
     assert err == "invariant violation: edge 'a' action in degree 0 is not invertible\n"
 
 
+def test_singular_transport_exits_3(tmp_path):
+    import json
+
+    doc = tmp_path / "singular_transport.json"
+    doc.write_text(json.dumps({
+        "kind": "morse_data",
+        "field": "Q",
+        "graph": {"vertices": ["m", "M"], "edges": [["a", "M", "m"]], "relations": []},
+        "points": [["m", 0], ["M", 1]],
+        "trajectories": [["ta", "M", "m", 1, ["a"]]],
+        "local_system": {"fiber_dim": 2, "transport": {"a": [[0, 0, 1], [0, 1, 2], [1, 0, 2], [1, 1, 4]]}},
+    }))
+    code, out, err = run(["homology", str(doc)])
+    assert (code, out) == (3, "")
+    assert err == "invariant violation: transport for edge 'a' is not invertible\n"
+
+
+@pytest.mark.parametrize("field", ("F3", "F5", "F2305843009213693951"))
+def test_every_document_under_an_odd_prime_field(field):
+    # every document through each single-document subcommand, and every
+    # golden two-document argv, read over an odd prime: a scalar with no
+    # value there (wedge2's -1/3 in F3) is a parse error, never exit 5
+    docs = sorted(f for f in os.listdir(DATA) if f.endswith(".json"))
+    argvs = [[c, data(d)] + (["--all"] if c == "pages" else []) for d in docs
+             for c in ("homology", "pages", "e2", "oracle-check")]
+    argvs += [argv for _, argv in GOLDEN_CASES if len(argv) > 2 and argv[2].endswith(".json")]
+    for argv in argvs:
+        code, out, err = run(argv + ["--field", field])
+        assert code != 5 and (code == 0 or err.count("\n") == 1), (argv, err)
+        if argv[0] == "oracle-check" and os.path.basename(argv[1]) in (
+                "gap_huge.json", "hopf.json", "interval_filtered.json", "klein_twisted.json", "torus_product.json"):
+            assert code == 0 and "PASS" in out, (argv, err)
+    code, out, err = run(["extend", data("wedge2_subsystem.json"), data("wedge2_graph.json"), "--field", "F3"])
+    assert (code, out, err) == (2, "", "parse error: scalar '-1/3' has no value in F3: its denominator is "
+                                "divisible by 3\n")
+
+
 def test_exit_code_precondition():
     code, out, err = run(["extend", data("disconnected_subsystem.json"), data("disconnected_graph.json")])
     assert code == 4

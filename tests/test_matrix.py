@@ -231,13 +231,26 @@ def test_q_agrees_with_fp_on_unit_pivot_matrices():
 
 
 def test_matrix_is_immutable_value():
-    m = Matrix.from_rows(Q, [[1, 2], [3, 4]])
-    m2 = Matrix.from_rows(Q, [[1, 2], [3, 4]])
-    assert m == m2
-    _ = m.rank()
-    assert m == m2  # computing the echelon form does not disturb equality
-    assert m + (-m) == Matrix.zero(Q, 2, 2)
-    assert m * m.inverse() == Matrix.identity(Q, 2)
+    for field in (F3, Field(2 ** 61 - 1), Q):
+        m = Matrix.from_rows(field, [[1, 2], [3, 4]])
+        m2 = Matrix.from_rows(field, [[1, 2], [3, 4]])
+        assert m == m2
+        _ = m.rank()
+        assert m == m2  # computing the echelon form does not disturb equality
+        assert m + (-m) == Matrix.zero(field, 2, 2)
+        assert m * m.inverse() == Matrix.identity(field, 2)
+        # elimination never writes into the columns it is given: dense square
+        # matrices, some singular, and right-hand sides in and out of the span
+        rng = random.Random(2330)
+        for _ in range(30):
+            n = rng.randint(1, 6)
+            a = random_matrix(rng, field, n, n, rng.choice((0.5, 0.9)))
+            rhs = Matrix.hstack(field, n, [a * random_matrix(rng, field, n, 2, 0.6), random_matrix(rng, field, n, 1)])
+            snap = [[dict(c) for c in x.cols] for x in (a, rhs)]
+            a.rank(), a.kernel(), a.solve(rhs), a.solve(rhs.take_columns([0, 1]))
+            if a.rank() == n:
+                a.inverse()
+            assert [[dict(c) for c in x.cols] for x in (a, rhs)] == snap
 
 
 def _exact(m):

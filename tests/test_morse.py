@@ -146,10 +146,18 @@ def test_klein_bottle_untwisted():
 
 
 def test_untwisted_d2_checked_at_construction():
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="^untwisted incidence complex fails d\\^2 = 0 between 'v' and 'F'$"):
         CellularData(
             cells=[("v", 0, None, 1), ("e", 1, None, 1), ("F", 2, None, 1)],
             incidences=[("v", "e", 1, ()), ("e", "F", 1, ())],
+            graph=None,
+        )
+    # (F1, v2) and (F2, v1) both fail: the lowest 2-cell is named first
+    with pytest.raises(InvariantError, match="between 'v2' and 'F1'$"):
+        CellularData(
+            cells=[("v1", 0, None, 1), ("v2", 0, None, 1), ("e1", 1, None, 1), ("e2", 1, None, 1),
+                   ("F1", 2, None, 1), ("F2", 2, None, 1)],
+            incidences=[("v2", "e1", 1, ()), ("e1", "F1", 1, ()), ("v1", "e2", 1, ()), ("e2", "F2", 1, ())],
             graph=None,
         )
 
@@ -217,3 +225,22 @@ def test_wide_shift_monodromy_within_budget():
     ls = LocalSystem(g, F2, n, {"a": Matrix.identity(F2, n), "b": shift})
     assert morse_complex(md, ls).cohomology().dims() == {0: 1, 1: 1}
     assert time.perf_counter() - start < 0.5
+
+
+def test_untwisted_d2_check_within_budget():
+    # 400 0-cells, 800 1-cells, 400 2-cells and 800 incidences: 200 squares
+    # v -> e, e' -> F whose two paths cancel, and a dense product of the
+    # incidence matrices would take 128M steps
+    import time
+
+    n = 200
+    cells = [("v%d" % i, 0, None, 1) for i in range(2 * n)] + [("e%d" % i, 1, None, 1) for i in range(4 * n)]
+    cells += [("F%d" % i, 2, None, 1) for i in range(2 * n)]
+    inc = []
+    for i in range(n):
+        inc += [("v%d" % i, "e%d" % (2 * i), 1, ()), ("v%d" % i, "e%d" % (2 * i + 1), 1, ()),
+                ("e%d" % (2 * i), "F%d" % i, 1, ()), ("e%d" % (2 * i + 1), "F%d" % i, -1, ())]
+    start = time.perf_counter()
+    cd = CellularData(cells=cells, incidences=inc, graph=None)
+    assert time.perf_counter() - start < 1.0
+    assert len(cd.incidences) == 4 * n

@@ -536,28 +536,31 @@ def test_split_rank_profile_matches_the_kernel_formula(seed, field, check):
 
 
 def test_q_towers_with_wide_rationals_match_oracles():
-    # Q towers and their conjugates with numerators up to 10^6 over coprime
-    # denominators up to 97: the W columns (page-0 representatives) equal a
-    # textbook Fraction reduction entry for entry, and every page and F_pH
-    # match the subquotient oracle and the kernel formula
+    # towers and their conjugates over Q, with numerators up to 10^6 over
+    # coprime denominators up to 97, and over F_3 and F_(2^61-1): the W
+    # columns (page-0 representatives) equal a textbook field-arithmetic
+    # reduction entry for entry, and every page and F_pH match the
+    # subquotient oracle and the kernel formula
     from helpers import DensePageOracle, oracle_reduction_basis, random_wide_scalar
 
-    rng = random.Random(9797)
-    for _ in range(10):
-        sfc = random_split_complex(rng, Q, max_gens=14, max_len=4, scalar=random_wide_scalar)
-        cx, w, page = sfc.complex, oracle_reduction_basis(sfc), sfc.page(0)
-        for p, q in page.cells():
-            reps = page.reps(p, q)
-            cols = [w[(p + q, i)] for i, g in enumerate(cx.basis.gens(p + q)) if sfc.blocks[g] == p]
-            assert reps.to_dense() == [list(row) for row in zip(*cols)]
-            assert all(type(v) is Fraction for _, _, v in reps.entries())
-        for fc in (sfc, conjugated(rng, sfc, random_wide_scalar)):
-            oracle = DensePageOracle.from_filtered(fc)
-            for r in range(0, fc.n + 2):
-                assert fc.page(r).dims() == oracle.page_dims(r, fc.complex.degrees())
-            conv = fc.converge()
-            assert conv.certified
-            assert_h_filtration_matches_oracle(fc, conv)
+    for field in (Q, Field(3), Field(2 ** 61 - 1)):
+        rng = random.Random(9797)
+        for _ in range(10):
+            sfc = random_split_complex(rng, field, max_gens=14, max_len=4, scalar=random_wide_scalar)
+            cx, w, page = sfc.complex, oracle_reduction_basis(sfc), sfc.page(0)
+            for p, q in page.cells():
+                reps = page.reps(p, q)
+                cols = [w[(p + q, i)] for i, g in enumerate(cx.basis.gens(p + q)) if sfc.blocks[g] == p]
+                assert reps.to_dense() == [list(row) for row in zip(*cols)]
+                if field.p is None:
+                    assert all(type(v) is Fraction for _, _, v in reps.entries())
+            for fc in (sfc, conjugated(rng, sfc, random_wide_scalar)):
+                oracle = DensePageOracle.from_filtered(fc)
+                for r in range(0, fc.n + 2):
+                    assert fc.page(r).dims() == oracle.page_dims(r, fc.complex.degrees())
+                conv = fc.converge()
+                assert conv.certified
+                assert_h_filtration_matches_oracle(fc, conv)
 
 
 def test_incremental_pages_on_sparse_block_indices():
