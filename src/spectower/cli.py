@@ -5,8 +5,9 @@ kunneth.  All output is byte-deterministic.  Exit codes: 0 ok (for
 oracle-check and compare-ls: the check passed), 1 check failed,
 2 parse error, 3 invariant violation, 4 precondition violation,
 5 internal error (any other exception: a bug in spectower).  Output
-stays bounded: `pages --all` prints at most MAX_SPAN pages, and a table
-spans at most MAX_SPAN values of p or of q; past that, exit 4.
+stays bounded: `pages --all` prints at most MAX_SPAN pages, `homology` at
+most MAX_SPAN degrees, and a table spans at most MAX_SPAN values of p or
+of q; past that, exit 4.
 """
 
 import argparse
@@ -64,8 +65,11 @@ def _homology_lines(cx):
     degs = cx.degrees()
     if not degs:
         return ["(zero complex)"]
-    dims = cx.cohomology().dims()
     s = cx.display_shift
+    if degs[-1] - degs[0] >= MAX_SPAN:
+        raise PreconditionError("homology spans degrees %d..%d, more than %d values"
+                                % (degs[0] + s, degs[-1] + s, MAX_SPAN))
+    dims = cx.cohomology().dims()
     return ["H^%d %d" % (k + s, dims.get(k, 0)) for k in range(degs[0], degs[-1] + 1)]
 
 

@@ -412,8 +412,9 @@ def action_window(sfc, action, a=None, b=None):
     """Subquotient complex spanned by generators with action in [a, b].
 
     The action must strictly decrease along the differential (checked), so
-    span{action <= t} is a subcomplex for every t and the window
-    span{<= b} / span{< a} is well defined; blocks are inherited.
+    span{action <= t} is a subcomplex for every t and the window span{<= b} /
+    span{< a} is well defined; blocks are inherited.  A window that keeps
+    every generator is the tower itself: the same object, sharing its reduction.
     """
     act = _normalize_action(sfc, action)
     _check_action_decreasing(sfc, act)
@@ -421,10 +422,13 @@ def action_window(sfc, action, a=None, b=None):
 
 
 def _window(sfc, act, a, b):
-    """action_window for a normalized, checked action and exact bounds."""
+    """action_window for a normalized, checked action and exact bounds;
+    `sfc` itself when the window keeps every generator."""
     cx = sfc.complex
     gens = [(g, k) for g, k in cx.basis.generators
             if (a is None or a <= act[g]) and (b is None or act[g] <= b)]
+    if len(gens) == len(cx.basis.generators):
+        return sfc
     kept = {g for g, _ in gens}
     pos = {k: [i for i, g in enumerate(cx.basis.gens(k)) if g in kept] for k in cx.degrees()}
     diff = {k: cx.d(k).submatrix(pos.get(k + 1, ()), pos[k]) for k in cx.degrees()}

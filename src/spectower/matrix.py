@@ -224,12 +224,17 @@ class Matrix:
         return _matrix(f, self.nrows, [{i: v * n for i, v in x.items()} for x in self.cols], self.den * c.denominator)
 
     def __mul__(self, other):
+        """The product; with an identity factor (`_is_identity`) the other factor, as it is."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.field != other.field or self.ncols != other.nrows:
             raise ValueError(
                 "cannot multiply %dx%d by %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols)
             )
+        if _is_identity(self):
+            return other
+        if _is_identity(other):
+            return self
         # column l of the product is self applied to column l of other;
         # over Q on integer columns, over the product of the denominators
         f, a = self.field, self.cols
@@ -326,22 +331,26 @@ class Matrix:
         pivot basis of self; with nothing left over, A V[:n] = -V[n] rhs, so
         X = V[:n] / -V[n] lies on pivot columns, free variables are zero and
         the solution is canonical.  The result is verified by
-        multiplication before being returned.
+        multiplication before being returned.  An identity (`_is_identity`)
+        is not eliminated: X = rhs, and the verification costs O(n).
         """
         if rhs.nrows != self.nrows or rhs.field != self.field:
             raise ValueError("solve: shape/field mismatch")
         f, n = self.field, self.ncols
-        cols = Matrix.hstack(f, self.nrows, [self, rhs]).cols  # over Q a common rescaling: same V
-        basis = self._column_pass(cols)[0]
-        sols = []
-        for col in cols[n:]:
-            v = _tracked(f, basis, n, col)
-            if v is None:
-                return None
-            if f.p != 2:  # over F_2, -1 = 1
-                v[n] = -v[n]
-            sols.append((n, v))
-        x = _combinations(f, n, sols)
+        if _is_identity(self):
+            x = rhs
+        else:
+            cols = Matrix.hstack(f, self.nrows, [self, rhs]).cols  # over Q a common rescaling: same V
+            basis = self._column_pass(cols)[0]
+            sols = []
+            for col in cols[n:]:
+                v = _tracked(f, basis, n, col)
+                if v is None:
+                    return None
+                if f.p != 2:  # over F_2, -1 = 1
+                    v[n] = -v[n]
+                sols.append((n, v))
+            x = _combinations(f, n, sols)
         if self * x != rhs:
             return None
         return x
@@ -355,6 +364,12 @@ class Matrix:
         if x is None:
             raise InvariantError("matrix is not invertible (rank %d of %d)" % (self.rank(), self.nrows))
         return x
+
+
+def _is_identity(m):
+    """True iff m is square, den is 1 and column i is e_i; stops at the first column that is not."""
+    f2 = m.field.p == 2
+    return m.nrows == m.ncols and m.den == 1 and all(c == (1 << i if f2 else {i: 1}) for i, c in enumerate(m.cols))
 
 
 def _matrix(field, nrows, cols, den=1):

@@ -365,6 +365,32 @@ def test_table_past_the_span_limit_exits_4():
     assert code == 0 and out.count("\n") == 2
 
 
+@pytest.mark.parametrize("top", [100, 10 ** 30])
+def test_homology_past_the_span_limit_exits_4_within_budget(tmp_path, top):
+    # circle.json with e in degree `top`: one H^k line per degree in between
+    # would never end at 10^30; past MAX_SPAN degrees the run exits 4 at once,
+    # and at MAX_SPAN - 1 the lines are still printed
+    import json
+    import time
+
+    from spectower.cli import MAX_SPAN
+
+    with open(data("circle.json")) as fh:
+        doc = json.load(fh)
+    doc["generators"][1][1] = top
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(["homology", str(path)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert err == "precondition violation: homology spans degrees 0..%d, more than %d values\n" % (top, MAX_SPAN)
+    doc["generators"][1][1] = MAX_SPAN - 1
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(["homology", str(path)])
+    assert code == 0 and out.count("\n") == MAX_SPAN
+
+
 def test_page_far_past_a_long_gap(tmp_path):
     # one pair with a block gap of 700: pages up to 700 are built in a loop,
     # not by one recursion level per page

@@ -350,6 +350,45 @@ def test_action_window_and_truncation_maps():
             assert 1 in maps
 
 
+def test_full_window_is_the_tower_itself():
+    # a window that keeps every generator, whatever its bounds, is the tower
+    # object itself, with its reduction; the map of spectral sequences out of
+    # it equals, level by level, the one out of an explicitly rebuilt copy.
+    # A window that drops one generator, at the bottom or the top, is a new
+    # and smaller tower
+    from spectower.complexes import ChainMap, GradedBasis
+    from spectower.spectral import FilteredChainMap
+
+    rng = random.Random(1515)
+    for trial in range(6):
+        field = FIELDS[trial % 3]
+        if trial % 2:
+            sfc = assemble_fibration(random_twisted_fibration(rng, field))
+        else:
+            sfc = random_split_complex(rng, field, max_gens=16, max_len=4)
+        cx = sfc.complex
+        gens = cx.basis.generators
+        action = {g: -10 * k + Fraction(n, 10 * len(gens)) for n, (g, k) in enumerate(gens)}
+        values = sorted(action.values())
+        assert action_window(sfc, action, values[0], values[-1]) is sfc
+        assert action_window(sfc, action, None, None) is sfc
+        for a, b in ((values[1], None), (None, values[-2])):
+            win = action_window(sfc, action, a, b)
+            assert win is not sfc and len(win.complex.basis.generators) == len(gens) - 1
+        degs = cx.degrees()
+        cut = -10 * degs[len(degs) // 2]
+        fmap = truncation_map(sfc, action, (None, None), (cut, None))
+        assert fmap.source is sfc
+        copy = SplitFilteredComplex(CochainComplex(field, GradedBasis(list(gens)), {k: cx.d(k) for k in degs}),
+                                    dict(sfc.blocks))
+        rebuilt = FilteredChainMap(ChainMap(copy.complex, fmap.target.complex,
+                                            {k: fmap.chain_map.block(k) for k in degs}), copy, fmap.target)
+        maps, want = map_of_spectral_sequences(fmap), map_of_spectral_sequences(rebuilt)
+        assert sorted(maps) == sorted(want)
+        for r in want:
+            assert maps[r] == want[r]
+
+
 def test_truncation_window_direction_enforced():
     rng = random.Random(19)
     sfc = random_split_complex(rng, Q, max_gens=10, max_len=2)

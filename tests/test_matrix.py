@@ -486,3 +486,50 @@ def test_q_arithmetic_builds_no_fractions(monkeypatch):
     monkeypatch.undo()
     assert same and left.den > 1 and x is not None and sq * x == rhs
     assert rank == oracle_matrix_rank(left)
+
+
+# -- identity factors -------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_identity_and_near_identity_match_dense_oracles(data):
+    # an identity factor is returned as it is and an identity system is not
+    # eliminated; near-identities (one extra off-diagonal entry, one diagonal
+    # entry of 2, a scalar c*I with c != 1, which over Q is I/d with its ones
+    # over a denominator) take the full path.  Products on either side, solve
+    # and inverse against dense field arithmetic, 0 x 0 shapes included
+    field = data.draw(st.sampled_from(RANK_FIELDS), label="field")
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6), label="seed"))
+    n, l = rng.randint(0, 6), rng.randint(0, 6)
+    ident = Matrix.identity(field, n)
+    near = []
+    if n:
+        i = rng.randrange(n)
+        near.append(Matrix(field, n, n, {**{(t, t): 1 for t in range(n)}, (i, i): 2}))
+        if field.p != 2:
+            near.append(ident.scale(Fraction(1, rng.choice([2, 3, 7])) if field.p is None else rng.randrange(2, field.p)))
+    if n > 1:
+        i, j = rng.sample(range(n), 2)
+        near.append(Matrix(field, n, n, {**{(t, t): 1 for t in range(n)},
+                                          (i, j): random_wide_scalar(rng, field, nonzero=True)}))
+    b = random_matrix(rng, field, n, l, rng.choice([0.3, 0.7]), random_wide_scalar)
+    a = random_matrix(rng, field, l, n, rng.choice([0.3, 0.7]), random_wide_scalar)
+    assert ident * b is b and ident.solve(b) is b
+    assert a * ident == a  # a 0 x 0 or [[1]] a is itself the identity returned
+    assert ident.inverse() == ident
+    for m in [ident] + near:
+        dm = m.to_dense()
+        assert _exact(m * b) == oracle_product(field, dm, b.to_dense(), l)
+        assert _exact(a * m) == oracle_product(field, a.to_dense(), dm, n)
+        want = oracle_solve(m, b)
+        x = m.solve(b)
+        assert (x is None) == (want is None)
+        if want is not None:
+            assert _exact(x) == want
+        want = oracle_solve(m, ident)
+        if want is None:  # over F_2 the diagonal entry 2 is 0
+            with pytest.raises(InvariantError):
+                m.inverse()
+        else:
+            assert _exact(m.inverse()) == want

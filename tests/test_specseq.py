@@ -658,3 +658,64 @@ def test_unconjugated_chain_converges_within_budget():
     assert conv.certified
     assert conv.einf == {(n, -n): 1, (0, 1): 1}
     assert time.perf_counter() - start < 1
+
+
+def test_split_filtration_check_at_block_gap_1e30_within_budget():
+    # between split towers f(F_p) ⊆ F_p is read off the entries of f, so an
+    # identity map of two generators at block gap 10^30 costs no walk over p,
+    # and a target that lowers the top block is refused at the first p
+    import time
+
+    gap = 10 ** 30
+    start = time.perf_counter()
+    cx = CochainComplex.from_generator_entries(Q, [("a", 0), ("b", 1)], [("a", "b", 1)])
+    sfc = SplitFilteredComplex(cx, {"a": 0, "b": gap})
+    FilteredChainMap(ChainMap.identity(cx), sfc, sfc)
+    low = SplitFilteredComplex(cx, {"a": 0, "b": 0})
+    with pytest.raises(PreconditionError, match=r"at \(p=1, k=1\)"):
+        FilteredChainMap(ChainMap.identity(cx), sfc, low)
+    assert time.perf_counter() - start < 1
+
+
+def _filtration_check(fmap_args):
+    """The PreconditionError message of FilteredChainMap(*fmap_args), or None."""
+    try:
+        FilteredChainMap(*fmap_args)
+    except PreconditionError as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_split_filtration_check_matches_the_span_walk(data):
+    # random split pairs: a random tower into itself under a monotone
+    # relabelling of its blocks (the identity map, and a scalar multiple),
+    # or two zero-differential complexes with random blocks and a random map.
+    # The one-pass split check and the span walk on to_filtered copies accept
+    # the same maps and refuse the rest with the same (p, k)
+    field = data.draw(st.sampled_from(FIELDS), label="field")
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6), label="seed"))
+    if rng.random() < 0.5:
+        src = random_split_complex(rng, field, max_gens=14, max_len=4)
+        cx = src.complex
+        steps = [rng.choice([0, 0, 1, 2]) for _ in range(src.n + 1)]
+        relabel = [sum(steps[:b + 1]) for b in range(src.n + 1)]  # nondecreasing: d stays block-nondecreasing
+        tgt = SplitFilteredComplex(cx, {g: relabel[b] for g, b in src.blocks.items()})
+        c = random_scalar(rng, field, nonzero=True)
+        fmap = ChainMap(cx, cx, {k: Matrix.identity(field, cx.dim(k)).scale(c) for k in cx.degrees()})
+    else:
+        def flat(prefix):
+            gens = [("%s%d" % (prefix, i), rng.randint(0, 3)) for i in range(rng.randint(0, 8))]
+            cx = CochainComplex(field, GradedBasis(gens), {})
+            return SplitFilteredComplex(cx, {g: rng.randint(0, 4) for g, _ in gens})
+
+        src, tgt = flat("s"), flat("t")
+        fmap = ChainMap(src.complex, tgt.complex, {
+            k: Matrix(field, tgt.complex.dim(k), src.complex.dim(k),
+                      {(i, j): random_scalar(rng, field, nonzero=True)
+                       for i in range(tgt.complex.dim(k)) for j in range(src.complex.dim(k)) if rng.random() < 0.3})
+            for k in src.complex.degrees()})
+    split = _filtration_check((fmap, src, tgt))
+    assert split == _filtration_check((fmap, to_filtered(src), to_filtered(tgt)))
+    assert split is None or split.startswith("chain map does not preserve the filtration at (p=")
