@@ -17,17 +17,17 @@ each gap s that some pair has: page s+1 is the breakpoint before it less
 both ends of each gap-s pair, and page(r) is a view of the last
 breakpoint at or below r with d_r from the gap-r pairs.  Work grows with
 the pairs, not with the filtration length.  A FilteredComplex is split
-first by bases adapted to F_n ⊆ ... ⊆ F_1 ⊆ C^k.  Checks that run:
+once, by bases T_k adapted to F_n ⊆ ... ⊆ F_1 ⊆ C^k, and its pages,
+certification and map check all run on that split copy.  Checks that run:
 R = D V, column by column on the columns of d (over Q as the integer
 identity D' V' = δ R' on its integer columns D' = δ d); d_r o d_r = 0 and
 E_{r+1} = H(E_r, d_r) dimensionwise wherever d_r ≠ 0, the only places a
 page changes; and `converge` certifies E_inf against F_pH and H,
 neither read from the pairing.  On a split complex F_p C^k is a prefix
 [0, t), and one echelon pass per d^k (its rank profile) gives
-dim F_pH^k = t - rank d^k|F_p - #{lows of im d^{k-1} below t}; a general
-filtration grows echelon bases of F_p, d(F_p) and im d^{k-1} + F_p over
-its spans.  dim H^k = dim C^k - rank d^k - rank d^{k-1}.  All of it runs
-on the span-growth kernel `_grows` of matrix.py.  F_pH^k is kept as a
+dim F_pH^k = t - rank d^k|F_p - #{lows of im d^{k-1} below t}; T is a
+filtered isomorphism, so the split copy has the F_pH of the original.
+dim H^k = dim C^k - rank d^k - rank d^{k-1}.  F_pH^k is kept as a
 step function of p, only where it differs from F_{p+1}H^k.  The subquotient description
 E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2}),
 Z_r^{p,q} = {x in F_p C^{p+q} : dx in F_{p+r}}, is the test oracle.
@@ -43,7 +43,7 @@ from operator import neg
 
 from .complexes import CochainComplex
 from .errors import InvariantError, PreconditionError
-from .matrix import Matrix, _apply, _divided, _echelon, _grows, _low, int_combine, quotient_basis, span_contains
+from .matrix import Matrix, _apply, _divided, _echelon, _low, int_combine, quotient_basis, span_contains
 
 __all__ = [
     "FilteredComplex",
@@ -314,15 +314,16 @@ class FilteredComplex:
     """A cochain complex with a decreasing, d-compatible filtration.
 
     `steps[p-1]` gives per-degree span matrices of F_p C^k for
-    p = 1 .. n; F_0 is the whole complex and F_{n+1} = 0.  Pages come
-    from the reduction of a split copy: in a basis of each C^k adapted
-    to F_n ⊆ ... ⊆ F_1 ⊆ C^k, d is block-nondecreasing.
+    p = 1 .. n; F_0 is the whole complex and F_{n+1} = 0.  Pages,
+    certification and the map check run on one split copy (`_split`): in
+    a basis of each C^k adapted to F_n ⊆ ... ⊆ F_1 ⊆ C^k, d is block-nondecreasing.
     """
 
     def __init__(self, complex, steps, check=True):
         self.complex = complex
         self.steps = [{int(k): m for k, m in step.items() if m.ncols} for step in steps]
         self.n = len(self.steps)  # filtration length: the largest p with F_p possibly nonzero
+        self._copy = None  # (split copy, frame), built by `_split`
         self._red = None
         self._converged = None
         if check:
@@ -368,21 +369,25 @@ class FilteredComplex:
                         "differential does not respect the filtration at (p=%d, k=%d)" % (p, k)
                     )
 
+    def _split(self):
+        """(split copy, frame {k: (T, T^-1)}), built once: T_k takes split
+        coordinates to ambient ones, and the copy's d is T^-1 d T."""
+        if self._copy is None:
+            cx, f = self.complex, self.complex.field
+            frame, blocks = {}, {}
+            for k in cx.degrees():
+                basis = Matrix.zero(f, cx.dim(k), 0)
+                for p in range(self.n, -1, -1):
+                    new = quotient_basis(self.span(p, k), basis)
+                    blocks.update(zip(cx.basis.gens(k)[basis.ncols:], [p] * new.ncols))
+                    basis = Matrix.hstack(f, cx.dim(k), [basis, new])
+                frame[k] = (basis, basis.inverse())
+            diff = {k: frame[k + 1][1] * cx.d(k) * frame[k][0] for k in frame if k + 1 in frame}
+            self._copy = (SplitFilteredComplex(CochainComplex(f, cx.basis, diff, check=False), blocks), frame)
+        return self._copy
+
     def _reduction(self):
-        """The reduction of the split copy, with the adapted bases as frame."""
-        cx = self.complex
-        f = cx.field
-        frame, blocks = {}, {}
-        for k in cx.degrees():
-            basis = Matrix.zero(f, cx.dim(k), 0)
-            for p in range(self.n, -1, -1):
-                new = quotient_basis(self.span(p, k), basis)
-                blocks.update(zip(cx.basis.gens(k)[basis.ncols:], [p] * new.ncols))
-                basis = Matrix.hstack(f, cx.dim(k), [basis, new])
-            frame[k] = (basis, basis.inverse())
-        diff = {k: frame[k + 1][1] * cx.d(k) * frame[k][0] for k in frame if k + 1 in frame}
-        split = SplitFilteredComplex(CochainComplex(f, cx.basis, diff, check=False), blocks)
-        return _Reduction(split, frame)
+        return _Reduction(*self._split())
 
     def page(self, r):
         """The page E_r with differentials; E_inf from the last breakpoint on."""
@@ -392,41 +397,16 @@ class FilteredComplex:
             self._red = self._reduction()
         return self._red.page(r)
 
-    def _h_filtration(self, k):
-        """((p, k), dim F_pH^k) where it differs from dim F_{p+1}H^k, from
-        span ranks.
-
-        One walk over the spans of F_n ⊆ ... ⊆ F_0 grows three echelon
-        bases: S = F_p; Z = d(F_p), so zr = rank d|F_p; and BB = B + F_p
-        with B = im d^{k-1}, of which br counts the growth past B.  Then
-        dim(Z^k ∩ F_p) = dim F_p - zr and dim(B ∩ F_p) = dim F_p - br, so
-        dim F_pH^k = br - zr.  Nothing here reads the reduction.
-        """
-        cx, f = self.complex, self.complex.field
-        dcols = cx.d(k).cols  # one δ for all of d, so d' = δ d maps every column alike
-        s, z, bb = {}, {}, {}
-        for col in cx.d(k - 1).cols:
-            _grows(f, bb, col)
-        zr = br = h = 0
-        for p in range(self.n, -1, -1):
-            for col in self.span(p, k).cols:
-                if _grows(f, s, col):
-                    zr += _grows(f, z, _apply(f, dcols, col))
-                    br += _grows(f, bb, col)
-            if br - zr != h:
-                h = br - zr
-                yield (p, k), h
-
     def converge(self):
         """Walk the breakpoints to stabilization and certify E_inf against
-        F_pH, computed from ranks of d on the F_p spans, not from the pairing."""
+        F_pH, from the rank profile of d on the split copy, not from the pairing."""
         if self._converged is not None:
             return self._converged
         cx = self.complex
         r_stop = self.page(0)._red.breaks[-1]  # the last breakpoint: every d_r with r >= r_stop is zero
         einf = self.page(r_stop).dims()
         h_dims = {k: h for k in cx.degrees() if (h := cx.dim(k) - cx.d(k).rank() - cx.d(k - 1).rank())}
-        h_filt = dict(sorted((pk, h) for k in cx.degrees() for pk, h in self._h_filtration(k)))
+        h_filt = dict(sorted((pk, h) for k in cx.degrees() for pk, h in self._split()[0]._h_filtration(k)))
         graded, below = {}, {}  # below[k]: dim F_{p+1}H^k, then dim F_0H^k once the walk ends
         for (p, k), h in sorted(h_filt.items(), reverse=True):
             graded[(p, k - p)] = h - below.get(k, 0)
@@ -516,8 +496,8 @@ class SplitFilteredComplex(FilteredComplex):
         idx = [i for i, g in enumerate(cx.basis.gens(k)) if self.blocks[g] >= p]
         return Matrix.identity(cx.field, cx.dim(k)).take_columns(idx)
 
-    def _reduction(self):
-        return _Reduction(self)
+    def _split(self):
+        return self, {}
 
 
 class ZigzagWitness:
@@ -592,20 +572,20 @@ class FilteredChainMap:
             self._check()
 
     def _check(self):
-        """Refuse the least (p, k) with f(F_p C^k) not in F_p.  Between split
-        complexes one pass over the entries of f finds it: an entry from
-        block b into block c < b first fails at p = c + 1."""
-        f, src, tgt = self.chain_map, self.source, self.target
-        if isinstance(src, SplitFilteredComplex) and isinstance(tgt, SplitFilteredComplex):
-            bad = []
-            for k in f.source.degrees():
-                b, c = ([x.blocks[g] for g in x.complex.basis.gens(k)] for x in (src, tgt))
-                bad += [(c[i] + 1, k) for i, j in f.block(k).support() if c[i] < b[j]]
-        else:
-            bad = ((p, k) for p in range(1, max(src.n, tgt.n) + 1) for k in f.source.degrees()
-                   if src.span(p, k).ncols and not span_contains(tgt.span(p, k), f.block(k) * src.span(p, k)))
-        if first := min(bad, default=None):
-            raise PreconditionError("chain map does not preserve the filtration at (p=%d, k=%d)" % first)
+        """Refuse the least (p, k) with f(F_p C^k) not in F_p.  On the split
+        copies one pass over the entries of g_k = T_tgt^-1 f_k T_src finds
+        it, a factor only on a side that has a frame: an entry from block b
+        into block c < b first fails at p = c + 1."""
+        (src, sframe), (tgt, tframe) = self.source._split(), self.target._split()
+        bad = []
+        for k in self.chain_map.source.degrees():
+            g = self.chain_map.block(k)
+            g = tframe[k][1] * g if k in tframe else g
+            g = g * sframe[k][0] if k in sframe else g
+            b, c = ([x.blocks[gen] for gen in x.complex.basis.gens(k)] for x in (src, tgt))
+            bad += [(c[i] + 1, k) for i, j in g.support() if c[i] < b[j]]
+        if bad:
+            raise PreconditionError("chain map does not preserve the filtration at (p=%d, k=%d)" % min(bad))
 
 
 def map_of_spectral_sequences(fmap):

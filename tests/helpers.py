@@ -164,6 +164,16 @@ def subquotient_dim(z, b):
     return z.rank() - b.rank()
 
 
+def oracle_filtration_check(fmap, src, tgt):
+    """The span walk: the refusal message for the least (p, k) with
+    fmap(F_p src^k) not inside F_p tgt^k, or None when fmap preserves the
+    filtration.  It reads only `span`, so it takes split and general
+    filtrations alike."""
+    bad = [(p, k) for p in range(1, max(src.n, tgt.n) + 1) for k in fmap.source.degrees()
+           if src.span(p, k).ncols and not span_contains(tgt.span(p, k), fmap.block(k) * src.span(p, k))]
+    return "chain map does not preserve the filtration at (p=%d, k=%d)" % min(bad) if bad else None
+
+
 def to_filtered(sfc):
     """The filtration of a SplitFilteredComplex as a general FilteredComplex."""
     steps = [{k: sfc.span(p, k) for k in sfc.complex.degrees()} for p in range(1, sfc.n + 1)]

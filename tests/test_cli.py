@@ -176,6 +176,36 @@ def test_every_document_under_an_odd_prime_field(field):
                                 "divisible by 3\n")
 
 
+def _homology_dims(out):
+    """{k: dim H^k} from `homology` output lines "H^k n"."""
+    return {int(k): int(n) for k, n in (line[2:].split() for line in out.splitlines())}
+
+
+def test_prime_fields_never_lose_homology_against_q():
+    # universal coefficients: over F_p each H^k of an integral document is at
+    # least its value over Q (torsion only adds), and the Euler characteristic
+    # does not depend on the field.  The Klein bottle over F2 is where they
+    # differ, so the comparison is not vacuous
+    fields = ("F2", "F3", "F5", "F2305843009213693951")
+    differ, compared = set(), 0
+    for doc in sorted(f for f in os.listdir(DATA) if f.endswith(".json")):
+        runs = {fl: run(["homology", data(doc), "--field", fl]) for fl in ("Q",) + fields}
+        if any(code != 0 for code, _, _ in runs.values()):
+            continue
+        over_q = _homology_dims(runs["Q"][1])
+        euler = sum((-1) ** k * h for k, h in over_q.items())
+        for fl in fields:
+            over_p = _homology_dims(runs[fl][1])
+            assert set(over_p) == set(over_q), (doc, fl)
+            assert all(over_p[k] >= h for k, h in over_q.items()), (doc, fl, over_p, over_q)
+            assert sum((-1) ** k * h for k, h in over_p.items()) == euler, (doc, fl)
+            if over_p != over_q:
+                differ.add((doc, fl))
+        compared += 1
+    assert compared >= 9
+    assert differ == {("klein_cellular.json", "F2"), ("klein_twisted.json", "F2")}
+
+
 def test_exit_code_precondition():
     code, out, err = run(["extend", data("disconnected_subsystem.json"), data("disconnected_graph.json")])
     assert code == 4

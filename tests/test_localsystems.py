@@ -147,6 +147,21 @@ def test_extension_forced_on_wedge():
     assert ext.transport_maps["a"] == m
 
 
+def test_extension_word_search_cut_by_max_states_is_unknown():
+    # loops a and ab generate pi_1 of the wedge, so the default search finds
+    # witnesses for a and b; cut at 3 states it finds no witness for b and
+    # can neither prove nor disprove surjectivity
+    g = wedge_graph()
+    sub = LocalSubsystem(Q, 1, ["v"], [("la", parse_word(["a"]), Matrix.from_rows(Q, [[1]])),
+                                       ("lab", parse_word(["a", "b"]), Matrix.from_rows(Q, [[2]]))])
+    rep = extend_subsystem(sub, g)
+    assert rep.surjective is True
+    assert rep.extension.transport_maps["b"] == Matrix.from_rows(Q, [[2]])
+    cut = extend_subsystem(sub, g, max_states=3)
+    assert cut.surjective is None
+    assert cut.extension is None
+
+
 def test_extension_index_two_subgroup_rejected():
     g = circle_graph()
     sub = LocalSubsystem(Q, 1, ["v"], [("sq", parse_word(["e", "e"]), Matrix.from_rows(Q, [[4]]))])

@@ -440,14 +440,14 @@ def assert_h_filtration_matches_oracle(fc, conv):
         assert h != conv.h_dim(p + 1, k)
 
 
-def conjugated(rng, fc, scalar=random_scalar):
-    """fc with the complex and every filtration span moved by a random
-    degreewise isomorphism: the same tower through dense, non-coordinate
-    spans of the general FilteredComplex path."""
+def conjugated(rng, fc, scalar=random_scalar, t=None):
+    """fc with the complex and every filtration span moved by a degreewise
+    isomorphism t, random unless given: the same tower through dense,
+    non-coordinate spans of the general FilteredComplex path."""
     from helpers import random_invertible
 
     cx, field = fc.complex, fc.complex.field
-    t = {k: random_invertible(rng, field, cx.dim(k), scalar=scalar) for k in cx.degrees()}
+    t = t or {k: random_invertible(rng, field, cx.dim(k), scalar=scalar) for k in cx.degrees()}
     diff = {k: t[k + 1] * cx.d(k) * t[k].inverse() for k in cx.degrees() if not cx.d(k).is_zero()}
     steps = []
     for p in range(1, fc.n + 1):
@@ -677,10 +677,10 @@ def test_split_filtration_check_at_block_gap_1e30_within_budget():
     assert time.perf_counter() - start < 1
 
 
-def _filtration_check(fmap_args):
-    """The PreconditionError message of FilteredChainMap(*fmap_args), or None."""
+def _filtration_check(fmap, src, tgt):
+    """The PreconditionError message of FilteredChainMap(fmap, src, tgt), or None."""
     try:
-        FilteredChainMap(*fmap_args)
+        FilteredChainMap(fmap, src, tgt)
     except PreconditionError as e:
         return str(e)
     return None
@@ -692,9 +692,13 @@ def test_split_filtration_check_matches_the_span_walk(data):
     # random split pairs: a random tower into itself under a monotone
     # relabelling of its blocks (the identity map, and a scalar multiple),
     # or two zero-differential complexes with random blocks and a random map.
-    # The one-pass split check and the span walk on to_filtered copies accept
-    # the same maps and refuse the rest with the same (p, k)
-    field = data.draw(st.sampled_from(FIELDS), label="field")
+    # The block check on the split pair, on its to_filtered copies and, when
+    # drawn, on both sides conjugated by random isomorphisms T_s and T_t with
+    # the map T_t f T_s^-1 (dense, non-coordinate spans) accepts the same maps
+    # as the span-walk oracle and refuses the rest with the same (p, k)
+    from helpers import oracle_filtration_check, random_invertible
+
+    field = data.draw(st.sampled_from([F2, Field(3), Field(2 ** 61 - 1), Q]), label="field")
     rng = random.Random(data.draw(st.integers(0, 10 ** 6), label="seed"))
     if rng.random() < 0.5:
         src = random_split_complex(rng, field, max_gens=14, max_len=4)
@@ -716,6 +720,14 @@ def test_split_filtration_check_matches_the_span_walk(data):
                       {(i, j): random_scalar(rng, field, nonzero=True)
                        for i in range(tgt.complex.dim(k)) for j in range(src.complex.dim(k)) if rng.random() < 0.3})
             for k in src.complex.degrees()})
-    split = _filtration_check((fmap, src, tgt))
-    assert split == _filtration_check((fmap, to_filtered(src), to_filtered(tgt)))
+    split = _filtration_check(fmap, src, tgt)
+    assert split == oracle_filtration_check(fmap, src, tgt)
+    assert split == _filtration_check(fmap, to_filtered(src), to_filtered(tgt))
     assert split is None or split.startswith("chain map does not preserve the filtration at (p=")
+    if data.draw(st.booleans(), label="conjugate"):
+        degrees = set(src.complex.degrees()) | set(tgt.complex.degrees())
+        ts, tt = ({k: random_invertible(rng, field, x.complex.dim(k)) for k in degrees} for x in (src, tgt))
+        csrc, ctgt = conjugated(rng, src, t=ts), conjugated(rng, tgt, t=tt)
+        cmap = ChainMap(csrc.complex, ctgt.complex,
+                        {k: tt[k] * fmap.block(k) * ts[k].inverse() for k in src.complex.degrees()})
+        assert _filtration_check(cmap, csrc, ctgt) == oracle_filtration_check(cmap, csrc, ctgt) == split
