@@ -167,7 +167,7 @@ def _object_in(body, what):
     return body
 
 
-def _complex_from_body(field, body, what, check=True):
+def _complex_from_body(field, body, what):
     gens = _object_in(body, what).get("generators")
     if not isinstance(gens, list):
         raise ParseError("%s: missing generators" % what)
@@ -182,9 +182,8 @@ def _complex_from_body(field, body, what, check=True):
             raise ParseError("%s: bad differential entry %r" % (what, e))
         entries.append((str(e[0]), str(e[1]), _scalar_in(field, e[2])))
     try:
-        return CochainComplex.from_generator_entries(
-            field, pairs, entries, check=check, display_shift=body.get("display_shift", 0)
-        )
+        return CochainComplex.from_generator_entries(field, pairs, entries,
+                                                     display_shift=body.get("display_shift", 0))
     except ValueError as exc:
         raise ParseError("%s: %s" % (what, exc)) from exc
 

@@ -26,7 +26,8 @@ column iff it grows the span of the columns before it, which is the RREF
 pivot set.  `rank`, `pivot_columns` and the subspace helpers keep no V
 and stop at nrows pivots (`_echelon`); `kernel` and `solve` track V
 (`_tracked`), and read the canonical RREF kernel basis and
-free-variables-zero solution off it.
+free-variables-zero solution off it.  The tower reduction of
+`spectral._Reduction` is the same tracked pass, one per d^k.
 """
 
 from fractions import Fraction
@@ -302,15 +303,15 @@ class Matrix:
 
     def _column_pass(self, cols):
         """One tracked pass over the first ncols columns `cols`: (the echelon
-        basis {low: (column, V)}, [(j, V)] for each column j in the span of
-        the columns before it); caches the pivot columns."""
+        basis {low: (column, V)}, [(V, V[j])] for each column j in the span
+        of the columns before it); caches the pivot columns."""
         f, basis, deps, piv = self.field, {}, [], []
         for j in range(self.ncols):
-            v = _tracked(f, basis, j, cols[j])
-            if v is None:
+            rem, v, vj = _tracked(f, basis, j, cols[j])
+            if rem:
                 piv.append(j)
             else:
-                deps.append((j, v))
+                deps.append((v, vj))
         self._piv = tuple(piv)
         return basis, deps
 
@@ -321,8 +322,7 @@ class Matrix:
         earlier pivot columns only, so V / V[j] is the kernel vector that is
         1 at j and 0 at every other free column: the RREF basis.
         """
-        deps = self._column_pass(self.cols)[1]
-        return _combinations(self.field, self.ncols, deps)
+        return _divided(self.field, self.ncols, self._column_pass(self.cols)[1])
 
     def solve(self, rhs):
         """Some X with self * X = rhs, or None if any column has no solution.
@@ -344,13 +344,12 @@ class Matrix:
             basis = self._column_pass(cols)[0]
             sols = []
             for col in cols[n:]:
-                v = _tracked(f, basis, n, col)
-                if v is None:
+                rem, v, vn = _tracked(f, basis, n, col)
+                if rem:
                     return None
-                if f.p != 2:  # over F_2, -1 = 1
-                    v[n] = -v[n]
-                sols.append((n, v))
-            x = _combinations(f, n, sols)
+                # over F_2, -1 = 1
+                sols.append((v & (1 << n) - 1, 1) if f.p == 2 else ({i: c for i, c in v.items() if i < n}, -vn))
+            x = _divided(f, n, sols)
         if self * x != rhs:
             return None
         return x
@@ -470,10 +469,11 @@ def _echelon(f, nrows, cols):
 
 def _tracked(f, basis, j, col):
     """Reduce column j against the echelon basis {low: (column, V)}, with V
-    the combination of input columns it is, starting at e_j.  Returns V if
-    col reduces to zero; otherwise adds (remainder, V) to the basis and
-    returns None.  The pair is exact only up to a common factor: a unit
-    over F_p, and over Q the pair stays integral and primitive."""
+    the combination of input columns it is, starting at e_j; a nonzero
+    remainder joins the basis with its V.  Returns (remainder, V, V[j]).
+    The pair is exact only up to a common factor, so the input columns
+    applied to V give the remainder exactly: the factor is a unit over F_p,
+    and over Q the pair stays integral and primitive.  V[j] = 1 over F_2."""
     if f.p == 2:
         v = 1 << j
         while col:
@@ -481,28 +481,19 @@ def _tracked(f, basis, j, col):
             b = basis.get(low)
             if b is None:
                 basis[low] = (col, v)
-                return None
+                break
             col ^= b[0]
             v ^= b[1]
-        return v
+        return col, v, 1
     v = {j: 1}
     while col:
         low = max(col)
         b = basis.get(low)
         if b is None:
             basis[low] = (col, v)
-            return None
+            break
         col, v = int_combine(b[0][low], [col, v], col[low], b, 0, f.p)[0]
-    return v
-
-
-def _combinations(f, nrows, deps):
-    """The nrows x len(deps) matrix whose k-th column is v[:nrows] / v[t]
-    for the k-th (t, v) of deps; v[t] is a unit over F_p, 1 over F_2."""
-    if f.p == 2:
-        low = (1 << nrows) - 1
-        return _matrix(f, nrows, [v & low for _, v in deps])
-    return _divided(f, nrows, [({i: x for i, x in v.items() if i < nrows}, v[t]) for t, v in deps])
+    return col, v, v[j]
 
 
 def int_combine(a, xs, b, ys, den=0, p=None):

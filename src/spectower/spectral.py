@@ -18,9 +18,10 @@ both ends of each gap-s pair, and page(r) is a view of the last
 breakpoint at or below r with d_r from the gap-r pairs.  Work grows with
 the pairs, not with the filtration length.  A FilteredComplex is split
 once, by bases T_k adapted to F_n ⊆ ... ⊆ F_1 ⊆ C^k, and its pages,
-certification and map check all run on that split copy.  Checks that run:
-R = D V, column by column on the columns of d (over Q as the integer
-identity D' V' = δ R' on its integer columns D' = δ d); d_r o d_r = 0 and
+certification and map check all run on that split copy, and the pass
+that builds it checks the filtration.  Checks that run: R = D V, column
+by column, as D' V' = R' for the integer columns D' = δ d and the
+columns of one tracked pass (`matrix._tracked`); d_r o d_r = 0 and
 E_{r+1} = H(E_r, d_r) dimensionwise wherever d_r ≠ 0, the only places a
 page changes; and `converge` certifies E_inf against F_pH and H,
 neither read from the pairing.  On a split complex F_p C^k is a prefix
@@ -43,7 +44,7 @@ from operator import neg
 
 from .complexes import CochainComplex
 from .errors import InvariantError, PreconditionError
-from .matrix import Matrix, _apply, _divided, _echelon, _low, int_combine, quotient_basis, span_contains
+from .matrix import Matrix, _apply, _divided, _echelon, _low, _tracked, int_combine, quotient_basis
 
 __all__ = [
     "FilteredComplex",
@@ -149,11 +150,11 @@ class _Reduction:
     Generators of C^k are indexed in block-descending order (`order[k]`
     lists their positions, `index[k]` the inverse), so F_p C^k is a prefix.
     Columns in index coordinates are int bitmasks over F_2, {index: value}
-    dicts otherwise.  Over F_p and Q the reduction runs on ints: with
-    D = D'/δ for the integer columns D' of d (δ = 1 over F_p), the R and V
-    columns j are integer columns over one denominator den_j, a unit over
-    F_p, and R = D V is checked as D' V'_j = δ R'_j.  A W column is kept
-    as the pair (column, den_j); den_j = 1 over F_2.
+    dicts otherwise.  The reduction is one `_tracked` pass over the integer
+    columns D' of d, D = D'/δ (δ = 1 over F_2 and F_p): it keeps D' V' = R'
+    exactly, checked column by column, so V_j = V'_j / V'_j[j] and
+    R_j = R'_j / (δ V'_j[j]).  A W column is kept as such a pair (column,
+    denominator); the denominator is 1 over F_2.
     `frame[k]` = (T, T^-1) takes split coordinates of C^k to ambient ones.
     """
 
@@ -178,39 +179,21 @@ class _Reduction:
         return _divided(self.field, len(self.index.get(k, ())), ws).take_rows(self.index.get(k, ()))
 
     def _reduce(self, k, d):
-        f = self.field
-        delta, dv = d.den, d.cols  # D' = δ D in index coordinates
-        rcols = list(dv)
-        vcols = [1 << j if self.f2 else {j: delta} for j in range(len(rcols))]
-        den = [delta] * len(rcols)  # R and V column j are rcols[j] / den[j], vcols[j] / den[j]
-        owner = {}  # lowest entry -> the column that has it
-        for j, col in enumerate(rcols):
-            while col:
-                low = _low(col)
-                i = owner.get(low)
-                if i is None:
-                    owner[low] = j
-                    break
-                if self.f2:
-                    col, vcols[j] = col ^ rcols[i], vcols[j] ^ vcols[i]
-                else:  # den[i] cancels: a r_j - b r_i over a den_j
-                    (col, vcols[j]), den[j] = int_combine(rcols[i][low], [col, vcols[j]], col[low],
-                                                          [rcols[i], vcols[i]], den[j], f.p)
-            rcols[j] = col
-        for j, v in enumerate(vcols):
-            r = {i: delta * x for i, x in rcols[j].items()} if delta != 1 else rcols[j]
-            if _apply(f, dv, v) != r:
+        f, delta, basis = self.field, d.den, {}  # D' = δ D in index coordinates
+        for j, col in enumerate(d.cols):
+            col, v, vj = _tracked(f, basis, j, col)  # V_j = v / v[j], R_j = col / (δ v[j])
+            if _apply(f, d.cols, v) != col:
                 raise InvariantError("reduction R = D V fails in degree %d: engine bug" % k)
-        for low, j in owner.items():
-            gap = self.block[k + 1][low] - self.block[k][j]
-            self.mate[(k, j)] = (k + 1, low, gap)
-            self.mate[(k + 1, low)] = (k, j, gap)
-            self.w[(k + 1, low)] = (rcols[j], den[j])
-        for j, v in enumerate(vcols):
             if (k, j) not in self.w:
-                self.w[(k, j)] = (v, den[j])
-            elif rcols[j]:
+                self.w[(k, j)] = (v, vj)
+            elif col:
                 raise InvariantError("death end %d in degree %d has a nonzero R column: engine bug" % (j, k))
+            if col:
+                low = _low(col)
+                gap = self.block[k + 1][low] - self.block[k][j]
+                self.mate[(k, j)] = (k + 1, low, gap)
+                self.mate[(k + 1, low)] = (k, j, gap)
+                self.w[(k + 1, low)] = (col, delta * vj)
 
     def class_of(self, r, p, q, ids, vec):
         """Coordinates on the basis `ids` of E_r^{p,q}, or None off Z_r^{p,q}.
@@ -317,6 +300,8 @@ class FilteredComplex:
     p = 1 .. n; F_0 is the whole complex and F_{n+1} = 0.  Pages,
     certification and the map check run on one split copy (`_split`): in
     a basis of each C^k adapted to F_n ⊆ ... ⊆ F_1 ⊆ C^k, d is block-nondecreasing.
+    Building it checks the filtration: at construction, or on first use
+    under check=False.
     """
 
     def __init__(self, complex, steps, check=True):
@@ -352,38 +337,40 @@ class FilteredComplex:
                         "filtration span at (p=%d, k=%d) has %d rows, expected %d"
                         % (p, k, m.nrows, cx.dim(k))
                     )
-        for p in range(0, self.n + 1):
-            degrees = set()
-            if p >= 1:
-                degrees |= set(self.steps[p - 1])
-            if p + 1 <= self.n:
-                degrees |= set(self.steps[p])
-            for k in sorted(degrees):
-                if not span_contains(self.span(p, k), self.span(p + 1, k)):
-                    raise InvariantError("filtration is not decreasing at (p=%d, k=%d)" % (p, k))
-        for p in range(1, self.n + 1):
-            for k in sorted(self.steps[p - 1]):
-                img = cx.d(k) * self.span(p, k)
-                if not span_contains(self.span(p, k + 1), img):
-                    raise InvariantError(
-                        "differential does not respect the filtration at (p=%d, k=%d)" % (p, k)
-                    )
+        self._split()
 
     def _split(self):
         """(split copy, frame {k: (T, T^-1)}), built once: T_k takes split
-        coordinates to ambient ones, and the copy's d is T^-1 d T."""
+        coordinates to ambient ones, and the copy's d is T^-1 d T.  The pass
+        is the filtration check, refusing the least (p, k) that fails:
+        `quotient_basis` raises unless F_{p+1} ⊆ F_p, and an entry of
+        T^-1 d T from block b into block c < b means d(F_{c+1}) ⊄ F_{c+1}."""
         if self._copy is None:
             cx, f = self.complex, self.complex.field
-            frame, blocks = {}, {}
+            bases, blocks, bad = {}, {}, []
             for k in cx.degrees():
                 basis = Matrix.zero(f, cx.dim(k), 0)
                 for p in range(self.n, -1, -1):
-                    new = quotient_basis(self.span(p, k), basis)
+                    try:
+                        new = quotient_basis(self.span(p, k), basis)
+                    except InvariantError:  # F_{p+1} ⊄ F_p: go on from F_p alone
+                        bad.append((p, k))
+                        basis = quotient_basis(self.span(p, k), Matrix.zero(f, cx.dim(k), 0))
+                        continue
                     blocks.update(zip(cx.basis.gens(k)[basis.ncols:], [p] * new.ncols))
                     basis = Matrix.hstack(f, cx.dim(k), [basis, new])
-                frame[k] = (basis, basis.inverse())
+                bases[k] = basis
+            if bad:
+                raise InvariantError("filtration is not decreasing at (p=%d, k=%d)" % min(bad))
+            frame = {k: (t, t.inverse()) for k, t in bases.items()}
             diff = {k: frame[k + 1][1] * cx.d(k) * frame[k][0] for k in frame if k + 1 in frame}
-            self._copy = (SplitFilteredComplex(CochainComplex(f, cx.basis, diff, check=False), blocks), frame)
+            for k, d in diff.items():
+                b, c = ([blocks[g] for g in cx.basis.gens(j)] for j in (k, k + 1))
+                bad += [(c[i] + 1, k) for i, j in d.support() if c[i] < b[j]]
+            if bad:
+                raise InvariantError("differential does not respect the filtration at (p=%d, k=%d)" % min(bad))
+            split = SplitFilteredComplex(CochainComplex(f, cx.basis, diff, check=False), blocks, check=False)
+            self._copy = (split, frame)
         return self._copy
 
     def _reduction(self):

@@ -174,6 +174,26 @@ def oracle_filtration_check(fmap, src, tgt):
     return "chain map does not preserve the filtration at (p=%d, k=%d)" % min(bad) if bad else None
 
 
+def oracle_filtration_steps_check(fc):
+    """The span walks over the steps of a FilteredComplex: the refusal
+    message for the least (p, k) with F_{p+1} C^k not inside F_p C^k, else
+    for the least (p, k) with d(F_p C^k) not inside F_p C^{k+1}, or None
+    when the filtration is decreasing and d-compatible."""
+    cx = fc.complex
+    for p in range(0, fc.n + 1):
+        degrees = set(fc.steps[p - 1]) if p >= 1 else set()
+        if p + 1 <= fc.n:
+            degrees |= set(fc.steps[p])
+        for k in sorted(degrees):
+            if not span_contains(fc.span(p, k), fc.span(p + 1, k)):
+                return "filtration is not decreasing at (p=%d, k=%d)" % (p, k)
+    for p in range(1, fc.n + 1):
+        for k in sorted(fc.steps[p - 1]):
+            if not span_contains(fc.span(p, k + 1), cx.d(k) * fc.span(p, k)):
+                return "differential does not respect the filtration at (p=%d, k=%d)" % (p, k)
+    return None
+
+
 def to_filtered(sfc):
     """The filtration of a SplitFilteredComplex as a general FilteredComplex."""
     steps = [{k: sfc.span(p, k) for k in sfc.complex.degrees()} for p in range(1, sfc.n + 1)]

@@ -467,6 +467,7 @@ def test_acceptance_10_cli_contract():
             "pages_hopf_all_raw": ["pages", "hopf.json", "--all", "--raw"],
             "pages_torus_p2": ["pages", "torus_product.json", "--page", "2"],
             "pages_klein_f2_all": ["pages", "klein_twisted.json", "--all", "--field", "F2"],
+            "pages_interval_filtered_all": ["pages", "interval_filtered.json", "--all"],
             "e2_klein": ["e2", "klein_twisted.json"],
             "oracle_torus": ["oracle-check", "torus_product.json"],
             "oracle_interval_filtered": ["oracle-check", "interval_filtered.json"],

@@ -30,6 +30,7 @@ GOLDEN_CASES = [
     ("pages_hopf_all_raw", ["pages", data("hopf.json"), "--all", "--raw"]),
     ("pages_torus_p2", ["pages", data("torus_product.json"), "--page", "2"]),
     ("pages_klein_f2_all", ["pages", data("klein_twisted.json"), "--all", "--field", "F2"]),
+    ("pages_interval_filtered_all", ["pages", data("interval_filtered.json"), "--all"]),
     ("e2_klein", ["e2", data("klein_twisted.json")]),
     ("oracle_torus", ["oracle-check", data("torus_product.json")]),
     ("oracle_interval_filtered", ["oracle-check", data("interval_filtered.json")]),
@@ -393,6 +394,22 @@ def test_table_past_the_span_limit_exits_4():
     assert err.startswith("precondition violation: ") and err.count("\n") == 1 and "--format tsv" in err
     code, out, _ = run(["pages", data("gap_huge.json"), "--page", "1", "--format", "tsv"])
     assert code == 0 and out.count("\n") == 2
+
+
+def test_compare_ls_table_past_the_span_limit_names_no_option(tmp_path):
+    # klein_cellular.json with cell F at filtration 1000: the tables that
+    # compare-ls prints for a differing page span p 0..1000, and compare-ls
+    # has no --format, so the refusal names none
+    import json
+
+    with open(data("klein_cellular.json")) as fh:
+        doc = json.load(fh)
+    doc["filtration"]["F"] = 1000
+    path = tmp_path / "klein_wide.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["compare-ls", str(path), data("klein_twisted.json")])
+    assert (code, out) == (4, "")
+    assert err == "precondition violation: a table spans p 0..1000 and q -998..1, more than 100 values\n"
 
 
 @pytest.mark.parametrize("top", [100, 10 ** 30])

@@ -46,7 +46,7 @@ def test_filtration_must_be_decreasing():
     cx = CochainComplex.from_generator_entries(Q, [("a", 0), ("b", 0)], [])
     good = FilteredComplex(cx, [{0: Matrix.from_rows(Q, [[1], [0]])}])
     assert good.n == 1
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match=r"^filtration is not decreasing at \(p=1, k=0\)$"):
         FilteredComplex(
             cx,
             [
@@ -58,7 +58,7 @@ def test_filtration_must_be_decreasing():
 
 def test_filtration_must_respect_differential():
     cx = interval()
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match=r"^differential does not respect the filtration at \(p=1, k=0\)$"):
         # span{v0} is not a subcomplex: d(v0) = -e escapes
         FilteredComplex(cx, [{0: Matrix.from_rows(Q, [[1], [0]])}])
 
@@ -67,6 +67,37 @@ def test_split_blocks_must_not_decrease():
     cx = CochainComplex.from_generator_entries(Q, [("a", 0), ("b", 1)], [("a", "b", 1)])
     with pytest.raises(InvariantError):
         SplitFilteredComplex(cx, {"a": 1, "b": 0})
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_reduction_refuses_a_v_that_breaks_r_equals_d_v(monkeypatch, field):
+    # the tracked pass is not trusted: a V off by e_j at a nonzero column of
+    # d is refused by the R = D V check before any page is built
+    import spectower.spectral as spectral
+    from spectower.matrix import _tracked
+
+    def off_by_e_j(f, basis, j, col):
+        col, v, vj = _tracked(f, basis, j, col)
+        return col, (v ^ 1 << j if f.p == 2 else {**v, j: v[j] + 1}), vj
+
+    monkeypatch.setattr(spectral, "_tracked", off_by_e_j)
+    cx = CochainComplex.from_generator_entries(field, [("a", 0), ("b", 1)], [("a", "b", 1)])
+    with pytest.raises(InvariantError, match=r"^reduction R = D V fails in degree 0: engine bug$"):
+        SplitFilteredComplex(cx, {"a": 0, "b": 1}).page(0)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_reduction_refuses_a_death_end_with_a_nonzero_r_column(monkeypatch, field):
+    # d(a) = b + c pairs a with its lowest entry c; a pass that reduces
+    # nothing keeps R = D V but leaves c the nonzero R column d(c) = -x,
+    # which the death-end check refuses
+    import spectower.spectral as spectral
+
+    monkeypatch.setattr(spectral, "_tracked", lambda f, basis, j, col: (col, 1 << j if f.p == 2 else {j: 1}, 1))
+    cx = CochainComplex.from_generator_entries(field, [("a", 0), ("b", 1), ("c", 1), ("x", 2)],
+                                               [("a", "b", 1), ("a", "c", 1), ("b", "x", 1), ("c", "x", -1)])
+    with pytest.raises(InvariantError, match=r"^death end 1 in degree 1 has a nonzero R column: engine bug$"):
+        SplitFilteredComplex(cx, {g: 0 for g in "abcx"}).page(0)
 
 
 # -- golden pages ----------------------------------------------------------------
@@ -731,3 +762,45 @@ def test_split_filtration_check_matches_the_span_walk(data):
         cmap = ChainMap(csrc.complex, ctgt.complex,
                         {k: tt[k] * fmap.block(k) * ts[k].inverse() for k in src.complex.degrees()})
         assert _filtration_check(cmap, csrc, ctgt) == oracle_filtration_check(cmap, csrc, ctgt) == split
+
+
+def _filtration_refusal(build):
+    """The InvariantError message of build(), or None."""
+    try:
+        build()
+    except InvariantError as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_filtration_refusals_match_the_span_walks(data):
+    # general filtrations with non-coordinate spans (a random tower,
+    # conjugated), with one fault drawn: a span replaced by a random matrix,
+    # two steps swapped, or a random vector added to a span.  FilteredComplex
+    # refuses exactly the filtrations the span-walk oracle refuses, with the
+    # same message: at construction, and under check=False when its first
+    # page is asked for; an accepted one certifies
+    from helpers import oracle_filtration_steps_check, random_matrix
+
+    field = data.draw(st.sampled_from([F2, Field(3), Field(2 ** 61 - 1), Q]), label="field")
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6), label="seed"))
+    fc = conjugated(rng, random_split_complex(rng, field, max_gens=12, max_len=4))
+    cx, steps = fc.complex, [dict(step) for step in fc.steps]
+    fault = data.draw(st.sampled_from(["none", "replace", "swap", "extra"]), label="fault")
+    p, k = rng.randrange(max(fc.n, 1)), rng.choice(cx.degrees())
+    if fault == "replace" and steps:
+        steps[p][k] = random_matrix(rng, field, cx.dim(k), rng.randint(1, cx.dim(k)))
+    elif fault == "swap" and len(steps) > 1:
+        i, j = rng.sample(range(len(steps)), 2)
+        steps[i], steps[j] = steps[j], steps[i]
+    elif fault == "extra" and steps:
+        extra = random_matrix(rng, field, cx.dim(k), 1, density=0.6)
+        steps[p][k] = Matrix.hstack(field, cx.dim(k), [fc.span(p + 1, k), extra])
+    want = oracle_filtration_steps_check(FilteredComplex(cx, steps, check=False))
+    assert want is None or fault != "none"
+    assert _filtration_refusal(lambda: FilteredComplex(cx, steps)) == want
+    assert _filtration_refusal(lambda: FilteredComplex(cx, steps, check=False).page(0)) == want
+    if want is None:
+        assert FilteredComplex(cx, steps).converge().certified
