@@ -77,8 +77,8 @@ def _homology_lines(cx):
     if degs[-1] - degs[0] >= MAX_SPAN:
         raise PreconditionError("homology spans degrees %d..%d, more than %d values"
                                 % (degs[0] + s, degs[-1] + s, MAX_SPAN))
-    dims = cx.cohomology().dims()
-    return ["H^%d %d" % (k + s, dims.get(k, 0)) for k in range(degs[0], degs[-1] + 1)]
+    # dim H^k from the ranks of d alone: no kernel or quotient basis is built
+    return ["H^%d %d" % (k + s, cx.dim(k) - cx.d(k).rank() - cx.d(k - 1).rank()) for k in range(degs[0], degs[-1] + 1)]
 
 
 def cmd_homology(args):

@@ -12,24 +12,22 @@ Basu-Parida 2017): a column x whose R column is lowest at y pairs x -> y
 with gap s = block(y) - block(x), and E_r^{p,q} has a basis of the
 block-p generators of degree p+q that are unpaired or in a pair of gap
 >= r; d_r matches the ends of the gap-r pairs.  So pages change only at
-the breakpoints r = 0, where every generator survives, and r = s+1 for
-each gap s that some pair has: page s+1 is the breakpoint before it less
-both ends of each gap-s pair, and page(r) is a view of the last
-breakpoint at or below r with d_r from the gap-r pairs.  Work grows with
-the pairs, not with the filtration length.  A FilteredComplex is split
-once, by bases T_k adapted to F_n ⊆ ... ⊆ F_1 ⊆ C^k, and its pages,
-certification and map check all run on that split copy, and the pass
-that builds it checks the filtration.  Checks that run: R = D V, column
-by column, as D' V' = R' for the integer columns D' = δ d and the
-columns of one tracked pass (`matrix._tracked`); d_r o d_r = 0 and
-E_{r+1} = H(E_r, d_r) dimensionwise wherever d_r ≠ 0, the only places a
-page changes; and `converge` certifies E_inf against F_pH and H,
-neither read from the pairing.  On a split complex F_p C^k is a prefix
-[0, t), and one echelon pass per d^k (its rank profile) gives
-dim F_pH^k = t - rank d^k|F_p - #{lows of im d^{k-1} below t}; T is a
-filtered isomorphism, so the split copy has the F_pH of the original.
-dim H^k = dim C^k - rank d^k - rank d^{k-1}.  F_pH^k is kept as a
-step function of p, only where it differs from F_{p+1}H^k.  The subquotient description
+the breakpoints r = 0 and r = s+1 for each gap s that some pair has.  A
+breakpoint is a count per cell, page s+1 being page s less both ends of
+each gap-s pair; page(r) views the last breakpoint at or below r and the
+gap-r pairs, and builds cell ids and d_r on first read, so work grows
+with the pairs, not with the cells or the filtration length.  A
+FilteredComplex is split once, by bases T_k adapted to F_n ⊆ ... ⊆ F_1
+⊆ C^k; its pages, certification and map check run on that split copy,
+whose build checks the filtration.  Checks that run: R = D V column by
+column, as D' V' = R' for D' = δ d (`matrix._tracked`); d_r o d_r = 0
+and E_{r+1} = H(E_r, d_r) dimensionwise wherever d_r ≠ 0, on the pairs;
+and `converge` certifies E_inf against F_pH and H, neither read from the
+pairing.  On a split complex F_p C^k is a prefix [0, t), and one echelon
+pass per d^k gives dim F_pH^k = t - rank d^k|F_p - #{lows of im d^{k-1}
+below t}; T is a filtered isomorphism, so the split copy has the F_pH of
+the original, and dim H^k = dim C^k - rank d^k - rank d^{k-1}; F_pH^k
+is kept only where it differs from F_{p+1}H^k.  The subquotient
 E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2}),
 Z_r^{p,q} = {x in F_p C^{p+q} : dx in F_{p+r}}, is the test oracle.
 
@@ -61,49 +59,69 @@ __all__ = [
 class Page:
     """One page E_r: a view over the reduction of its tower.
 
-    `reps(p, q)` columns are ambient cocycle-like vectors in C^{p+q}
-    representing a basis of E_r^{p,q}; `class_of` expresses any ambient
-    element of Z_r^{p,q} in that basis.
+    It holds its breakpoint's count per cell, which `dim`, `dims`, `cells`
+    and `flagged` read, and its gap-r pairs.  The ids of a cell are built
+    on its first `reps`, `class_of` or `differential`, and every d_r
+    matrix on the first `differential`.  `reps(p, q)` columns are ambient
+    cocycle-like vectors in C^{p+q} representing a basis of E_r^{p,q};
+    `class_of` expresses any ambient element of Z_r^{p,q} in that basis.
     """
 
-    __slots__ = ("r", "field", "_red", "_cells", "_diff", "_reps", "flagged")
+    __slots__ = ("r", "field", "_red", "_dims", "_pairs", "_ids", "_diff", "_reps")
 
-    def __init__(self, r, red, cells, diffs):
-        self.r = r
-        self.field = red.field
-        self._red = red
-        self._cells = cells  # (p, q) -> indices of surviving generators, nonzero cells only
-        self._diff = diffs  # (p, q) -> nonzero Matrix into cell (p+r, q-r+1)
-        self._reps = {}
-        self.flagged = tuple(sorted(c for c in cells if c[1] < 0))  # nonzero cells with q < 0
+    def __init__(self, r, red, dims, pairs):
+        self.r, self.field, self._red, self._reps = r, red.field, red, {}
+        self._dims = dims  # (p, q) -> dim, nonzero cells only: its breakpoint's, shared
+        self._pairs = pairs  # the gap-r pairs (k, i, j): d_r matches i -> j
+        self._ids = {}  # (p, q) -> indices of its surviving generators, ascending
+        self._diff = None  # (p, q) -> nonzero Matrix into cell (p+r, q-r+1)
+
+    @property
+    def flagged(self):
+        return tuple(c for c in self.cells() if c[1] < 0)  # nonzero cells with q < 0
 
     def dim(self, p, q):
-        return len(self._cells.get((p, q), ()))
+        return self._dims.get((p, q), 0)
+
+    def _cell_ids(self, c):
+        """The generators of cell c on page 0 less those dead by page r: a gap-s pair dies at s+1."""
+        if c not in self._ids:
+            k, mate = c[0] + c[1], self._red.mate
+            self._ids[c] = tuple([i for i in self._red.cell0.get(c, ())
+                                  if (m := mate.get((k, i))) is None or m[2] >= self.r])
+        return self._ids[c]
 
     def reps(self, p, q):
         m = self._reps.get((p, q))
         if m is None:
             red, k = self._red, p + q
-            m = red.matrix(k, [red.w[(k, i)] for i in self._cells.get((p, q), ())])
+            ws = [red.w[(k, i)] for i in self._cell_ids((p, q))]
+            m = _divided(self.field, len(red.index.get(k, ())), ws).take_rows(red.index.get(k, ()))
             m = self._reps[(p, q)] = red.frame[k][0] * m if k in red.frame else m
         return m
 
     def cells(self):
         """Sorted (p, q) with nonzero dimension."""
-        return sorted(self._cells)
+        return sorted(self._dims)
 
     def dims(self):
-        return {c: len(self._cells[c]) for c in self.cells()}
+        return dict(sorted(self._dims.items()))
 
     def differential(self, p, q):
         """The matrix of d_r : E_r^{p,q} -> E_r^{p+r, q-r+1}."""
+        r, ids = self.r, self._cell_ids
+        if self._diff is None:
+            ent = {}
+            for k, i, j in self._pairs:  # id tuples are ascending: bisect finds places
+                src, tgt = self._red._cell(k, i), self._red._cell(k + 1, j)
+                ent.setdefault(src, []).append((bisect_left(ids(tgt), j), bisect_left(ids(src), i), 1))
+            self._diff = {c: Matrix.from_entries(self.field, self.dim(c[0] + r, c[1] - r + 1), self.dim(*c), e)
+                          for c, e in ent.items()}
         m = self._diff.get((p, q))
-        if m is None:
-            return Matrix.zero(self.field, self.dim(p + self.r, q - self.r + 1), self.dim(p, q))
-        return m
+        return Matrix.zero(self.field, self.dim(p + r, q - r + 1), self.dim(p, q)) if m is None else m
 
     def has_nonzero_differential(self):
-        return bool(self._diff)
+        return bool(self._pairs)
 
     def class_of(self, p, q, vec):
         """Coordinates of an ambient Z_r^{p,q} element in this cell's basis.
@@ -111,7 +129,7 @@ class Page:
         Accepts a column Matrix (or several columns) over C^{p+q}; returns
         None when a column is not in Z_r^{p,q} at all.
         """
-        return self._red.class_of(self.r, p, q, self._cells.get((p, q), ()), vec)
+        return self._red.class_of(self.r, p, q, self._cell_ids((p, q)), vec)
 
 
 class ConvergenceReport:
@@ -127,11 +145,8 @@ class ConvergenceReport:
     __slots__ = ("r_stop", "einf", "h_filtration", "h_dims", "certified")
 
     def __init__(self, r_stop, einf, h_filtration, h_dims, certified):
-        self.r_stop = r_stop
-        self.einf = einf
-        self.h_filtration = h_filtration
-        self.h_dims = h_dims
-        self.certified = certified
+        self.r_stop, self.einf, self.h_filtration = r_stop, einf, h_filtration
+        self.h_dims, self.certified = h_dims, certified
 
     def h_dim(self, p, k):
         """dim F_pH^k: the value at the smallest stored p' >= p, or 0."""
@@ -146,6 +161,9 @@ class ConvergenceReport:
 
 class _Reduction:
     """The reduction R = D V of a split complex and the pages it yields.
+
+    A breakpoint is its count per cell (`dims`), built from the one before
+    it on the pairs; the pages over it build cell ids and d_r on first read.
 
     Generators of C^k are indexed in block-descending order (`order[k]`
     lists their positions, `index[k]` the inverse), so F_p C^k is a prefix.
@@ -172,11 +190,7 @@ class _Reduction:
         for k in cx.degrees():
             self._reduce(k, sfc.sorted_rows(k).take_columns(self.order[k]))
         self.views = {}  # r -> Page
-        self.cells = []  # the cells of each breakpoint built so far
-
-    def matrix(self, k, ws):
-        """W columns (column, den) over C^k in index coordinates, as a Matrix over positions."""
-        return _divided(self.field, len(self.index.get(k, ())), ws).take_rows(self.index.get(k, ()))
+        self.dims = []  # the counts {(p, q): dim} of each breakpoint built so far
 
     def _reduce(self, k, d):
         f, delta, basis = self.field, d.den, {}  # D' = δ D in index coordinates
@@ -228,69 +242,60 @@ class _Reduction:
         return _divided(f, len(order), coords).take_rows(ids)
 
     def _cell(self, k, i):
-        b = self.block[k][i]
-        return (b, k - b)
+        return (b := self.block[k][i]), k - b
 
     def page(self, r):
-        """E_r: the cells of the last breakpoint at or below r, with d_r
-        matching the ends of the gap-r pairs and d_r o d_r = 0 checked.
-
-        Breakpoints are r = 0, where every generator survives, and r = s+1
-        for each gap s that some pair has: only d_s changes a page.  Views
-        are cached per r and share their breakpoint's cell tuples, so the
-        work grows with the breakpoints and pairs, not the filtration length.
-        """
-        page = self.views.get(r)
-        if page is not None:
-            return page
-        if not self.cells:  # the gap buckets, read from the pairing when a page is first asked for
+        """E_r: a view of the counts of the last breakpoint at or below r
+        and of the gap-r pairs, cached per r.  d_r o d_r = 0 is checked on
+        the pairs: the composite of two matchings is nonzero iff a gap-r
+        death end is also a gap-r birth end."""
+        if r in self.views:
+            return self.views[r]
+        if not self.dims:  # the gap buckets, read from the pairing when a page is first asked for
             self.gaps = {}  # gap -> [(k, i, j)]: the pairs (k, i) -> (k+1, j)
             for (k, i), (kk, j, gap) in self.mate.items():
                 if kk > k:
                     self.gaps.setdefault(gap, []).append((k, i, j))
             self.breaks = [0] + [s + 1 for s in sorted(self.gaps)]
-            cells = {}
+            self.cell0 = {}  # (p, q) -> ascending indices of its generators
             for k, blocks in self.block.items():
                 for i, b in enumerate(blocks):
-                    cells.setdefault((b, k - b), []).append(i)
-            self.cells.append({c: tuple(ids) for c, ids in cells.items()})
+                    self.cell0.setdefault((b, k - b), []).append(i)
+            self.dims.append({c: len(ids) for c, ids in self.cell0.items()})
         t = bisect_right(self.breaks, r) - 1
-        while len(self.cells) <= t:
+        while len(self.dims) <= t:
             self._advance()
-        cells, ent = self.cells[t], {}
-        for k, i, j in self.gaps.get(r, ()):  # cell tuples are ascending: bisect finds places
-            src, tgt = self._cell(k, i), self._cell(k + 1, j)
-            ent.setdefault(src, []).append((bisect_left(cells[tgt], j), bisect_left(cells[src], i), 1))
-        diffs = {c: Matrix.from_entries(self.field, len(cells[(c[0] + r, c[1] - r + 1)]), len(cells[c]), e)
-                 for c, e in ent.items()}
-        for (p, q), m in diffs.items():
-            nxt = diffs.get((p + r, q - r + 1))
-            if nxt is not None and not (nxt * m).is_zero():
-                raise InvariantError("d_%d o d_%d != 0 at (p=%d, q=%d): engine bug" % (r, r, p, q))
-        page = self.views[r] = Page(r, self, cells, diffs)
-        return page
+        pairs = self.gaps.get(r, ())
+        births = {(k, i) for k, i, _ in pairs}
+        bad = [self._cell(k, i) for k, i, j in pairs if (k + 1, j) in births]
+        if bad:
+            raise InvariantError("d_%d o d_%d != 0 at (p=%d, q=%d): engine bug" % ((r, r) + min(bad)))
+        self.views[r] = Page(r, self, self.dims[t], pairs)
+        return self.views[r]
 
     def _advance(self):
-        """Build the next breakpoint s+1: page s less both ends of each
-        gap-s pair, checked against H(E_s, d_s) dimensionwise."""
-        s = self.breaks[len(self.cells)] - 1
-        prev = self.page(s)
-        dead = {}
+        """Build the next breakpoint s+1: the counts of page s less both
+        ends of each gap-s pair, checked against H(E_s, d_s) dimensionwise
+        on the cells d_s touches; no other count moves.  The rank of d_s
+        out of a cell is one `_echelon` pass over its columns in index
+        coordinates: relabelling rows and columns injectively keeps rank."""
+        s = self.breaks[len(self.dims)] - 1
+        prev = self.page(s)._dims
+        dims, cols = dict(prev), {}
         for k, i, j in self.gaps[s]:
-            dead.setdefault(self._cell(k, i), set()).add(i)
-            dead.setdefault(self._cell(k + 1, j), set()).add(j)
-        cells = dict(prev._cells)
-        for c, ids in dead.items():
-            cells[c] = tuple(i for i in cells[c] if i not in ids)
-            if not cells[c]:
-                del cells[c]
-        ranks = {c: m.rank() for c, m in prev._diff.items()}
-        for (p, q) in prev._cells:
-            expect = prev.dim(p, q) - ranks.get((p, q), 0) - ranks.get((p - s, q + s - 1), 0)
-            if len(cells.get((p, q), ())) != expect:
+            src, tgt = self._cell(k, i), self._cell(k + 1, j)
+            dims[src] = dims.get(src, 0) - 1
+            dims[tgt] = dims.get(tgt, 0) - 1
+            cols.setdefault(src, []).append(1 << j if self.f2 else {j: 1})
+        ranks = {c: len(_echelon(self.field, len(x), x)[0]) for c, x in cols.items()}
+        for p, q in sorted({c for src in cols for c in (src, (src[0] + s, src[1] - s + 1))}):
+            expect = prev.get((p, q), 0) - ranks.get((p, q), 0) - ranks.get((p - s, q + s - 1), 0)
+            if dims[(p, q)] != expect:
                 raise InvariantError("page %d cell (%d, %d) has dim %d but H(E_%d, d_%d) gives %d: engine bug"
-                                     % (s + 1, p, q, len(cells.get((p, q), ())), s, s, expect))
-        self.cells.append(cells)
+                                     % (s + 1, p, q, dims[(p, q)], s, s, expect))
+            if not expect:
+                del dims[(p, q)]
+        self.dims.append(dims)
 
 
 class FilteredComplex:
@@ -531,8 +536,7 @@ def zigzag_class_and_d(sfc, r, degree, alpha):
     # submatrix of d from blocks p+1..p+r-1 into blocks p..p+r-1
     unknown = [i for b in range(p + 1, p + r) for i in sfc.block_indices(k, b)]
     rows = [i for b in range(p, p + r) for i in sfc.block_indices(k + 1, b)]
-    f = cx.field
-    d = cx.d(k)
+    f, d = cx.field, cx.d(k)
     sol = d.submatrix(rows, unknown).solve(-(d * alpha).take_rows(rows))
     if sol is None:
         return None
@@ -592,9 +596,7 @@ def map_of_spectral_sequences(fmap):
             imgs = f.block(p + q) * ps.reps(p, q)
             coords = pt.class_of(p, q, imgs)
             if coords is None:
-                raise InvariantError(
-                    "induced map escaped the target page at r=%d, (p=%d, q=%d)" % (r, p, q)
-                )
+                raise InvariantError("induced map escaped the target page at r=%d, (p=%d, q=%d)" % (r, p, q))
             level[(p, q)] = coords
         for (p, q), m in level.items():
             tcell = (p + r, q - r + 1)
@@ -606,8 +608,6 @@ def map_of_spectral_sequences(fmap):
             else:
                 rhs = rhs_m * ps.differential(p, q)
             if lhs != rhs:
-                raise InvariantError(
-                    "induced page map does not commute with d_%d at (p=%d, q=%d)" % (r, p, q)
-                )
+                raise InvariantError("induced page map does not commute with d_%d at (p=%d, q=%d)" % (r, p, q))
         out[r] = level
     return out

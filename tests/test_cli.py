@@ -232,6 +232,22 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["homology_circle", "homology_interval", "homology_klein_cellular_f2"])
+def test_homology_reads_dims_from_ranks(monkeypatch, name):
+    # `homology` prints dim C^k - rank d^k - rank d^{k-1}: it builds no
+    # kernel or cohomology basis, and its goldens stay byte-identical
+    from spectower.complexes import CochainComplex
+
+    def refuse(self):
+        raise AssertionError("homology built a cohomology basis")
+
+    monkeypatch.setattr(CochainComplex, "cohomology", refuse)
+    argv = dict(GOLDEN_CASES)[name]
+    with open(os.path.join(GOLDEN, name + ".txt"), "r", encoding="utf-8") as fh:
+        want = fh.read()
+    assert run(argv) == (0, want, "")
+
+
 def test_compare_mismatch_exits_nonzero():
     code, out, err = run(["compare-ls", data("torus_cellular.json"), data("klein_twisted.json")])
     assert code == 4  # total cohomology disagrees: refused as a precondition

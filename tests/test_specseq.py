@@ -100,6 +100,36 @@ def test_reduction_refuses_a_death_end_with_a_nonzero_r_column(monkeypatch, fiel
         SplitFilteredComplex(cx, {g: 0 for g in "abcx"}).page(0)
 
 
+PAGE_CHECK_FIELDS = (F2, Field(3), Field(2 ** 61 - 1), Q)
+
+
+@pytest.mark.parametrize("field", PAGE_CHECK_FIELDS, ids=str)
+def test_page_refuses_d_r_after_d_r(field):
+    # a -> b is the one gap-2 pair; a forged gap-2 pair b -> c makes the
+    # death end b a birth end too, so d_2 o d_2 sends a to c
+    cx = CochainComplex.from_generator_entries(field, [("a", 0), ("b", 1), ("c", 2)], [("a", "b", 1)])
+    sfc = SplitFilteredComplex(cx, {"a": 0, "b": 2, "c": 4})
+    sfc.page(0)
+    sfc._red.gaps[2].append((1, 0, 0))
+    with pytest.raises(InvariantError, match=r"^d_2 o d_2 != 0 at \(p=0, q=0\): engine bug$"):
+        sfc.page(2)
+
+
+@pytest.mark.parametrize("field", PAGE_CHECK_FIELDS, ids=str)
+def test_page_refuses_a_breakpoint_that_is_not_the_homology(field):
+    # a0 -> b is the one gap-1 pair; a forged gap-1 pair a1 -> b kills a1
+    # too, but d_1 out of cell (0, 0) still has rank 1: E_2^{0,0} has
+    # dim 3 - 2 = 1 where H(E_1, d_1) has 3 - 1 = 2
+    cx = CochainComplex.from_generator_entries(field, [("a0", 0), ("a1", 0), ("a2", 0), ("b", 1)],
+                                               [("a0", "b", 1)])
+    sfc = SplitFilteredComplex(cx, {"a0": 0, "a1": 0, "a2": 0, "b": 1})
+    sfc.page(0)
+    sfc._red.gaps[1].append((0, 1, 0))
+    with pytest.raises(InvariantError,
+                       match=r"^page 2 cell \(0, 0\) has dim 1 but H\(E_1, d_1\) gives 2: engine bug$"):
+        sfc.page(2)
+
+
 # -- golden pages ----------------------------------------------------------------
 
 
@@ -689,6 +719,45 @@ def test_unconjugated_chain_converges_within_budget():
     assert conv.certified
     assert conv.einf == {(n, -n): 1, (0, 1): 1}
     assert time.perf_counter() - start < 1
+
+
+def test_distinct_gaps_converge_within_budget():
+    # a_i -> b_i with a_i in block 0 and b_i in block i + 1: 2000 distinct
+    # gaps, so 2001 breakpoints over 2001 cells; each breakpoint costs its
+    # one pair, not a pass over every cell of the page before it
+    import time
+
+    n = 2000
+    start = time.perf_counter()
+    gens = [("a%d" % i, 0) for i in range(n)] + [("b%d" % i, 1) for i in range(n)]
+    d = {0: Matrix.from_entries(F2, n, n, [(i, i, 1) for i in range(n)])}
+    blocks = {g: 0 if g[0] == "a" else int(g[1:]) + 1 for g, _ in gens}
+    sfc = SplitFilteredComplex(CochainComplex(F2, GradedBasis(gens), d), blocks)
+    conv = sfc.converge()
+    assert conv.certified
+    assert conv.r_stop == n + 1
+    assert conv.einf == {}
+    assert time.perf_counter() - start < 1
+
+
+def test_page_dims_build_no_matrix(monkeypatch):
+    # converge() and page(r).dims() for every r read counts: the page path
+    # builds no d_r matrix and multiplies none
+    rng = random.Random(2020)
+    towers = [random_split_complex(rng, FIELDS[i % 3], max_gens=24, max_len=5) for i in range(12)]
+    calls, from_entries, mul = [], Matrix.from_entries.__func__, Matrix.__mul__
+    monkeypatch.setattr(Matrix, "from_entries", classmethod(lambda cls, *a: calls.append("from_entries")
+                                                            or from_entries(cls, *a)))
+    monkeypatch.setattr(Matrix, "__mul__", lambda self, other: calls.append("mul") or mul(self, other))
+    nonzero = 0
+    for sfc in towers:
+        conv = sfc.converge()
+        assert conv.certified
+        for r in range(0, conv.r_stop + 2):
+            sfc.page(r).dims()
+            nonzero += sfc.page(r).has_nonzero_differential()
+    assert nonzero > 0
+    assert calls == []
 
 
 def test_split_filtration_check_at_block_gap_1e30_within_budget():
