@@ -6,107 +6,41 @@ tower, local coefficient systems over combinatorial base graphs, and
 Morse / cellular / fibration builders feeding the tower.
 """
 
-from .complexes import (
-    ChainMap,
-    CochainComplex,
-    CohomologyResult,
-    GradedBasis,
-    induced_map_on_cohomology,
-    tensor_product,
-)
-from .errors import InvariantError, ParseError, PreconditionError, SpectowerError
-from .field import Field, parse_field
-from .fibration import (
-    ComposeReport,
-    E2Table,
-    FibrationData,
-    LerayComparison,
-    action_window,
-    assemble_fibration,
-    chain_transport,
-    e2_table,
-    leray_serre_compare,
-    transport_compose_check,
-    truncation_map,
-)
-from .localsystems import (
-    BaseGraph,
-    HomotopyCheck,
-    LocalSubsystem,
-    LocalSystem,
-    MonodromyReport,
-    check_homotopy_invariance,
-    extend_subsystem,
-    parse_word,
-    transport,
-)
-from .matrix import Matrix, quotient_basis, span_contains
-from .morse import CellularData, MorseData, Trajectory, cellular_complex, morse_complex
-from .documents import Document, load_document, parse_text, print_document
-from .spectral import (
-    ConvergenceReport,
-    FilteredChainMap,
-    FilteredComplex,
-    Page,
-    SplitFilteredComplex,
-    ZigzagWitness,
-    map_of_spectral_sequences,
-    zigzag_class_and_d,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BaseGraph",
-    "CellularData",
-    "ChainMap",
-    "CochainComplex",
-    "CohomologyResult",
-    "ComposeReport",
-    "ConvergenceReport",
-    "Document",
-    "E2Table",
-    "FibrationData",
-    "Field",
-    "FilteredChainMap",
-    "FilteredComplex",
-    "GradedBasis",
-    "HomotopyCheck",
-    "InvariantError",
-    "LerayComparison",
-    "LocalSubsystem",
-    "LocalSystem",
-    "Matrix",
-    "MonodromyReport",
-    "MorseData",
-    "Page",
-    "ParseError",
-    "PreconditionError",
-    "SpectowerError",
-    "SplitFilteredComplex",
-    "Trajectory",
-    "ZigzagWitness",
-    "action_window",
-    "assemble_fibration",
-    "cellular_complex",
-    "chain_transport",
-    "check_homotopy_invariance",
-    "e2_table",
-    "extend_subsystem",
-    "induced_map_on_cohomology",
-    "leray_serre_compare",
-    "load_document",
-    "map_of_spectral_sequences",
-    "morse_complex",
-    "parse_field",
-    "parse_text",
-    "parse_word",
-    "print_document",
-    "quotient_basis",
-    "span_contains",
-    "tensor_product",
-    "transport",
-    "transport_compose_check",
-    "truncation_map",
-    "zigzag_class_and_d",
-]
+# each module and the names it exports; a module is imported on the first
+# use of one of its names or of the module itself (PEP 562), so `import
+# spectower` imports none
+_EXPORTS = {
+    "complexes": ("ChainMap", "CochainComplex", "CohomologyResult", "GradedBasis", "induced_map_on_cohomology",
+                  "tensor_product"),
+    "documents": ("Document", "load_document", "parse_text", "print_document"),
+    "errors": ("InvariantError", "ParseError", "PreconditionError", "SpectowerError"),
+    "fibration": ("ComposeReport", "E2Table", "FibrationData", "LerayComparison", "action_window",
+                  "assemble_fibration", "chain_transport", "e2_table", "leray_serre_compare",
+                  "transport_compose_check", "truncation_map"),
+    "field": ("Field", "parse_field"),
+    "localsystems": ("BaseGraph", "HomotopyCheck", "LocalSubsystem", "LocalSystem", "MonodromyReport",
+                     "check_homotopy_invariance", "extend_subsystem", "parse_word", "transport"),
+    "matrix": ("Matrix", "quotient_basis", "span_contains"),
+    "morse": ("CellularData", "MorseData", "Trajectory", "cellular_complex", "morse_complex"),
+    "spectral": ("ConvergenceReport", "FilteredChainMap", "FilteredComplex", "Page", "SplitFilteredComplex",
+                 "ZigzagWitness", "map_of_spectral_sequences", "zigzag_class_and_d"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return import_module("." + name, __name__)
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = globals()[name] = getattr(import_module("." + _HOME[name], __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | set(__all__) | set(_EXPORTS))

@@ -69,16 +69,21 @@ def _emit(lines):
     sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
 
 
-def _homology_lines(cx):
+def _degree_span(cx, s=0):
+    """The degrees from the lowest to the highest of cx, printed one by
+    one; past MAX_SPAN of them, exit 4 naming the span shifted by s."""
     degs = cx.degrees()
-    if not degs:
-        return ["(zero complex)"]
-    s = cx.display_shift
-    if degs[-1] - degs[0] >= MAX_SPAN:
+    if degs and degs[-1] - degs[0] >= MAX_SPAN:
         raise PreconditionError("homology spans degrees %d..%d, more than %d values"
                                 % (degs[0] + s, degs[-1] + s, MAX_SPAN))
+    return range(degs[0], degs[-1] + 1) if degs else ()
+
+
+def _homology_lines(cx):
+    s = cx.display_shift
     # dim H^k from the ranks of d alone: no kernel or quotient basis is built
-    return ["H^%d %d" % (k + s, cx.dim(k) - cx.d(k).rank() - cx.d(k - 1).rank()) for k in range(degs[0], degs[-1] + 1)]
+    return ["H^%d %d" % (k + s, cx.dim(k) - cx.d(k).rank() - cx.d(k - 1).rank())
+            for k in _degree_span(cx, s)] or ["(zero complex)"]
 
 
 def cmd_homology(args):
@@ -153,13 +158,12 @@ def cmd_e2(args):
 def cmd_oracle_check(args):
     doc = load_document(args.file, args.field)
     tower = doc.build_tower()
+    degs = _degree_span(tower.complex)
     conv = tower.converge()
     direct = conv.h_dims
     totals = conv.einf_total_dims()
     degenerate = conv.r_stop <= 2  # no d_r with r >= 2 is nonzero
     lines = []
-    span = tower.complex.degrees()
-    degs = list(range(span[0], span[-1] + 1)) if span else []
     lines.append("direct cohomology: %s" % (" ".join("H^%d %d" % (k, direct.get(k, 0)) for k in degs) or "0"))
     lines.append("E_infinity totals: %s" % (" ".join("H^%d %d" % (k, totals.get(k, 0)) for k in degs) or "0"))
     lines.append("certified: %s" % ("true" if conv.certified else "false"))

@@ -31,6 +31,11 @@ is kept only where it differs from F_{p+1}H^k.  The subquotient
 E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2}),
 Z_r^{p,q} = {x in F_p C^{p+q} : dx in F_{p+r}}, is the test oracle.
 
+A map of towers costs the generators, not the pages: one back
+substitution per page-0 column gives its W coordinates and the largest r
+with the column in Z_r, and page r selects from those; d_r matches pairs
+with coefficient 1, so each square against d_r moves rows and columns.
+
 Entry representatives are ambient vectors in C^{p+q}, which makes the
 zig-zag cross-check direct linear algebra.  Pages stabilize at the last
 breakpoint r_stop <= n+1 for a length-n filtration (d_r moves p by r),
@@ -42,7 +47,7 @@ from operator import neg
 
 from .complexes import CochainComplex
 from .errors import InvariantError, PreconditionError
-from .matrix import Matrix, _apply, _divided, _echelon, _low, _tracked, int_combine, quotient_basis
+from .matrix import Matrix, _apply, _divided, _echelon, _low, _matrix, _tracked, int_combine, quotient_basis
 
 __all__ = [
     "FilteredComplex",
@@ -61,20 +66,20 @@ class Page:
 
     It holds its breakpoint's count per cell, which `dim`, `dims`, `cells`
     and `flagged` read, and its gap-r pairs.  The ids of a cell are built
-    on its first `reps`, `class_of` or `differential`, and every d_r
-    matrix on the first `differential`.  `reps(p, q)` columns are ambient
+    on its first `reps`, `class_of` or `differential`, and the d_r matching
+    of its pairs on first use.  `reps(p, q)` columns are ambient
     cocycle-like vectors in C^{p+q} representing a basis of E_r^{p,q};
     `class_of` expresses any ambient element of Z_r^{p,q} in that basis.
     """
 
-    __slots__ = ("r", "field", "_red", "_dims", "_pairs", "_ids", "_diff", "_reps")
+    __slots__ = ("r", "field", "_red", "_dims", "_pairs", "_ids", "_match", "_reps")
 
     def __init__(self, r, red, dims, pairs):
         self.r, self.field, self._red, self._reps = r, red.field, red, {}
         self._dims = dims  # (p, q) -> dim, nonzero cells only: its breakpoint's, shared
         self._pairs = pairs  # the gap-r pairs (k, i, j): d_r matches i -> j
         self._ids = {}  # (p, q) -> indices of its surviving generators, ascending
-        self._diff = None  # (p, q) -> nonzero Matrix into cell (p+r, q-r+1)
+        self._match = None  # (p, q) -> [(row, column)]: d_r out of the cell, by places in the cell ids
 
     @property
     def flagged(self):
@@ -107,18 +112,20 @@ class Page:
     def dims(self):
         return dict(sorted(self._dims.items()))
 
+    def _matching(self):
+        """d_r with coefficient 1 on each gap-r pair i -> j, as {source cell:
+        [(place of j, place of i)]} in the ascending ids of the two cells."""
+        if self._match is None:
+            self._match, ids = {}, self._cell_ids
+            for k, i, j in self._pairs:
+                src, tgt = self._red._cell(k, i), self._red._cell(k + 1, j)
+                self._match.setdefault(src, []).append((bisect_left(ids(tgt), j), bisect_left(ids(src), i)))
+        return self._match
+
     def differential(self, p, q):
         """The matrix of d_r : E_r^{p,q} -> E_r^{p+r, q-r+1}."""
-        r, ids = self.r, self._cell_ids
-        if self._diff is None:
-            ent = {}
-            for k, i, j in self._pairs:  # id tuples are ascending: bisect finds places
-                src, tgt = self._red._cell(k, i), self._red._cell(k + 1, j)
-                ent.setdefault(src, []).append((bisect_left(ids(tgt), j), bisect_left(ids(src), i), 1))
-            self._diff = {c: Matrix.from_entries(self.field, self.dim(c[0] + r, c[1] - r + 1), self.dim(*c), e)
-                          for c, e in ent.items()}
-        m = self._diff.get((p, q))
-        return Matrix.zero(self.field, self.dim(p + r, q - r + 1), self.dim(p, q)) if m is None else m
+        r, ent = self.r, self._matching().get((p, q), ())
+        return Matrix.from_entries(self.field, self.dim(p + r, q - r + 1), self.dim(p, q), [(a, b, 1) for a, b in ent])
 
     def has_nonzero_differential(self):
         return bool(self._pairs)
@@ -127,9 +134,13 @@ class Page:
         """Coordinates of an ambient Z_r^{p,q} element in this cell's basis.
 
         Accepts a column Matrix (or several columns) over C^{p+q}; returns
-        None when a column is not in Z_r^{p,q} at all.
+        None when a column is not in Z_r^{p,q} at all: when its bound from
+        the one walk `_Reduction.class_of` is below r.
         """
-        return self._red.class_of(self.r, p, q, self._cell_ids((p, q)), vec)
+        coords, bounds = self._red.class_of(p, q, vec)
+        if any(b is not None and b < self.r for b in bounds):
+            return None
+        return coords.take_rows(self._cell_ids((p, q)))
 
 
 class ConvergenceReport:
@@ -209,14 +220,19 @@ class _Reduction:
                 self.mate[(k + 1, low)] = (k, j, gap)
                 self.w[(k + 1, low)] = (col, delta * vj)
 
-    def class_of(self, r, p, q, ids, vec):
-        """Coordinates on the basis `ids` of E_r^{p,q}, or None off Z_r^{p,q}.
+    def class_of(self, p, q, vec):
+        """(W coordinates, bounds) of the columns of an ambient vec over C^{p+q}.
 
         Back substitution writes each column in the W basis (W_i is lowest
-        at i).  It lies in Z_r^{p,q} iff it avoids blocks < p and each birth
-        end whose partner has block < p+r; modulo B_r only `ids` remain.
-        It runs fraction-free over F_p and Q: the column and its coordinates
-        x stay integral over one denominator, as in `_reduce`.
+        at i), in index coordinates: one walk, the same for every r.  A
+        column lies in Z_r^{p,q} iff it avoids blocks < p and each birth end
+        the walk meets has its partner in block >= p+r, so its bound, the
+        largest such r, is -1 if the walk meets a block < p (and stops
+        there), None if it meets no birth end, and else the least
+        block + gap - p over the birth ends it meets.  Modulo B_r only the
+        ids of page r remain.  It runs fraction-free over F_p and Q: the
+        column and its coordinates x stay integral over one denominator, as
+        in `_reduce`.
         """
         k, f = p + q, self.field
         order = self.order.get(k, ())
@@ -224,22 +240,26 @@ class _Reduction:
             raise ValueError("class_of: %d rows, expected dim C^%d" % (vec.nrows, k))
         if k in self.frame:
             vec = self.frame[k][1] * vec
-        coords = []
+        coords, bounds = [], []
         for col in vec.take_rows(order).cols:
-            x, den = 0 if self.f2 else {}, vec.den
+            x, den, bound = 0 if self.f2 else {}, vec.den, None
             while col:
                 low = _low(col)
+                if self.block[k][low] < p:
+                    bound = -1
+                    break
                 w, dw = self.w[(k, low)]
                 if self.f2:
                     col, x = col ^ w, x | 1 << low
                 else:  # col / den less (col[low] dw / den w[low]) W, W = w / dw
                     (col, x), den = int_combine(w[low], [col, x], col[low], [w, {low: -dw}], den, f.p)
                 mate = self.mate.get((k, low))
-                early_birth = mate and mate[0] > k and self.block[k][low] + mate[2] < p + r
-                if self.block[k][low] < p or early_birth:
-                    return None
+                if mate and mate[0] > k:  # a birth end, in Z_r while its partner's block is >= p+r
+                    b = self.block[k][low] + mate[2] - p
+                    bound = b if bound is None else min(bound, b)
             coords.append((x, den))
-        return _divided(f, len(order), coords).take_rows(ids)
+            bounds.append(bound)
+        return _divided(f, len(order), coords), bounds
 
     def _cell(self, k, i):
         return (b := self.block[k][i]), k - b
@@ -579,35 +599,50 @@ class FilteredChainMap:
             raise PreconditionError("chain map does not preserve the filtration at (p=%d, k=%d)" % min(bad))
 
 
+def _moved(col, pairs):
+    """The column with its row b moved to row a for each (a, b) of pairs,
+    distinct a's, and its other rows dropped."""
+    if type(col) is int:
+        return sum((col >> b & 1) << a for a, b in pairs)
+    return {a: col[b] for a, b in pairs if b in col}
+
+
 def map_of_spectral_sequences(fmap):
     """Per-page, per-cell matrices induced by a filtration-preserving map.
 
-    Returns {r: {(p, q): Matrix}} for r = 0 .. stabilization bound; every
-    square against d_r is verified before returning.
+    Returns {r: {(p, q): Matrix}} for r = 0 .. max(n_src, n_tgt) + 1.  Each
+    page-0 source cell costs one product f·reps and one walk per column
+    (`_Reduction.class_of`), and level r restricts that one computation:
+    its columns are the source ids alive on page r and its rows the target
+    ids alive there.  A selected column whose bound is below r has escaped
+    the target page.  d_r matches each gap-r birth end to its death end
+    with coefficient 1, so d_r^tgt o m moves rows of m and m' o d_r^src
+    places columns of m' (m' the matrix at the cell d_r lands in): every
+    square is checked on those, at every level.
     """
-    f = fmap.chain_map
-    src, tgt = fmap.source, fmap.target
-    rmax = max(src.n, tgt.n) + 1
+    f, src, tgt = fmap.chain_map, fmap.source, fmap.target
+    s0, red, zero = src.page(0), tgt.page(0)._red, 0 if f.source.field.p == 2 else {}
+    walked = {c: (s0._cell_ids(c),) + red.class_of(*c, f.block(c[0] + c[1]) * s0.reps(*c)) for c in s0.cells()}
     out = {}
-    for r in range(0, rmax + 1):
-        ps, pt = src.page(r), tgt.page(r)
-        level = {}
+    for r in range(max(src.n, tgt.n) + 2):
+        ps, pt, level = src.page(r), tgt.page(r), {}
         for (p, q) in ps.cells():
-            imgs = f.block(p + q) * ps.reps(p, q)
-            coords = pt.class_of(p, q, imgs)
-            if coords is None:
+            ids, coords, bounds = walked[(p, q)]
+            cols, rows = [bisect_left(ids, i) for i in ps._cell_ids((p, q))], pt._cell_ids((p, q))
+            if any(bounds[n] is not None and bounds[n] < r for n in cols):
                 raise InvariantError("induced map escaped the target page at r=%d, (p=%d, q=%d)" % (r, p, q))
-            level[(p, q)] = coords
+            level[(p, q)] = coords.take_columns(cols).take_rows(rows)
+        smatch, tmatch = ps._matching(), pt._matching()
         for (p, q), m in level.items():
-            tcell = (p + r, q - r + 1)
-            # commuting square: d_r^tgt o f = f o d_r^src
-            lhs = pt.differential(p, q) * m
-            rhs_m = level.get(tcell)
-            if rhs_m is None:
-                rhs = Matrix.zero(f.source.field, pt.dim(*tcell), ps.dim(p, q))
-            else:
-                rhs = rhs_m * ps.differential(p, q)
-            if lhs != rhs:
+            rows, cols = tmatch.get((p, q), ()), smatch.get((p, q), ())
+            if not rows and not cols:  # d_r is zero out of the cell on both sides
+                continue
+            nrows, after = pt.dim(p + r, q - r + 1), level.get((p + r, q - r + 1))
+            placed = [zero] * ps.dim(p, q)
+            for a, b in cols:
+                placed[b] = after.cols[a]
+            if _matrix(m.field, nrows, [_moved(x, rows) for x in m.cols], m.den) != _matrix(
+                    m.field, nrows, placed, after.den if cols else 1):
                 raise InvariantError("induced page map does not commute with d_%d at (p=%d, q=%d)" % (r, p, q))
         out[r] = level
     return out

@@ -174,6 +174,33 @@ def oracle_filtration_check(fmap, src, tgt):
     return "chain map does not preserve the filtration at (p=%d, k=%d)" % min(bad) if bad else None
 
 
+def oracle_map_of_spectral_sequences(fmap):
+    """The induced map of spectral sequences, walked page by page: on each
+    page r the source reps of a cell are pushed through f and written in the
+    target page's basis by `Page.class_of`, and each square against d_r is
+    two products of `Page.differential` matrices.  It raises the messages
+    `map_of_spectral_sequences` raises, at the same (r, p, q)."""
+    f, src, tgt = fmap.chain_map, fmap.source, fmap.target
+    out = {}
+    for r in range(0, max(src.n, tgt.n) + 2):
+        ps, pt = src.page(r), tgt.page(r)
+        level = {}
+        for (p, q) in ps.cells():
+            coords = pt.class_of(p, q, f.block(p + q) * ps.reps(p, q))
+            if coords is None:
+                raise InvariantError("induced map escaped the target page at r=%d, (p=%d, q=%d)" % (r, p, q))
+            level[(p, q)] = coords
+        for (p, q), m in level.items():
+            tcell = (p + r, q - r + 1)
+            after = level.get(tcell)
+            if after is None:
+                after = Matrix.zero(f.source.field, pt.dim(*tcell), ps.dim(*tcell))
+            if pt.differential(p, q) * m != after * ps.differential(p, q):
+                raise InvariantError("induced page map does not commute with d_%d at (p=%d, q=%d)" % (r, p, q))
+        out[r] = level
+    return out
+
+
 def oracle_filtration_steps_check(fc):
     """The span walks over the steps of a FilteredComplex: the refusal
     message for the least (p, k) with F_{p+1} C^k not inside F_p C^k, else

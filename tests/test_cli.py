@@ -454,6 +454,30 @@ def test_homology_past_the_span_limit_exits_4_within_budget(tmp_path, top):
     assert code == 0 and out.count("\n") == MAX_SPAN
 
 
+@pytest.mark.parametrize("degree", [10 ** 6, 10 ** 40])
+def test_oracle_check_past_the_span_limit_exits_4_within_budget(tmp_path, degree):
+    # hopf.json with its fiber generator w in degree `degree` and no
+    # corrections: the totals line would name every degree in between (21.8 MB
+    # at 10^6, and an OverflowError at 10^40); like `homology`, oracle-check
+    # exits 4 with one line before the tower is converged
+    import json
+    import time
+
+    from spectower.cli import MAX_SPAN
+
+    with open(data("hopf.json")) as fh:
+        doc = json.load(fh)
+    doc["fiber"]["generators"][1][1] = degree
+    doc["corrections"] = []
+    path = tmp_path / "hopf_wide.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(["oracle-check", str(path)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert err == "precondition violation: homology spans degrees 0..%d, more than %d values\n" % (degree + 2, MAX_SPAN)
+
+
 def test_page_far_past_a_long_gap(tmp_path):
     # one pair with a block gap of 700: pages up to 700 are built in a loop,
     # not by one recursion level per page

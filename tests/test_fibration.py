@@ -178,6 +178,26 @@ def test_e2_shifted_display():
     assert t.shifted_entries() == {(-1, 2): 1, (-1, 3): 1, (0, 2): 1, (0, 3): 1}
 
 
+def test_e2_table_reads_dims_from_ranks(monkeypatch):
+    # only the fiber builds a cohomology basis, whose representatives carry
+    # the local systems; each H^p(base; H^q(fiber)) is dim - rank - rank of
+    # its Morse complex, equal to that complex's cohomology().dims()
+    from spectower.fibration import cohomology_local_system
+
+    rng = random.Random(2121)
+    cases = [klein_fibration()] + [random_twisted_fibration(rng, FIELDS[i % 3]) for i in range(6)]
+    wants = [{(p, q): d for q in fd.fiber.cohomology().degrees() if (sq := cohomology_local_system(fd, q))
+              for p, d in morse_complex(fd.base, sq).cohomology().dims().items()} for fd in cases]
+    cohomology = CochainComplex.cohomology
+    for fd, want in zip(cases, wants):
+        def fiber_only(self, fiber=fd.fiber):
+            assert self is fiber, "e2_table built a cohomology basis off the fiber"
+            return cohomology(self)
+
+        monkeypatch.setattr(CochainComplex, "cohomology", fiber_only)
+        assert e2_table(fd).entries == want
+
+
 def test_grading_shift_covariance():
     # shifting all fiber degrees by s shifts every q by s and nothing else
     rng = random.Random(17)

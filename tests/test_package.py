@@ -1,0 +1,50 @@
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import spectower
+
+
+def _src():
+    return os.path.dirname(os.path.dirname(os.path.abspath(spectower.__file__)))
+
+
+def test_every_export_is_the_object_in_its_home_module():
+    # the table is the one list of exports: each name resolves, on first
+    # use, to the very object its module defines, and `import *` takes them all
+    assert spectower.__all__ == sorted(spectower._HOME)
+    for name in spectower.__all__:
+        home = importlib.import_module("spectower." + spectower._HOME[name])
+        assert getattr(spectower, name) is getattr(home, name)
+        assert name in getattr(home, "__all__", [name])
+    namespace = {}
+    exec("from spectower import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == spectower.__all__
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        spectower.no_such_name
+    assert not hasattr(spectower, "_no_such_private_name")
+
+
+def test_import_spectower_imports_no_module_until_a_name_is_used():
+    code = ("import sys, spectower; before = sorted(m for m in sys.modules if m.startswith('spectower.')); "
+            "spectower.Field; print(before, 'spectower.field' in sys.modules, 'spectower.spectral' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=_src()),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[] True False\n"
+
+
+def test_submodules_and_exports_resolve_and_are_listed_before_first_use():
+    # a bare `import spectower` still reaches each submodule as an attribute,
+    # and dir() lists every export whether or not it has been used yet
+    code = ("import spectower; names = dir(spectower); "
+            "print(spectower.matrix.__name__, spectower.spectral.Page.__name__, "
+            "set(spectower.__all__) <= set(names), 'spectral' in names)")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=_src()),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "spectower.matrix Page True True\n"

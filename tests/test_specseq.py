@@ -465,6 +465,44 @@ def test_truncation_analog_on_small_instance():
     assert set(maps) == set(range(0, 4))
 
 
+def pair_tower(field, gap, framed, paired=True):
+    """x -> y with x in degree 0, block 0 and y in degree 1, block `gap`
+    (d = 0 unless `paired`); as a general FilteredComplex when `framed`."""
+    cx = CochainComplex.from_generator_entries(field, [("x", 0), ("y", 1)], [("x", "y", 1)] if paired else [])
+    sfc = SplitFilteredComplex(cx, {"x": 0, "y": gap})
+    return to_filtered(sfc) if framed else sfc
+
+
+@pytest.mark.parametrize("paired", [(True, True), (False, True), (True, False)], ids=["both", "target", "source"])
+@pytest.mark.parametrize("framed", [False, True], ids=["split", "framed"])
+@pytest.mark.parametrize("field", PAGE_CHECK_FIELDS, ids=str)
+def test_a_map_that_is_not_a_chain_map_fails_the_commuting_square(field, framed, paired):
+    # maps that preserve the filtration but not d, with d_0 matching x -> y
+    # on both sides (f is 1 on C^0 and 0 on C^1), or on one side only (f is
+    # 1): d f x != f d x, so on E_0 d_0 o f != f o d_0 at (0, 0)
+    src, tgt = (pair_tower(field, 0, framed, d) for d in paired)
+    one = Matrix.identity(field, 1)
+    f = ChainMap(src.complex, tgt.complex, {0: one, 1: one if paired != (True, True) else one.scale(0)}, check=False)
+    with pytest.raises(InvariantError, match=r"^induced page map does not commute with d_0 at \(p=0, q=0\)$"):
+        map_of_spectral_sequences(FilteredChainMap(f, src, tgt))
+
+
+@pytest.mark.parametrize("framed", [False, True], ids=["split", "framed"])
+@pytest.mark.parametrize("field", PAGE_CHECK_FIELDS, ids=str)
+def test_a_target_pair_that_dies_early_fails_the_escape_check(field, framed):
+    # the identity between two copies of x -> y at block gap 2, after the
+    # target's reduction is told the pair has gap 0: on page 1 the target's x
+    # is no longer in Z_1, while the source's x still is
+    src, tgt = pair_tower(field, 2, framed), pair_tower(field, 2, framed)
+    red = tgt.page(0)._red
+    red.mate[(0, 0)], red.mate[(1, 0)] = (1, 0, 0), (0, 0, 0)
+    fmap = FilteredChainMap(ChainMap.identity(src.complex), src, tgt)
+    with pytest.raises(InvariantError, match=r"^induced map escaped the target page at r=1, \(p=0, q=0\)$"):
+        map_of_spectral_sequences(fmap)
+    assert map_of_spectral_sequences(FilteredChainMap(ChainMap.identity(src.complex), src, src))[2] == {
+        (0, 0): Matrix.identity(field, 1), (2, -1): Matrix.identity(field, 1)}
+
+
 def test_tower_with_negative_degrees():
     # degrees may be any integers; q < 0 cells are flagged, never dropped
     cx = CochainComplex.from_generator_entries(
@@ -873,3 +911,69 @@ def test_filtration_refusals_match_the_span_walks(data):
     assert _filtration_refusal(lambda: FilteredComplex(cx, steps, check=False).page(0)) == want
     if want is None:
         assert FilteredComplex(cx, steps).converge().certified
+
+
+def _map_or_refusal(build):
+    """build(), or the message of the InvariantError it raises."""
+    try:
+        return build()
+    except InvariantError as e:
+        return str(e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_map_of_spectral_sequences_matches_the_per_level_oracle(data):
+    # random filtration-preserving maps, all four fields: truncation maps
+    # between random action windows, and a random tower into itself under a
+    # block relabelling that never lowers a block, by c·1 + d h + h d for a
+    # random filtration-preserving h (a chain map), or by c·1 plus random
+    # entries into blocks no lower (in general not a chain map).  Drawn, both
+    # sides are conjugated into general filtrations with non-coordinate
+    # spans.  The map equals the page-by-page oracle at every level, or both
+    # refuse it with the same message
+    from spectower.fibration import truncation_map
+
+    from helpers import oracle_map_of_spectral_sequences, random_invertible, random_matrix
+
+    field = data.draw(st.sampled_from(PAGE_CHECK_FIELDS), label="field")
+    kind = data.draw(st.sampled_from(["truncation", "homotopy", "noise"]), label="kind")
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6), label="seed"))
+    src = random_split_complex(rng, field, max_gens=14, max_len=4)
+    cx = src.complex
+    if kind == "truncation":
+        action = {g: -10 * k + Fraction(rng.randint(0, 9), 10) for g, k in cx.basis.generators}
+        values = sorted(set(action.values()))
+        a, b = sorted(rng.sample(values, 2)) if len(values) > 1 else (None, None)
+        a, b = rng.choice([a, None]), rng.choice([b, None])
+        a2 = rng.choice([v for v in values if a is None or v >= a])
+        b2 = None if b is None or rng.random() < 0.3 else rng.choice([v for v in values if v >= b])
+        fmap = truncation_map(src, action, (a, b), (a2, b2))
+    else:
+        steps = [0] + [rng.choice([0, 0, 1]) for _ in range(src.n)]
+        relabel = [b + sum(steps[:b + 1]) for b in range(src.n + 1)]  # never lowers a block
+        tgt = SplitFilteredComplex(cx, {g: relabel[b] for g, b in src.blocks.items()})
+        sb, tb = ({k: [x.blocks[g] for g in cx.basis.gens(k)] for k in cx.degrees()} for x in (src, tgt))
+
+        def preserving(k, j, density):  # a random C^k -> C^j sending block b into blocks >= b
+            m = random_matrix(rng, field, cx.dim(j), cx.dim(k), density)
+            return Matrix(field, cx.dim(j), cx.dim(k), {(i, c): v for i, c, v in m.entries() if tb[j][i] >= sb[k][c]})
+
+        c = random_scalar(rng, field, nonzero=True)
+        one = {k: Matrix.identity(field, cx.dim(k)).scale(c) for k in cx.degrees()}
+        if kind == "homotopy":
+            h = {k: preserving(k, k - 1, 0.3) for k in range(cx.degrees()[0], cx.degrees()[-1] + 2)}
+            blocks = {k: one[k] + cx.d(k - 1) * h[k] + h[k + 1] * cx.d(k) for k in cx.degrees()}
+        else:
+            blocks = {k: one[k] + preserving(k, k, 0.2) for k in cx.degrees()}
+        fmap = FilteredChainMap(ChainMap(cx, cx, blocks, check=kind == "homotopy"), src, tgt)
+    if data.draw(st.booleans(), label="conjugate"):
+        s, t = fmap.source, fmap.target
+        degrees = set(s.complex.degrees()) | set(t.complex.degrees())
+        ts, tt = ({k: random_invertible(rng, field, x.complex.dim(k)) for k in degrees} for x in (s, t))
+        csrc, ctgt = conjugated(rng, s, t=ts), conjugated(rng, t, t=tt)
+        fmap = FilteredChainMap(ChainMap(csrc.complex, ctgt.complex, {
+            k: tt[k] * fmap.chain_map.block(k) * ts[k].inverse() for k in s.complex.degrees()}, check=False), csrc, ctgt)
+    got = _map_or_refusal(lambda: map_of_spectral_sequences(fmap))
+    assert got == _map_or_refusal(lambda: oracle_map_of_spectral_sequences(fmap))
+    assert isinstance(got, dict) or (kind == "noise" and got.startswith("induced "))
