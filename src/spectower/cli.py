@@ -7,7 +7,10 @@ oracle-check and compare-ls: the check passed), 1 check failed,
 5 internal error (any other exception: a bug in spectower).  Output
 stays bounded: `pages --all` prints at most MAX_SPAN pages, `homology` at
 most MAX_SPAN degrees, and a table spans at most MAX_SPAN values of p or
-of q; past that, exit 4.
+of q; past that, exit 4.  A run imports only the modules its subcommand
+and document kind use (`homology` on a cochain complex: no spectral or
+fibration; `extend`: plus localsystems; `kunneth`: all but spectral):
+where bytecode is not cached, each imported module is compiled per run.
 """
 
 import argparse
@@ -16,8 +19,6 @@ import sys
 from .complexes import JOIN
 from .documents import Document, load_document, print_document
 from .errors import InvariantError, ParseError, PreconditionError
-from .fibration import FibrationData, e2_table, leray_serre_compare
-from .localsystems import extend_subsystem
 
 MAX_SPAN = 100
 
@@ -128,6 +129,8 @@ def cmd_pages(args):
             lines.append("totals: %s" % " ".join("H^%d %d" % (k + sn + sk, d) for k, d in totals.items()))
     else:
         r = args.page if args.page is not None else 2
+        if r < 0:
+            raise PreconditionError("page index must be >= 0, got %d" % r)
         page = tower.page(r)
         if tsv:
             lines += _tsv_lines(r, page.dims(), sn, sk)
@@ -140,8 +143,9 @@ def cmd_pages(args):
 
 def cmd_e2(args):
     doc = load_document(args.file, args.field)
-    if not isinstance(doc.payload, FibrationData):
+    if doc.kind != "fibration_data":
         raise PreconditionError("e2 needs a fibration_data document")
+    from .fibration import e2_table
     table = e2_table(doc.payload)
     sn, sk = _doc_shifts(doc, args)
     lines = []
@@ -181,6 +185,7 @@ def cmd_extend(args):
         raise PreconditionError("extend needs a local_subsystem document")
     if base_doc.kind != "base_graph":
         raise PreconditionError("extend needs a base_graph document")
+    from .localsystems import extend_subsystem
     report = extend_subsystem(sub_doc.payload, base_doc.payload, max_word_depth=args.max_word_depth)
     lines = []
     lines.append("base point: %s" % report.base_point)
@@ -208,8 +213,9 @@ def cmd_compare_ls(args):
     fib_doc = load_document(args.fibration, args.field)
     if cell_doc.kind != "cellular_data":
         raise PreconditionError("compare-ls needs a cellular_data document first")
-    if not isinstance(fib_doc.payload, FibrationData):
+    if fib_doc.kind != "fibration_data":
         raise PreconditionError("compare-ls needs a fibration_data document second")
+    from .fibration import leray_serre_compare
     cmp = leray_serre_compare(cell_doc.payload, fib_doc.payload, field=cell_doc.field)
     lines = []
     for r in sorted(cmp.pages_cellular):
@@ -246,6 +252,7 @@ def product_fibration(base_cx, fiber_cx):
     (over F_p, the canonical residue is the count); non-integral entries
     over Q cannot be modelled as signed trajectory counts.
     """
+    from .fibration import FibrationData
     from .localsystems import BaseGraph
     from .morse import MorseData, Trajectory
 

@@ -17,11 +17,7 @@ import json
 from .complexes import CochainComplex
 from .errors import ParseError, PreconditionError
 from .field import parse_field, parse_scalar
-from .fibration import FibrationData, assemble_fibration
-from .localsystems import BaseGraph, LocalSystem, LocalSubsystem, parse_word, word_to_strings
 from .matrix import Matrix
-from .morse import CellularData, MorseData, Trajectory, cellular_complex, morse_complex
-from .spectral import FilteredComplex, SplitFilteredComplex
 
 KINDS = (
     "cochain_complex",
@@ -61,13 +57,17 @@ class Document:
         if k in ("split_filtered_complex", "filtered_complex"):
             return self.payload.complex
         if k == "morse_data":
+            from .localsystems import LocalSystem
+            from .morse import morse_complex
             ls = self.local_system or LocalSystem.trivial(self.payload.graph, self.field, 1)
             return morse_complex(self.payload, ls)
         if k == "cellular_data":
+            from .morse import cellular_complex
             if self.local_system is not None:
                 return cellular_complex(self.payload, self.local_system)
             return cellular_complex(self.payload, ls=None, field=self.field)
         if k == "fibration_data":
+            from .fibration import assemble_fibration
             return assemble_fibration(self.payload).complex
         raise PreconditionError("a %s document does not denote a cochain complex" % k)
 
@@ -79,6 +79,7 @@ class Document:
         if k == "filtered_complex":
             return self.payload
         if k == "fibration_data":
+            from .fibration import assemble_fibration
             return assemble_fibration(self.payload)
         raise PreconditionError("a %s document does not denote a filtered complex" % k)
 
@@ -142,7 +143,7 @@ def _matrix_in(field, nrows, ncols, triples, what):
         raise ParseError("%s: %s" % (what, exc)) from exc
 
 
-def _word_in(items, what):
+def _word_in(parse_word, items, what):
     if not isinstance(items, list):
         raise ParseError("bad word %r in %s" % (items, what))
     return parse_word(items)
@@ -189,6 +190,7 @@ def _complex_from_body(field, body, what):
 
 
 def _graph_out(g):
+    from .localsystems import word_to_strings
     return {
         "vertices": list(g.vertices),
         "edges": [[e, g.edges[e][0], g.edges[e][1]] for e in g.edges],
@@ -197,6 +199,7 @@ def _graph_out(g):
 
 
 def _graph_in(body, what="base_graph"):
+    from .localsystems import BaseGraph, parse_word
     verts = _object_in(body, what).get("vertices")
     if not isinstance(verts, list):
         raise ParseError("%s: bad vertices" % what)
@@ -204,7 +207,7 @@ def _graph_in(body, what="base_graph"):
     for e in edges:
         if not isinstance(e, list) or len(e) != 3:
             raise ParseError("%s: bad edge %r" % (what, e))
-    return BaseGraph(verts, edges, [_word_in(w, what + " relation") for w in _list_in(body, "relations", what)])
+    return BaseGraph(verts, edges, [_word_in(parse_word, w, what + " relation") for w in _list_in(body, "relations", what)])
 
 
 def _fiber_dim_in(body, what):
@@ -217,6 +220,7 @@ def _fiber_dim_in(body, what):
 
 
 def _local_system_in(field, graph, body, what="local_system"):
+    from .localsystems import LocalSystem
     dim = _fiber_dim_in(body, what)
     tr = body.get("transport", {})
     if not isinstance(tr, dict):
@@ -236,6 +240,8 @@ def _local_system_out(field, ls):
 
 
 def _morse_in(field, body, what="morse_data"):
+    from .localsystems import parse_word
+    from .morse import MorseData, Trajectory
     graph = _graph_in(_object_in(body, what).get("graph"), what + ".graph")
     pts = body.get("points")
     if not isinstance(pts, list):
@@ -250,7 +256,7 @@ def _morse_in(field, body, what="morse_data"):
         if not isinstance(t, list) or len(t) != 5:
             raise ParseError("%s: bad trajectory %r" % (what, t))
         tid, src, dst, sign, word = t
-        trajs.append(Trajectory(tid, src, dst, sign, _word_in(word, what)))
+        trajs.append(Trajectory(tid, src, dst, sign, _word_in(parse_word, word, what)))
     md = MorseData(graph, points, trajs)
     ls = None
     if body.get("local_system") is not None:
@@ -259,6 +265,7 @@ def _morse_in(field, body, what="morse_data"):
 
 
 def _morse_out(field, md, ls=None):
+    from .localsystems import word_to_strings
     out = {
         "graph": _graph_out(md.graph),
         "points": [[x, k] for x, k in md.points.items()],
@@ -296,6 +303,7 @@ def parse_document(obj, field_override=None):
         return Document(kind, field, _complex_from_body(field, obj, kind))
 
     if kind == "split_filtered_complex":
+        from .spectral import SplitFilteredComplex
         gens = obj.get("generators")
         if not isinstance(gens, list):
             raise ParseError("split_filtered_complex: missing generators")
@@ -311,6 +319,7 @@ def parse_document(obj, field_override=None):
         return Document(kind, field, SplitFilteredComplex(cx, blocks))
 
     if kind == "filtered_complex":
+        from .spectral import FilteredComplex
         cx = _complex_from_body(field, obj.get("complex", {}), "filtered_complex.complex")
         steps = []
         by_p = {}
@@ -351,6 +360,7 @@ def parse_document(obj, field_override=None):
         return Document(kind, field, _local_system_in(field, graph, obj))
 
     if kind == "local_subsystem":
+        from .localsystems import LocalSubsystem, parse_word
         dim = _fiber_dim_in(obj, "local_subsystem")
         carrier = obj.get("carrier")
         if not isinstance(carrier, list) or not carrier:
@@ -361,7 +371,7 @@ def parse_document(obj, field_override=None):
                 raise ParseError("local_subsystem: bad path %r" % (p,))
             m = _matrix_in(field, dim, dim, p.get("transport", []),
                            "local_subsystem path %r transport" % p["name"])
-            paths.append((p["name"], _word_in(p["word"], "local_subsystem"), m))
+            paths.append((p["name"], _word_in(parse_word, p["word"], "local_subsystem"), m))
         return Document(kind, field, LocalSubsystem(field, dim, carrier, paths))
 
     if kind == "morse_data":
@@ -369,6 +379,8 @@ def parse_document(obj, field_override=None):
         return Document(kind, field, md, local_system=ls)
 
     if kind == "cellular_data":
+        from .localsystems import parse_word
+        from .morse import CellularData
         graph = _graph_in(obj["graph"], "cellular_data.graph") if obj.get("graph") is not None else None
         cells = obj.get("cells")
         if not isinstance(cells, list):
@@ -388,12 +400,12 @@ def parse_document(obj, field_override=None):
         for e in _list_in(obj, "incidences", "cellular_data"):
             if not isinstance(e, list) or len(e) != 4 or not isinstance(e[2], int):
                 raise ParseError("cellular_data: bad incidence %r" % (e,))
-            incs.append((e[0], e[1], e[2], _word_in(e[3], "cellular_data")))
+            incs.append((e[0], e[1], e[2], _word_in(parse_word, e[3], "cellular_data")))
         excs = []
         for e in _list_in(obj, "exceptional", "cellular_data"):
             if not isinstance(e, list) or len(e) != 4:
                 raise ParseError("cellular_data: bad exceptional incidence %r" % (e,))
-            excs.append((e[0], e[1], _word_in(e[2], "cellular_data"), _word_in(e[3], "cellular_data")))
+            excs.append((e[0], e[1], _word_in(parse_word, e[2], "cellular_data"), _word_in(parse_word, e[3], "cellular_data")))
         cd = CellularData(cells, incs, excs, graph=graph, filtration=filt)
         ls = None
         if obj.get("local_system") is not None:
@@ -403,6 +415,7 @@ def parse_document(obj, field_override=None):
         return Document(kind, field, cd, local_system=ls)
 
     if kind == "fibration_data":
+        from .fibration import FibrationData
         base_md, _ = _morse_in(field, obj.get("base", {}), "fibration_data.base")
         fiber = _complex_from_body(field, obj.get("fiber", {}), "fibration_data.fiber")
         actions, table = {}, obj.get("edge_action", {})
@@ -524,6 +537,7 @@ def document_to_json(doc):
         return out
 
     if kind == "local_subsystem":
+        from .localsystems import word_to_strings
         sub = doc.payload
         out["fiber_dim"] = sub.fiber_dim
         out["carrier"] = list(sub.carrier)
@@ -538,6 +552,7 @@ def document_to_json(doc):
         return out
 
     if kind == "cellular_data":
+        from .localsystems import word_to_strings
         cd = doc.payload
         if cd.graph is not None:
             out["graph"] = _graph_out(cd.graph)

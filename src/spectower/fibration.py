@@ -26,7 +26,6 @@ from .errors import InvariantError, ParseError, PreconditionError
 from .localsystems import LocalSystem, free_reduce, word_inverse
 from .matrix import Matrix
 from .morse import cellular_complex, morse_complex
-from .spectral import FilteredChainMap, SplitFilteredComplex
 
 __all__ = [
     "FibrationData",
@@ -144,6 +143,7 @@ def assemble_fibration(fd):
     """
     if fd._assembled is not None:
         return fd._assembled
+    from .spectral import SplitFilteredComplex
     base, fib = fd.base, fd.fiber
     f = fib.field
     # Koszul sign: edge actions are chain maps (they commute with the
@@ -277,6 +277,7 @@ def leray_serre_compare(cd_total, fd, field=None):
     f = field if field is not None else fd.fiber.field
     if cd_total.filtration is None:
         raise PreconditionError("total-space cellular data carries no filtration labels")
+    from .spectral import SplitFilteredComplex
     total_cx = cellular_complex(cd_total, ls=None, field=f)
     labels = {}
     for (g, _), cell in zip(total_cx.basis.generators, cd_total.order):  # one generator per cell
@@ -425,6 +426,7 @@ def action_window(sfc, action, a=None, b=None):
 def _window(sfc, act, a, b):
     """action_window for a normalized, checked action and exact bounds;
     `sfc` itself when the window keeps every generator."""
+    from .spectral import SplitFilteredComplex
     cx = sfc.complex
     gens = [(g, k) for g, k in cx.basis.generators
             if (a is None or a <= act[g]) and (b is None or act[g] <= b)]
@@ -457,6 +459,7 @@ def truncation_map(sfc, action, src_window, dst_window):
         raise PreconditionError("truncation window must not extend downward: a2 >= a required")
     if fb2 is not None and (fb is None or fb2 < fb):
         raise PreconditionError("truncation window must not shrink at the top: b2 >= b required")
+    from .spectral import FilteredChainMap
 
     src = _window(sfc, act, fa, fb)
     dst = _window(sfc, act, fa2, fb2)

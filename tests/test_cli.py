@@ -218,6 +218,32 @@ def test_exit_code_wrong_document_kind():
     assert code == 4
 
 
+KIND_REFUSALS = [
+    ("e2_cochain", ["e2", "circle.json"], "e2 needs a fibration_data document"),
+    ("compare_swapped", ["compare-ls", "klein_twisted.json", "klein_cellular.json"],
+     "compare-ls needs a cellular_data document first"),
+    ("compare_cochain_second", ["compare-ls", "klein_cellular.json", "circle.json"],
+     "compare-ls needs a fibration_data document second"),
+    ("extend_swapped", ["extend", "wedge2_graph.json", "wedge2_subsystem.json"],
+     "extend needs a local_subsystem document"),
+    ("kunneth_fibration_first", ["kunneth", "hopf.json", "circle.json"],
+     "kunneth needs two cochain_complex documents"),
+]
+
+
+@pytest.mark.parametrize("name,argv,msg", KIND_REFUSALS, ids=[c[0] for c in KIND_REFUSALS])
+def test_wrong_document_kind_is_refused_in_one_line(name, argv, msg):
+    command, *files = argv
+    assert run([command] + [data(f) for f in files]) == (4, "", "precondition violation: %s\n" % msg)
+
+
+@pytest.mark.parametrize("name,page", [("hopf.json", -1), ("interval_filtered.json", -3)])
+def test_negative_page_exits_4(name, page):
+    code, out, err = run(["pages", data(name), "--page", str(page)])
+    assert (code, out) == (4, "")
+    assert err == "precondition violation: page index must be >= 0, got %d\n" % page
+
+
 def test_unexpected_exception_is_an_internal_error(monkeypatch):
     import spectower.cli
 
