@@ -9,7 +9,8 @@ indent), so parse-print round trips are byte-stable.
 
 Kinds: cochain_complex, split_filtered_complex, filtered_complex,
 base_graph, local_system, local_subsystem, morse_data, cellular_data,
-fibration_data.
+fibration_data.  `_KINDS` holds each kind's reader (body to payload) and
+writer (payload to body); shared parts have one reader and one writer each.
 """
 
 import json
@@ -19,33 +20,22 @@ from .errors import ParseError, PreconditionError
 from .field import parse_field, parse_scalar
 from .matrix import Matrix
 
-KINDS = (
-    "cochain_complex",
-    "split_filtered_complex",
-    "filtered_complex",
-    "base_graph",
-    "local_system",
-    "local_subsystem",
-    "morse_data",
-    "cellular_data",
-    "fibration_data",
-)
-
 MAX_FIBER_DIM = 1000  # a larger declared fiber_dim exits 4 before one column is allocated
 
 
 class Document:
-    """A parsed document: kind tag, field, and the payload object."""
+    """A parsed document: kind tag, field, the payload object, the optional
+    local system over `payload.graph`, and the payload's grading shifts."""
 
     __slots__ = ("kind", "field", "payload", "local_system", "shift_n", "shift_k")
 
-    def __init__(self, kind, field, payload, local_system=None, shift_n=0, shift_k=0):
+    def __init__(self, kind, field, payload, local_system=None):
         self.kind = kind
         self.field = field
         self.payload = payload
         self.local_system = local_system
-        self.shift_n = shift_n
-        self.shift_k = shift_k
+        self.shift_n = getattr(payload, "shift_n", 0)
+        self.shift_k = getattr(payload, "shift_k", 0)
 
     # -- what can be built from this document --------------------------------
 
@@ -74,9 +64,7 @@ class Document:
     def build_tower(self):
         """The filtered object this document denotes (for pages/oracle)."""
         k = self.kind
-        if k == "split_filtered_complex":
-            return self.payload
-        if k == "filtered_complex":
+        if k in ("split_filtered_complex", "filtered_complex"):
             return self.payload
         if k == "fibration_data":
             from .fibration import assemble_fibration
@@ -84,7 +72,7 @@ class Document:
         raise PreconditionError("a %s document does not denote a filtered complex" % k)
 
 
-# -- scalar / matrix / word helpers -------------------------------------------
+# -- scalars, rows and matrices -------------------------------------------------
 
 
 def _scalar_out(field, v):
@@ -96,6 +84,8 @@ def _scalar_out(field, v):
 
 
 def _scalar_in(field, v):
+    if type(v) is int:  # the common case: not a bool, and its denominator 1 is a unit
+        return field.normalize(v)
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise ParseError("bad scalar %r" % (v,))
     x = parse_scalar(v)
@@ -114,8 +104,10 @@ def _int_in(v, what):
     raise ParseError("%s: bad integer %r" % (what, v))
 
 
-def _matrix_out(field, m):
-    return [[i, j, _scalar_out(field, v)] for i, j, v in m.entries()]
+def _object_in(body, what):
+    if not isinstance(body, dict):
+        raise ParseError("%s: expected an object" % what)
+    return body
 
 
 def _list_in(body, key, what):
@@ -124,6 +116,36 @@ def _list_in(body, key, what):
     if not isinstance(v, list):
         raise ParseError("%s: bad %s %r, expected a list" % (what, key, v))
     return v
+
+
+def _needed(body, key, what, least=0):
+    """body[key] as a list of at least `least` rows; it may not be absent."""
+    v = body.get(key)
+    if not isinstance(v, list) or len(v) < least:
+        raise ParseError("%s: missing %s" % (what, key))
+    return v
+
+
+def _rows(rows, what, noun, lo, hi=None, ints=()):
+    """Each row of `rows`, checked as it is reached: a list of `lo` to `hi`
+    items (exactly `lo` when hi is None) with an int at each of `ints`."""
+    hi = lo if hi is None else hi
+    for row in rows:
+        if not isinstance(row, list) or not lo <= len(row) <= hi:
+            raise ParseError("%s: bad %s %r" % (what, noun, row))
+        for i in ints:
+            if not isinstance(row[i], int):
+                raise ParseError("%s: bad %s %r" % (what, noun, row))
+        yield row
+
+
+def _matrix_out(field, m):
+    return [[i, j, _scalar_out(field, v)] for i, j, v in m.entries()]
+
+
+def _by_ids_out(field, m, src, dst):
+    """The entries of m, a map from the ids `src` to the ids `dst`, as rows."""
+    return [[src[j], dst[i], _scalar_out(field, v)] for i, j, v in m.entries()]
 
 
 def _matrix_in(field, nrows, ncols, triples, what):
@@ -149,65 +171,50 @@ def _word_in(parse_word, items, what):
     return parse_word(items)
 
 
-# -- per-kind serialization -----------------------------------------------------
+# -- the parts kinds share: readers (field, body, what) and writers (field, x) --
 
 
-def _complex_body(field, cx):
-    gens = [[g, k] for g, k in cx.basis.generators]
-    diff = []
-    for k in cx.degrees():
-        src, tgt = cx.basis.gens(k), cx.basis.gens(k + 1)
-        for i, j, v in cx.d(k).entries():
-            diff.append([src[j], tgt[i], _scalar_out(field, v)])
-    return gens, diff
-
-
-def _object_in(body, what):
-    if not isinstance(body, dict):
-        raise ParseError("%s: expected an object" % what)
-    return body
-
-
-def _complex_from_body(field, body, what):
-    gens = _object_in(body, what).get("generators")
-    if not isinstance(gens, list):
-        raise ParseError("%s: missing generators" % what)
-    pairs = []
-    for g in gens:
-        if not isinstance(g, list) or len(g) < 2 or not isinstance(g[1], int):
-            raise ParseError("%s: bad generator %r" % (what, g))
-        pairs.append((str(g[0]), g[1]))
-    entries = []
-    for e in _list_in(body, "differential", what):
-        if not isinstance(e, list) or len(e) != 3:
-            raise ParseError("%s: bad differential entry %r" % (what, e))
-        entries.append((str(e[0]), str(e[1]), _scalar_in(field, e[2])))
+def _complex_in(field, body, what):
+    gens = [(str(g[0]), g[1]) for g in _rows(_needed(_object_in(body, what), "generators", what),
+                                             what, "generator", 2, float("inf"), (1,))]
+    entries = [(str(e[0]), str(e[1]), _scalar_in(field, e[2]))
+               for e in _rows(_list_in(body, "differential", what), what, "differential entry", 3)]
     try:
-        return CochainComplex.from_generator_entries(field, pairs, entries,
+        return CochainComplex.from_generator_entries(field, gens, entries,
                                                      display_shift=body.get("display_shift", 0))
     except ValueError as exc:
         raise ParseError("%s: %s" % (what, exc)) from exc
 
 
-def _graph_out(g):
+def _complex_out(field, cx, blocks=None):
+    """The body of cx; each generator carries its block when `blocks` is given."""
+    b = cx.basis
+    out = {
+        "generators": [[g, k] if blocks is None else [g, k, blocks[g]] for g, k in b.generators],
+        "differential": [row for k in cx.degrees() for row in _by_ids_out(field, cx.d(k), b.gens(k), b.gens(k + 1))],
+    }
+    if cx.display_shift:
+        out["display_shift"] = cx.display_shift
+    return out
+
+
+def _graph_in(field, body, what):
+    from .localsystems import BaseGraph, parse_word
+    verts = _object_in(body, what).get("vertices")
+    if not isinstance(verts, list):
+        raise ParseError("%s: bad vertices" % what)
+    edges = list(_rows(_list_in(body, "edges", what), what, "edge", 3))
+    relations = [_word_in(parse_word, w, what + " relation") for w in _list_in(body, "relations", what)]
+    return BaseGraph(verts, edges, relations)
+
+
+def _graph_out(field, g):
     from .localsystems import word_to_strings
     return {
         "vertices": list(g.vertices),
         "edges": [[e, g.edges[e][0], g.edges[e][1]] for e in g.edges],
         "relations": [word_to_strings(w) for w in g.relations],
     }
-
-
-def _graph_in(body, what="base_graph"):
-    from .localsystems import BaseGraph, parse_word
-    verts = _object_in(body, what).get("vertices")
-    if not isinstance(verts, list):
-        raise ParseError("%s: bad vertices" % what)
-    edges = _list_in(body, "edges", what)
-    for e in edges:
-        if not isinstance(e, list) or len(e) != 3:
-            raise ParseError("%s: bad edge %r" % (what, e))
-    return BaseGraph(verts, edges, [_word_in(parse_word, w, what + " relation") for w in _list_in(body, "relations", what)])
 
 
 def _fiber_dim_in(body, what):
@@ -219,63 +226,228 @@ def _fiber_dim_in(body, what):
     return dim
 
 
-def _local_system_in(field, graph, body, what="local_system"):
+def _transports_in(field, graph, body, what):
     from .localsystems import LocalSystem
     dim = _fiber_dim_in(body, what)
     tr = body.get("transport", {})
     if not isinstance(tr, dict):
         raise ParseError("%s: bad transport table" % what)
-    maps = {
-        str(e): _matrix_in(field, dim, dim, triples, "%s transport %r" % (what, e))
-        for e, triples in tr.items()
-    }
+    maps = {str(e): _matrix_in(field, dim, dim, triples, "%s transport %r" % (what, e)) for e, triples in tr.items()}
     return LocalSystem(graph, field, dim, maps)
 
 
-def _local_system_out(field, ls):
-    return {
-        "fiber_dim": ls.fiber_dim,
-        "transport": {e: _matrix_out(field, m) for e, m in sorted(ls.transport_maps.items())},
-    }
+def _transports_out(field, ls):
+    maps = sorted(ls.transport_maps.items())
+    return {"fiber_dim": ls.fiber_dim, "transport": {e: _matrix_out(field, m) for e, m in maps}}
 
 
-def _morse_in(field, body, what="morse_data"):
+def _system_over(field, graph, body, what):
+    """The optional local_system of body, over graph; None when it has none."""
+    if body.get("local_system") is None:
+        return None
+    if graph is None:
+        raise ParseError("%s: a local system needs a base graph" % what)
+    return _transports_in(field, graph, body["local_system"], what + ".local_system")
+
+
+def _morse_in(field, body, what):
     from .localsystems import parse_word
     from .morse import MorseData, Trajectory
-    graph = _graph_in(_object_in(body, what).get("graph"), what + ".graph")
-    pts = body.get("points")
-    if not isinstance(pts, list):
-        raise ParseError("%s: missing points" % what)
-    points = []
-    for p in pts:
-        if not isinstance(p, list) or len(p) != 2 or not isinstance(p[1], int):
-            raise ParseError("%s: bad point %r" % (what, p))
-        points.append((str(p[0]), p[1]))
-    trajs = []
-    for t in _list_in(body, "trajectories", what):
-        if not isinstance(t, list) or len(t) != 5:
-            raise ParseError("%s: bad trajectory %r" % (what, t))
-        tid, src, dst, sign, word = t
-        trajs.append(Trajectory(tid, src, dst, sign, _word_in(parse_word, word, what)))
-    md = MorseData(graph, points, trajs)
-    ls = None
-    if body.get("local_system") is not None:
-        ls = _local_system_in(field, graph, body["local_system"], what + ".local_system")
-    return md, ls
+    graph = _graph_in(field, _object_in(body, what).get("graph"), what + ".graph")
+    points = [(str(p[0]), p[1]) for p in _rows(_needed(body, "points", what), what, "point", 2, ints=(1,))]
+    trajs = [Trajectory(t[0], t[1], t[2], t[3], _word_in(parse_word, t[4], what))
+             for t in _rows(_list_in(body, "trajectories", what), what, "trajectory", 5)]
+    return MorseData(graph, points, trajs)
 
 
-def _morse_out(field, md, ls=None):
+def _morse_out(field, md):
+    from .localsystems import word_to_strings
+    return {
+        "graph": _graph_out(field, md.graph),
+        "points": [[x, k] for x, k in md.points.items()],
+        "trajectories": [[t.id, t.src, t.dst, t.sign, word_to_strings(t.word)] for t in md.trajectories],
+    }
+
+
+# -- the kinds ---------------------------------------------------------------------
+
+
+def _split_in(field, body, what):
+    from .spectral import SplitFilteredComplex
+    blocks = {str(g[0]): g[2] for g in _rows(_needed(body, "generators", what), what, "generator", 3, ints=(1, 2))}
+    return SplitFilteredComplex(_complex_in(field, body, what), blocks)
+
+
+def _filtered_in(field, body, what):
+    from .spectral import FilteredComplex
+    cx = _complex_in(field, body.get("complex", {}), what + ".complex")
+    by_p = {}
+    for st in _list_in(body, "filtration", what):
+        if not isinstance(st, dict) or "p" not in st or not isinstance(st.get("spans", {}), dict):
+            raise ParseError("%s: bad filtration step %r" % (what, st))
+        by_p[_int_in(st["p"], what + " filtration step p")] = st.get("spans", {})
+    if by_p and sorted(by_p) != list(range(1, max(by_p) + 1)):
+        raise ParseError("%s: filtration steps must cover p = 1..n" % what)
+    steps = []
+    for p in sorted(by_p):
+        spans = {}
+        for kstr, vecs in by_p[p].items():
+            k = _int_in(kstr, what + " spans degree")
+            if not isinstance(vecs, list):
+                raise ParseError("%s: bad spans %r in degree %d" % (what, vecs, k))
+            pos = {g: i for i, g in enumerate(cx.basis.gens(k))}
+            ent = {}
+            for j, vec in enumerate(vecs):
+                if not isinstance(vec, dict):
+                    raise ParseError("%s: bad span vector %r" % (what, vec))
+                for g, v in vec.items():
+                    if g not in pos:
+                        raise ParseError("%s: span vector uses unknown generator %r in degree %d" % (what, g, k))
+                    ent[(pos[g], j)] = _scalar_in(field, v)
+            spans[k] = Matrix(field, len(pos), len(vecs), ent)
+        steps.append(spans)
+    return FilteredComplex(cx, steps)
+
+
+def _filtered_out(field, fc):
+    filt = []
+    for p, step in enumerate(fc.steps, 1):
+        spans = {}
+        for k in sorted(step):
+            names, vecs = fc.complex.basis.gens(k), [{} for _ in range(step[k].ncols)]
+            for i, j, v in step[k].entries():
+                vecs[j][names[i]] = _scalar_out(field, v)
+            spans[str(k)] = vecs
+        filt.append({"p": p, "spans": spans})
+    return {"complex": _complex_out(field, fc.complex), "filtration": filt}
+
+
+def _system_in(field, body, what):
+    return _transports_in(field, _graph_in(field, body.get("graph"), what + ".graph"), body, what)
+
+
+def _system_out(field, ls):
+    return dict(_transports_out(field, ls), graph=_graph_out(field, ls.graph))
+
+
+def _subsystem_in(field, body, what):
+    from .localsystems import LocalSubsystem, parse_word
+    dim = _fiber_dim_in(body, what)
+    carrier = _needed(body, "carrier", what, 1)
+    paths = []
+    for p in _list_in(body, "paths", what):
+        if not isinstance(p, dict) or "name" not in p or "word" not in p:
+            raise ParseError("%s: bad path %r" % (what, p))
+        m = _matrix_in(field, dim, dim, p.get("transport", []), "%s path %r transport" % (what, p["name"]))
+        paths.append((p["name"], _word_in(parse_word, p["word"], what), m))
+    return LocalSubsystem(field, dim, carrier, paths)
+
+
+def _subsystem_out(field, sub):
+    from .localsystems import word_to_strings
+    return {
+        "fiber_dim": sub.fiber_dim,
+        "carrier": list(sub.carrier),
+        "paths": [{"name": n, "word": word_to_strings(w), "transport": _matrix_out(field, m)}
+                  for n, w, m in sub.generators],
+    }
+
+
+def _cellular_in(field, body, what):
+    from .localsystems import parse_word
+    from .morse import CellularData
+    graph = _graph_in(field, body["graph"], what + ".graph") if body.get("graph") is not None else None
+    cells = _needed(body, "cells", what)
+    for c in _rows(cells, what, "cell", 2, 4):
+        _int_in(c[1], "%s cell %r dimension" % (what, c[0]))
+        if len(c) > 3:
+            _int_in(c[3], "%s cell %r orientation" % (what, c[0]))
+    filt = body.get("filtration")
+    if filt is not None:
+        if not isinstance(filt, dict):
+            raise ParseError("%s: bad filtration" % what)
+        filt = {c: _int_in(p, "%s filtration of %r" % (what, c)) for c, p in filt.items()}
+    incs = [(e[0], e[1], e[2], _word_in(parse_word, e[3], what))
+            for e in _rows(_list_in(body, "incidences", what), what, "incidence", 4, ints=(2,))]
+    excs = [(e[0], e[1], _word_in(parse_word, e[2], what), _word_in(parse_word, e[3], what))
+            for e in _rows(_list_in(body, "exceptional", what), what, "exceptional incidence", 4)]
+    return CellularData(cells, incs, excs, graph=graph, filtration=filt)
+
+
+def _cellular_out(field, cd):
     from .localsystems import word_to_strings
     out = {
-        "graph": _graph_out(md.graph),
-        "points": [[x, k] for x, k in md.points.items()],
-        "trajectories": [
-            [t.id, t.src, t.dst, t.sign, word_to_strings(t.word)] for t in md.trajectories
-        ],
+        "cells": [[c, *cd.cells[c]] for c in cd.order],
+        "incidences": [[src, dst, coeff, word_to_strings(w)] for src, dst, coeff, w in cd.incidences],
     }
-    if ls is not None:
-        out["local_system"] = _local_system_out(field, ls)
+    if cd.graph is not None:
+        out["graph"] = _graph_out(field, cd.graph)
+    if cd.exceptional:
+        out["exceptional"] = [[src, dst, word_to_strings(p), word_to_strings(m)] for src, dst, p, m in cd.exceptional]
+    if cd.filtration is not None:
+        out["filtration"] = dict(sorted(cd.filtration.items()))
     return out
+
+
+def _fibration_in(field, body, what):
+    from .fibration import FibrationData
+    base = body.get("base", {})
+    md = _morse_in(field, base, what + ".base")
+    _system_over(field, md.graph, base, what + ".base")  # checked, not kept
+    fiber = _complex_in(field, body.get("fiber", {}), what + ".fiber")
+    actions, table = {}, body.get("edge_action", {})
+    if not isinstance(table, dict):
+        raise ParseError("%s: bad edge_action table" % what)
+    for e, triples in table.items():
+        if not isinstance(triples, list):
+            raise ParseError("%s: bad action %r on edge %r" % (what, triples, e))
+        by_deg = {}
+        for t in _rows(triples, what, "edge action entry", 3):
+            src, dst = str(t[0]), str(t[1])
+            if src not in fiber.basis or dst not in fiber.basis:
+                raise ParseError("%s: edge action uses unknown fiber generator %r or %r" % (what, src, dst))
+            (ks, j), (kd, i) = fiber.basis.position(src), fiber.basis.position(dst)
+            if ks != kd:
+                raise ParseError("%s: edge action entry %r -> %r changes degree" % (what, src, dst))
+            by_deg.setdefault(ks, []).append((i, j, _scalar_in(field, t[2])))
+        actions[str(e)] = {k: Matrix.from_entries(field, fiber.dim(k), fiber.dim(k), tr) for k, tr in by_deg.items()}
+    corr = [(*c[:4], _scalar_in(field, c[4]))
+            for c in _rows(_list_in(body, "corrections", what), what, "correction", 5)]
+    return FibrationData(md, fiber, actions, corr,
+                         shift_n=_int_in(body.get("shift_n", 0), what + " shift_n"),
+                         shift_k=_int_in(body.get("shift_k", 0), what + " shift_k"))
+
+
+def _fibration_out(field, fd):
+    names, actions = fd.fiber.basis.gens, {}
+    for e in sorted(fd.edge_action):
+        blocks = fd.edge_action[e]
+        rows = [row for k in sorted(blocks) for row in _by_ids_out(field, blocks[k], names(k), names(k))]
+        if rows:
+            actions[e] = rows
+    out = {
+        "base": _morse_out(field, fd.base),
+        "fiber": _complex_out(field, fd.fiber),
+        "edge_action": actions,
+        "corrections": [[*c[:4], _scalar_out(field, c[4])] for c in fd.corrections],
+    }
+    out.update((key, getattr(fd, key)) for key in ("shift_n", "shift_k") if getattr(fd, key))
+    return out
+
+
+_KINDS = {
+    "cochain_complex": (_complex_in, _complex_out),
+    "split_filtered_complex": (_split_in, lambda field, sfc: _complex_out(field, sfc.complex, sfc.blocks)),
+    "filtered_complex": (_filtered_in, _filtered_out),
+    "base_graph": (_graph_in, _graph_out),
+    "local_system": (_system_in, _system_out),
+    "local_subsystem": (_subsystem_in, _subsystem_out),
+    "morse_data": (_morse_in, _morse_out),
+    "cellular_data": (_cellular_in, _cellular_out),
+    "fibration_data": (_fibration_in, _fibration_out),
+}
+KINDS = tuple(_KINDS)
+_OVER_GRAPH = ("morse_data", "cellular_data")  # the kinds that take an optional local_system
 
 
 # -- top level -------------------------------------------------------------------
@@ -288,175 +460,15 @@ def parse_document(obj, field_override=None):
     kind = obj.get("kind")
     if kind not in KINDS:
         raise ParseError("unknown document kind %r (expected one of %s)" % (kind, ", ".join(KINDS)))
-    needs_field = kind != "base_graph"
     field = None
-    if needs_field:
+    if kind != "base_graph":  # the one kind without scalars
         tag = field_override if field_override is not None else obj.get("field")
         if tag is None:
             raise ParseError("%s document needs a \"field\" tag" % kind)
         field = parse_field(tag)
-
-    if kind == "base_graph":
-        return Document(kind, None, _graph_in(obj))
-
-    if kind == "cochain_complex":
-        return Document(kind, field, _complex_from_body(field, obj, kind))
-
-    if kind == "split_filtered_complex":
-        from .spectral import SplitFilteredComplex
-        gens = obj.get("generators")
-        if not isinstance(gens, list):
-            raise ParseError("split_filtered_complex: missing generators")
-        pairs, blocks = [], {}
-        for g in gens:
-            if not isinstance(g, list) or len(g) != 3 or not isinstance(g[1], int) or not isinstance(g[2], int):
-                raise ParseError("split_filtered_complex: bad generator %r" % (g,))
-            pairs.append((str(g[0]), g[1]))
-            blocks[str(g[0])] = g[2]
-        cx = _complex_from_body(field, {"generators": [[g, k] for g, k in pairs],
-                                        "differential": obj.get("differential", []),
-                                        "display_shift": obj.get("display_shift", 0)}, kind)
-        return Document(kind, field, SplitFilteredComplex(cx, blocks))
-
-    if kind == "filtered_complex":
-        from .spectral import FilteredComplex
-        cx = _complex_from_body(field, obj.get("complex", {}), "filtered_complex.complex")
-        steps = []
-        by_p = {}
-        for st in _list_in(obj, "filtration", "filtered_complex"):
-            if not isinstance(st, dict) or "p" not in st or not isinstance(st.get("spans", {}), dict):
-                raise ParseError("filtered_complex: bad filtration step %r" % (st,))
-            by_p[_int_in(st["p"], "filtered_complex filtration step p")] = st.get("spans", {})
-        if by_p and sorted(by_p) != list(range(1, max(by_p) + 1)):
-            raise ParseError("filtered_complex: filtration steps must cover p = 1..n")
-        for p in sorted(by_p):
-            spans = {}
-            for kstr, vecs in by_p[p].items():
-                k = _int_in(kstr, "filtered_complex spans degree")
-                if not isinstance(vecs, list):
-                    raise ParseError("filtered_complex: bad spans %r in degree %d" % (vecs, k))
-                names = cx.basis.gens(k)
-                pos = {g: i for i, g in enumerate(names)}
-                cols = []
-                for vec in vecs:
-                    if not isinstance(vec, dict):
-                        raise ParseError("filtered_complex: bad span vector %r" % (vec,))
-                    col = {}
-                    for g, v in vec.items():
-                        if g not in pos:
-                            raise ParseError("filtered_complex: span vector uses unknown generator %r in degree %d" % (g, k))
-                        col[pos[g]] = _scalar_in(field, v)
-                    cols.append(col)
-                ent = {}
-                for j, col in enumerate(cols):
-                    for i, v in col.items():
-                        ent[(i, j)] = v
-                spans[k] = Matrix(field, len(names), len(cols), ent)
-            steps.append(spans)
-        return Document(kind, field, FilteredComplex(cx, steps))
-
-    if kind == "local_system":
-        graph = _graph_in(obj.get("graph"), "local_system.graph")
-        return Document(kind, field, _local_system_in(field, graph, obj))
-
-    if kind == "local_subsystem":
-        from .localsystems import LocalSubsystem, parse_word
-        dim = _fiber_dim_in(obj, "local_subsystem")
-        carrier = obj.get("carrier")
-        if not isinstance(carrier, list) or not carrier:
-            raise ParseError("local_subsystem: missing carrier")
-        paths = []
-        for p in _list_in(obj, "paths", "local_subsystem"):
-            if not isinstance(p, dict) or "name" not in p or "word" not in p:
-                raise ParseError("local_subsystem: bad path %r" % (p,))
-            m = _matrix_in(field, dim, dim, p.get("transport", []),
-                           "local_subsystem path %r transport" % p["name"])
-            paths.append((p["name"], _word_in(parse_word, p["word"], "local_subsystem"), m))
-        return Document(kind, field, LocalSubsystem(field, dim, carrier, paths))
-
-    if kind == "morse_data":
-        md, ls = _morse_in(field, obj)
-        return Document(kind, field, md, local_system=ls)
-
-    if kind == "cellular_data":
-        from .localsystems import parse_word
-        from .morse import CellularData
-        graph = _graph_in(obj["graph"], "cellular_data.graph") if obj.get("graph") is not None else None
-        cells = obj.get("cells")
-        if not isinstance(cells, list):
-            raise ParseError("cellular_data: missing cells")
-        for c in cells:
-            if not isinstance(c, list) or not 2 <= len(c) <= 4:
-                raise ParseError("cellular_data: bad cell %r" % (c,))
-            _int_in(c[1], "cellular_data cell %r dimension" % (c[0],))
-            if len(c) > 3:
-                _int_in(c[3], "cellular_data cell %r orientation" % (c[0],))
-        filt = obj.get("filtration")
-        if filt is not None:
-            if not isinstance(filt, dict):
-                raise ParseError("cellular_data: bad filtration")
-            filt = {c: _int_in(p, "cellular_data filtration of %r" % c) for c, p in filt.items()}
-        incs = []
-        for e in _list_in(obj, "incidences", "cellular_data"):
-            if not isinstance(e, list) or len(e) != 4 or not isinstance(e[2], int):
-                raise ParseError("cellular_data: bad incidence %r" % (e,))
-            incs.append((e[0], e[1], e[2], _word_in(parse_word, e[3], "cellular_data")))
-        excs = []
-        for e in _list_in(obj, "exceptional", "cellular_data"):
-            if not isinstance(e, list) or len(e) != 4:
-                raise ParseError("cellular_data: bad exceptional incidence %r" % (e,))
-            excs.append((e[0], e[1], _word_in(parse_word, e[2], "cellular_data"), _word_in(parse_word, e[3], "cellular_data")))
-        cd = CellularData(cells, incs, excs, graph=graph, filtration=filt)
-        ls = None
-        if obj.get("local_system") is not None:
-            if graph is None:
-                raise ParseError("cellular_data: a local system needs a base graph")
-            ls = _local_system_in(field, graph, obj["local_system"], "cellular_data.local_system")
-        return Document(kind, field, cd, local_system=ls)
-
-    if kind == "fibration_data":
-        from .fibration import FibrationData
-        base_md, _ = _morse_in(field, obj.get("base", {}), "fibration_data.base")
-        fiber = _complex_from_body(field, obj.get("fiber", {}), "fibration_data.fiber")
-        actions, table = {}, obj.get("edge_action", {})
-        if not isinstance(table, dict):
-            raise ParseError("fibration_data: bad edge_action table")
-        for e, triples in table.items():
-            if not isinstance(triples, list):
-                raise ParseError("fibration_data: bad action %r on edge %r" % (triples, e))
-            by_deg = {}
-            for t in triples:
-                if not isinstance(t, list) or len(t) != 3:
-                    raise ParseError("fibration_data: bad edge action entry %r" % (t,))
-                src, dst, v = str(t[0]), str(t[1]), t[2]
-                if src not in fiber.basis or dst not in fiber.basis:
-                    raise ParseError("fibration_data: edge action uses unknown fiber generator %r or %r" % (src, dst))
-                ks, kd = fiber.basis.position(src)[0], fiber.basis.position(dst)[0]
-                if ks != kd:
-                    raise ParseError("fibration_data: edge action entry %r -> %r changes degree" % (src, dst))
-                by_deg.setdefault(ks, []).append(
-                    (fiber.basis.position(dst)[1], fiber.basis.position(src)[1], _scalar_in(field, v))
-                )
-            actions[str(e)] = {
-                k: Matrix.from_entries(field, fiber.dim(k), fiber.dim(k), tr)
-                for k, tr in by_deg.items()
-            }
-        corr = []
-        for c in _list_in(obj, "corrections", "fibration_data"):
-            if not isinstance(c, list) or len(c) != 5:
-                raise ParseError("fibration_data: bad correction %r" % (c,))
-            corr.append((c[0], c[1], c[2], c[3], _scalar_in(field, c[4])))
-        fd = FibrationData(
-            base_md,
-            fiber,
-            actions,
-            corr,
-            shift_n=_int_in(obj.get("shift_n", 0), "fibration_data shift_n"),
-            shift_k=_int_in(obj.get("shift_k", 0), "fibration_data shift_k"),
-        )
-        return Document(kind, field, fd, shift_n=fd.shift_n, shift_k=fd.shift_k)
-
-    raise ParseError("unhandled kind %r" % kind)  # unreachable
+    payload = _KINDS[kind][0](field, obj, kind)
+    ls = _system_over(field, payload.graph, obj, kind) if kind in _OVER_GRAPH else None
+    return Document(kind, field, payload, ls)
 
 
 def parse_text(text, field_override=None):
@@ -482,122 +494,13 @@ def load_document(path, field_override=None):
 
 def document_to_json(doc):
     """Canonical JSON value of a Document (inverse of parse_document)."""
-    kind, field = doc.kind, doc.field
-    out = {"kind": kind}
-    if field is not None:
-        out["field"] = repr(field)
-
-    if kind == "base_graph":
-        out.update(_graph_out(doc.payload))
-        return out
-
-    if kind == "cochain_complex":
-        gens, diff = _complex_body(field, doc.payload)
-        out["generators"] = gens
-        out["differential"] = diff
-        if doc.payload.display_shift:
-            out["display_shift"] = doc.payload.display_shift
-        return out
-
-    if kind == "split_filtered_complex":
-        sfc = doc.payload
-        gens, diff = _complex_body(field, sfc.complex)
-        out["generators"] = [[g, k, sfc.blocks[g]] for g, k in sfc.complex.basis.generators]
-        out["differential"] = diff
-        if sfc.complex.display_shift:
-            out["display_shift"] = sfc.complex.display_shift
-        return out
-
-    if kind == "filtered_complex":
-        fc = doc.payload
-        gens, diff = _complex_body(field, fc.complex)
-        out["complex"] = {"generators": gens, "differential": diff}
-        filt = []
-        for p in range(1, fc.n + 1):
-            spans = {}
-            for k in sorted(fc.steps[p - 1]):
-                names = fc.complex.basis.gens(k)
-                m = fc.steps[p - 1][k]
-                vecs = []
-                for j in range(m.ncols):
-                    col = {}
-                    for i, jj, v in m.entries():
-                        if jj == j:
-                            col[names[i]] = _scalar_out(field, v)
-                    vecs.append(col)
-                spans[str(k)] = vecs
-            filt.append({"p": p, "spans": spans})
-        out["filtration"] = filt
-        return out
-
-    if kind == "local_system":
-        ls = doc.payload
-        out["graph"] = _graph_out(ls.graph)
-        out.update(_local_system_out(field, ls))
-        return out
-
-    if kind == "local_subsystem":
-        from .localsystems import word_to_strings
-        sub = doc.payload
-        out["fiber_dim"] = sub.fiber_dim
-        out["carrier"] = list(sub.carrier)
-        out["paths"] = [
-            {"name": n, "word": word_to_strings(w), "transport": _matrix_out(field, m)}
-            for n, w, m in sub.generators
-        ]
-        return out
-
-    if kind == "morse_data":
-        out.update(_morse_out(field, doc.payload, doc.local_system))
-        return out
-
-    if kind == "cellular_data":
-        from .localsystems import word_to_strings
-        cd = doc.payload
-        if cd.graph is not None:
-            out["graph"] = _graph_out(cd.graph)
-        out["cells"] = [
-            [c, cd.cells[c][0], cd.cells[c][1], cd.cells[c][2]] for c in cd.order
-        ]
-        out["incidences"] = [
-            [src, dst, coeff, word_to_strings(word)] for src, dst, coeff, word in cd.incidences
-        ]
-        if cd.exceptional:
-            out["exceptional"] = [
-                [src, dst, word_to_strings(p), word_to_strings(m)] for src, dst, p, m in cd.exceptional
-            ]
-        if cd.filtration is not None:
-            out["filtration"] = dict(sorted(cd.filtration.items()))
-        if doc.local_system is not None:
-            out["local_system"] = _local_system_out(field, doc.local_system)
-        return out
-
-    if kind == "fibration_data":
-        fd = doc.payload
-        out["base"] = _morse_out(field, fd.base)
-        gens, diff = _complex_body(field, fd.fiber)
-        out["fiber"] = {"generators": gens, "differential": diff}
-        actions = {}
-        for e in sorted(fd.edge_action):
-            entries = []
-            for k in sorted(fd.edge_action[e]):
-                m = fd.edge_action[e][k]
-                names = fd.fiber.basis.gens(k)
-                for i, j, v in m.entries():
-                    entries.append([names[j], names[i], _scalar_out(field, v)])
-            if entries:
-                actions[e] = entries
-        out["edge_action"] = actions
-        out["corrections"] = [
-            [sp, sf, dp, df, _scalar_out(field, v)] for sp, sf, dp, df, v in fd.corrections
-        ]
-        if fd.shift_n:
-            out["shift_n"] = fd.shift_n
-        if fd.shift_k:
-            out["shift_k"] = fd.shift_k
-        return out
-
-    raise ParseError("unhandled kind %r" % kind)  # unreachable
+    out = _KINDS[doc.kind][1](doc.field, doc.payload)
+    out["kind"] = doc.kind
+    if doc.field is not None:
+        out["field"] = repr(doc.field)
+    if doc.local_system is not None:
+        out["local_system"] = _transports_out(doc.field, doc.local_system)
+    return out
 
 
 def print_document(doc):

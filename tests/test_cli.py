@@ -539,3 +539,21 @@ def test_non_utf8_document_is_a_parse_error(tmp_path):
     code, out, err = run(["homology", str(doc)])
     assert code == 2
     assert err.startswith("parse error: ") and "not UTF-8" in err and err.count("\n") == 1
+
+
+def test_nested_display_shift_survives_print(tmp_path):
+    # the display shift of a nested complex body is part of the document:
+    # a printed copy reports homology in the same degrees
+    import json
+
+    from spectower.documents import load_document, print_document
+
+    with open(data("interval_filtered.json"), "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["complex"]["display_shift"] = 3
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps(doc))
+    assert run(["homology", str(path)]) == (0, "H^3 1\nH^4 0\n", "")
+    printed = tmp_path / "printed.json"
+    printed.write_text(print_document(load_document(str(path))))
+    assert run(["homology", str(printed)]) == (0, "H^3 1\nH^4 0\n", "")
