@@ -179,9 +179,9 @@ def _complex_in(field, body, what):
                                              what, "generator", 2, float("inf"), (1,))]
     entries = [(str(e[0]), str(e[1]), _scalar_in(field, e[2]))
                for e in _rows(_list_in(body, "differential", what), what, "differential entry", 3)]
+    shift = _int_in(body.get("display_shift", 0), what + " display_shift")
     try:
-        return CochainComplex.from_generator_entries(field, gens, entries,
-                                                     display_shift=body.get("display_shift", 0))
+        return CochainComplex.from_generator_entries(field, gens, entries, display_shift=shift)
     except ValueError as exc:
         raise ParseError("%s: %s" % (what, exc)) from exc
 
@@ -393,7 +393,8 @@ def _fibration_in(field, body, what):
     from .fibration import FibrationData
     base = body.get("base", {})
     md = _morse_in(field, base, what + ".base")
-    _system_over(field, md.graph, base, what + ".base")  # checked, not kept
+    if base.get("local_system") is not None:
+        raise ParseError("%s.base.local_system: a fibration's transport is its edge_action" % what)
     fiber = _complex_in(field, body.get("fiber", {}), what + ".fiber")
     actions, table = {}, body.get("edge_action", {})
     if not isinstance(table, dict):

@@ -137,41 +137,20 @@ class BaseGraph:
         return first, at if at is not None else first
 
     def adjacency(self):
-        adj = {v: [] for v in self.vertices}
-        for eid in self.edges:
-            src, dst = self.edges[eid]
-            adj[src].append((eid, 1, dst))
-            adj[dst].append((eid, -1, src))
-        return adj
+        """{v: [(w, one-step word v -> w, None), ...]}: every edge, both ways, as moves of `_search`."""
+        moves = {v: [] for v in self.vertices}
+        for eid, (src, dst) in self.edges.items():
+            moves[src].append((dst, ((eid, 1),), None))
+            moves[dst].append((src, ((eid, -1),), None))
+        return moves
 
     def is_connected(self):
-        if not self.vertices:
-            return True
-        adj = self.adjacency()
-        seen = {self.vertices[0]}
-        todo = deque(seen)
-        while todo:
-            v = todo.popleft()
-            for _, _, w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return len(seen) == len(self.vertices)
+        return not self.vertices or len(_search(self.vertices[0], ((), None), self.adjacency())) == len(self.vertices)
 
     def spanning_tree(self, root):
         """BFS tree: (tree edge set, path word root -> v for every reachable v)."""
-        adj = self.adjacency()
-        paths = {root: ()}
-        tree = set()
-        todo = deque([root])
-        while todo:
-            v = todo.popleft()
-            for eid, s, w in adj[v]:
-                if w not in paths:
-                    paths[w] = paths[v] + ((eid, s),)
-                    tree.add(eid)
-                    todo.append(w)
-        return tree, paths
+        paths = {v: w for v, (w, _) in _search(root, ((), None), self.adjacency()).items()}
+        return {w[-1][0] for w in paths.values() if w}, paths
 
     def loop_to_free(self, word, tree):
         """Image of a closed word in the free group on non-tree edges.
@@ -180,6 +159,25 @@ class BaseGraph:
         circles; tree steps vanish and the rest is freely reduced.
         """
         return free_reduce(tuple(step for step in word if step[0] not in tree))
+
+
+def _search(root, start, steps):
+    """Breadth-first search from root: {v: (word, matrix)} for every vertex it reaches.
+
+    steps[v] lists the moves (w, word, matrix) out of v.  root holds start,
+    and the first move into w appends its word to the one held at v and
+    multiplies its matrix onto the left; graph moves carry None, no matrix.
+    """
+    found = {root: start}
+    todo = deque([root])
+    while todo:
+        v = todo.popleft()
+        word, acc = found[v]
+        for w, step, m in steps.get(v, ()):
+            if w not in found:
+                found[w] = (word + step, None if m is None else m * acc)
+                todo.append(w)
+    return found
 
 
 def _is_word(w):
@@ -342,26 +340,15 @@ class MonodromyReport:
 
 
 def _subsystem_reach(sub, graph):
-    """BFS over subsystem generators: vertex -> (P-word, transport matrix)."""
-    gens = sub.generators
-    inv = [(n, word_inverse(w), m.inverse()) for n, w, m in gens]
-    steps = []
-    for (n, w, m), (ni, wi, mi) in zip(gens, inv):
-        a, b = graph.word_endpoints(w) if w else (None, None)
+    """vertex -> (P-word, transport matrix) for every vertex the subsystem paths reach from carrier[0]."""
+    moves = {}
+    for _, w, m in sub.generators:
+        inverse = m.inverse()  # on a constant path too: a singular transport is refused
         if w:
-            steps.append((a, b, w, m))
-            steps.append((b, a, wi, mi))
-    base = sub.carrier[0]
-    reach = {base: ((), Matrix.identity(sub.field, sub.fiber_dim))}
-    todo = deque([base])
-    while todo:
-        v = todo.popleft()
-        word_v, mat_v = reach[v]
-        for a, b, w, m in steps:
-            if a == v and b not in reach:
-                reach[b] = (word_v + w, m * mat_v)
-                todo.append(b)
-    return reach
+            a, b = graph.word_endpoints(w)
+            moves.setdefault(a, []).append((b, w, m))
+            moves.setdefault(b, []).append((a, word_inverse(w), inverse))
+    return _search(sub.carrier[0], ((), Matrix.identity(sub.field, sub.fiber_dim)), moves)
 
 
 def extend_subsystem(sub, graph, max_word_depth=6, base_point=None, max_states=200000):
@@ -394,32 +381,27 @@ def extend_subsystem(sub, graph, max_word_depth=6, base_point=None, max_states=2
     if x0 != sub.carrier[0]:
         # rebase the reach data
         w0, m0 = reach[x0]
-        reach = {
-            v: (word_inverse(w0) + w, m * m0.inverse())
-            for v, (w, m) in reach.items()
-        }
+        w0, m0 = word_inverse(w0), m0.inverse()
+        reach = {v: (w0 + w, m * m0) for v, (w, m) in reach.items()}
 
+    inverses = {v: m.inverse() for v, (_, m) in reach.items()}
     tree, tree_paths = graph.spanning_tree(x0)
     free_gens = [e for e in graph.edges if e not in tree]
-    gen_index = {e: i for i, e in enumerate(free_gens)}
 
     loop_gens = []  # (name, loop word, free image, matrix)
     for name, w, m in sub.generators:
         a, b = graph.word_endpoints(w) if w else (x0, x0)
         wa, ma = reach[a]
-        wb, mb = reach[b]
-        loop = wa + w + word_inverse(wb)
-        mat = mb.inverse() * m * ma
+        loop = wa + w + word_inverse(reach[b][0])
+        mat = inverses[b] * m * ma
         loop_gens.append((name, loop, graph.loop_to_free(loop, tree), mat))
     relators = [graph.loop_to_free(rw, tree) for rw in graph.relations]
 
-    surjective, witnesses = _decide_surjectivity(
-        sub.field, free_gens, gen_index, loop_gens, relators, max_word_depth, max_states
-    )
+    surjective, witnesses = _decide_surjectivity(free_gens, loop_gens, relators, max_word_depth, max_states)
 
     extension = None
     if surjective is True:
-        extension = _build_extension(sub, graph, x0, reach, tree, tree_paths, loop_gens, witnesses)
+        extension = _build_extension(sub, graph, x0, reach, inverses, tree, tree_paths, loop_gens, witnesses)
 
     return MonodromyReport(
         base_point=x0,
@@ -438,24 +420,13 @@ def _abelianization_disproof(free_gens, loop_images, relator_images):
     if m == 0:
         return False
     idx = {e: i for i, e in enumerate(free_gens)}
-    cols = []
-    for w in loop_images + relator_images:
-        col = {}
-        for e, s in w:
-            col[idx[e]] = col.get(idx[e], 0) + s
-        cols.append(col)
-    for field in (Field(), Field(2), Field(3), Field(5), Field(7)):
-        ent = {}
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                ent[(i, j)] = field.normalize(v)
-        mat = Matrix(field, m, len(cols), ent)
-        if mat.rank() < m:
-            return True
-    return False
+    words = loop_images + relator_images
+    triples = [(idx[e], j, s) for j, w in enumerate(words) for e, s in w]  # duplicates accumulate
+    return any(Matrix.from_entries(field, m, len(words), triples).rank() < m
+               for field in (Field(), Field(2), Field(3), Field(5), Field(7)))
 
 
-def _decide_surjectivity(field, free_gens, gen_index, loop_gens, relators, depth, max_states):
+def _decide_surjectivity(free_gens, loop_gens, relators, depth, max_states):
     loop_images = [fi for _, _, fi, _ in loop_gens]
     if not free_gens:
         return True, {}
@@ -465,13 +436,9 @@ def _decide_surjectivity(field, free_gens, gen_index, loop_gens, relators, depth
     # bounded BFS over products of loop generators and relators (relators
     # are trivial in pi_1, so membership in the generated subgroup of the
     # free group soundly certifies membership in the image subgroup)
-    alphabet = []
-    for i, img in enumerate(loop_images):
-        alphabet.append((("loop", i, 1), img))
-        alphabet.append((("loop", i, -1), word_inverse(img)))
-    for j, img in enumerate(relators):
-        alphabet.append((("rel", j, 1), img))
-        alphabet.append((("rel", j, -1), word_inverse(img)))
+    alphabet = [((kind, i, s), img if s == 1 else word_inverse(img))
+                for kind, images in (("loop", loop_images), ("rel", relators))
+                for i, img in enumerate(images) for s in (1, -1)]
 
     targets = {((e, 1),): e for e in free_gens}
     witnesses = {}
@@ -505,71 +472,44 @@ def _decide_surjectivity(field, free_gens, gen_index, loop_gens, relators, depth
     return None, witnesses
 
 
-def _build_extension(sub, graph, x0, reach, tree, tree_paths, loop_gens, witnesses):
+def _build_extension(sub, graph, x0, reach, inverses, tree, tree_paths, loop_gens, witnesses):
+    """The extension of sub over graph, each free generator of pi_1(graph, x0) given by its witness.
+
+    rho is pi_1 as a local system: the identity on tree edges, and on a
+    free edge its witness evaluated on the loop generators (relators
+    transport by the identity).  Vertex v is trivialized by a path w_v from
+    x0 with matrix T_v: its rebased reach on the carrier component (T_v^-1
+    in `inverses`), its tree path and the identity elsewhere.  Edge
+    e: u -> v transports by T_v . rho(w_u . e . w_v^-1) . T_u^-1, which is
+    exact: tree steps are identities and a cancelled pair multiplies to the
+    identity, so rho of the loop is rho of its free image.
+    """
     field, dim = sub.field, sub.fiber_dim
     ident = Matrix.identity(field, dim)
-    loop_mats = [m for _, _, _, m in loop_gens]
+    loops = {(i, s): m if s == 1 else m.inverse() for i, (*_, m) in enumerate(loop_gens) for s in (1, -1)}
 
     def evaluate(expr):
         acc = ident
         for kind, i, s in expr:
-            if kind == "rel":
-                continue  # relators are null-homotopic: identity transport
-            m = loop_mats[i]
-            acc = (m if s == 1 else m.inverse()) * acc
+            if kind == "loop":
+                acc = loops[i, s] * acc
         return acc
 
-    gen_mats = {}
-    for e in graph.edges:
-        if e in tree:
-            gen_mats[e] = None
-        else:
-            gen_mats[e] = evaluate(witnesses[e])
-
-    def rho(free_word):
-        acc = ident
-        for e, s in free_word:
-            m = gen_mats[e]
-            acc = (m if s == 1 else m.inverse()) * acc
-        return acc
-
-    # trivialization path per vertex: subsystem path on the carrier
-    # component, spanning-tree path elsewhere
-    triv = {}
-    for v in graph.vertices:
-        if v in reach:
-            w, m = reach[v]
-            triv[v] = (w, m)
-        else:
-            triv[v] = (tree_paths[v], None)
-
-    def triv_matrix(v):
-        w, m = triv[v]
-        if m is not None:
-            return m
-        # tree words have empty free image, but the carrier part of a
-        # subsystem path does not; evaluate through the retraction
-        return rho(graph.loop_to_free(w, tree))
-
+    rho = LocalSystem(graph, field, dim, {e: ident if e in tree else evaluate(witnesses[e]) for e in graph.edges},
+                      check=False)
+    triv = {v: reach.get(v, (tree_paths[v], ident)) for v in graph.vertices}
     transport_maps = {}
     for e in sorted(graph.edges):
         u, v = graph.edges[e]
-        wu, _ = triv[u]
-        wv, _ = triv[v]
-        loop = wu + ((e, 1),) + word_inverse(wv)
-        mat = triv_matrix(v) * rho(graph.loop_to_free(loop, tree)) * triv_matrix(u).inverse()
-        transport_maps[e] = mat
+        (wu, _), (wv, tv) = triv[u], triv[v]
+        transport_maps[e] = tv * rho.transport_along(wu + ((e, 1),) + word_inverse(wv)) * inverses.get(u, ident)
 
     try:
         ext = LocalSystem(graph, field, dim, transport_maps, check=True)
     except InvariantError as exc:
-        raise InvariantError(
-            "subsystem transports admit no consistent extension: %s" % exc
-        ) from exc
+        raise InvariantError("subsystem transports admit no consistent extension: %s" % exc) from exc
     for name, w, m in sub.generators:
         a, _ = graph.word_endpoints(w) if w else (x0, x0)
         if ext.transport_along(w, a) != m:
-            raise InvariantError(
-                "extension does not restrict to the subsystem transport on path %r" % name
-            )
+            raise InvariantError("extension does not restrict to the subsystem transport on path %r" % name)
     return ext

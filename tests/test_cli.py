@@ -88,6 +88,9 @@ MALFORMED = [
     ("fibration_fiber_list", "hopf.json", _set(["fiber"], []), "fibration_data.fiber"),
     ("filtered_complex_int", "interval_filtered.json", _set(["complex"], 5), "filtered_complex.complex"),
     ("local_system_int", "hopf.json", _set(["base", "local_system"], 5), "fibration_data.base.local_system"),
+    ("local_system_in_base", "hopf.json",
+     _set(["base", "local_system"], {"fiber_dim": 1, "transport": {"c": [[0, 0, 1]]}}),
+     "fibration_data.base.local_system: a fibration's transport is its edge_action\n"),
     ("differential_int", "circle.json", _set(["differential"], 5), "cochain_complex: bad differential"),
     ("paths_int", "wedge2_subsystem.json", _set(["paths"], 5), "local_subsystem: bad paths"),
     ("transport_int", "wedge2_subsystem.json", _set(["paths", 0, "transport"], 5), "transport"),
@@ -111,6 +114,30 @@ def test_malformed_document_is_a_parse_error(tmp_path, name, source, mutate, par
     code, out, err = run(["homology", str(path)])
     assert (code, out) == (2, "")
     assert err.startswith("parse error: ") and err.count("\n") == 1 and part in err
+
+
+SHIFTED_BODIES = [
+    ("circle.json", [], "cochain_complex display_shift"),
+    ("gap_huge.json", [], "split_filtered_complex display_shift"),
+    ("interval_filtered.json", ["complex"], "filtered_complex.complex display_shift"),
+    ("hopf.json", ["fiber"], "fibration_data.fiber display_shift"),
+]
+
+
+@pytest.mark.parametrize("source,path,part", SHIFTED_BODIES, ids=[c[0] for c in SHIFTED_BODIES])
+@pytest.mark.parametrize("shift", [None, [], {}, 1.5], ids=["null", "list", "object", "float"])
+def test_a_display_shift_that_is_not_an_integer_is_a_parse_error(tmp_path, source, path, part, shift):
+    # a non-integer shift is refused where the complex body is read, with
+    # one line naming it; 1.5 is not read as 1, and null is not exit 5
+    import json
+
+    with open(data(source), "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    _set(path + ["display_shift"], shift)(doc)
+    doc_path = tmp_path / "shifted.json"
+    doc_path.write_text(json.dumps(doc))
+    code, out, err = run(["homology", str(doc_path)])
+    assert (code, out, err) == (2, "", "parse error: %s: bad integer %r\n" % (part, shift))
 
 
 def test_exit_code_invariant_violation():

@@ -268,3 +268,25 @@ def test_monodromy_conjugation_covariance():
     t_conn = ls.transport_along(parse_word(["e"]), "x")
     assert my == t_conn * mx * t_conn.inverse()
     assert my != mx  # the conjugation is honest: these transports differ
+
+
+def test_extension_trivializes_vertices_off_the_carrier_along_the_tree():
+    # the carrier is x alone; y is reached only through the tree edge e, so
+    # its trivialization is the tree path: e transports by the identity and
+    # the loop b carries the transport of the path e b ~e
+    g = BaseGraph(["x", "y"], [("a", "x", "x"), ("e", "x", "y"), ("b", "y", "y")])
+    t_a = Matrix.from_rows(F3, [[1, 1], [0, 1]])
+    t_ebe = Matrix.from_rows(F3, [[2, 0], [1, 1]])
+    sub = LocalSubsystem(F3, 2, ["x"], [("pa", parse_word(["a"]), t_a), ("pb", parse_word(["e", "b", "~e"]), t_ebe)])
+    rep = extend_subsystem(sub, g)
+    assert rep.surjective is True
+    assert rep.extension.transport_maps["a"] == t_a
+    assert rep.extension.transport_maps["e"] == Matrix.identity(F3, 2)
+    assert rep.extension.transport_maps["b"] == t_ebe
+
+
+def test_a_singular_transport_on_a_constant_path_is_refused():
+    # a constant path carries no step, yet its transport must be invertible
+    sub = LocalSubsystem(F3, 2, ["v"], [("c", (), Matrix.zero(F3, 2, 2))])
+    with pytest.raises(InvariantError, match=r"^matrix is not invertible \(rank 0 of 2\)$"):
+        extend_subsystem(sub, circle_graph())
