@@ -94,13 +94,13 @@ def _scalar_in(field, v):
     return field.normalize(x)
 
 
-def _int_in(v, what):
-    """v as an int: a JSON integer, or a string of one (a JSON object key)."""
-    if isinstance(v, (int, str)):
-        try:
+def _int_in(v, what, key=False):
+    """v as an int: a JSON integer, not a boolean, or with key=True the string of one (an object key)."""
+    try:
+        if type(v) is int or key and type(v) is str:
             return int(v)
-        except ValueError:
-            pass
+    except ValueError:
+        pass
     raise ParseError("%s: bad integer %r" % (what, v))
 
 
@@ -134,7 +134,7 @@ def _rows(rows, what, noun, lo, hi=None, ints=()):
         if not isinstance(row, list) or not lo <= len(row) <= hi:
             raise ParseError("%s: bad %s %r" % (what, noun, row))
         for i in ints:
-            if not isinstance(row[i], int):
+            if type(row[i]) is not int:
                 raise ParseError("%s: bad %s %r" % (what, noun, row))
         yield row
 
@@ -156,7 +156,7 @@ def _matrix_in(field, nrows, ncols, triples, what):
         if not isinstance(t, list) or len(t) != 3:
             raise ParseError("bad matrix entry %r in %s" % (t, what))
         i, j, v = t
-        if not isinstance(i, int) or not isinstance(j, int):
+        if type(i) is not int or type(j) is not int:
             raise ParseError("bad matrix position %r in %s" % (t, what))
         ent.append((i, j, _scalar_in(field, v)))
     try:
@@ -219,7 +219,7 @@ def _graph_out(field, g):
 
 def _fiber_dim_in(body, what):
     dim = _object_in(body, what).get("fiber_dim")
-    if not isinstance(dim, int) or dim < 0:
+    if type(dim) is not int or dim < 0:
         raise ParseError("%s: bad fiber_dim %r" % (what, dim))
     if dim > MAX_FIBER_DIM:
         raise PreconditionError("%s: fiber_dim %d is above the limit %d" % (what, dim, MAX_FIBER_DIM))
@@ -292,7 +292,7 @@ def _filtered_in(field, body, what):
     for p in sorted(by_p):
         spans = {}
         for kstr, vecs in by_p[p].items():
-            k = _int_in(kstr, what + " spans degree")
+            k = _int_in(kstr, what + " spans degree", key=True)
             if not isinstance(vecs, list):
                 raise ParseError("%s: bad spans %r in degree %d" % (what, vecs, k))
             pos = {g: i for i, g in enumerate(cx.basis.gens(k))}

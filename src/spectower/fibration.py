@@ -197,24 +197,26 @@ def cohomology_local_system(fd, q):
     """The induced local system with fiber H^q(fiber), or None if that is 0.
 
     Transport per edge is the induced map of the chain-level action on
-    cohomology representatives; homotopy invariance over the declared
+    cohomology representatives, solved only where the edge has a degree-q
+    block; elsewhere it is the identity, as reps are the leading pivot
+    columns of [reps | d^{q-1}].  Homotopy invariance over the declared
     relations is enforced (its failure marks inconsistent input data).
     """
     fib_h = fd.fiber.cohomology()
     dim_q = fib_h.dim(q)
     if dim_q == 0:
         return None
-    reps = fib_h.representatives(q)
-    edges = fd.base.graph.edges
-    imgs = [fd.edge_action[eid][q] * reps if q in fd.edge_action.get(eid, {}) else reps for eid in edges]
-    # one solve for every edge: solutions are canonical column by column
-    coords = fib_h.coordinates(q, Matrix.hstack(fd.fiber.field, reps.nrows, imgs))
-    for eid, m in zip(edges, imgs):
+    reps, f = fib_h.representatives(q), fd.fiber.field
+    acting = [eid for eid in fd.base.graph.edges if q in fd.edge_action.get(eid, {})]
+    imgs = [fd.edge_action[eid][q] * reps for eid in acting]
+    # one solve for every acting edge: solutions are canonical column by column
+    coords = fib_h.coordinates(q, Matrix.hstack(f, reps.nrows, imgs)) if acting else None
+    for eid, m in zip(acting, imgs):
         if coords is None and fib_h.coordinates(q, m) is None:
             raise InvariantError("edge %r action does not act on H^%d" % (eid, q))
-    transports = {eid: coords.take_columns(range(n * dim_q, (n + 1) * dim_q))
-                  for n, eid in enumerate(edges)}
-    return LocalSystem(fd.base.graph, fd.fiber.field, dim_q, transports, check=True)
+    transports = dict.fromkeys(fd.base.graph.edges, Matrix.identity(f, dim_q))
+    transports.update((eid, coords.take_columns(range(n * dim_q, (n + 1) * dim_q))) for n, eid in enumerate(acting))
+    return LocalSystem(fd.base.graph, f, dim_q, transports, check=True)
 
 
 def e2_table(fd):

@@ -28,7 +28,7 @@ class Trajectory:
         self.id = str(id)
         self.src = str(src)
         self.dst = str(dst)
-        if sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):
             raise ParseError("trajectory %r has sign %r, expected +1 or -1" % (id, sign))
         self.sign = sign
         self.word = tuple(word)

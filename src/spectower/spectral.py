@@ -22,12 +22,13 @@ FilteredComplex is split once, by bases T_k adapted to F_n ⊆ ... ⊆ F_1
 whose build checks the filtration.  Checks that run: R = D V column by
 column, as D' V' = R' for D' = δ d (`matrix._tracked`); d_r o d_r = 0
 and E_{r+1} = H(E_r, d_r) dimensionwise wherever d_r ≠ 0, on the pairs;
-and `converge` certifies E_inf against F_pH and H, neither read from the
-pairing.  On a split complex F_p C^k is a prefix [0, t), and one echelon
-pass per d^k gives dim F_pH^k = t - rank d^k|F_p - #{lows of im d^{k-1}
-below t}; T is a filtered isomorphism, so the split copy has the F_pH of
-the original, and dim H^k = dim C^k - rank d^k - rank d^{k-1}; F_pH^k
-is kept only where it differs from F_{p+1}H^k.  The subquotient
+and `converge` certifies E_inf against F_pH and H, not from the pairing
+but by two echelon passes per d^k of the split copy (T is a filtered
+isomorphism), on its rows in block-descending order.  The profile takes
+the columns in that order too, so F_p C^k is a prefix [0, t) and dim
+F_pH^k = t - rank d^k|F_p - #{lows of im d^{k-1} below t}; dim H^k = dim
+C^k - rank d^k - rank d^{k-1} takes the nonzero columns reversed, or in
+order where that is the profile's.  The subquotient
 E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2}),
 Z_r^{p,q} = {x in F_p C^{p+q} : dx in F_{p+r}}, is the test oracle.
 
@@ -411,14 +412,21 @@ class FilteredComplex:
 
     def converge(self):
         """Walk the breakpoints to stabilization and certify E_inf against
-        F_pH, from the rank profile of d on the split copy, not from the pairing."""
+        F_pH and H by two echelon passes per d^k on the rows of `sorted_rows(k)`,
+        never the pairing: F_pH (`_h_filtration`) takes the columns block-descending,
+        H the nonzero ones in reversed document order, or in document order where that is the profile's."""
         if self._converged is not None:
             return self._converged
-        cx = self.complex
+        cx, split, rank = self.complex, self._split()[0], {}
         r_stop = self.page(0)._red.breaks[-1]  # the last breakpoint: every d_r with r >= r_stop is zero
         einf = self.page(r_stop).dims()
-        h_dims = {k: h for k in cx.degrees() if (h := cx.dim(k) - cx.d(k).rank() - cx.d(k - 1).rank())}
-        h_filt = dict(sorted((pk, h) for k in cx.degrees() for pk, h in self._split()[0]._h_filtration(k)))
+        for k in cx.degrees():
+            d = split.sorted_rows(k)
+            cols = [c for c in reversed(d.cols) if c]
+            cols = cols[::-1] if cols == [d.cols[j] for j in split.order[k][0] if d.cols[j]] else cols
+            rank[k] = len(_echelon(d.field, d.nrows, cols)[0])
+        h_dims = {k: h for k in cx.degrees() if (h := cx.dim(k) - rank[k] - rank.get(k - 1, 0))}
+        h_filt = dict(sorted((pk, h) for k in cx.degrees() for pk, h in split._h_filtration(k)))
         graded, below = {}, {}  # below[k]: dim F_{p+1}H^k, then dim F_0H^k once the walk ends
         for (p, k), h in sorted(h_filt.items(), reverse=True):
             graded[(p, k - p)] = h - below.get(k, 0)

@@ -343,6 +343,43 @@ def random_split_complex(rng, field, max_gens=30, max_len=5, max_degree=5, pair_
     return SplitFilteredComplex(cx, blocks)
 
 
+def sparse_pair_tower(rng, field, n, degrees=5, nblocks=5, density=0.3):
+    """A SplitFilteredComplex on n generators laid out like the benchmark's
+    tower (generator i in degree i % degrees and block (i // degrees) %
+    nblocks), built fast enough to time at hundreds of generators.
+
+    Random pairs g -> h with block(h) >= block(g) give d; each degree is
+    then conjugated by C = (I + N_0)(I + N_1), with N_e strictly lower in
+    the block-sorted order, from the positions of parity e into those of
+    the other parity.  So N_e^2 = 0, C^-1 = (I - N_1)(I - N_0) needs no
+    elimination, and C keeps the filtration.
+    """
+    raw = sorted((("g%d" % i, i % degrees, (i // degrees) % nblocks) for i in range(n)),
+                 key=lambda t: (t[1], t[2], int(t[0][1:])))
+    basis = GradedBasis([(g, k) for g, k, _ in raw])
+    blocks = {g: p for g, _, p in raw}
+    used, entries = set(), {}
+    for g, k, p in raw:
+        if g in used or rng.random() > 0.7:
+            continue
+        pool = [h for h in basis.gens(k + 1) if h not in used and blocks[h] >= p]
+        if pool:
+            h = rng.choice(pool)
+            used.update((g, h))
+            entries.setdefault(k, []).append((basis.position(h)[1], basis.position(g)[1],
+                                              random_scalar(rng, field, nonzero=True)))
+    conj, inv = {}, {}
+    for k in basis.degrees():
+        m, one = basis.dim(k), Matrix.identity(field, basis.dim(k))
+        ns = [Matrix.from_entries(field, m, m, [(i, j, random_scalar(rng, field, nonzero=True))
+                                                for j in range(e, m, 2) for i in range(j + 1, m, 2)
+                                                if rng.random() < density]) for e in (0, 1)]
+        conj[k], inv[k] = (one + ns[0]) * (one + ns[1]), (one - ns[1]) * (one - ns[0])
+    diff = {k: conj.get(k + 1, Matrix.identity(field, basis.dim(k + 1)))
+            * Matrix.from_entries(field, basis.dim(k + 1), basis.dim(k), tr) * inv[k] for k, tr in entries.items()}
+    return SplitFilteredComplex(CochainComplex(field, basis, diff), blocks)
+
+
 def random_fields(rng):
     return rng.choice([Field(2), Field(3), Field()])
 

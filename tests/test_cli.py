@@ -140,6 +140,47 @@ def test_a_display_shift_that_is_not_an_integer_is_a_parse_error(tmp_path, sourc
     assert (code, out, err) == (2, "", "parse error: %s: bad integer %r\n" % (part, shift))
 
 
+# integer value fields take JSON integers only: a boolean is an int in
+# Python and a string of digits was read with int(), so `true` read as 1
+# and "2" as 2.  Object keys (`spans` degrees) keep the string form
+INTEGER_VALUES = [
+    ("display_shift", "circle.json", ["display_shift"], "cochain_complex display_shift: bad integer"),
+    ("shift_n", "hopf.json", ["shift_n"], "fibration_data shift_n: bad integer"),
+    ("shift_k", "hopf.json", ["shift_k"], "fibration_data shift_k: bad integer"),
+    ("step_p", "interval_filtered.json", ["filtration", 0, "p"], "filtration step p: bad integer"),
+    ("cell_dimension", "klein_cellular.json", ["cells", 1, 1], "cell 'b' dimension: bad integer"),
+    ("cell_orientation", "klein_cellular.json", ["cells", 1, 3], "cell 'b' orientation: bad integer"),
+    ("filtration_label", "klein_cellular.json", ["filtration", "a"], "filtration of 'a': bad integer"),
+]
+# rows, positions and counts already refused strings; booleans passed
+INTEGER_ENTRIES = [
+    ("generator_degree", "circle.json", ["generators", 1, 1], "cochain_complex: bad generator"),
+    ("generator_block", "gap_huge.json", ["generators", 0, 2], "split_filtered_complex: bad generator"),
+    ("point_index", "hopf.json", ["base", "points", 0, 1], "fibration_data.base: bad point"),
+    ("incidence_coefficient", "klein_cellular.json", ["incidences", 1, 2], "bad incidence"),
+    ("matrix_position", "wedge2_subsystem.json", ["paths", 0, "transport", 0, 0], "bad matrix position"),
+    ("fiber_dim", "wedge2_subsystem.json", ["fiber_dim"], "bad fiber_dim True"),
+    ("trajectory_sign", "hopf.json", ["base", "trajectories", 0, 3], "has sign True"),
+]
+NOT_INTEGERS = ([(n, s, p, part, v) for n, s, p, part in INTEGER_VALUES for v in (True, "1")]
+                + [(n, s, p, part, True) for n, s, p, part in INTEGER_ENTRIES])
+
+
+@pytest.mark.parametrize("name,source,path,part,value", NOT_INTEGERS,
+                         ids=["%s-%s" % (c[0], "true" if c[4] is True else "string") for c in NOT_INTEGERS])
+def test_a_boolean_or_digit_string_is_not_an_integer(tmp_path, name, source, path, part, value):
+    import json
+
+    with open(data(source), "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    _set(path, value)(doc)
+    doc_path = tmp_path / (name + ".json")
+    doc_path.write_text(json.dumps(doc))
+    code, out, err = run(["homology", str(doc_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1 and part in err
+
+
 def test_exit_code_invariant_violation():
     code, out, err = run(["homology", data("bad_d2.json")])
     assert code == 3

@@ -6,7 +6,7 @@ import pytest
 from spectower.complexes import CochainComplex, tensor_product
 from spectower.errors import InvariantError, ParseError, PreconditionError
 from spectower.field import Field
-from spectower.localsystems import BaseGraph, parse_word
+from spectower.localsystems import BaseGraph, LocalSystem, parse_word
 from spectower.matrix import Matrix
 from spectower.morse import CellularData, MorseData, morse_complex
 from spectower.fibration import (
@@ -14,6 +14,7 @@ from spectower.fibration import (
     action_window,
     assemble_fibration,
     chain_transport,
+    cohomology_local_system,
     e2_table,
     leray_serre_compare,
     transport_compose_check,
@@ -24,11 +25,13 @@ from spectower.spectral import SplitFilteredComplex, map_of_spectral_sequences
 from helpers import (
     oracle_morse_complex,
     oracle_total_differential,
+    random_invertible,
     random_multistep_fibration,
     random_product_fibration,
     random_split_complex,
     random_standard_fiber,
     random_twisted_fibration,
+    random_two_level_base,
     same_differentials,
     sphere_base,
 )
@@ -490,6 +493,49 @@ def test_multistep_words_match_inverted_composite_oracle():
                 # the one solve over every edge equals the per-edge solves
                 assert sysq.transport_maps[eid] == fib_h.coordinates(q, fd.action_matrix(eid, q) * reps)
             same_differentials(morse_complex(fd.base, sysq), oracle_morse_complex(fd.base, sysq))
+
+
+def oracle_local_system(fd, q):
+    """The H^q local system, H^q nonzero, with the image of every edge
+    solved, an edge with no degree-q action block included."""
+    fib_h = fd.fiber.cohomology()
+    reps = fib_h.representatives(q)
+    maps = {eid: fib_h.coordinates(q, fd.action_matrix(eid, q) * reps) for eid in fd.base.graph.edges}
+    return LocalSystem(fd.base.graph, fd.fiber.field, fib_h.dim(q), maps)
+
+
+def degreewise_fibration(rng, field):
+    """A fiber with zero differential in degrees 0..2 over a two-level base;
+    some edges act in degree 1 only, so no edge acts in degrees 0 and 2."""
+    gens = [("u%d_%d" % (k, i), k) for k in range(3) for i in range(rng.randint(1, 2))]
+    fiber = CochainComplex.from_generator_entries(field, gens, [])
+    base = random_two_level_base(rng)
+    actions = {eid: {1: random_invertible(rng, field, fiber.dim(1))} for eid in base.graph.edges if rng.random() < 0.5}
+    return FibrationData(base, fiber, actions)
+
+
+def test_edges_that_do_not_act_get_the_identity_transport():
+    # cohomology_local_system solves only the edges with a degree-q action
+    # block; every other edge transports H^q by the identity.  The oracle
+    # solves every edge: transports and the E_2 table must agree, with an
+    # edge that declares the identity and degrees where no edge acts
+    rng, seen = random.Random(2529), {"identity declared": 0, "no edge acts": 0}
+    for trial in range(18):
+        field = FIELDS[trial % 3]
+        fd = (random_twisted_fibration, random_multistep_fibration, degreewise_fibration)[trial // 3 % 3](rng, field)
+        idle = [eid for eid in fd.base.graph.edges if eid not in fd.edge_action]
+        if idle and trial % 2:
+            ident = {k: Matrix.identity(field, fd.fiber.dim(k)) for k in fd.fiber.degrees()}
+            fd = FibrationData(fd.base, fd.fiber, {**fd.edge_action, rng.choice(idle): ident})
+            seen["identity declared"] += 1
+        want = {}
+        for q in fd.fiber.cohomology().degrees():
+            ours, oracle = cohomology_local_system(fd, q), oracle_local_system(fd, q)
+            assert ours.transport_maps == oracle.transport_maps
+            seen["no edge acts"] += not any(q in blocks for blocks in fd.edge_action.values())
+            want.update({(p, q): d for p, d in morse_complex(fd.base, oracle).cohomology().dims().items()})
+        assert e2_table(fd).entries == want
+    assert all(seen.values()), seen
 
 
 def test_singular_declared_action_refused():

@@ -17,7 +17,7 @@ from spectower.spectral import (
 )
 
 from helpers import (component_matrix, oracle_cohomology_dims, oracle_h_filtration, random_scalar, random_split_complex,
-                     to_filtered)
+                     sparse_pair_tower, to_filtered)
 
 Q = Field()
 F2 = Field(2)
@@ -776,6 +776,117 @@ def test_distinct_gaps_converge_within_budget():
     assert conv.r_stop == n + 1
     assert conv.einf == {}
     assert time.perf_counter() - start < 1
+
+
+def test_q_tower_converges_within_budget():
+    # 600 generators over Q, 13k nonzeros after a filtration-preserving change
+    # of basis.  h_dims takes its ranks on the block-sorted rows, so each
+    # pivot falls at the lowest block of its column, not inside the fill-in
+    # the change of basis spreads into the later rows: 1.7 s in document order
+    import time
+
+    sfc = sparse_pair_tower(random.Random(5), Q, 600)
+    start = time.perf_counter()
+    conv = sfc.converge()
+    elapsed = time.perf_counter() - start
+    assert conv.certified
+    assert elapsed < 0.8
+
+
+FIELDS4 = (Field(2), Field(3), Field(2 ** 61 - 1), Field())
+
+
+def reordered(sfc, key):
+    """sfc with the generators of each degree listed by key(generator id), d permuted to match."""
+    cx = sfc.complex
+    pos = {k: sorted(range(cx.dim(k)), key=lambda i: key(cx.basis.gens(k)[i])) for k in cx.degrees()}
+    gens = [(cx.basis.gens(k)[i], k) for k in cx.degrees() for i in pos[k]]
+    diff = {k: cx.d(k).take_columns(pos[k]).take_rows(pos.get(k + 1, [])) for k in cx.degrees()}
+    return SplitFilteredComplex(CochainComplex(cx.field, GradedBasis(gens), diff), sfc.blocks)
+
+
+def certification_documents(rng, field):
+    """(name, tower) for the four layouts the certification passes must
+    tell apart: one generator per block and degree listed in ascending
+    block order (the deep chain's shape, where reversed document order is
+    the rank profile's order), several per block ascending (the benchmark
+    tower's shape), blocks descending, and blocks interleaved at random."""
+    chain = sparse_pair_tower(rng, field, 24, degrees=2, nblocks=12)
+    tower = sparse_pair_tower(rng, field, 60)
+    shuffled = {g: rng.random() for g in tower.blocks}
+    return [("one per block", chain), ("several per block", tower),
+            ("blocks descending", reordered(tower, lambda g: -tower.blocks[g])),
+            ("interleaved", reordered(tower, shuffled.__getitem__))]
+
+
+def test_converge_takes_no_rank_of_d(monkeypatch):
+    # h_dims reads its ranks off one echelon pass per d^k of the split copy,
+    # never Matrix.rank of d in document order
+    rng = random.Random(2526)
+    towers = [t for field in FIELDS4 for _, t in certification_documents(rng, field)]
+    towers += [conjugated(rng, to_filtered(random_split_complex(rng, field, max_gens=20, max_len=4)))
+               for field in FIELDS4]
+    ds = [t.complex.d(k) for t in towers for k in t.complex.degrees()]
+    rank = Matrix.rank
+
+    def refuse(self):
+        assert not any(self is d for d in ds), "converge took Matrix.rank of d"
+        return rank(self)
+
+    monkeypatch.setattr(Matrix, "rank", refuse)
+    for t in towers:
+        assert t.converge().certified
+
+
+def _column_key(col):
+    return col if type(col) is int else tuple(sorted(col.items()))
+
+
+def test_h_dims_and_rank_profile_run_different_column_orders(monkeypatch):
+    # certification compares F_0H from the rank profile with H from the
+    # h_dims pass: on every d^k with two nonzero columns the two passes see
+    # the columns in different orders, so they are two eliminations, not one
+    # run twice.  Calls are told apart by caller and by the columns they see
+    import sys
+
+    from spectower import spectral
+
+    seen, echelon = {}, spectral._echelon
+
+    def record(f, nrows, cols):
+        nz = [_column_key(c) for c in cols if c]
+        seen.setdefault((sys._getframe(1).f_code.co_name, nrows, tuple(sorted(nz))), set()).add(tuple(nz))
+        return echelon(f, nrows, cols)
+
+    monkeypatch.setattr(spectral, "_echelon", record)
+    rng, names = random.Random(2527), set()
+    for field in FIELDS4:
+        for name, sfc in certification_documents(rng, field):
+            seen.clear()
+            assert sfc.converge().certified
+            for k in sfc.complex.degrees():
+                d = sfc.sorted_rows(k)
+                nz = tuple(sorted(_column_key(c) for c in d.cols if c))
+                if len(nz) >= 2:
+                    ours, profile = seen[("converge", d.nrows, nz)], seen[("_h_filtration", d.nrows, nz)]
+                    assert not ours & profile, (name, field, k)
+                    names.add(name)
+    assert len(names) == 4
+
+
+def test_h_dims_match_cohomology():
+    # h_dims comes from the split copy's ranks; it must equal dim H^k of the
+    # complex as given, on split towers and on conjugated general filtrations
+    rng = random.Random(2528)
+    for trial in range(12):
+        field = FIELDS4[trial % 4]
+        towers = [t for _, t in certification_documents(rng, field)]
+        sfc = random_split_complex(rng, field, max_gens=24, max_len=5)
+        towers += [sfc, conjugated(rng, to_filtered(sfc))]
+        for t in towers:
+            conv = t.converge()
+            assert conv.certified
+            assert conv.h_dims == t.complex.cohomology().dims()
 
 
 def test_page_dims_build_no_matrix(monkeypatch):
