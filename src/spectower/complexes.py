@@ -21,10 +21,12 @@ class GradedBasis:
     __slots__ = ("generators", "_by_degree", "_pos")
 
     def __init__(self, generators):
-        gens = tuple((str(g), int(k)) for g, k in generators)
+        gens = tuple((str(g), k) for g, k in generators)
         by_degree = {}
         pos = {}
         for g, k in gens:
+            if type(k) is not int:  # a float or a bool is refused, not truncated
+                raise ValueError("generator %r has non-integer degree %r" % (g, k))
             if g in pos:
                 raise ValueError("duplicate generator id %r" % g)
             pos[g] = (k, len(by_degree.setdefault(k, [])))
@@ -62,11 +64,12 @@ class CochainComplex:
     """Graded basis + differential blocks d^k : C^k -> C^{k+1}.
 
     `differential` maps a degree k to a Matrix of shape dim C^{k+1} x
-    dim C^k; missing degrees mean zero.  Degrees may be any integers.
+    dim C^k; a missing degree means zero, one block built on first read.
+    Degrees may be any integers.
     `display_shift` only relabels degrees in reports, never in math.
     """
 
-    __slots__ = ("field", "basis", "_d", "display_shift", "_cohomology")
+    __slots__ = ("field", "basis", "_d", "_zeros", "display_shift", "_cohomology")
 
     def __init__(self, field, basis, differential, check=True, display_shift=0):
         self.field = field
@@ -83,7 +86,7 @@ class CochainComplex:
                     "differential block in degree %d has shape %s, expected %s" % (k, m.shape, want)
                 )
             d[k] = m
-        self._d = d
+        self._d, self._zeros = d, {}
         self.display_shift = int(display_shift)
         self._cohomology = None
         if check:
@@ -164,9 +167,9 @@ class CochainComplex:
         return self.basis.degrees()
 
     def d(self, k):
-        m = self._d.get(k)
+        m = self._d.get(k) or self._zeros.get(k)
         if m is None:
-            return Matrix.zero(self.field, self.dim(k + 1), self.dim(k))
+            m = self._zeros[k] = Matrix.zero(self.field, self.dim(k + 1), self.dim(k))
         return m
 
     def cohomology(self):

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .complexes import JOIN, ChainMap, CochainComplex, GradedBasis
 from .errors import InvariantError, ParseError, PreconditionError
 from .localsystems import LocalSystem, free_reduce, word_inverse
-from .matrix import Matrix
+from .matrix import Matrix, _matrix
 from .morse import cellular_complex, morse_complex
 
 __all__ = [
@@ -46,9 +46,10 @@ class FibrationData:
     """Morse base + fiber complex + chain-level edge actions + corrections.
 
     edge_action maps an edge id to {degree: Matrix}; degrees not mentioned
-    act as the identity.  Every action must be a chain isomorphism of the
-    fiber complex; each declared block is inverted once, at construction,
-    by one verified solve.  corrections is a list of
+    act as the identity, one per fiber degree, built once and shared.  Every
+    action must be a chain isomorphism of the fiber complex; each declared
+    block is inverted once, at construction, by one verified solve, and
+    checked to commute with d^k where d^k ≠ 0.  corrections is a list of
     (src_point, src_fiber_gen, dst_point, dst_fiber_gen, scalar) entries
     raising the base index by at least 2.
     """
@@ -63,7 +64,7 @@ class FibrationData:
                 raise ParseError("critical point id %r must not contain %r" % (x, JOIN))
             if k < 0:
                 raise ParseError("critical point %r has negative index %d" % (x, k))
-        self.edge_action = {}
+        self.edge_action, self._ident = {}, {}
         for eid, blocks in (edge_action or {}).items():
             if eid not in base.graph.edges:
                 raise ParseError("edge action on unknown edge %r" % eid)
@@ -99,7 +100,11 @@ class FibrationData:
     def action_matrix(self, eid, k, sign=1):
         """The action of edge eid in fiber degree k, or its inverse for sign -1."""
         m = (self.edge_action if sign == 1 else self._inverses).get(eid, {}).get(k)
-        return m if m is not None else Matrix.identity(self.fiber.field, self.fiber.dim(k))
+        return m if m is not None else self._identity(k)
+
+    def _identity(self, k):
+        """The one identity of fiber degree k, built on first use."""
+        return self._ident.get(k) or self._ident.setdefault(k, Matrix.identity(self.fiber.field, self.fiber.dim(k)))
 
     def _check_actions(self):
         fib = self.fiber
@@ -107,10 +112,10 @@ class FibrationData:
         for eid in self.base.graph.edges:
             inv = self._inverses[eid] = {}
             for k, m in self.edge_action.get(eid, {}).items():
-                inv[k] = m.solve(Matrix.identity(fib.field, m.nrows))
+                inv[k] = m.solve(self._identity(k))
                 if inv[k] is None:
                     raise InvariantError("edge %r action in degree %d is not invertible" % (eid, k))
-            for k in [k for k in fib.degrees() if k in inv or k + 1 in inv]:  # else it compares d with d
+            for k in [k for k in sorted(fib._d) if k in inv or k + 1 in inv]:  # elsewhere both sides are 0, or both d^k
                 lhs = self.action_matrix(eid, k + 1) * fib.d(k)
                 rhs = fib.d(k) * self.action_matrix(eid, k)
                 if lhs != rhs:
@@ -131,7 +136,7 @@ def chain_transport(fd, word):
         at = b
         for k, m in (fd.edge_action if s == 1 else fd._inverses).get(e, {}).items():
             out[k] = m * out[k] if k in out else m
-    return {k: out[k] if k in out else Matrix.identity(fib.field, fib.dim(k)) for k in fib.degrees()}
+    return {k: out[k] if k in out else fd._identity(k) for k in fib.degrees()}
 
 
 def assemble_fibration(fd):
@@ -450,12 +455,8 @@ def truncation_map(sfc, action, src_window, dst_window):
     """
     act = _normalize_action(sfc, action)
     _check_action_decreasing(sfc, act)
-    a, b = src_window
-    a2, b2 = dst_window
-    fa = _exact(a, "window bound", "a")
-    fb = _exact(b, "window bound", "b")
-    fa2 = _exact(a2, "window bound", "a2")
-    fb2 = _exact(b2, "window bound", "b2")
+    (a, b), (a2, b2) = src_window, dst_window
+    fa, fb, fa2, fb2 = (_exact(x, "window bound", n) for x, n in ((a, "a"), (b, "b"), (a2, "a2"), (b2, "b2")))
     # bottoms: None = -inf; tops: None = +inf; both ends may only move up
     if fa is not None and (fa2 is None or fa2 < fa):
         raise PreconditionError("truncation window must not extend downward: a2 >= a required")
@@ -465,15 +466,11 @@ def truncation_map(sfc, action, src_window, dst_window):
 
     src = _window(sfc, act, fa, fb)
     dst = _window(sfc, act, fa2, fb2)
-    blocks = {}
-    for k in set(src.complex.degrees()) | set(dst.complex.degrees()):
-        sgens = src.complex.basis.gens(k)
+    f, blocks = sfc.complex.field, {}
+    for k in set(src.complex.degrees()) | set(dst.complex.degrees()):  # selection columns: e_i or 0
         dpos = {g: i for i, g in enumerate(dst.complex.basis.gens(k))}
-        ent = {}
-        for j, g in enumerate(sgens):
-            i = dpos.get(g)
-            if i is not None:
-                ent[(i, j)] = sfc.complex.field.one
-        blocks[k] = Matrix(sfc.complex.field, dst.complex.dim(k), len(sgens), ent)
+        at = [dpos.get(g) for g in src.complex.basis.gens(k)]
+        cols = [0 if i is None else 1 << i for i in at] if f.p == 2 else [{} if i is None else {i: 1} for i in at]
+        blocks[k] = _matrix(f, dst.complex.dim(k), cols)
     cmap = ChainMap(src.complex, dst.complex, blocks, check=True)
     return FilteredChainMap(cmap, src, dst, check=True)

@@ -17,7 +17,7 @@ from collections import deque
 
 from .errors import InvariantError, ParseError, PreconditionError
 from .field import Field
-from .matrix import Matrix
+from .matrix import Matrix, _is_identity
 
 __all__ = [
     "BaseGraph",
@@ -208,7 +208,8 @@ class LocalSystem:
     All fibers are copies of the same module: fiber_dim columns over the
     field.  Construction checks invertibility of every edge transport and
     (unless check=False) that every declared relation word transports to
-    the identity.
+    the identity.  An identity transport is its own inverse, with no solve;
+    any other is solved against one identity that the system builds once.
     """
 
     def __init__(self, graph, field, fiber_dim, transport, check=True):
@@ -216,7 +217,7 @@ class LocalSystem:
         self.field = field
         self.fiber_dim = int(fiber_dim)
         self.transport_maps = {}
-        self._inverses = {}
+        self._inverses, ident = {}, Matrix.identity(field, self.fiber_dim)
         for eid in graph.edges:
             m = transport.get(eid)
             if m is None:
@@ -224,7 +225,7 @@ class LocalSystem:
             if m.shape != (self.fiber_dim, self.fiber_dim) or m.field != field:
                 raise ParseError("transport for edge %r has shape %s" % (eid, m.shape))
             self.transport_maps[eid] = m
-            self._inverses[eid] = m.solve(Matrix.identity(field, self.fiber_dim))
+            self._inverses[eid] = m if _is_identity(m) else m.solve(ident)
             if self._inverses[eid] is None:
                 raise InvariantError("transport for edge %r is not invertible" % eid)
         if set(transport) - set(graph.edges):
@@ -276,9 +277,8 @@ def transport(ls, word, start=None):
 
 def check_homotopy_invariance(ls):
     """True iff every declared relation transports to the identity."""
-    ident = Matrix.identity(ls.field, ls.fiber_dim)
     for w in ls.graph.relations:
-        if ls.transport_along(w) != ident:
+        if not _is_identity(ls.transport_along(w)):
             return HomotopyCheck(False, w)
     return HomotopyCheck(True)
 

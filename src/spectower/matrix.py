@@ -17,7 +17,9 @@ denominators.  Elimination over F_p and Q takes one fraction-free step
 reduced mod p over F_p and with the content divided out over Q, and
 carries the scale beside the column, so no step takes a field inverse.
 The accessors `entries`, `get` and `to_dense` are the only places that
-build Fractions.
+build Fractions.  Where structure fixes the answer nothing is computed:
+a product with an identity factor is the other factor, one with a zero
+factor is zero, and `solve` of an identity is its right-hand side, verified.
 
 One elimination.  All elimination is one left-to-right pass over the
 columns, each reduced against the earlier column owning its lowest entry
@@ -225,7 +227,8 @@ class Matrix:
         return _matrix(f, self.nrows, [{i: v * n for i, v in x.items()} for x in self.cols], self.den * c.denominator)
 
     def __mul__(self, other):
-        """The product; with an identity factor (`_is_identity`) the other factor, as it is."""
+        """The product; with an identity factor (`_is_identity`) the other
+        factor, as it is, and with a zero factor the zero of its shape."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.field != other.field or self.ncols != other.nrows:
@@ -236,6 +239,8 @@ class Matrix:
             return other
         if _is_identity(other):
             return self
+        if not any(self.cols) or not any(other.cols):
+            return Matrix.zero(self.field, self.nrows, other.ncols)
         # column l of the product is self applied to column l of other;
         # over Q on integer columns, over the product of the denominators
         f, a = self.field, self.cols
@@ -332,7 +337,8 @@ class Matrix:
         X = V[:n] / -V[n] lies on pivot columns, free variables are zero and
         the solution is canonical.  The result is verified by
         multiplication before being returned.  An identity (`_is_identity`)
-        is not eliminated: X = rhs, and the verification costs O(n).
+        is not eliminated: X = rhs.  By the short-cuts of `__mul__`, the
+        verification of an identity system or of a zero X costs O(n).
         """
         if rhs.nrows != self.nrows or rhs.field != self.field:
             raise ValueError("solve: shape/field mismatch")

@@ -21,7 +21,8 @@ FilteredComplex is split once, by bases T_k adapted to F_n ⊆ ... ⊆ F_1
 ⊆ C^k; its pages, certification and map check run on that split copy,
 whose build checks the filtration.  Checks that run: R = D V column by
 column, as D' V' = R' for D' = δ d (`matrix._tracked`); d_r o d_r = 0
-and E_{r+1} = H(E_r, d_r) dimensionwise wherever d_r ≠ 0, on the pairs;
+and E_{r+1} = H(E_r, d_r) dimensionwise wherever d_r ≠ 0, on the pairs
+(a matching of unit columns: its rank is its number of distinct rows);
 and `converge` certifies E_inf against F_pH and H, not from the pairing
 but by two echelon passes per d^k of the split copy (T is a filtered
 isomorphism), on its rows in block-descending order.  The profile takes
@@ -297,20 +298,19 @@ class _Reduction:
     def _advance(self):
         """Build the next breakpoint s+1: the counts of page s less both
         ends of each gap-s pair, checked against H(E_s, d_s) dimensionwise
-        on the cells d_s touches; no other count moves.  The rank of d_s
-        out of a cell is one `_echelon` pass over its columns in index
-        coordinates: relabelling rows and columns injectively keeps rank."""
+        on the cells d_s touches; no other count moves.  d_s out of a cell
+        is a matching: its columns are unit vectors e_j, one per pair, so its
+        rank is exactly its number of distinct death ends j."""
         s = self.breaks[len(self.dims)] - 1
         prev = self.page(s)._dims
-        dims, cols = dict(prev), {}
+        dims, ends = dict(prev), {}
         for k, i, j in self.gaps[s]:
             src, tgt = self._cell(k, i), self._cell(k + 1, j)
             dims[src] = dims.get(src, 0) - 1
             dims[tgt] = dims.get(tgt, 0) - 1
-            cols.setdefault(src, []).append(1 << j if self.f2 else {j: 1})
-        ranks = {c: len(_echelon(self.field, len(x), x)[0]) for c, x in cols.items()}
-        for p, q in sorted({c for src in cols for c in (src, (src[0] + s, src[1] - s + 1))}):
-            expect = prev.get((p, q), 0) - ranks.get((p, q), 0) - ranks.get((p - s, q + s - 1), 0)
+            ends.setdefault(src, set()).add(j)  # the rank of d_s out of src is len(ends[src])
+        for p, q in sorted({c for src in ends for c in (src, (src[0] + s, src[1] - s + 1))}):
+            expect = prev.get((p, q), 0) - len(ends.get((p, q), ())) - len(ends.get((p - s, q + s - 1), ()))
             if dims[(p, q)] != expect:
                 raise InvariantError("page %d cell (%d, %d) has dim %d but H(E_%d, d_%d) gives %d: engine bug"
                                      % (s + 1, p, q, dims[(p, q)], s, s, expect))
@@ -446,7 +446,7 @@ class SplitFilteredComplex(FilteredComplex):
 
     def __init__(self, complex, blocks, check=True):
         self.complex = complex
-        self.blocks = {g: int(p) for g, p in blocks.items()}
+        self.blocks = dict(blocks)
         self.n = max(self.blocks.values(), default=0)
         self.order = {}  # degree k -> (positions of C^k in block-descending order, the block of each)
         for k in complex.degrees():
@@ -465,6 +465,8 @@ class SplitFilteredComplex(FilteredComplex):
         for g, _ in cx.basis.generators:
             if g not in self.blocks:
                 raise InvariantError("generator %r has no block index" % g)
+            if type(self.blocks[g]) is not int:  # a float or a bool is refused, not truncated
+                raise InvariantError("generator %r has non-integer block index %r" % (g, self.blocks[g]))
             if self.blocks[g] < 0:
                 raise InvariantError("generator %r has negative block index" % g)
         for k in cx.degrees():

@@ -208,6 +208,28 @@ def test_singular_edge_action_exits_3(tmp_path):
     assert err == "invariant violation: edge 'a' action in degree 0 is not invertible\n"
 
 
+def test_an_edge_action_that_does_not_commute_with_d_exits_3(tmp_path):
+    import json
+
+    # v0 -> v0 + v1 in degree 0, the identity in degree 1: d(v0) = -e goes to 0
+    doc = tmp_path / "noncommuting_action.json"
+    doc.write_text(json.dumps({
+        "kind": "fibration_data",
+        "field": "Q",
+        "base": {
+            "graph": {"vertices": ["m", "M"], "edges": [["a", "M", "m"]], "relations": []},
+            "points": [["m", 0], ["M", 1]],
+            "trajectories": [["ta", "M", "m", 1, ["a"]]],
+        },
+        "fiber": {"generators": [["v0", 0], ["v1", 0], ["e", 1]], "differential": [["v0", "e", -1], ["v1", "e", 1]]},
+        "edge_action": {"a": [["v0", "v0", 1], ["v0", "v1", 1], ["v1", "v1", 1]]},
+        "corrections": [],
+    }))
+    code, out, err = run(["homology", str(doc)])
+    assert (code, out) == (3, "")
+    assert err == "invariant violation: edge 'a' action does not commute with the fiber differential in degree 0\n"
+
+
 def test_singular_transport_exits_3(tmp_path):
     import json
 

@@ -187,6 +187,26 @@ def test_graded_basis_lookup():
         GradedBasis([("x", 0), ("x", 1)])
 
 
+@pytest.mark.parametrize("degree", (1.7, 1.0, True, False, "1"), ids=repr)
+def test_graded_basis_refuses_a_degree_that_is_not_an_int(degree):
+    # a float, a bool or a string is refused, not truncated to an int
+    with pytest.raises(ValueError, match=r"^generator 'x' has non-integer degree %s$" % repr(degree)):
+        GradedBasis([("y", 0), ("x", degree)])
+    with pytest.raises(ValueError, match="generator 'x' has non-integer degree"):
+        CochainComplex.from_generator_entries(Q, [("y", 0), ("x", degree)], [])
+
+
+def test_an_absent_degree_has_one_zero_block():
+    # d(k) of a degree with no block is built once and then returned as is
+    cx = interval()
+    for k in (-1, 1, 5):
+        z = cx.d(k)
+        assert z.is_zero() and z.shape == (cx.dim(k + 1), cx.dim(k))
+        assert cx.d(k) is z
+    assert cx.d(-1) is not cx.d(1)
+    assert cx.d(0).shape == (1, 2) and not cx.d(0).is_zero()
+
+
 def test_display_shift_reporting_only():
     cx = CochainComplex.from_generator_entries(Q, [("v", -2)], [], display_shift=2)
     assert cx.cohomology().dims() == {-2: 1}

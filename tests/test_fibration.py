@@ -545,6 +545,44 @@ def test_singular_declared_action_refused():
         FibrationData(circle_base(), fiber, singular)
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_an_action_that_does_not_commute_with_d_is_refused(field):
+    # the interval fiber has d^0 = [-1 1]; v0 -> v0 + v1 in degree 0 alone
+    # gives d^0 A_0 = [0 1], which differs from A_1 d^0 = d^0 over every field
+    interval = CochainComplex.from_generator_entries(
+        field, [("v0", 0), ("v1", 0), ("e", 1)], [("v0", "e", -1), ("v1", "e", 1)])
+    mix = Matrix.from_rows(field, [[1, 0], [1, 1]])
+    msg = r"^edge 'b' action does not commute with the fiber differential in degree 0$"
+    with pytest.raises(InvariantError, match=msg):
+        FibrationData(circle_base(), interval, {"b": {0: mix}})
+    if field.p != 2:  # a block in degree 1 alone is checked against d^0 too
+        with pytest.raises(InvariantError, match=msg):
+            FibrationData(circle_base(), interval, {"b": {1: Matrix.from_rows(field, [[-1]])}})
+    swap = Matrix.from_rows(field, [[0, 1], [1, 0]])
+    fd = FibrationData(circle_base(), interval, {"b": {0: swap, 1: Matrix.from_rows(field, [[-1]])}})
+    assert fd.action_matrix("b", 0, -1) == swap
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_identities_are_built_once_per_fiber_degree(monkeypatch, field):
+    # FibrationData builds one identity per fiber degree, shared by its
+    # undeclared actions, inversions and transports; e2_table one per H^q
+    # system for its transports and one in that system for its solves
+    built, identity = [], Matrix.identity.__func__
+    monkeypatch.setattr(Matrix, "identity", classmethod(lambda cls, f, n: built.append(n) or identity(cls, f, n)))
+    rng = random.Random(2606)
+    for make in (random_twisted_fibration, random_multistep_fibration, degreewise_fibration):
+        fd = make(rng, field)
+        built.clear()
+        fd = FibrationData(fd.base, fd.fiber, fd.edge_action)
+        assemble_fibration(fd)
+        assert len(built) <= len(fd.fiber.degrees())
+        built.clear()
+        e2 = e2_table(fd)
+        assert len(built) <= 2 * len(e2.systems)
+        assert e2.entries == assemble_fibration(fd).page(2).dims()
+
+
 def test_float_actions_and_bounds_refused():
     sfc = random_split_complex(random.Random(5), Q, max_gens=8, max_len=2)
     action = {g: Fraction(-10 * k) for g, k in sfc.complex.basis.generators}

@@ -115,6 +115,24 @@ def test_transport_must_be_invertible():
         LocalSystem(circle_graph(), Q, 1, {"e": Matrix.zero(Q, 1, 1)})
 
 
+@pytest.mark.parametrize("field", (Field(2), F3, Q), ids=str)
+def test_identity_transports_are_their_own_inverses(monkeypatch, field):
+    # an identity transport is inverted without a solve, each one built on
+    # its own; any other transport takes one verified solve, and a singular
+    # one is still refused
+    solved, solve = [], Matrix.solve
+    monkeypatch.setattr(Matrix, "solve", lambda self, rhs: solved.append(self) or solve(self, rhs))
+    ls = LocalSystem(torus_graph(), field, 3, {e: Matrix.identity(field, 3) for e in ("a", "b")})
+    assert solved == []
+    assert all(ls.step_matrix((e, -1)) is ls.transport_maps[e] for e in ("a", "b"))
+    t = Matrix.from_rows(field, [[1, 1, 0], [0, 1, 0], [1, 0, 1]])  # determinant 1 over every field
+    ls = LocalSystem(torus_graph(), field, 3, {"a": t, "b": Matrix.identity(field, 3)}, check=False)
+    assert solved == [t]
+    assert t * ls.step_matrix(("a", -1)) == Matrix.identity(field, 3) == ls.transport_along(parse_word(["a", "~a"]))
+    with pytest.raises(InvariantError, match=r"^transport for edge 'a' is not invertible$"):
+        LocalSystem(torus_graph(), field, 3, {"a": Matrix.zero(field, 3, 3), "b": Matrix.identity(field, 3)})
+
+
 # -- extension -------------------------------------------------------------------
 
 

@@ -533,3 +533,24 @@ def test_identity_and_near_identity_match_dense_oracles(data):
                 m.inverse()
         else:
             assert _exact(m.inverse()) == want
+
+
+@pytest.mark.parametrize("field", RANK_FIELDS, ids=str)
+def test_a_zero_factor_is_not_multiplied(monkeypatch, field):
+    # a product with a zero factor is the zero matrix of the product's shape,
+    # built with no column applied, and equal to the arithmetic product,
+    # with 0 x n and n x 0 factors on either side
+    import spectower.matrix as mx
+
+    applied, apply = [], mx._apply
+    monkeypatch.setattr(mx, "_apply", lambda *args: applied.append(1) or apply(*args))
+    rng = random.Random(2601)
+    for m, n, l in [(0, 3, 2), (3, 0, 2), (2, 3, 0), (3, 2, 4), (4, 4, 4), (1, 5, 3)]:
+        a = random_matrix(rng, field, m, n, 0.7, random_wide_scalar)
+        b = random_matrix(rng, field, n, l, 0.7, random_wide_scalar)
+        for x, y in [(Matrix.zero(field, m, n), b), (a, Matrix.zero(field, n, l)),
+                     (Matrix.zero(field, m, n), Matrix.zero(field, n, l))]:
+            prod = x * y
+            assert applied == []
+            assert prod == Matrix.zero(field, m, l) and prod.den == 1
+            assert _exact(prod) == oracle_product(field, x.to_dense(), y.to_dense(), l)

@@ -69,6 +69,17 @@ def test_split_blocks_must_not_decrease():
         SplitFilteredComplex(cx, {"a": 1, "b": 0})
 
 
+def test_split_blocks_must_be_ints():
+    # a float or a bool block is refused, not truncated into another filtration
+    cx = CochainComplex.from_generator_entries(Q, [("a", 0), ("b", 1)], [("a", "b", 1)])
+    with pytest.raises(InvariantError, match=r"^generator 'a' has non-integer block index 0\.5$"):
+        SplitFilteredComplex(cx, {"a": 0.5, "b": 1.9})
+    for block in (1.0, True):
+        with pytest.raises(InvariantError, match=r"^generator 'b' has non-integer block index %s$" % block):
+            SplitFilteredComplex(cx, {"a": 0, "b": block})
+    assert SplitFilteredComplex(cx, {"a": 0, "b": 1}).blocks == {"a": 0, "b": 1}
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_reduction_refuses_a_v_that_breaks_r_equals_d_v(monkeypatch, field):
     # the tracked pass is not trusted: a V off by e_j at a nonzero column of
@@ -128,6 +139,28 @@ def test_page_refuses_a_breakpoint_that_is_not_the_homology(field):
     with pytest.raises(InvariantError,
                        match=r"^page 2 cell \(0, 0\) has dim 1 but H\(E_1, d_1\) gives 2: engine bug$"):
         sfc.page(2)
+
+
+@pytest.mark.parametrize("field", PAGE_CHECK_FIELDS, ids=str)
+def test_breakpoints_count_the_rank_of_d_s(monkeypatch, field):
+    # d_s out of a cell is a matching of unit columns, so each breakpoint
+    # reads its rank as a count of death ends: every page builds with no
+    # `_echelon` pass, and the certification that follows still holds
+    import spectower.spectral as spectral
+
+    def refuse(*args):
+        raise AssertionError("_echelon ran")
+
+    rng, seen = random.Random(2605), 0
+    for _ in range(6):
+        sfc = random_split_complex(rng, field, max_gens=24, max_len=4)
+        monkeypatch.setattr(spectral, "_echelon", refuse)
+        pages = [sfc.page(r).dims() for r in range(sfc.n + 2)]
+        monkeypatch.undo()
+        seen += len(sfc._red.breaks) > 2
+        conv = sfc.converge()
+        assert conv.certified and pages[-1] == conv.einf
+    assert seen
 
 
 # -- golden pages ----------------------------------------------------------------
