@@ -22,8 +22,7 @@ class GradedBasis:
 
     def __init__(self, generators):
         gens = tuple((str(g), k) for g, k in generators)
-        by_degree = {}
-        pos = {}
+        by_degree, pos = {}, {}
         for g, k in gens:
             if type(k) is not int:  # a float or a bool is refused, not truncated
                 raise ValueError("generator %r has non-integer degree %r" % (g, k))
@@ -31,9 +30,8 @@ class GradedBasis:
                 raise ValueError("duplicate generator id %r" % g)
             pos[g] = (k, len(by_degree.setdefault(k, [])))
             by_degree[k].append(g)
-        self.generators = gens
+        self.generators, self._pos = gens, pos
         self._by_degree = {k: tuple(v) for k, v in by_degree.items()}
-        self._pos = pos
 
     def degrees(self):
         return sorted(self._by_degree)
@@ -135,29 +133,34 @@ class CochainComplex:
         inner degree-k generators under x to the degree-(kx + k + 1 - ky) ones
         under y; over Q on the lcm of the block denominators."""
         deg, p, placed, dens, off, count = dict(outer), field.p, [], {}, {}, {}
+        dims = {k: inner.dim(k) for k in inner.degrees()}
         basis = GradedBasis([(x + JOIN + g, kx + kg) for x, kx in outer for g, kg in inner.generators])
         for x, kx in outer:
-            for k in inner.degrees():  # (x, k) follows the earlier x' of total degree kx + k
+            for k, n in dims.items():  # (x, k) follows the earlier x' of total degree kx + k
                 off[(x, k)] = count.get(kx + k, 0)
-                count[kx + k] = off[(x, k)] + inner.dim(k)
+                count[kx + k] = off[(x, k)] + n
         for x, y, k, m in blocks:
             kk, k2 = deg[x] + k, deg[x] + k + 1 - deg[y]
-            if m.shape != (inner.dim(k2), inner.dim(k)) or m.field != field:
+            if m.nrows != dims.get(k2, 0) or m.ncols != dims.get(k, 0) or m.field is not field and m.field != field:
                 raise ValueError("block %r -> %r from inner degree %d has shape %s" % (x, y, k, m.shape))
-            if not m.is_zero():  # so inner degrees k and k2 have generators
+            if any(m.cols):  # so inner degrees k and k2 have generators
                 placed.append((kk, off[(x, k)], off[(y, k2)], m))
                 dens[kk] = lcm(dens.get(kk, 1), m.den)
-        cols = {kk: [0 if p == 2 else {} for _ in range(basis.dim(kk))] for kk in dens}
+        cols = {kk: [0 if p == 2 else {} for _ in range(count[kk])] for kk in dens}
         for kk, c0, r0, m in placed:
             out, s = cols[kk], dens[kk] // m.den
             for j, c in enumerate(m.cols, c0):
                 if p == 2:
                     out[j] ^= c << r0
-                else:
-                    out[j].update({r0 + i: out[j].get(r0 + i, 0) + s * v for i, v in c.items()})
-        if p != 2:  # reduced mod p, less the entries that cancelled
-            cols = {kk: [{i: w for i, v in c.items() if (w := v % p if p else v)} for c in cs] for kk, cs in cols.items()}
-        diff = {kk: _matrix(field, basis.dim(kk + 1), cs, dens[kk]) for kk, cs in cols.items()}
+                    continue
+                col = out[j]
+                for i, v in c.items():  # reduced mod p, less the entries that cancel
+                    w = col.get(i + r0, 0) + s * v
+                    if w := w % p if p else w:
+                        col[i + r0] = w
+                    else:
+                        del col[i + r0]
+        diff = {kk: _matrix(field, count.get(kk + 1, 0), cs, dens[kk]) for kk, cs in cols.items()}
         return cls(field, basis, diff, check=check, display_shift=display_shift)
 
     def dim(self, k):
@@ -233,9 +236,9 @@ class CohomologyResult:
 
 
 class ChainMap:
-    """Degree-preserving map of complexes commuting with the differentials."""
+    """Degree-preserving map of complexes commuting with d; a missing degree is zero, one block built on first read."""
 
-    __slots__ = ("source", "target", "_blocks")
+    __slots__ = ("source", "target", "_blocks", "_zeros")
 
     def __init__(self, source, target, blocks, check=True):
         if source.field != target.field:
@@ -249,7 +252,7 @@ class ChainMap:
                 raise ValueError("chain map block in degree %d has shape %s, expected %s" % (k, m.shape, want))
             if not m.is_zero():
                 b[k] = m
-        self._blocks = b
+        self._blocks, self._zeros = b, {}
         if check:
             self.check_commutes()
 
@@ -260,9 +263,9 @@ class ChainMap:
                 raise InvariantError("chain map does not commute with d in degree %d" % k)
 
     def block(self, k):
-        m = self._blocks.get(k)
+        m = self._blocks.get(k) or self._zeros.get(k)
         if m is None:
-            return Matrix.zero(self.source.field, self.target.dim(k), self.source.dim(k))
+            m = self._zeros[k] = Matrix.zero(self.source.field, self.target.dim(k), self.source.dim(k))
         return m
 
     @classmethod

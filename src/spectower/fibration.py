@@ -20,6 +20,7 @@ engine always works in raw (Morse index, fiber degree) coordinates.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .complexes import JOIN, ChainMap, CochainComplex, GradedBasis
 from .errors import InvariantError, ParseError, PreconditionError
@@ -391,26 +392,27 @@ def transport_compose_check(fd, u_id, v_id, gamma_id):
 
 
 def _exact(x, what, name):
-    """x as a Fraction, None as None; no floats, as Fraction(0.1) != 1/10."""
+    """x as an int or a Fraction, None as None; no floats, as Fraction(0.1) != 1/10."""
     if isinstance(x, float):
         raise ParseError("%s %r is the float %r; give an int or a Fraction" % (what, name, x))
-    return None if x is None else Fraction(x)
+    return x if x is None or type(x) is int or type(x) is Fraction else Fraction(x)
 
 
 def _normalize_action(sfc, action):
     out = {}
     for g, _ in sfc.complex.basis.generators:
-        if g not in action:
+        if action.get(g) is None:
             raise ParseError("generator %r has no action value" % g)
         out[g] = _exact(action[g], "action of generator", g)
-    return out
+    den = lcm(*[x.denominator for x in out.values()])
+    return {g: x.numerator * (den // x.denominator) for g, x in out.items()}, den
 
 
-def _check_action_decreasing(sfc, act):
+def _check_action_decreasing(sfc, key):
     cx = sfc.complex
     for k in cx.degrees():
         src, tgt = cx.basis.gens(k), cx.basis.gens(k + 1)
-        bad = [(i, j) for i, j in cx.d(k).support() if not act[tgt[i]] < act[src[j]]]
+        bad = [(i, j) for i, j in cx.d(k).support() if key[tgt[i]] >= key[src[j]]]
         if bad:
             i, j = min(bad)
             raise InvariantError("differential entry %r -> %r does not strictly decrease the action"
@@ -422,21 +424,24 @@ def action_window(sfc, action, a=None, b=None):
 
     The action must strictly decrease along the differential (checked), so
     span{action <= t} is a subcomplex for every t and the window span{<= b} /
-    span{< a} is well defined; blocks are inherited.  A window that keeps
-    every generator is the tower itself: the same object, sharing its reduction.
+    span{< a} is well defined; blocks are inherited.  Actions compare as exact
+    integer keys over one common denominator.  A window that keeps every
+    generator is the tower itself: the same object, sharing its reduction.
     """
-    act = _normalize_action(sfc, action)
-    _check_action_decreasing(sfc, act)
-    return _window(sfc, act, _exact(a, "window bound", "a"), _exact(b, "window bound", "b"))
+    key, den = _normalize_action(sfc, action)
+    _check_action_decreasing(sfc, key)
+    return _window(sfc, key, den, _exact(a, "window bound", "a"), _exact(b, "window bound", "b"))
 
 
-def _window(sfc, act, a, b):
-    """action_window for a normalized, checked action and exact bounds;
+def _window(sfc, key, den, a, b):
+    """action_window for checked integer keys over den and exact bounds;
     `sfc` itself when the window keeps every generator."""
     from .spectral import SplitFilteredComplex
     cx = sfc.complex
+    lo = None if a is None else -(-a.numerator * den // a.denominator)  # ceil(a den) <= key <= floor(b den)
+    hi = None if b is None else b.numerator * den // b.denominator
     gens = [(g, k) for g, k in cx.basis.generators
-            if (a is None or a <= act[g]) and (b is None or act[g] <= b)]
+            if (lo is None or lo <= key[g]) and (hi is None or key[g] <= hi)]
     if len(gens) == len(cx.basis.generators):
         return sfc
     kept = {g for g, _ in gens}
@@ -451,10 +456,11 @@ def truncation_map(sfc, action, src_window, dst_window):
 
     Windows move upward: for [a, b] -> [a2, b2] one needs a2 >= a and
     b2 >= b (quotient away the bottom, include into the larger top).
+    Actions compare as exact integer keys, as in action_window.
     Returns a FilteredChainMap ready for map_of_spectral_sequences.
     """
-    act = _normalize_action(sfc, action)
-    _check_action_decreasing(sfc, act)
+    key, den = _normalize_action(sfc, action)
+    _check_action_decreasing(sfc, key)
     (a, b), (a2, b2) = src_window, dst_window
     fa, fb, fa2, fb2 = (_exact(x, "window bound", n) for x, n in ((a, "a"), (b, "b"), (a2, "a2"), (b2, "b2")))
     # bottoms: None = -inf; tops: None = +inf; both ends may only move up
@@ -464,8 +470,8 @@ def truncation_map(sfc, action, src_window, dst_window):
         raise PreconditionError("truncation window must not shrink at the top: b2 >= b required")
     from .spectral import FilteredChainMap
 
-    src = _window(sfc, act, fa, fb)
-    dst = _window(sfc, act, fa2, fb2)
+    src = _window(sfc, key, den, fa, fb)
+    dst = _window(sfc, key, den, fa2, fb2)
     f, blocks = sfc.complex.field, {}
     for k in set(src.complex.degrees()) | set(dst.complex.degrees()):  # selection columns: e_i or 0
         dpos = {g: i for i, g in enumerate(dst.complex.basis.gens(k))}

@@ -17,9 +17,10 @@ denominators.  Elimination over F_p and Q takes one fraction-free step
 reduced mod p over F_p and with the content divided out over Q, and
 carries the scale beside the column, so no step takes a field inverse.
 The accessors `entries`, `get` and `to_dense` are the only places that
-build Fractions.  Where structure fixes the answer nothing is computed:
-a product with an identity factor is the other factor, one with a zero
-factor is zero, and `solve` of an identity is its right-hand side, verified.
+build Fractions.  Where structure fixes the answer nothing is computed: a
+product with an identity factor is the other factor, one with a zero factor
+is zero, `solve` of an identity is its right-hand side, verified, and an
+in-place selection (every row or column, in order) is the matrix itself.
 
 One elimination.  All elimination is one left-to-right pass over the
 columns, each reduced against the earlier column owning its lowest entry
@@ -34,6 +35,7 @@ free-variables-zero solution off it.  The tower reduction of
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import eq
 
 from .errors import InvariantError
 
@@ -94,11 +96,7 @@ class Matrix:
     def from_rows(cls, field, rows, ncols=None):
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
-        ent = {}
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                ent[(i, j)] = v
-        return cls(field, len(rows), ncols, ent)
+        return cls.from_entries(field, len(rows), ncols, [(i, j, v) for i, r in enumerate(rows) for j, v in enumerate(r)])
 
     @classmethod
     def identity(cls, field, n):
@@ -110,8 +108,7 @@ class Matrix:
 
     @classmethod
     def column_vector(cls, field, values):
-        ent = {(i, 0): v for i, v in enumerate(values)}
-        return cls(field, len(values), 1, ent)
+        return cls.from_entries(field, len(values), 1, [(i, 0, v) for i, v in enumerate(values)])
 
     @classmethod
     def basis_column(cls, field, n, i):
@@ -260,9 +257,15 @@ class Matrix:
         return _matrix(self.field, self.ncols, out, self.den)
 
     def take_columns(self, cols):
+        """The columns `cols`; the matrix itself for an in-place selection, all in order."""
+        if len(cols) == self.ncols and all(map(eq, cols, range(self.ncols))):
+            return self
         return _matrix(self.field, self.nrows, [self.cols[c] for c in cols], self.den)
 
     def take_rows(self, rows):
+        """The rows `rows`; the matrix itself for an in-place selection, all in order."""
+        if len(rows) == self.nrows and all(map(eq, rows, range(self.nrows))):
+            return self
         if self.field.p != 2:
             pos = {r: k for k, r in enumerate(rows)}
             return _matrix(self.field, len(rows), [{pos[i]: v for i, v in c.items() if i in pos} for c in self.cols],
@@ -276,7 +279,8 @@ class Matrix:
         for x in self.cols:
             y = 0
             if len(runs) < x.bit_count():  # fewer shifts than bits
-                y = sum((x >> s & m) << t for s, t, m in runs)
+                for s, t, m in runs:
+                    y |= (x >> s & m) << t
                 x = 0
             while x:
                 low = x & -x

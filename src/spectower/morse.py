@@ -21,6 +21,13 @@ from .field import Q
 from .matrix import Matrix
 
 
+def _int(v, what, *names):
+    """v if it is an int; a float, a bool or a string is refused, not truncated."""
+    if type(v) is not int:
+        raise ParseError((what + " is not an integer: %r") % (*names, v))
+    return v
+
+
 class Trajectory:
     __slots__ = ("id", "src", "dst", "sign", "word")
 
@@ -39,7 +46,7 @@ class MorseData:
 
     def __init__(self, graph, points, trajectories):
         self.graph = graph
-        self.points = {str(x): int(k) for x, k in points}
+        self.points = {str(x): _int(k, "critical point %r index", str(x)) for x, k in points}
         if len(self.points) != len(list(points)):
             raise ParseError("duplicate critical point ids")
         vset = set(graph.vertices)
@@ -132,12 +139,12 @@ class CellularData:
         self.cells = {}
         order = []
         for c in cells:
-            cid, dim = str(c[0]), int(c[1])
+            cid, dim = str(c[0]), _int(c[1], "cell %r dimension", str(c[0]))
             anchor = str(c[2]) if len(c) > 2 and c[2] is not None else None
-            orient = int(c[3]) if len(c) > 3 else 1
+            orient = c[3] if len(c) > 3 else 1
             if cid in self.cells:
                 raise ParseError("duplicate cell id %r" % cid)
-            if orient not in (1, -1):
+            if type(orient) is not int or orient not in (1, -1):
                 raise ParseError("cell %r orientation must be +1 or -1" % cid)
             if graph is not None and anchor is not None and anchor not in set(graph.vertices):
                 raise ParseError("cell %r anchor %r is not a base graph vertex" % (cid, anchor))
@@ -149,7 +156,7 @@ class CellularData:
             src, dst = str(src), str(dst)
             word = tuple(word)
             self._check_pair(src, dst, word)
-            inc.append((src, dst, int(coeff), word))
+            inc.append((src, dst, _int(coeff, "incidence %r -> %r coefficient", src, dst), word))
         self.incidences = tuple(inc)
         exc = []
         for src, dst, plus, minus in exceptional:
@@ -163,7 +170,7 @@ class CellularData:
         self.exceptional = tuple(exc)
         self.filtration = None
         if filtration is not None:
-            self.filtration = {str(c): int(p) for c, p in filtration.items()}
+            self.filtration = {str(c): _int(p, "cell %r filtration label", str(c)) for c, p in filtration.items()}
             for c in self.filtration:
                 if c not in self.cells:
                     raise ParseError("filtration labels unknown cell %r" % c)

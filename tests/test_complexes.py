@@ -13,7 +13,7 @@ from spectower.errors import InvariantError
 from spectower.field import Field
 from spectower.matrix import Matrix
 
-from helpers import oracle_cohomology_dims, random_split_complex
+from helpers import oracle_cohomology_dims, random_matrix, random_split_complex, random_wide_scalar
 
 Q = Field()
 F2 = Field(2)
@@ -216,3 +216,66 @@ def test_display_shift_reporting_only():
 def test_shifted_complex():
     cx = interval().shifted(5)
     assert cx.cohomology().dims() == {5: 1}
+
+
+ALL_FIELDS = (F2, Field(3), Field(2 ** 61 - 1), Q)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+def test_from_blocks_refusals_and_cancelling_entries(field):
+    # a block of the wrong shape or field is refused with the one message
+    # naming it; blocks that land on the same entries add, over Q on the lcm
+    # of their denominators, and an entry that cancels is not stored: each d
+    # equals the dense sum of the placed blocks, and a pair M, -M leaves the
+    # complex that the other blocks alone assemble
+    inner = GradedBasis([("a", 0), ("b", 1), ("c", 1), ("e", 2)])
+    outer = [("x", 0), ("y", 1), ("z", 1), ("w", 2)]
+    with pytest.raises(ValueError, match=r"^block 'x' -> 'y' from inner degree 1 has shape \(1, 2\)$"):
+        CochainComplex.from_blocks(field, outer, inner, [("x", "y", 1, Matrix.zero(field, 1, 2))])
+    other = Field(5)
+    with pytest.raises(ValueError, match=r"^block 'x' -> 'x' from inner degree 0 has shape \(2, 1\)$"):
+        CochainComplex.from_blocks(field, outer, inner, [("x", "x", 0, Matrix.zero(other, 2, 1))])
+    deg = dict(outer)
+    rng = random.Random(2703)
+    for _ in range(20):
+        blocks = []
+        for x, kx in outer:
+            for y, ky in outer:
+                for k in inner.degrees():
+                    k2 = k + 1 + kx - ky
+                    if rng.random() < 0.5:
+                        m = random_matrix(rng, field, inner.dim(k2), inner.dim(k), 0.7, random_wide_scalar)
+                        blocks.append((x, y, k, m))
+        cancelling = [(x, y, k, s) for x, y, k, m in rng.sample(blocks, min(3, len(blocks))) for s in (m, -m)]
+        cx = CochainComplex.from_blocks(field, outer, inner, blocks + cancelling, check=False)
+        ref = CochainComplex.from_blocks(field, outer, inner, blocks, check=False)
+        dense = {}
+        for x, y, k, m in blocks:
+            k2 = k + 1 + deg[x] - deg[y]
+            for i, j, v in m.entries():
+                kk, c = cx.basis.position(x + "|" + inner.gens(k)[j])
+                _, r = cx.basis.position(y + "|" + inner.gens(k2)[i])
+                row = dense.setdefault(kk, [[field.zero] * cx.dim(kk) for _ in range(cx.dim(kk + 1))])[r]
+                row[c] = field.add(row[c], v)
+        for kk in cx.degrees():
+            d = cx.d(kk)
+            assert d == ref.d(kk)
+            assert d.to_dense() == dense.get(kk, [[field.zero] * cx.dim(kk) for _ in range(cx.dim(kk + 1))])
+            if field.p != 2:
+                assert all(v for col in d.cols for v in col.values())
+
+
+def test_chain_map_keeps_one_zero_block_per_absent_degree():
+    # block(k) of a degree with no block is built once and then returned as
+    # is; a map that does not commute is still refused, naming its degree
+    src, tgt = interval(), circle()
+    f = ChainMap(src, tgt, {0: Matrix.from_rows(Q, [[1, 1]])})
+    for k in (-1, 1, 4):
+        z = f.block(k)
+        assert z.is_zero() and z.shape == (tgt.dim(k), src.dim(k))
+        assert f.block(k) is z
+    assert f.block(-1) is not f.block(1)
+    with pytest.raises(InvariantError, match="^chain map does not commute with d in degree 0$"):
+        ChainMap(src, tgt, {0: Matrix.zero(Q, 1, 2), 1: Matrix.from_rows(Q, [[1]])})
+    with pytest.raises(InvariantError, match="^chain map does not commute with d in degree 0$"):
+        ChainMap(src, src, {0: Matrix.identity(Q, 2)})  # its absent degree 1 is the zero block

@@ -593,3 +593,36 @@ def test_float_actions_and_bounds_refused():
         action_window(sfc, action, None, 0.5)
     with pytest.raises(ParseError, match="window bound 'a2' is the float -2.5"):
         truncation_map(sfc, action, (None, None), (-2.5, None))
+
+
+def test_window_keys_keep_what_fraction_compares_keep():
+    # actions compare as integer keys over one common denominator, with the
+    # window [a, b] keeping the keys from ceil(a L) to floor(b L); on random
+    # actions with mixed denominators (ints and Fractions), and bounds on a
+    # key, between keys, off every key by a sliver, negative, int, Fraction
+    # and None, each window keeps exactly the generators a Fraction
+    # comparison keeps, in basis order; so does the target of a truncation map
+    rng = random.Random(2702)
+    for trial in range(24):
+        field = (F2, Field(3), Field(2 ** 61 - 1), Q)[trial % 4]
+        sfc = random_split_complex(rng, field, max_gens=14, max_len=3)
+        gens = sfc.complex.basis.generators
+        action = {}
+        for g, k in gens:  # |offset| <= 4, so the action drops by at least 2 along d
+            q = rng.choice([1, 2, 3, 6, 7, 10, 97, 2 ** 61 - 1])
+            off = Fraction(rng.randint(-4 * q, 4 * q), q)
+            action[g] = -10 * k + (int(off) if rng.random() < 0.3 else off)
+        values = sorted(set(action.values()))
+        bounds = [None, -1000, 1000, Fraction(-7, 3)] + values
+        bounds += [Fraction(x + y) / 2 for x, y in zip(values, values[1:])]
+        bounds += [x + s * Fraction(1, 10 ** 30) for x in values for s in (-1, 1)]
+        for _ in range(40):
+            a, b = rng.choice(bounds), rng.choice(bounds)
+            want = tuple((g, k) for g, k in gens
+                         if (a is None or a <= action[g]) and (b is None or action[g] <= b))
+            win = action_window(sfc, action, a, b)
+            assert win.complex.basis.generators == want
+            assert (win is sfc) == (len(want) == len(gens))
+        a = rng.choice(bounds[1:])
+        fmap = truncation_map(sfc, action, (None, None), (a, None))
+        assert fmap.target.complex.basis.generators == tuple((g, k) for g, k in gens if a <= action[g])

@@ -554,3 +554,30 @@ def test_a_zero_factor_is_not_multiplied(monkeypatch, field):
             assert applied == []
             assert prod == Matrix.zero(field, m, l) and prod.den == 1
             assert _exact(prod) == oracle_product(field, x.to_dense(), y.to_dense(), l)
+
+
+@pytest.mark.parametrize("field", RANK_FIELDS, ids=str)
+def test_an_in_place_selection_is_the_matrix_itself(field):
+    # selecting every row or every column in order moves nothing: take_rows,
+    # take_columns and submatrix return the very object, 0 x n and n x 0
+    # shapes included, whether the selection is a range, a list or a tuple;
+    # any reorder or proper subset is a new matrix equal to the dense oracle
+    rng = random.Random(2701)
+    for m, n in [(0, 0), (0, 4), (4, 0), (1, 1), (5, 3), (3, 7), (9, 9)]:
+        for density in (0.0, 0.4, 0.9):
+            a = random_matrix(rng, field, m, n, density, random_wide_scalar)
+            da = a.to_dense()
+            for rows, cols in [(range(m), range(n)), (list(range(m)), tuple(range(n)))]:
+                assert a.take_rows(rows) is a and a.take_columns(cols) is a and a.submatrix(rows, cols) is a
+            for _ in range(6):
+                rows = rng.sample(range(m), rng.randint(0, m))
+                cols = rng.sample(range(n), rng.randint(0, n))
+                if m and rng.random() < 0.3:  # adjacent rows shifted down: one run over F_2
+                    rows = list(range(1, m))
+                by_rows, by_cols, sub = a.take_rows(rows), a.take_columns(cols), a.submatrix(rows, cols)
+                assert (by_rows is a) == (rows == list(range(m)))
+                assert (by_cols is a) == (cols == list(range(n)))
+                assert by_rows.shape == (len(rows), n) and _exact(by_rows) == [da[i] for i in rows]
+                assert by_cols.shape == (m, len(cols)) and _exact(by_cols) == [[r[j] for j in cols] for r in da]
+                assert sub.shape == (len(rows), len(cols))
+                assert _exact(sub) == [[da[i][j] for j in cols] for i in rows]

@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import pytest
 
 from spectower.errors import InvariantError, ParseError
@@ -244,3 +247,25 @@ def test_untwisted_d2_check_within_budget():
     cd = CellularData(cells=cells, incidences=inc, graph=None)
     assert time.perf_counter() - start < 1.0
     assert len(cd.incidences) == 4 * n
+
+
+@pytest.mark.parametrize("bad", (0.9, 1.0, True, "1", Fraction(1, 2), Fraction(1)), ids=repr)
+def test_non_integer_values_are_refused_not_truncated(bad):
+    # point indices, cell dimensions, orientations, incidence coefficients and
+    # filtration labels must be ints: a float, a bool, a string or a Fraction
+    # is refused naming the point or cell, never truncated by int()
+    g, _ = circle_morse()
+    with pytest.raises(ParseError, match=r"^critical point 'm' index is not an integer: %s$" % re.escape(repr(bad))):
+        MorseData(g, [("m", bad), ("M", 1)], [])
+    cells = [("v", 0, None, 1), ("e", 1, None, 1)]
+    with pytest.raises(ParseError, match=r"^cell 'e' dimension is not an integer: %s$" % re.escape(repr(bad))):
+        CellularData(cells=[cells[0], ("e", bad, None, 1)], incidences=[])
+    with pytest.raises(ParseError, match="^cell 'e' orientation must be \\+1 or -1$"):
+        CellularData(cells=[cells[0], ("e", 1, None, bad)], incidences=[])
+    with pytest.raises(ParseError, match=r"^incidence 'v' -> 'e' coefficient is not an integer: %s$"
+                       % re.escape(repr(bad))):
+        CellularData(cells=cells, incidences=[("v", "e", bad, ())])
+    with pytest.raises(ParseError, match=r"^cell 'e' filtration label is not an integer: %s$" % re.escape(repr(bad))):
+        CellularData(cells=cells, incidences=[], filtration={"v": 0, "e": bad})
+    cd = CellularData(cells=cells, incidences=[("v", "e", 0, ())], filtration={"v": 0, "e": 1})
+    assert cd.filtration == {"v": 0, "e": 1} and cd.incidences == (("v", "e", 0, ()),)
