@@ -103,40 +103,32 @@ def cmd_pages(args):
     doc = load_document(args.file, args.field)
     tower = doc.build_tower()
     sn, sk = _doc_shifts(doc, args)
-    tsv = args.raw or args.format == "tsv"
-    lines = []
+    tsv = args.format == "tsv"
     if args.all:
         conv = tower.converge()
-        last = max(1, conv.r_stop)
-        if last > MAX_SPAN:
+        if conv.r_stop > MAX_SPAN:
             raise PreconditionError("the tower stabilizes at page %d, past the %d pages --all prints; "
-                                    "ask for one page with --page R" % (last, MAX_SPAN))
-        for r in range(1, last + 1):
-            if tsv:
-                lines += _tsv_lines(r, tower.page(r).dims(), sn, sk)
-            else:
-                lines.append("page %d" % r)
-                lines += _table(tower.page(r).dims(), sn, sk)
-                lines.append("")
-        if tsv:
-            lines += _tsv_lines(-1, conv.einf, sn, sk)
-        else:
-            lines.append("stable page: %d" % conv.r_stop)
-            lines.append("certified: %s" % ("true" if conv.certified else "false"))
-            lines.append("E_infinity")
-            lines += _table(conv.einf, sn, sk)
-            totals = conv.einf_total_dims()
-            lines.append("totals: %s" % " ".join("H^%d %d" % (k + sn + sk, d) for k, d in totals.items()))
+                                    "ask for one page with --page R" % (conv.r_stop, MAX_SPAN))
+        rs = range(1, max(1, conv.r_stop) + 1)
     else:
-        r = args.page if args.page is not None else 2
-        if r < 0:
-            raise PreconditionError("page index must be >= 0, got %d" % r)
-        page = tower.page(r)
+        rs = [args.page if args.page is not None else 2]
+        if rs[0] < 0:
+            raise PreconditionError("page index must be >= 0, got %d" % rs[0])
+    lines = []
+    for r in rs:
         if tsv:
-            lines += _tsv_lines(r, page.dims(), sn, sk)
+            lines += _tsv_lines(r, tower.page(r).dims(), sn, sk)
         else:
-            lines.append("page %d" % r)
-            lines += _table(page.dims(), sn, sk)
+            lines += ["page %d" % r] + _table(tower.page(r).dims(), sn, sk) + ([""] if args.all else [])
+    if args.all and tsv:
+        lines += _tsv_lines(-1, conv.einf, sn, sk)
+    elif args.all:
+        lines.append("stable page: %d" % conv.r_stop)
+        lines.append("certified: %s" % ("true" if conv.certified else "false"))
+        lines.append("E_infinity")
+        lines += _table(conv.einf, sn, sk)
+        totals = conv.einf_total_dims()
+        lines.append("totals: %s" % " ".join("H^%d %d" % (k + sn + sk, d) for k, d in totals.items()))
     _emit(lines)
     return 0
 
@@ -149,7 +141,7 @@ def cmd_e2(args):
     table = e2_table(doc.payload)
     sn, sk = _doc_shifts(doc, args)
     lines = []
-    if args.raw or args.format == "tsv":
+    if args.format == "tsv":
         lines += _tsv_lines(2, table.entries, sn, sk)
     else:
         lines.append("E_2 = H^p(base; H^q(fiber))")
@@ -293,8 +285,12 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, shifts=True):
+    def common(p, shifts=True, tsv=False):
         p.add_argument("--field", default=None, help="override the document field (e.g. F2, Q)")
+        if tsv:  # --raw is --format tsv; the last of the two given wins
+            p.add_argument("--format", choices=("table", "tsv"), default="table")
+            p.add_argument("--raw", dest="format", action="store_const", const="tsv",
+                           help="emit r<TAB>p<TAB>q<TAB>dim lines, as --format tsv")
         if shifts:
             p.add_argument("--shift-n", dest="shift_n", type=int, default=None,
                            help="display shift added to p")
@@ -310,16 +306,12 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--page", type=int, default=None, help="single page index r")
     p.add_argument("--all", action="store_true", help="all pages to stabilization plus the convergence report")
-    p.add_argument("--format", choices=("table", "tsv"), default="table")
-    p.add_argument("--raw", action="store_true", help="emit r<TAB>p<TAB>q<TAB>dim lines")
-    common(p)
+    common(p, tsv=True)
     p.set_defaults(func=cmd_pages)
 
     p = sub.add_parser("e2", help="E_2 table through the cohomology local system")
     p.add_argument("file")
-    p.add_argument("--format", choices=("table", "tsv"), default="table")
-    p.add_argument("--raw", action="store_true")
-    common(p)
+    common(p, tsv=True)
     p.set_defaults(func=cmd_e2)
 
     p = sub.add_parser("oracle-check", help="compare E_infinity totals with direct cohomology")

@@ -9,7 +9,7 @@ representatives.
 
 from math import lcm
 
-from .errors import InvariantError
+from .errors import InvariantError, _int
 from .matrix import Matrix, _matrix, quotient_basis
 
 JOIN = "|"  # the x|g id of a generator of a product basis
@@ -85,7 +85,7 @@ class CochainComplex:
                 )
             d[k] = m
         self._d, self._zeros = d, {}
-        self.display_shift = int(display_shift)
+        self.display_shift = _int(display_shift, "display_shift", error=ValueError)
         self._cohomology = None
         if check:
             self.check_d_squared()

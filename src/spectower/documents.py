@@ -44,8 +44,8 @@ class Document:
         k = self.kind
         if k == "cochain_complex":
             return self.payload
-        if k in ("split_filtered_complex", "filtered_complex"):
-            return self.payload.complex
+        if k in ("split_filtered_complex", "filtered_complex", "fibration_data"):
+            return self.build_tower().complex
         if k == "morse_data":
             from .localsystems import LocalSystem
             from .morse import morse_complex
@@ -56,9 +56,6 @@ class Document:
             if self.local_system is not None:
                 return cellular_complex(self.payload, self.local_system)
             return cellular_complex(self.payload, ls=None, field=self.field)
-        if k == "fibration_data":
-            from .fibration import assemble_fibration
-            return assemble_fibration(self.payload).complex
         raise PreconditionError("a %s document does not denote a cochain complex" % k)
 
     def build_tower(self):

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by the whole package.
+"""Exception hierarchy shared by the whole package, and its one integer check.
 
 The CLI maps these onto its exit-code contract: ParseError -> 2,
 InvariantError -> 3, PreconditionError -> 4.
@@ -23,3 +23,11 @@ class InvariantError(SpectowerError):
 class PreconditionError(SpectowerError):
     """An operation was called on data that violates its stated
     precondition (disconnected support, non-composable word, ...)."""
+
+
+def _int(v, what, *names, error=ParseError):
+    """v if it is an int; a float, a bool, a string or a Fraction is refused
+    with `error`, naming it, not truncated."""
+    if type(v) is not int:
+        raise error((what + " is not an integer: %r") % (*names, v))
+    return v

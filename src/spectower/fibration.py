@@ -23,24 +23,10 @@ from fractions import Fraction
 from math import lcm
 
 from .complexes import JOIN, ChainMap, CochainComplex, GradedBasis
-from .errors import InvariantError, ParseError, PreconditionError
+from .errors import InvariantError, ParseError, PreconditionError, _int
 from .localsystems import LocalSystem, free_reduce, word_inverse
 from .matrix import Matrix, _matrix
 from .morse import cellular_complex, morse_complex
-
-__all__ = [
-    "FibrationData",
-    "E2Table",
-    "LerayComparison",
-    "ComposeReport",
-    "assemble_fibration",
-    "chain_transport",
-    "e2_table",
-    "leray_serre_compare",
-    "transport_compose_check",
-    "action_window",
-    "truncation_map",
-]
 
 
 class FibrationData:
@@ -58,8 +44,8 @@ class FibrationData:
     def __init__(self, base, fiber, edge_action=None, corrections=(), shift_n=0, shift_k=0):
         self.base = base
         self.fiber = fiber
-        self.shift_n = int(shift_n)
-        self.shift_k = int(shift_k)
+        self.shift_n = _int(shift_n, "shift_n")
+        self.shift_k = _int(shift_k, "shift_k")
         for x, k in base.points.items():
             if JOIN in x:
                 raise ParseError("critical point id %r must not contain %r" % (x, JOIN))
@@ -71,7 +57,7 @@ class FibrationData:
                 raise ParseError("edge action on unknown edge %r" % eid)
             norm = {}
             for k, m in blocks.items():
-                k = int(k)
+                k = _int(k, "edge %r action degree", eid)
                 want = (fiber.dim(k), fiber.dim(k))
                 if m.shape != want or m.field != fiber.field:
                     raise ParseError("edge %r action in degree %d has shape %s, expected %s"
@@ -128,16 +114,13 @@ class FibrationData:
 
 def chain_transport(fd, word):
     """Per-degree transport of the fiber complex along an edge word."""
-    fib = fd.fiber
-    out, at = {}, None  # degree -> the product of the declared blocks so far
+    if word:
+        fd.base.graph.word_endpoints(word)
+    out = {}  # degree -> the product of the declared blocks so far
     for e, s in word:
-        a, b = fd.base.graph.step_endpoints((e, s))
-        if at is not None and a != at:
-            raise PreconditionError("transport word is not composable at edge %r" % e)
-        at = b
         for k, m in (fd.edge_action if s == 1 else fd._inverses).get(e, {}).items():
             out[k] = m * out[k] if k in out else m
-    return {k: out[k] if k in out else fd._identity(k) for k in fib.degrees()}
+    return {k: out[k] if k in out else fd._identity(k) for k in fd.fiber.degrees()}
 
 
 def assemble_fibration(fd):
@@ -183,20 +166,15 @@ class E2Table:
     """Second-page dimensions computed through the cohomology local system.
 
     entries maps raw (p, q) to a nonzero dimension; systems maps q to the
-    LocalSystem with fiber H^q(fiber) that produced column q.  Display
-    shifts relabel (p, q) as (p + shift_n, q + shift_k) in reports only.
+    LocalSystem with fiber H^q(fiber) that produced column q.  The table
+    carries no display shifts: a report shifts (p, q) by its document's.
     """
 
-    __slots__ = ("entries", "shift_n", "shift_k", "systems")
+    __slots__ = ("entries", "systems")
 
-    def __init__(self, entries, shift_n, shift_k, systems):
+    def __init__(self, entries, systems):
         self.entries = entries
-        self.shift_n = shift_n
-        self.shift_k = shift_k
         self.systems = systems
-
-    def shifted_entries(self):
-        return {(p + self.shift_n, q + self.shift_k): d for (p, q), d in sorted(self.entries.items())}
 
 
 def cohomology_local_system(fd, q):
@@ -246,7 +224,7 @@ def e2_table(fd):
             "E_2 table %s disagrees with page 2 dimensions %s: engine bug"
             % (entries, page2.dims())
         )
-    return E2Table(entries, fd.shift_n, fd.shift_k, systems)
+    return E2Table(entries, systems)
 
 
 class LerayComparison:
@@ -280,7 +258,8 @@ def leray_serre_compare(cd_total, fd, field=None):
     cd_total is CellularData for the total space with per-cell base
     indices in `filtration`; its cochain complex is untwisted over the
     fiber complex's field (or `field` if given).  Refuses with a
-    precondition error when the two total cohomologies already disagree.
+    precondition error when the two total cohomologies, the certified
+    `h_dims` of the two converged towers, disagree.
     """
     f = field if field is not None else fd.fiber.field
     if cd_total.filtration is None:
@@ -294,12 +273,11 @@ def leray_serre_compare(cd_total, fd, field=None):
         labels[g] = cd_total.filtration[cell]
     cell_tower = SplitFilteredComplex(total_cx, labels)
     fib_tower = assemble_fibration(fd)
-
-    h_cell = total_cx.cohomology().dims()
-    h_fib = fib_tower.complex.cohomology().dims()
-    if h_cell != h_fib:
+    conv_c = cell_tower.converge()
+    conv_f = fib_tower.converge()
+    if conv_c.h_dims != conv_f.h_dims:
         raise PreconditionError(
-            "total cohomology disagrees: cellular %s vs fibration %s" % (h_cell, h_fib)
+            "total cohomology disagrees: cellular %s vs fibration %s" % (conv_c.h_dims, conv_f.h_dims)
         )
 
     rmax = max(cell_tower.n, fib_tower.n) + 1
@@ -307,15 +285,13 @@ def leray_serre_compare(cd_total, fd, field=None):
     for r in range(1, rmax + 1):
         pages_c[r] = cell_tower.page(r).dims()
         pages_f[r] = fib_tower.page(r).dims()
-    conv_c = cell_tower.converge()
-    conv_f = fib_tower.converge()
     equal = (
         all(pages_c[r] == pages_f[r] for r in range(2, rmax + 1))
         and conv_c.einf == conv_f.einf
         and conv_c.certified
         and conv_f.certified
     )
-    return LerayComparison(pages_c, pages_f, conv_c.einf, conv_f.einf, h_cell,
+    return LerayComparison(pages_c, pages_f, conv_c.einf, conv_f.einf, conv_c.h_dims,
                            equal, pages_c[1] == pages_f[1])
 
 

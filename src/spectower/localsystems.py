@@ -15,24 +15,9 @@ so transporting along a word multiplies the step matrices onto the left.
 
 from collections import deque
 
-from .errors import InvariantError, ParseError, PreconditionError
+from .errors import InvariantError, ParseError, PreconditionError, _int
 from .field import Field
 from .matrix import Matrix, _is_identity
-
-__all__ = [
-    "BaseGraph",
-    "LocalSystem",
-    "LocalSubsystem",
-    "MonodromyReport",
-    "HomotopyCheck",
-    "parse_word",
-    "word_to_strings",
-    "word_inverse",
-    "free_reduce",
-    "transport",
-    "check_homotopy_invariance",
-    "extend_subsystem",
-]
 
 
 # -- edge words --------------------------------------------------------------
@@ -215,7 +200,7 @@ class LocalSystem:
     def __init__(self, graph, field, fiber_dim, transport, check=True):
         self.graph = graph
         self.field = field
-        self.fiber_dim = int(fiber_dim)
+        self.fiber_dim = _int(fiber_dim, "local system fiber_dim")
         self.transport_maps = {}
         self._inverses, ident = {}, Matrix.identity(field, self.fiber_dim)
         for eid in graph.edges:
@@ -248,14 +233,13 @@ class LocalSystem:
 
     def transport_along(self, word, start=None):
         """Ordered composition along the word (left factor traversed first)."""
-        acc, at = None, start
-        for step in word:
-            a, b = self.graph.step_endpoints(step)
-            if at is not None and a != at:
-                raise PreconditionError("word is not composable at edge %r" % step[0])
-            acc = self.step_matrix(step) if acc is None else self.step_matrix(step) * acc
-            at = b
-        return Matrix.identity(self.field, self.fiber_dim) if acc is None else acc
+        if not word:
+            return Matrix.identity(self.field, self.fiber_dim)
+        self.graph.word_endpoints(word, start)
+        acc = self.step_matrix(word[0])
+        for step in word[1:]:
+            acc = self.step_matrix(step) * acc
+        return acc
 
     def monodromy(self, loops, base):
         """Transport matrices of based loop words."""
@@ -296,7 +280,7 @@ class LocalSubsystem:
 
     def __init__(self, field, fiber_dim, carrier, generators):
         self.field = field
-        self.fiber_dim = int(fiber_dim)
+        self.fiber_dim = _int(fiber_dim, "local subsystem fiber_dim")
         self.carrier = tuple(str(c) for c in carrier)
         gens = []
         names = set()

@@ -26,10 +26,11 @@ One elimination.  All elimination is one left-to-right pass over the
 columns, each reduced against the earlier column owning its lowest entry
 (the column reduction R = D V of persistence).  A column is a pivot
 column iff it grows the span of the columns before it, which is the RREF
-pivot set.  `rank`, `pivot_columns` and the subspace helpers keep no V
-and stop at nrows pivots (`_echelon`); `kernel` and `solve` track V
-(`_tracked`), and read the canonical RREF kernel basis and
-free-variables-zero solution off it.  The tower reduction of
+pivot set.  `pivot_columns` and the subspace helpers keep no V and stop
+at nrows pivots (`_echelon`); `pivot_columns` caches its pivot set, which
+`kernel` and `solve` also fill, and `rank` is its length.  `kernel` and
+`solve` track V (`_tracked`), and read the canonical RREF kernel basis
+and free-variables-zero solution off it.  The tower reduction of
 `spectral._Reduction` is the same tracked pass, one per d^k.
 """
 
@@ -38,12 +39,6 @@ from math import gcd, lcm
 from operator import eq
 
 from .errors import InvariantError
-
-__all__ = [
-    "Matrix",
-    "span_contains",
-    "quotient_basis",
-]
 
 
 class Matrix:
@@ -294,8 +289,9 @@ class Matrix:
 
     # -- elimination ------------------------------------------------------
 
-    def _pivots(self):
-        """The columns outside the span of the columns before them: one
+    def pivot_columns(self):
+        """The RREF pivot columns, ascending, without building the RREF: the
+        columns outside the span of the columns before them, from one cached
         `_echelon` pass (over Q on the integer columns), or `kernel`'s /
         `solve`'s."""
         if self._piv is None:
@@ -303,12 +299,8 @@ class Matrix:
         return self._piv
 
     def rank(self):
-        """The number of pivot columns, from one span-growth pass."""
-        return len(self._pivots())
-
-    def pivot_columns(self):
-        """The RREF pivot columns, ascending, without building the RREF."""
-        return self._pivots()
+        """The number of pivot columns."""
+        return len(self.pivot_columns())
 
     def _column_pass(self, cols):
         """One tracked pass over the first ncols columns `cols`: (the echelon

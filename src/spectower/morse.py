@@ -16,16 +16,9 @@ orientation * (plus-transport - minus-transport).
 """
 
 from .complexes import JOIN, CochainComplex, GradedBasis
-from .errors import InvariantError, ParseError
+from .errors import InvariantError, ParseError, _int
 from .field import Q
 from .matrix import Matrix
-
-
-def _int(v, what, *names):
-    """v if it is an int; a float, a bool or a string is refused, not truncated."""
-    if type(v) is not int:
-        raise ParseError((what + " is not an integer: %r") % (*names, v))
-    return v
 
 
 class Trajectory:
@@ -46,9 +39,11 @@ class MorseData:
 
     def __init__(self, graph, points, trajectories):
         self.graph = graph
-        self.points = {str(x): _int(k, "critical point %r index", str(x)) for x, k in points}
-        if len(self.points) != len(list(points)):
-            raise ParseError("duplicate critical point ids")
+        self.points = {}
+        for x, k in points:
+            if (x := str(x)) in self.points:
+                raise ParseError("duplicate critical point id %r" % x)
+            self.points[x] = _int(k, "critical point %r index", x)
         vset = set(graph.vertices)
         for x in self.points:
             if x not in vset:

@@ -48,19 +48,8 @@ from bisect import bisect_left, bisect_right
 from operator import neg
 
 from .complexes import CochainComplex
-from .errors import InvariantError, PreconditionError
+from .errors import InvariantError, PreconditionError, _int
 from .matrix import Matrix, _apply, _divided, _echelon, _low, _matrix, _tracked, int_combine, quotient_basis
-
-__all__ = [
-    "FilteredComplex",
-    "SplitFilteredComplex",
-    "FilteredChainMap",
-    "Page",
-    "ConvergenceReport",
-    "ZigzagWitness",
-    "zigzag_class_and_d",
-    "map_of_spectral_sequences",
-]
 
 
 class Page:
@@ -332,7 +321,8 @@ class FilteredComplex:
 
     def __init__(self, complex, steps, check=True):
         self.complex = complex
-        self.steps = [{int(k): m for k, m in step.items() if m.ncols} for step in steps]
+        steps = [{_int(k, "filtration span degree", error=InvariantError): m for k, m in step.items()} for step in steps]
+        self.steps = [{k: m for k, m in step.items() if m.ncols} for step in steps]
         self.n = len(self.steps)  # filtration length: the largest p with F_p possibly nonzero
         self._copy = None  # (split copy, frame), built by `_split`
         self._red = None

@@ -466,6 +466,15 @@ def test_format_tsv_equals_raw():
     assert a == b
 
 
+def test_raw_and_format_are_one_setting_and_the_last_flag_wins():
+    # --raw is --format tsv: whichever of the two comes last decides
+    for argv in (["pages", data("hopf.json"), "--page", "2"], ["e2", data("klein_twisted.json")]):
+        tsv, table = run(argv + ["--format", "tsv"]), run(argv + ["--format", "table"])
+        assert tsv[0] == table[0] == 0 and tsv != table
+        assert run(argv + ["--format", "table", "--raw"]) == run(argv + ["--raw"]) == tsv
+        assert run(argv + ["--raw", "--format", "table"]) == table
+
+
 def test_e2_raw_output():
     code, out, _ = run(["e2", data("klein_twisted.json"), "--raw"])
     assert code == 0

@@ -1,12 +1,15 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from spectower.cli import main
 from spectower.complexes import CochainComplex, tensor_product
+from spectower.documents import Document, print_document
 from spectower.errors import InvariantError, ParseError, PreconditionError
 from spectower.field import Field
-from spectower.localsystems import BaseGraph, LocalSystem, parse_word
+from spectower.localsystems import BaseGraph, LocalSubsystem, LocalSystem, parse_word, transport
 from spectower.matrix import Matrix
 from spectower.morse import CellularData, MorseData, morse_complex
 from spectower.fibration import (
@@ -20,7 +23,7 @@ from spectower.fibration import (
     transport_compose_check,
     truncation_map,
 )
-from spectower.spectral import SplitFilteredComplex, map_of_spectral_sequences
+from spectower.spectral import FilteredComplex, SplitFilteredComplex, map_of_spectral_sequences
 
 from helpers import (
     oracle_morse_complex,
@@ -175,10 +178,13 @@ def test_e2_swap_monodromy_over_f2():
     assert t.entries == {(0, 0): 1, (1, 0): 1}
 
 
-def test_e2_shifted_display():
+def test_e2_shifted_display(tmp_path, capsys):
+    # the table holds raw (p, q); `e2` shifts it by its document's shifts
     fd = FibrationData(circle_base(), circle_fiber(), {}, shift_n=-1, shift_k=2)
-    t = e2_table(fd)
-    assert t.shifted_entries() == {(-1, 2): 1, (-1, 3): 1, (0, 2): 1, (0, 3): 1}
+    path = tmp_path / "shifted.json"
+    path.write_text(print_document(Document("fibration_data", Q, fd)))
+    assert main(["e2", str(path), "--format", "tsv"]) == 0
+    assert capsys.readouterr().out == "2\t-1\t2\t1\n2\t-1\t3\t1\n2\t0\t2\t1\n2\t0\t3\t1\n"
 
 
 def test_e2_table_reads_dims_from_ranks(monkeypatch):
@@ -257,6 +263,22 @@ def test_mismatched_models_refused():
     assert "total cohomology disagrees" in str(err.value)
 
 
+def test_leray_serre_compare_builds_no_cohomology(monkeypatch):
+    # the two total cohomologies are the certified h_dims of the converged
+    # towers, read from ranks: no cohomology basis is built, and a pair
+    # whose cohomologies disagree is still refused naming both
+    def refuse(self):
+        raise AssertionError("leray_serre_compare built a cohomology basis")
+
+    monkeypatch.setattr(CochainComplex, "cohomology", refuse)
+    assert leray_serre_compare(torus_cells(), FibrationData(circle_base(), circle_fiber(), {})).h_dims \
+        == {0: 1, 1: 2, 2: 1}
+    assert leray_serre_compare(klein_cells(), klein_fibration()).h_dims == {0: 1, 1: 1}
+    with pytest.raises(PreconditionError, match=re.escape(
+            "total cohomology disagrees: cellular {0: 1, 1: 2, 2: 1} vs fibration {0: 1, 1: 1}")):
+        leray_serre_compare(torus_cells(), klein_fibration())
+
+
 def test_unlabeled_cellular_data_refused():
     cd = CellularData(
         cells=[("v", 0, None, 1)], incidences=[], graph=None, filtration=None
@@ -285,6 +307,22 @@ def compose_fixture(action_u):
     )
     fiber = CochainComplex.from_generator_entries(Q, [("a", 0), ("b", 1)], [("a", "b", 1)])
     return FibrationData(md, fiber, action_u)
+
+
+def test_a_word_that_does_not_compose_is_refused_by_word_endpoints():
+    # transport_along, transport() and chain_transport check a word through
+    # BaseGraph.word_endpoints, whose message names the step and the vertex
+    # it should start from; an empty word with no start is the identity
+    fd = compose_fixture({})
+    ls = LocalSystem.trivial(fd.base.graph, Q, 2)
+    vu = parse_word(["v", "u"])
+    for call in (lambda: ls.transport_along(vu), lambda: transport(ls, ["v", "u"]), lambda: chain_transport(fd, vu)):
+        with pytest.raises(PreconditionError, match="^word is not composable: step u starts at 'x', expected 'z'$"):
+            call()
+    with pytest.raises(PreconditionError, match="^word is not composable: step u starts at 'x', expected 'y'$"):
+        ls.transport_along(parse_word(["u"]), "y")
+    assert ls.transport_along(()) == transport(ls, []) == Matrix.identity(Q, 2)
+    assert chain_transport(fd, ()) == {k: Matrix.identity(Q, fd.fiber.dim(k)) for k in fd.fiber.degrees()}
 
 
 def test_compose_all_identity():
@@ -626,3 +664,29 @@ def test_window_keys_keep_what_fraction_compares_keep():
         a = rng.choice(bounds[1:])
         fmap = truncation_map(sfc, action, (None, None), (a, None))
         assert fmap.target.complex.basis.generators == tuple((g, k) for g, k in gens if a <= action[g])
+
+
+@pytest.mark.parametrize("bad", (0.9, 1.0, True, "1", Fraction(1, 2), Fraction(1)), ids=repr)
+def test_library_constructors_refuse_non_integers(bad):
+    # a display shift, a degree or a fiber dimension must be an int: anything
+    # else is refused naming it, with the exception class the constructor
+    # raises for its other bad inputs, and never truncated by int()
+    base, fiber, one = circle_base(), circle_fiber(), Matrix.identity(Q, 1)
+    want = " is not an integer: %s$" % re.escape(repr(bad))
+    with pytest.raises(ParseError, match="^shift_n" + want):
+        FibrationData(base, fiber, {}, shift_n=bad)
+    with pytest.raises(ParseError, match="^shift_k" + want):
+        FibrationData(base, fiber, {}, shift_k=bad)
+    with pytest.raises(ParseError, match="^edge 'a' action degree" + want):
+        FibrationData(base, fiber, {"a": {bad: one}})
+    with pytest.raises(ValueError, match="^display_shift" + want):
+        CochainComplex.from_generator_entries(Q, [("u", 0)], [], display_shift=bad)
+    with pytest.raises(ParseError, match="^local system fiber_dim" + want):
+        LocalSystem(base.graph, Q, bad, {"a": one, "b": one})
+    with pytest.raises(ParseError, match="^local subsystem fiber_dim" + want):
+        LocalSubsystem(Q, bad, ["m"], [])
+    for span in (one, Matrix.zero(Q, 1, 0)):
+        with pytest.raises(InvariantError, match="^filtration span degree" + want):
+            FilteredComplex(fiber, [{bad: span}])
+    fd = FibrationData(base, fiber, {"a": {1: -one}}, shift_n=-1, shift_k=2)
+    assert (fd.shift_n, fd.shift_k, fd.edge_action["a"][1]) == (-1, 2, -one)

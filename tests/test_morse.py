@@ -269,3 +269,11 @@ def test_non_integer_values_are_refused_not_truncated(bad):
         CellularData(cells=cells, incidences=[], filtration={"v": 0, "e": bad})
     cd = CellularData(cells=cells, incidences=[("v", "e", 0, ())], filtration={"v": 0, "e": 1})
     assert cd.filtration == {"v": 0, "e": 1} and cd.incidences == (("v", "e", 0, ()),)
+
+
+def test_points_are_read_once_and_a_duplicate_is_named():
+    # points may be any iterable, read once; a repeated id is named
+    g, _ = circle_morse()
+    assert MorseData(g, iter([("m", 0), ("M", 1)]), []).points == {"m": 0, "M": 1}
+    with pytest.raises(ParseError, match="^duplicate critical point id 'm'$"):
+        MorseData(g, [("m", 0), ("M", 1), ("m", 0)], [])
