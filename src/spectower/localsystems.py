@@ -233,22 +233,26 @@ class LocalSystem:
 
     def transport_along(self, word, start=None):
         """Ordered composition along the word (left factor traversed first)."""
+        if word:
+            self.graph.word_endpoints(word, start)
+        return self._fold(word)
+
+    def _fold(self, word):
+        """The step matrices of a composable word multiplied in order; I for the empty word."""
         if not word:
             return Matrix.identity(self.field, self.fiber_dim)
-        self.graph.word_endpoints(word, start)
         acc = self.step_matrix(word[0])
         for step in word[1:]:
             acc = self.step_matrix(step) * acc
         return acc
 
     def monodromy(self, loops, base):
-        """Transport matrices of based loop words."""
+        """Transport matrices of based loop words, each checked by one walk."""
         out = []
         for w in loops:
-            a, b = self.graph.word_endpoints(w, base)
-            if a != base or b != base:
+            if self.graph.word_endpoints(w, base) != (base, base):
                 raise PreconditionError("loop %s is not based at %r" % (word_to_strings(w), base))
-            out.append(self.transport_along(w, base))
+            out.append(self._fold(w))
         return out
 
 

@@ -12,10 +12,13 @@ otherwise, residues in [1, p) over F_p.  Over Q the dict values are ints
 and the matrix is cols / den for one positive int `den`, with the content
 divided out (gcd(den, every value) = 1) so that equality stays
 structural.  A product over Q multiplies integer columns and the two
-denominators.  Elimination over F_p and Q takes one fraction-free step
-(Bareiss-style, `int_combine`): it combines integer columns by a*x - b*y,
-reduced mod p over F_p and with the content divided out over Q, and
-carries the scale beside the column, so no step takes a field inverse.
+denominators.  Elimination over F_p and Q takes one in-place step
+(`_step`): each pass copies the column it is given once and every step
+writes into that copy.  Over F_p a column joins an echelon basis monic,
+by one modular inverse, so a step is x - x[low]*y and touches only the
+entries of y.  Over Q a step is fraction-free, a*x - b*y with a and b
+divided by their gcd and a > 0: x is scaled only when a != 1, the content
+is divided out, and the scale is carried beside the column.
 The accessors `entries`, `get` and `to_dense` are the only places that
 build Fractions.  Where structure fixes the answer nothing is computed: a
 product with an identity factor is the other factor, one with a zero factor
@@ -214,7 +217,7 @@ class Matrix:
         if f.p == 2:
             return self
         if f.p:
-            return _matrix(f, self.nrows, [{i: v * c % f.p for i, v in x.items()} for x in self.cols])
+            return _matrix(f, self.nrows, [_scaled(f.p, x, c) for x in self.cols])
         n = c.numerator
         return _matrix(f, self.nrows, [{i: v * n for i, v in x.items()} for x in self.cols], self.den * c.denominator)
 
@@ -397,8 +400,7 @@ def _divided(field, nrows, pairs):
         den = lcm(*[d for _, d in pairs])
         return _matrix(field, nrows, [c if d == den else {i: v * (den // d) for i, v in c.items()}
                                       for c, d in pairs], den)
-    return _matrix(field, nrows, [c if d == 1 else {i: v * u % p for i, v in c.items()}
-                                  for c, d in pairs for u in (pow(d, -1, p),)])
+    return _matrix(field, nrows, [c if d == 1 else _scaled(p, c, pow(d, -1, p)) for c, d in pairs])
 
 
 def _low(col):
@@ -437,10 +439,11 @@ def _apply(f, cols, vec):
 
 def _grows(f, basis, col):
     """Reduce col against the echelon basis {pivot: column}; True, with the
-    remainder added to the basis, iff col is outside its span.  Over Q the
-    columns hold ints and only ranks matter, so remainders are kept
-    primitive instead of exact, and over F_p are scaled by units."""
-    if f.p == 2:
+    remainder added to the basis, iff col is outside its span.  Over F_p a
+    column joins the basis monic; over Q only ranks matter, so remainders
+    are kept primitive instead of exact."""
+    p = f.p
+    if p == 2:
         while col:
             low = col.bit_length() - 1
             b = basis.get(low)
@@ -449,13 +452,14 @@ def _grows(f, basis, col):
                 return True
             col ^= b
         return False
+    col = dict(col)  # the one copy the steps write into
     while col:
         low = max(col)
         b = basis.get(low)
         if b is None:
-            basis[low] = col
+            basis[low] = _scaled(p, col, pow(col[low], -1, p)) if p else col
             return True
-        col = int_combine(b[low], [col], col[low], [b], 0, f.p)[0][0]
+        _step(p, (col,), (b,), low)
     return False
 
 
@@ -474,9 +478,11 @@ def _tracked(f, basis, j, col):
     the combination of input columns it is, starting at e_j; a nonzero
     remainder joins the basis with its V.  Returns (remainder, V, V[j]).
     The pair is exact only up to a common factor, so the input columns
-    applied to V give the remainder exactly: the factor is a unit over F_p,
-    and over Q the pair stays integral and primitive.  V[j] = 1 over F_2."""
-    if f.p == 2:
+    applied to V give the remainder exactly.  Over F_p the basis keeps each
+    pair scaled so that its column is monic, and V[j] = 1 in what is
+    returned, as over F_2; over Q the pair stays integral and primitive."""
+    p = f.p
+    if p == 2:
         v = 1 << j
         while col:
             low = col.bit_length() - 1
@@ -487,54 +493,56 @@ def _tracked(f, basis, j, col):
             col ^= b[0]
             v ^= b[1]
         return col, v, 1
-    v = {j: 1}
+    col, v = dict(col), {j: 1}  # the one copy the steps write into
     while col:
         low = max(col)
         b = basis.get(low)
-        if b is None:
-            basis[low] = (col, v)
+        if b is None:  # over F_p the pair joins monic, by one inverse
+            u = p and pow(col[low], -1, p)
+            basis[low] = (_scaled(p, col, u), _scaled(p, v, u)) if p else (col, v)
             break
-        col, v = int_combine(b[0][low], [col, v], col[low], b, 0, f.p)[0]
+        _step(p, (col, v), b, low)
     return col, v, v[j]
 
 
-def int_combine(a, xs, b, ys, den=0, p=None):
-    """(a·x - b·y for each x, y of the integer dict vectors xs, ys; a·den).
+def _scaled(p, x, u):
+    """A new dict u·x over F_p."""
+    return {i: v * u % p for i, v in x.items()}
 
-    New dicts, zero entries dropped.  Over F_p (p given) everything is
-    reduced mod p and there is no content.  Over Q everything is divided
-    by its common content after a and b are divided by theirs: with den = 0
-    this makes the vectors primitive.  Either way, with a denominator
-    shared by x, it keeps x / den exact.
-    """
-    if p:
-        out = []
-        for x, y in zip(xs, ys):
-            z = {i: a * v for i, v in x.items()}
-            for i, v in y.items():
-                z[i] = z.get(i, 0) - b * v
-            out.append({i: v % p for i, v in z.items() if v % p})
-        return out, a * den % p
-    g = gcd(a, b)
-    if g != 1:
-        a //= g
-        b //= g
-    c = den = a * den
-    out = []
+
+def _step(p, xs, ys, low, den=0):
+    """Clear entry `low` of xs[0] with ys[0], in place: each dict x of xs
+    becomes a·x - b·y for its y of ys, and a·den is returned.  Over F_p
+    ys[0][low] is 1, so a = 1 and the step touches only the entries of the
+    y's.  Over Q a and b are divided by their gcd and a > 0, so x is scaled
+    only when a != 1; then the x's and den are divided by their common
+    content (with den = 0 this makes the x's primitive, and with den = 1
+    there is none), which keeps each x / den exact."""
+    b = xs[0][low]
+    a = 1 if p else ys[0][low]
+    if a != 1:
+        g = gcd(a, b) if a > 0 else -gcd(a, b)
+        a, b = a // g, b // g
     for x, y in zip(xs, ys):
-        z = {i: a * v for i, v in x.items()} if a != 1 else dict(x)
-        for i, v in y.items():
-            v = z.get(i, 0) - b * v
-            if v:
-                z[i] = v
+        if a != 1:
+            for i, v in x.items():
+                x[i] = a * v
+        for i, v in y.items():  # v is never 0 where x has no entry i
+            if v := (x.get(i, 0) - b * v) % p if p else x.get(i, 0) - b * v:
+                x[i] = v
             else:
-                del z[i]
-        c = gcd(c, *z.values())
-        out.append(z)
+                del x[i]
+    if p or (den := a * den) == 1:
+        return den
+    c = den
+    for x in xs:
+        c = gcd(c, *x.values())
     if c > 1:
-        out = [{i: v // c for i, v in z.items()} for z in out]
         den //= c
-    return out, den
+        for x in xs:
+            for i, v in x.items():
+                x[i] = v // c
+    return den
 
 
 # -- subspace helpers -------------------------------------------------------

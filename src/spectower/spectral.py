@@ -33,10 +33,11 @@ order where that is the profile's.  The subquotient
 E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2}),
 Z_r^{p,q} = {x in F_p C^{p+q} : dx in F_{p+r}}, is the test oracle.
 
-A map of towers costs the generators, not the pages: one back
-substitution per page-0 column gives its W coordinates and the largest r
-with the column in Z_r, and page r selects from those; d_r matches pairs
-with coefficient 1, so each square against d_r moves rows and columns.
+A map of towers costs the generators, not the pages: the image of each
+source W column takes one back substitution in the target, which gives
+its W coordinates and the largest r with it in Z_r, and page r selects
+from those; d_r matches pairs with coefficient 1, so each square against
+d_r moves rows and columns.
 
 Entry representatives are ambient vectors in C^{p+q}, which makes the
 zig-zag cross-check direct linear algebra.  Pages stabilize at the last
@@ -45,11 +46,12 @@ and `page(r)` for any larger r is E_inf.
 """
 
 from bisect import bisect_left, bisect_right
+from math import inf
 from operator import neg
 
 from .complexes import CochainComplex
 from .errors import InvariantError, PreconditionError, _int
-from .matrix import Matrix, _apply, _divided, _echelon, _low, _matrix, _tracked, int_combine, quotient_basis
+from .matrix import Matrix, _apply, _bits, _divided, _echelon, _low, _matrix, _scaled, _step, _tracked, quotient_basis
 
 
 class Page:
@@ -174,7 +176,8 @@ class _Reduction:
     columns D' of d, D = D'/δ (δ = 1 over F_2 and F_p): it keeps D' V' = R'
     exactly, checked column by column, so V_j = V'_j / V'_j[j] and
     R_j = R'_j / (δ V'_j[j]).  A W column is kept as such a pair (column,
-    denominator); the denominator is 1 over F_2.
+    denominator); the denominator is 1 over F_2, and over F_p the column is
+    monic (1 at its lowest entry) for the steps of `class_of`.
     `frame[k]` = (T, T^-1) takes split coordinates of C^k to ambient ones.
     """
 
@@ -209,48 +212,58 @@ class _Reduction:
                 gap = self.block[k + 1][low] - self.block[k][j]
                 self.mate[(k, j)] = (k + 1, low, gap)
                 self.mate[(k + 1, low)] = (k, j, gap)
-                self.w[(k + 1, low)] = (col, delta * vj)
+                if f.p in (2, None):
+                    self.w[(k + 1, low)] = (col, delta * vj)
+                else:  # W = col / (δ v[j]) with its column monic; a birth's v is 1 at j already
+                    u = pow(col[low], -1, f.p)
+                    self.w[(k + 1, low)] = (_scaled(f.p, col, u), delta * vj * u % f.p)
 
     def class_of(self, p, q, vec):
         """(W coordinates, bounds) of the columns of an ambient vec over C^{p+q}.
 
-        Back substitution writes each column in the W basis (W_i is lowest
-        at i), in index coordinates: one walk, the same for every r.  A
-        column lies in Z_r^{p,q} iff it avoids blocks < p and each birth end
-        the walk meets has its partner in block >= p+r, so its bound, the
-        largest such r, is -1 if the walk meets a block < p (and stops
-        there), None if it meets no birth end, and else the least
-        block + gap - p over the birth ends it meets.  Modulo B_r only the
-        ids of page r remain.  It runs fraction-free over F_p and Q: the
-        column and its coordinates x stay integral over one denominator, as
-        in `_reduce`.
+        Back substitution (`_walk`) writes each column in the W basis, in
+        index coordinates: one walk, the same for every r.  Modulo B_r only
+        the ids of page r remain.
         """
-        k, f = p + q, self.field
+        k = p + q
         order = self.order.get(k, ())
         if vec.nrows != len(order):
             raise ValueError("class_of: %d rows, expected dim C^%d" % (vec.nrows, k))
         if k in self.frame:
             vec = self.frame[k][1] * vec
-        coords, bounds = [], []
-        for col in vec.take_rows(order).cols:
-            x, den, bound = 0 if self.f2 else {}, vec.den, None
-            while col:
-                low = _low(col)
-                if self.block[k][low] < p:
-                    bound = -1
-                    break
-                w, dw = self.w[(k, low)]
-                if self.f2:
-                    col, x = col ^ w, x | 1 << low
-                else:  # col / den less (col[low] dw / den w[low]) W, W = w / dw
-                    (col, x), den = int_combine(w[low], [col, x], col[low], [w, {low: -dw}], den, f.p)
-                mate = self.mate.get((k, low))
-                if mate and mate[0] > k:  # a birth end, in Z_r while its partner's block is >= p+r
-                    b = self.block[k][low] + mate[2] - p
-                    bound = b if bound is None else min(bound, b)
-            coords.append((x, den))
-            bounds.append(bound)
-        return _divided(f, len(order), coords), bounds
+        walks = [self._walk(p, k, col, vec.den) for col in vec.take_rows(order).cols]
+        return _divided(self.field, len(order), [(x, den) for x, den, _ in walks]), [b for _, _, b in walks]
+
+    def _walk(self, p, k, col, den):
+        """(x, den, bound) of the column col / den over C^k in index
+        coordinates: col / den = x / den in the W basis (W_i is lowest at i).
+
+        The column lies in Z_r^{p,q} iff it avoids blocks < p and each birth
+        end the walk meets has its partner in block >= p+r, so its bound,
+        the largest such r, is -1 if the walk meets a block < p (and stops
+        there), None if it meets no birth end, and else the least
+        block + gap - p over the birth ends it meets.  Over F_p and Q it
+        runs on one copy of the integer column, which each step writes
+        into: over F_p W is monic, and over Q the column and x stay
+        integral over one denominator, as in `_reduce`.
+        """
+        x, bound, f2 = 0 if self.f2 else {}, None, self.f2
+        col = col if f2 else dict(col)
+        while col:
+            low = _low(col)
+            if self.block[k][low] < p:
+                bound = -1
+                break
+            w, dw = self.w[(k, low)]
+            if f2:
+                col, x = col ^ w, x | 1 << low
+            else:  # col / den less (col[low] dw / (den w[low])) W, W = w / dw
+                den = _step(self.field.p, (col, x), (w, {low: -dw}), low, den)
+            mate = self.mate.get((k, low))
+            if mate and mate[0] > k:  # a birth end, in Z_r while its partner's block is >= p+r
+                b = self.block[k][low] + mate[2] - p
+                bound = b if bound is None else min(bound, b)
+        return x, den, bound
 
     def _cell(self, k, i):
         return (b := self.block[k][i]), k - b
@@ -587,54 +600,75 @@ class FilteredChainMap:
         copies one pass over the entries of g_k = T_tgt^-1 f_k T_src finds
         it, a factor only on a side that has a frame: an entry from block b
         into block c < b first fails at p = c + 1."""
-        (src, sframe), (tgt, tframe) = self.source._split(), self.target._split()
+        src, tgt = self.source._split()[0], self.target._split()[0]
         bad = []
         for k in self.chain_map.source.degrees():
-            g = self.chain_map.block(k)
-            g = tframe[k][1] * g if k in tframe else g
-            g = g * sframe[k][0] if k in sframe else g
+            g = self._split_block(k)
             b, c = ([x.blocks[gen] for gen in x.complex.basis.gens(k)] for x in (src, tgt))
             bad += [(c[i] + 1, k) for i, j in g.support() if c[i] < b[j]]
         if bad:
             raise PreconditionError("chain map does not preserve the filtration at (p=%d, k=%d)" % min(bad))
 
+    def _split_block(self, k):
+        """f_k between the split copies, T_tgt^-1 f_k T_src, a factor only on a side that has a frame."""
+        sframe, tframe = self.source._split()[1], self.target._split()[1]
+        g = self.chain_map.block(k)
+        g = tframe[k][1] * g if k in tframe else g
+        return g * sframe[k][0] if k in sframe else g
 
-def _moved(col, pairs):
-    """The column with its row b moved to row a for each (a, b) of pairs,
-    distinct a's, and its other rows dropped."""
+
+def _moved(col, moves):
+    """The column with each row b of `moves` moved to row moves[b], distinct
+    targets, and its other rows dropped."""
     if type(col) is int:
-        return sum((col >> b & 1) << a for a, b in pairs)
-    return {a: col[b] for a, b in pairs if b in col}
+        return sum(1 << moves[b] for b in _bits(col) if b in moves)
+    return {moves[b]: v for b, v in col.items() if b in moves}
 
 
 def map_of_spectral_sequences(fmap):
     """Per-page, per-cell matrices induced by a filtration-preserving map.
 
     Returns {r: {(p, q): Matrix}} for r = 0 .. max(n_src, n_tgt) + 1.  Each
-    page-0 source cell costs one product f·reps and one walk per column
-    (`_Reduction.class_of`), and level r restricts that one computation:
-    its columns are the source ids alive on page r and its rows the target
-    ids alive there.  A selected column whose bound is below r has escaped
-    the target page.  d_r matches each gap-r birth end to its death end
-    with coefficient 1, so d_r^tgt o m moves rows of m and m' o d_r^src
-    places columns of m' (m' the matrix at the cell d_r lands in): every
-    square is checked on those, at every level.
+    source generator costs one walk (`_Reduction._walk`) of the image of its
+    W pair (column, denominator), taken in index coordinates through f_k
+    between the split copies, permuted once per degree.  Level r restricts
+    that one computation: its columns are the source ids alive on page r
+    and its rows the target ids alive there, picked in one pass.  A
+    selected column whose bound is below r has escaped the target page; a
+    cell whose ids have not moved since the last level keeps its matrix.
+    d_r matches each gap-r birth end to its death end with coefficient 1,
+    so d_r^tgt o m moves rows of m and m' o d_r^src places columns of m'
+    (m' the matrix at the cell d_r lands in): every square is checked on
+    those, at every level.
     """
-    f, src, tgt = fmap.chain_map, fmap.source, fmap.target
-    s0, red, zero = src.page(0), tgt.page(0)._red, 0 if f.source.field.p == 2 else {}
-    walked = {c: (s0._cell_ids(c),) + red.class_of(*c, f.block(c[0] + c[1]) * s0.reps(*c)) for c in s0.cells()}
-    out = {}
+    src, tgt, fld = fmap.source, fmap.target, fmap.chain_map.source.field
+    s0, tred, zero = src.page(0), tgt.page(0)._red, 0 if fld.p == 2 else {}
+    gs, walked = {}, {}  # walked: (k, i) -> (x, den, bound), source W_i carried into the target and walked there
+    for p, q in s0.cells():
+        k = p + q
+        if k not in gs:  # f_k in index coordinates on both sides
+            gs[k] = fmap._split_block(k).take_columns(s0._red.order[k]).take_rows(tred.order.get(k, ()))
+        g = gs[k]
+        for i in s0._cell_ids((p, q)):
+            w, dw = s0._red.w[(k, i)]
+            walked[(k, i)] = tred._walk(p, k, _apply(fld, g.cols, w), g.den * dw)
+    out, last = {}, {}  # last: cell -> (source ids, target ids, least bound, matrix), as last picked
     for r in range(max(src.n, tgt.n) + 2):
         ps, pt, level = src.page(r), tgt.page(r), {}
         for (p, q) in ps.cells():
-            ids, coords, bounds = walked[(p, q)]
-            cols, rows = [bisect_left(ids, i) for i in ps._cell_ids((p, q))], pt._cell_ids((p, q))
-            if any(bounds[n] is not None and bounds[n] < r for n in cols):
+            ids = ps._cell_ids((p, q)), pt._cell_ids((p, q))
+            held = last.get((p, q))
+            if held is None or held[:2] != ids:  # the ids moved: pick the columns and rows again, in one pass
+                cols, rows = [walked[(p + q, i)] for i in ids[0]], {i: n for n, i in enumerate(ids[1])}
+                bound = min([b for _, _, b in cols if b is not None], default=inf)
+                m = _divided(fld, len(rows), [(_moved(x, rows), den) for x, den, _ in cols])
+                held = last[(p, q)] = ids + (bound, m)
+            if held[2] < r:
                 raise InvariantError("induced map escaped the target page at r=%d, (p=%d, q=%d)" % (r, p, q))
-            level[(p, q)] = coords.take_columns(cols).take_rows(rows)
+            level[(p, q)] = held[3]
         smatch, tmatch = ps._matching(), pt._matching()
         for (p, q), m in level.items():
-            rows, cols = tmatch.get((p, q), ()), smatch.get((p, q), ())
+            rows, cols = {b: a for a, b in tmatch.get((p, q), ())}, smatch.get((p, q), ())
             if not rows and not cols:  # d_r is zero out of the cell on both sides
                 continue
             nrows, after = pt.dim(p + r, q - r + 1), level.get((p + r, q - r + 1))

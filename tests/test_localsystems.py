@@ -73,6 +73,23 @@ def test_transport_not_composable():
     assert transport(ls, ["e", "~f"]) == Matrix.identity(Q, 1)
 
 
+def test_monodromy_walks_each_loop_once(monkeypatch):
+    # one word_endpoints walk per loop gives both its basedness and the
+    # steps to fold; an unbased loop is refused with its own message
+    g = BaseGraph(["v", "w"], [("a", "v", "v"), ("b", "v", "w"), ("c", "w", "v")])
+    ls = LocalSystem(g, Q, 1, {"a": Matrix.from_rows(Q, [[2]]), "b": Matrix.from_rows(Q, [[3]]),
+                               "c": Matrix.from_rows(Q, [[5]])})
+    walks, endpoints = [], g.word_endpoints
+    monkeypatch.setattr(g, "word_endpoints", lambda word, start=None: walks.append(word) or endpoints(word, start))
+    loops = [parse_word(["a"]), parse_word(["b", "c", "a"]), ()]
+    assert ls.monodromy(loops, "v") == [Matrix.from_rows(Q, [[n]]) for n in (2, 30, 1)]
+    assert walks == loops
+    walks.clear()
+    with pytest.raises(PreconditionError, match=r"^loop \['b'\] is not based at 'v'$"):
+        ls.monodromy([parse_word(["b"])], "v")
+    assert walks == [parse_word(["b"])]
+
+
 def test_groupoid_law_random_words():
     rng = random.Random(6)
     g = torus_graph()

@@ -241,6 +241,7 @@ def test_matrix_is_immutable_value():
         assert m * m.inverse() == Matrix.identity(field, 2)
         # elimination never writes into the columns it is given: dense square
         # matrices, some singular, and right-hand sides in and out of the span
+        # (test_specseq.py takes the same snapshot of a tower's columns)
         rng = random.Random(2330)
         for _ in range(30):
             n = rng.randint(1, 6)
