@@ -22,9 +22,9 @@ _EXPORTS = {
                   "assemble_fibration", "chain_transport", "e2_table", "leray_serre_compare",
                   "transport_compose_check", "truncation_map"),
     "field": ("Field", "parse_field"),
-    "localsystems": ("BaseGraph", "HomotopyCheck", "LocalSubsystem", "LocalSystem", "MonodromyReport",
-                     "check_homotopy_invariance", "extend_subsystem", "parse_word", "transport"),
-    "matrix": ("Matrix", "quotient_basis", "span_contains"),
+    "localsystems": ("BaseGraph", "LocalSubsystem", "LocalSystem", "MonodromyReport", "check_homotopy_invariance",
+                     "extend_subsystem", "parse_word"),
+    "matrix": ("Matrix", "quotient_basis"),
     "morse": ("CellularData", "MorseData", "Trajectory", "cellular_complex", "morse_complex"),
     "spectral": ("ConvergenceReport", "FilteredChainMap", "FilteredComplex", "Page", "SplitFilteredComplex",
                  "ZigzagWitness", "map_of_spectral_sequences", "zigzag_class_and_d"),

@@ -207,8 +207,10 @@ def cmd_compare_ls(args):
         raise PreconditionError("compare-ls needs a cellular_data document first")
     if fib_doc.kind != "fibration_data":
         raise PreconditionError("compare-ls needs a fibration_data document second")
+    if cell_doc.field != fib_doc.field:
+        raise PreconditionError("compare-ls documents must share a field")
     from .fibration import leray_serre_compare
-    cmp = leray_serre_compare(cell_doc.payload, fib_doc.payload, field=cell_doc.field)
+    cmp = leray_serre_compare(cell_doc.payload, fib_doc.payload)
     lines = []
     for r in sorted(cmp.pages_cellular):
         same = cmp.pages_cellular[r] == cmp.pages_fibration[r]

@@ -77,15 +77,15 @@ class CochainComplex:
             if m.is_zero():
                 continue
             if m.field != field:
-                raise ValueError("differential block in degree %d has wrong field" % k)
+                raise InvariantError("differential block in degree %d has wrong field" % k)
             want = (basis.dim(k + 1), basis.dim(k))
             if m.shape != want:
-                raise ValueError(
+                raise InvariantError(
                     "differential block in degree %d has shape %s, expected %s" % (k, m.shape, want)
                 )
             d[k] = m
         self._d, self._zeros = d, {}
-        self.display_shift = _int(display_shift, "display_shift", error=ValueError)
+        self.display_shift = _int(display_shift, "display_shift")
         self._cohomology = None
         if check:
             self.check_d_squared()

@@ -84,11 +84,6 @@ class FibrationData:
         self.corrections = tuple(corr)
         self._assembled = None
 
-    def action_matrix(self, eid, k, sign=1):
-        """The action of edge eid in fiber degree k, or its inverse for sign -1."""
-        m = (self.edge_action if sign == 1 else self._inverses).get(eid, {}).get(k)
-        return m if m is not None else self._identity(k)
-
     def _identity(self, k):
         """The one identity of fiber degree k, built on first use."""
         return self._ident.get(k) or self._ident.setdefault(k, Matrix.identity(self.fiber.field, self.fiber.dim(k)))
@@ -97,14 +92,14 @@ class FibrationData:
         fib = self.fiber
         self._inverses = {}
         for eid in self.base.graph.edges:
-            inv = self._inverses[eid] = {}
-            for k, m in self.edge_action.get(eid, {}).items():
+            act, inv = self.edge_action.get(eid, {}), self._inverses.setdefault(eid, {})
+            for k, m in act.items():
                 inv[k] = m.solve(self._identity(k))
                 if inv[k] is None:
                     raise InvariantError("edge %r action in degree %d is not invertible" % (eid, k))
             for k in [k for k in sorted(fib._d) if k in inv or k + 1 in inv]:  # elsewhere both sides are 0, or both d^k
-                lhs = self.action_matrix(eid, k + 1) * fib.d(k)
-                rhs = fib.d(k) * self.action_matrix(eid, k)
+                lhs = (act.get(k + 1) or self._identity(k + 1)) * fib.d(k)
+                rhs = fib.d(k) * (act.get(k) or self._identity(k))
                 if lhs != rhs:
                     raise InvariantError(
                         "edge %r action does not commute with the fiber differential in degree %d"
@@ -252,20 +247,19 @@ class LerayComparison:
         return self.equal
 
 
-def leray_serre_compare(cd_total, fd, field=None):
+def leray_serre_compare(cd_total, fd):
     """Compare the skeleton-filtered cellular tower with the assembled one.
 
     cd_total is CellularData for the total space with per-cell base
     indices in `filtration`; its cochain complex is untwisted over the
-    fiber complex's field (or `field` if given).  Refuses with a
-    precondition error when the two total cohomologies, the certified
-    `h_dims` of the two converged towers, disagree.
+    fiber complex's field.  Refuses with a precondition error when the
+    two total cohomologies, the certified `h_dims` of the two converged
+    towers, disagree.
     """
-    f = field if field is not None else fd.fiber.field
     if cd_total.filtration is None:
         raise PreconditionError("total-space cellular data carries no filtration labels")
     from .spectral import SplitFilteredComplex
-    total_cx = cellular_complex(cd_total, ls=None, field=f)
+    total_cx = cellular_complex(cd_total, ls=None, field=fd.fiber.field)
     labels = {}
     for (g, _), cell in zip(total_cx.basis.generators, cd_total.order):  # one generator per cell
         if cell not in cd_total.filtration:

@@ -76,11 +76,7 @@ class BaseGraph:
             if src not in vset or dst not in vset:
                 raise ParseError("edge %r has unknown endpoint" % eid)
             self.edges[eid] = (src, dst)
-        rels = []
-        for w in relations:
-            t = tuple(w)
-            rels.append(t if _is_word(t) else parse_word(w))
-        self.relations = tuple(rels)
+        self.relations = tuple(parse_word(w) for w in relations)
         for w in self.relations:
             a, b = self.word_endpoints(w)
             if a != b:
@@ -165,26 +161,7 @@ def _search(root, start, steps):
     return found
 
 
-def _is_word(w):
-    return isinstance(w, tuple) and all(
-        isinstance(s, tuple) and len(s) == 2 and s[1] in (1, -1) for s in w
-    )
-
-
 # -- local systems ------------------------------------------------------------
-
-
-class HomotopyCheck:
-    """Outcome of a homotopy-invariance scan: ok flag + failing word."""
-
-    __slots__ = ("ok", "word")
-
-    def __init__(self, ok, word=None):
-        self.ok = ok
-        self.word = word
-
-    def __bool__(self):
-        return self.ok
 
 
 class LocalSystem:
@@ -215,12 +192,8 @@ class LocalSystem:
                 raise InvariantError("transport for edge %r is not invertible" % eid)
         if set(transport) - set(graph.edges):
             raise ParseError("transport given for unknown edges %s" % sorted(set(transport) - set(graph.edges)))
-        if check:
-            res = check_homotopy_invariance(self)
-            if not res.ok:
-                raise InvariantError(
-                    "relation word %s does not transport to the identity" % word_to_strings(res.word)
-                )
+        if check and (word := check_homotopy_invariance(self)) is not None:
+            raise InvariantError("relation word %s does not transport to the identity" % word_to_strings(word))
 
     @classmethod
     def trivial(cls, graph, field, fiber_dim=1):
@@ -256,19 +229,9 @@ class LocalSystem:
         return out
 
 
-def transport(ls, word, start=None):
-    """Parallel transport along an edge word (module-level convenience)."""
-    if not _is_word(tuple(word)):
-        word = parse_word(word)
-    return ls.transport_along(tuple(word), start)
-
-
 def check_homotopy_invariance(ls):
-    """True iff every declared relation transports to the identity."""
-    for w in ls.graph.relations:
-        if not _is_identity(ls.transport_along(w)):
-            return HomotopyCheck(False, w)
-    return HomotopyCheck(True)
+    """The first declared relation word that does not transport to the identity, or None."""
+    return next((w for w in ls.graph.relations if not _is_identity(ls.transport_along(w))), None)
 
 
 # -- local subsystems and extension -------------------------------------------

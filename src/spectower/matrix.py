@@ -105,25 +105,13 @@ class Matrix:
         return _matrix(field, nrows, [0 if field.p == 2 else {} for _ in range(ncols)])
 
     @classmethod
-    def column_vector(cls, field, values):
-        return cls.from_entries(field, len(values), 1, [(i, 0, v) for i, v in enumerate(values)])
-
-    @classmethod
-    def basis_column(cls, field, n, i):
-        return cls(field, n, 1, {(i, 0): field.one})
-
-    @classmethod
     def hstack(cls, field, nrows, mats):
         """The matrices side by side; over Q on the lcm of their denominators,
         which leaves no common content."""
         for m in mats:
             if m.nrows != nrows or m.field != field:
                 raise ValueError("hstack shape/field mismatch")
-        den, cols = lcm(*[m.den for m in mats]), []
-        for m in mats:
-            s = den // m.den
-            cols += m.cols if s == 1 else [{i: s * v for i, v in c.items()} for c in m.cols]
-        return _matrix(field, nrows, cols, den)
+        return _divided(field, nrows, [(c, m.den) for m in mats for c in m.cols])
 
     # -- basic structure -------------------------------------------------
 
@@ -546,15 +534,6 @@ def _step(p, xs, ys, low, den=0):
 
 
 # -- subspace helpers -------------------------------------------------------
-
-
-def span_contains(big, small):
-    """True iff every column of `small` lies in the column span of `big`:
-    one pivot pass over [big | small] finds no pivot among small's columns."""
-    if big.nrows != small.nrows or big.field != small.field:
-        raise ValueError("span_contains: shape/field mismatch")
-    pivots = Matrix.hstack(big.field, big.nrows, [big, small]).pivot_columns()
-    return not pivots or pivots[-1] < big.ncols
 
 
 def quotient_basis(z, b):

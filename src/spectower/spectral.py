@@ -93,8 +93,9 @@ class Page:
         m = self._reps.get((p, q))
         if m is None:
             red, k = self._red, p + q
+            moves = dict(enumerate(red.order.get(k, ())))  # index coordinates -> positions in C^k
             ws = [red.w[(k, i)] for i in self._cell_ids((p, q))]
-            m = _divided(self.field, len(red.index.get(k, ())), ws).take_rows(red.index.get(k, ()))
+            m = _divided(self.field, len(moves), [(_moved(w, moves), dw) for w, dw in ws])
             m = self._reps[(p, q)] = red.frame[k][0] * m if k in red.frame else m
         return m
 
@@ -127,13 +128,22 @@ class Page:
         """Coordinates of an ambient Z_r^{p,q} element in this cell's basis.
 
         Accepts a column Matrix (or several columns) over C^{p+q}; returns
-        None when a column is not in Z_r^{p,q} at all: when its bound from
-        the one walk `_Reduction.class_of` is below r.
+        None when a column is not in Z_r^{p,q} at all.  Back substitution
+        (`_Reduction._walk`) writes each column in the W basis, in index
+        coordinates: one walk, the same for every r, whose bound below r
+        puts the column outside Z_r.  Modulo B_r only the ids of page r
+        remain.
         """
-        coords, bounds = self._red.class_of(p, q, vec)
-        if any(b is not None and b < self.r for b in bounds):
+        red, k = self._red, p + q
+        order = red.order.get(k, ())
+        if vec.nrows != len(order):
+            raise ValueError("class_of: %d rows, expected dim C^%d" % (vec.nrows, k))
+        if k in red.frame:
+            vec = red.frame[k][1] * vec
+        walks = [red._walk(p, k, col, vec.den) for col in vec.take_rows(order).cols]
+        if any(b is not None and b < self.r for _, _, b in walks):
             return None
-        return coords.take_rows(self._cell_ids((p, q)))
+        return _divided(self.field, len(order), [(x, den) for x, den, _ in walks]).take_rows(self._cell_ids((p, q)))
 
 
 class ConvergenceReport:
@@ -170,7 +180,7 @@ class _Reduction:
     it on the pairs; the pages over it build cell ids and d_r on first read.
 
     Generators of C^k are indexed in block-descending order (`order[k]`
-    lists their positions, `index[k]` the inverse), so F_p C^k is a prefix.
+    lists their positions), so F_p C^k is a prefix.
     Columns in index coordinates are int bitmasks over F_2, {index: value}
     dicts otherwise.  The reduction is one `_tracked` pass over the integer
     columns D' of d, D = D'/δ (δ = 1 over F_2 and F_p): it keeps D' V' = R'
@@ -186,10 +196,9 @@ class _Reduction:
         self.field = cx.field
         self.f2 = cx.field.p == 2
         self.frame = frame or {}
-        self.order, self.index, self.block = {}, {}, {}
+        self.order, self.block = {}, {}
         for k in cx.degrees():
             self.order[k], self.block[k] = sfc.order[k]
-            self.index[k] = sorted(range(len(self.order[k])), key=self.order[k].__getitem__)
         self.w = {}  # (k, i) -> W column over C^k
         self.mate = {}  # (k, i) -> (k +- 1, j, gap): the other end of its pair
         for k in cx.degrees():
@@ -217,22 +226,6 @@ class _Reduction:
                 else:  # W = col / (δ v[j]) with its column monic; a birth's v is 1 at j already
                     u = pow(col[low], -1, f.p)
                     self.w[(k + 1, low)] = (_scaled(f.p, col, u), delta * vj * u % f.p)
-
-    def class_of(self, p, q, vec):
-        """(W coordinates, bounds) of the columns of an ambient vec over C^{p+q}.
-
-        Back substitution (`_walk`) writes each column in the W basis, in
-        index coordinates: one walk, the same for every r.  Modulo B_r only
-        the ids of page r remain.
-        """
-        k = p + q
-        order = self.order.get(k, ())
-        if vec.nrows != len(order):
-            raise ValueError("class_of: %d rows, expected dim C^%d" % (vec.nrows, k))
-        if k in self.frame:
-            vec = self.frame[k][1] * vec
-        walks = [self._walk(p, k, col, vec.den) for col in vec.take_rows(order).cols]
-        return _divided(self.field, len(order), [(x, den) for x, den, _ in walks]), [b for _, _, b in walks]
 
     def _walk(self, p, k, col, den):
         """(x, den, bound) of the column col / den over C^k in index
@@ -402,15 +395,12 @@ class FilteredComplex:
             self._copy = (split, frame)
         return self._copy
 
-    def _reduction(self):
-        return _Reduction(*self._split())
-
     def page(self, r):
         """The page E_r with differentials; E_inf from the last breakpoint on."""
         if r < 0:
             raise ValueError("page index must be >= 0")
         if self._red is None:
-            self._red = self._reduction()
+            self._red = _Reduction(*self._split())
         return self._red.page(r)
 
     def converge(self):
@@ -479,9 +469,6 @@ class SplitFilteredComplex(FilteredComplex):
                 i, j = min((i, j) for i, j in cx.d(k).support() if self.blocks[dst[i]] < self.blocks[src[j]])
                 raise InvariantError("differential entry %r -> %r lowers the block index by %d"
                                      % (src[j], dst[i], self.blocks[src[j]] - self.blocks[dst[i]]))
-
-    def block_of(self, gid):
-        return self.blocks[gid]
 
     def sorted_rows(self, k):
         """d^k with its rows in order[k + 1]: permuted once, for whichever

@@ -85,8 +85,8 @@ def _check_instance(sfc, rng):
         k = rng.choice(degrees)
         gens = cx.basis.gens(k)
         i = rng.randrange(len(gens))
-        p = sfc.block_of(gens[i])
-        alpha = Matrix.basis_column(cx.field, cx.dim(k), i)
+        p = sfc.blocks[gens[i]]
+        alpha = Matrix.from_entries(cx.field, cx.dim(k), 1, [(i, 0, 1)])
         for r in range(1, sfc.n + 2):
             zz = zigzag_class_and_d(sfc, r, k, alpha)
             t = filt.span(p + 1, k)
@@ -215,12 +215,12 @@ def test_acceptance_5_torus_and_klein_towers():
     for field in (Field(), Field(2)):
         fiber = CochainComplex.from_generator_entries(field, [("u", 0), ("w", 1)], [])
         torus = FibrationData(circle_base(), fiber, {})
-        cmp_t = leray_serre_compare(cells(False), torus, field=field)
+        cmp_t = leray_serre_compare(cells(False), torus)
         assert cmp_t.equal and cmp_t.r1_equal
         klein = FibrationData(
             circle_base(), fiber, {"b": {1: Matrix.from_rows(field, [[field.normalize(-1)]])}}
         )
-        cmp_k = leray_serre_compare(cells(True), klein, field=field)
+        cmp_k = leray_serre_compare(cells(True), klein)
         assert cmp_k.equal and cmp_k.r1_equal
         checks += 2
     klein_q = FibrationData(
@@ -273,18 +273,17 @@ def test_acceptance_7_local_system_suite():
 
     # homotopy invariance
     for g in (wedge, torus):
-        assert check_homotopy_invariance(LocalSystem.trivial(g, F3, 2)).ok
+        assert check_homotopy_invariance(LocalSystem.trivial(g, F3, 2)) is None
         checks += 1
     m = random_invertible(rng, F3, 2)
     ls = LocalSystem(torus, F3, 2, {"a": m, "b": m * m})
-    assert check_homotopy_invariance(ls).ok
+    assert check_homotopy_invariance(ls) is None
     bad = LocalSystem(
         torus, F3, 2,
         {"a": Matrix.from_rows(F3, [[1, 1], [0, 1]]), "b": Matrix.from_rows(F3, [[1, 0], [1, 1]])},
         check=False,
     )
-    res = check_homotopy_invariance(bad)
-    assert not res.ok and res.word == parse_word(["a", "b", "~a", "~b"])
+    assert check_homotopy_invariance(bad) == parse_word(["a", "b", "~a", "~b"])
     checks += 2
 
     # groupoid composition on random words
@@ -316,7 +315,7 @@ def test_acceptance_7_local_system_suite():
     assert rep_w.extension.transport_maps["a"] == m
     rep_t = extend_subsystem(sub_w, torus)
     assert rep_t.surjective is True
-    assert check_homotopy_invariance(rep_t.extension).ok
+    assert check_homotopy_invariance(rep_t.extension) is None
     sub_sq = LocalSubsystem(
         Field(), 1, ["v"],
         [("sq", parse_word(["e", "e"]), Matrix.from_rows(Field(), [[4]]))],
@@ -428,8 +427,8 @@ def test_acceptance_9_deep_chain_cost():
     # E_inf is a_n and b_0, nothing else
     assert conv.einf == {(n, -n): 1, (0, 1): 1}
     einf = sfc.page(n + 1)
-    assert einf.reps(n, -n) == Matrix.basis_column(F2, n + 1, n)
-    assert einf.reps(0, 1) == Matrix.basis_column(F2, n + 1, 0)
+    assert einf.reps(n, -n) == Matrix.from_entries(F2, n + 1, 1, [(n, 0, 1)])
+    assert einf.reps(0, 1) == Matrix.from_entries(F2, n + 1, 1, [(0, 0, 1)])
     report(9, "deep chain: n = 2000 over F_2, unconjugated", 1, elapsed, 5)
 
 

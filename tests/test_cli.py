@@ -369,6 +369,21 @@ def test_compare_mismatch_exits_nonzero():
     assert code == 4  # total cohomology disagrees: refused as a precondition
 
 
+def test_compare_ls_refuses_documents_over_two_fields(tmp_path):
+    # the cellular tower is built over the fibration's field, so documents
+    # tagged with two fields are refused; --field puts both on one
+    import json
+
+    with open(data("klein_twisted.json")) as fh:
+        doc = json.load(fh)
+    doc["field"] = "F2"
+    path = tmp_path / "klein_twisted_f2.json"
+    path.write_text(json.dumps(doc))
+    argv = ["compare-ls", data("klein_cellular.json"), str(path)]
+    assert run(argv) == (4, "", "precondition violation: compare-ls documents must share a field\n")
+    assert run(argv + ["--field", "F2"])[0] == 0
+
+
 def test_oracle_check_hand_corrupted_document():
     # corrupt the Hopf correction so d^2 != 0: must exit 3 before comparing
     import json

@@ -36,6 +36,14 @@ def test_d_squared_checked():
         )
 
 
+def test_wrong_field_or_shape_block_is_an_invariant_error():
+    basis = circle().basis
+    with pytest.raises(InvariantError, match="^differential block in degree 0 has wrong field$"):
+        CochainComplex(Q, basis, {0: Matrix.from_rows(F2, [[1]])})
+    with pytest.raises(InvariantError, match=r"^differential block in degree 0 has shape \(2, 1\), expected \(1, 1\)$"):
+        CochainComplex(Q, basis, {0: Matrix.from_rows(Q, [[1], [1]])})
+
+
 def test_degree_one_enforced():
     with pytest.raises(InvariantError):
         CochainComplex.from_generator_entries(Q, [("x", 0), ("z", 2)], [("x", "z", 1)])

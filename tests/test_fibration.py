@@ -9,7 +9,7 @@ from spectower.complexes import CochainComplex, tensor_product
 from spectower.documents import Document, print_document
 from spectower.errors import InvariantError, ParseError, PreconditionError
 from spectower.field import Field
-from spectower.localsystems import BaseGraph, LocalSubsystem, LocalSystem, parse_word, transport
+from spectower.localsystems import BaseGraph, LocalSubsystem, LocalSystem, parse_word
 from spectower.matrix import Matrix
 from spectower.morse import CellularData, MorseData, morse_complex
 from spectower.fibration import (
@@ -252,7 +252,7 @@ def test_klein_towers_agree_over_q_and_f2():
     cmp_q = leray_serre_compare(klein_cells(), klein_fibration())
     assert cmp_q.equal and cmp_q.r1_equal
     assert cmp_q.h_dims == {0: 1, 1: 1}
-    cmp_2 = leray_serre_compare(klein_cells(), klein_fibration(F2), field=F2)
+    cmp_2 = leray_serre_compare(klein_cells(), klein_fibration(F2))
     assert cmp_2.equal
     assert cmp_2.h_dims == {0: 1, 1: 2, 2: 1}
 
@@ -310,18 +310,18 @@ def compose_fixture(action_u):
 
 
 def test_a_word_that_does_not_compose_is_refused_by_word_endpoints():
-    # transport_along, transport() and chain_transport check a word through
+    # transport_along and chain_transport check a word through
     # BaseGraph.word_endpoints, whose message names the step and the vertex
     # it should start from; an empty word with no start is the identity
     fd = compose_fixture({})
     ls = LocalSystem.trivial(fd.base.graph, Q, 2)
     vu = parse_word(["v", "u"])
-    for call in (lambda: ls.transport_along(vu), lambda: transport(ls, ["v", "u"]), lambda: chain_transport(fd, vu)):
+    for call in (lambda: ls.transport_along(vu), lambda: chain_transport(fd, vu)):
         with pytest.raises(PreconditionError, match="^word is not composable: step u starts at 'x', expected 'z'$"):
             call()
     with pytest.raises(PreconditionError, match="^word is not composable: step u starts at 'x', expected 'y'$"):
         ls.transport_along(parse_word(["u"]), "y")
-    assert ls.transport_along(()) == transport(ls, []) == Matrix.identity(Q, 2)
+    assert ls.transport_along(()) == ls.transport_along(parse_word([])) == Matrix.identity(Q, 2)
     assert chain_transport(fd, ()) == {k: Matrix.identity(Q, fd.fiber.dim(k)) for k in fd.fiber.degrees()}
 
 
@@ -529,7 +529,7 @@ def test_multistep_words_match_inverted_composite_oracle():
             reps = fib_h.representatives(q)
             for eid in fd.base.graph.edges:
                 # the one solve over every edge equals the per-edge solves
-                assert sysq.transport_maps[eid] == fib_h.coordinates(q, fd.action_matrix(eid, q) * reps)
+                assert sysq.transport_maps[eid] == fib_h.coordinates(q, chain_transport(fd, ((eid, 1),))[q] * reps)
             same_differentials(morse_complex(fd.base, sysq), oracle_morse_complex(fd.base, sysq))
 
 
@@ -538,7 +538,7 @@ def oracle_local_system(fd, q):
     solved, an edge with no degree-q action block included."""
     fib_h = fd.fiber.cohomology()
     reps = fib_h.representatives(q)
-    maps = {eid: fib_h.coordinates(q, fd.action_matrix(eid, q) * reps) for eid in fd.base.graph.edges}
+    maps = {eid: fib_h.coordinates(q, chain_transport(fd, ((eid, 1),))[q] * reps) for eid in fd.base.graph.edges}
     return LocalSystem(fd.base.graph, fd.fiber.field, fib_h.dim(q), maps)
 
 
@@ -598,7 +598,7 @@ def test_an_action_that_does_not_commute_with_d_is_refused(field):
             FibrationData(circle_base(), interval, {"b": {1: Matrix.from_rows(field, [[-1]])}})
     swap = Matrix.from_rows(field, [[0, 1], [1, 0]])
     fd = FibrationData(circle_base(), interval, {"b": {0: swap, 1: Matrix.from_rows(field, [[-1]])}})
-    assert fd.action_matrix("b", 0, -1) == swap
+    assert chain_transport(fd, (("b", -1),))[0] == swap
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -679,7 +679,7 @@ def test_library_constructors_refuse_non_integers(bad):
         FibrationData(base, fiber, {}, shift_k=bad)
     with pytest.raises(ParseError, match="^edge 'a' action degree" + want):
         FibrationData(base, fiber, {"a": {bad: one}})
-    with pytest.raises(ValueError, match="^display_shift" + want):
+    with pytest.raises(ParseError, match="^display_shift" + want):
         CochainComplex.from_generator_entries(Q, [("u", 0)], [], display_shift=bad)
     with pytest.raises(ParseError, match="^local system fiber_dim" + want):
         LocalSystem(base.graph, Q, bad, {"a": one, "b": one})

@@ -12,7 +12,6 @@ from spectower.localsystems import (
     extend_subsystem,
     free_reduce,
     parse_word,
-    transport,
     word_inverse,
 )
 from spectower.matrix import Matrix
@@ -51,26 +50,26 @@ def test_graph_validation():
 
 def test_transport_constant_path():
     ls = LocalSystem.trivial(circle_graph(), Q, 2)
-    assert transport(ls, [], start="v") == Matrix.identity(Q, 2)
+    assert ls.transport_along(parse_word([]), "v") == Matrix.identity(Q, 2)
 
 
 def test_transport_edge_then_inverse():
     ls = LocalSystem(circle_graph(), Q, 1, {"e": Matrix.from_rows(Q, [[-1]])})
-    assert transport(ls, ["e", "~e"]) == Matrix.identity(Q, 1)
+    assert ls.transport_along(parse_word(["e", "~e"])) == Matrix.identity(Q, 1)
 
 
 def test_transport_squares_monodromy():
     ls = LocalSystem(circle_graph(), Q, 1, {"e": Matrix.from_rows(Q, [[-1]])})
-    assert transport(ls, ["e", "e"]) == Matrix.identity(Q, 1)
+    assert ls.transport_along(parse_word(["e", "e"])) == Matrix.identity(Q, 1)
 
 
 def test_transport_not_composable():
     g = BaseGraph(["x", "y", "z"], [("e", "x", "y"), ("f", "z", "y")])
     ls = LocalSystem.trivial(g, Q, 1)
     with pytest.raises(PreconditionError):
-        transport(ls, ["e", "f"])
+        ls.transport_along(parse_word(["e", "f"]))
     # but e then f-reversed composes
-    assert transport(ls, ["e", "~f"]) == Matrix.identity(Q, 1)
+    assert ls.transport_along(parse_word(["e", "~f"])) == Matrix.identity(Q, 1)
 
 
 def test_monodromy_walks_each_loop_once(monkeypatch):
@@ -106,25 +105,46 @@ def test_groupoid_law_random_words():
 
 def test_homotopy_invariance_trivial_system():
     for g in (circle_graph(), torus_graph(), wedge_graph()):
-        assert check_homotopy_invariance(LocalSystem.trivial(g, Q, 3)).ok
+        assert check_homotopy_invariance(LocalSystem.trivial(g, Q, 3)) is None
 
 
 def test_homotopy_invariance_commuting_torus():
     a = Matrix.from_rows(F3, [[1, 1], [0, 1]])
     b = Matrix.from_rows(F3, [[2, 0], [0, 2]])
     ls = LocalSystem(torus_graph(), F3, 2, {"a": a, "b": b})
-    assert check_homotopy_invariance(ls).ok
+    assert check_homotopy_invariance(ls) is None
 
 
 def test_homotopy_invariance_noncommuting_torus():
     a = Matrix.from_rows(F3, [[1, 1], [0, 1]])
     c = Matrix.from_rows(F3, [[1, 0], [1, 1]])
     ls = LocalSystem(torus_graph(), F3, 2, {"a": a, "b": c}, check=False)
-    res = check_homotopy_invariance(ls)
-    assert not res.ok
-    assert res.word == parse_word(["a", "b", "~a", "~b"])
+    assert check_homotopy_invariance(ls) == parse_word(["a", "b", "~a", "~b"])
     with pytest.raises(InvariantError):
         LocalSystem(torus_graph(), F3, 2, {"a": a, "b": c})
+
+
+def test_homotopy_invariance_returns_none_or_the_failing_word():
+    # None when every relation transports to the identity, on the torus
+    # (a b a^-1 b^-1) and the Klein bottle (a b a^-1 b); else the first word
+    # that does not, which LocalSystem names in its refusal
+    klein = BaseGraph(["v"], [("a", "v", "v"), ("b", "v", "v")], [["a", "b", "~a", "b"]])
+    a, flip, two = (Matrix.from_rows(Q, [[x]]) for x in (3, -1, 2))
+    for g in (torus_graph(), klein):
+        assert check_homotopy_invariance(LocalSystem(g, Q, 1, {"a": a, "b": flip})) is None
+    bad = LocalSystem(klein, Q, 1, {"a": a, "b": two}, check=False)
+    assert check_homotopy_invariance(bad) == parse_word(["a", "b", "~a", "b"])
+    with pytest.raises(InvariantError, match=r"^relation word \['a', 'b', '~a', 'b'\] does not transport"):
+        LocalSystem(klein, Q, 1, {"a": a, "b": two})
+
+
+def test_relation_steps_read_edge_ids_as_strings():
+    # edge ids are strings, so a relation given as parsed steps with an int
+    # id is read the same way as its edge
+    g = BaseGraph(["v"], [(1, "v", "v")], [((1, 1), (1, -1))])
+    assert g.relations == ((("1", 1), ("1", -1)),)
+    ls = LocalSystem(g, Q, 1, {"1": Matrix.from_rows(Q, [[2]])})
+    assert check_homotopy_invariance(ls) is None
 
 
 def test_transport_must_be_invertible():
@@ -212,7 +232,7 @@ def test_extension_on_torus_presentation():
     sub = LocalSubsystem(F3, 2, ["v"], [("la", parse_word(["a"]), a), ("lb", parse_word(["b"]), b)])
     rep = extend_subsystem(sub, g)
     assert rep.surjective is True
-    assert check_homotopy_invariance(rep.extension).ok
+    assert check_homotopy_invariance(rep.extension) is None
     assert rep.extension.transport_maps["a"] == a
     assert rep.extension.transport_maps["b"] == b
 
