@@ -9,7 +9,7 @@ representatives.
 
 from math import lcm
 
-from .errors import InvariantError, _int
+from .errors import InvariantError, ParseError, _int
 from .matrix import Matrix, _matrix, quotient_basis
 
 JOIN = "|"  # the x|g id of a generator of a product basis
@@ -25,9 +25,9 @@ class GradedBasis:
         by_degree, pos = {}, {}
         for g, k in gens:
             if type(k) is not int:  # a float or a bool is refused, not truncated
-                raise ValueError("generator %r has non-integer degree %r" % (g, k))
+                raise ParseError("generator %r has non-integer degree %r" % (g, k))
             if g in pos:
-                raise ValueError("duplicate generator id %r" % g)
+                raise ParseError("duplicate generator id %r" % g)
             pos[g] = (k, len(by_degree.setdefault(k, [])))
             by_degree[k].append(g)
         self.generators, self._pos = gens, pos
@@ -102,7 +102,7 @@ class CochainComplex:
             raise InvariantError("d^2 != 0 from degree %d to degree %d" % (k, k + 2))
 
     @classmethod
-    def from_generator_entries(cls, field, generators, entries, check=True, display_shift=0):
+    def from_generator_entries(cls, field, generators, entries, display_shift=0):
         """Build from (src_id, dst_id, scalar) differential entries.
 
         Each entry must raise degree by exactly one; duplicates accumulate.
@@ -111,7 +111,7 @@ class CochainComplex:
         triples = {}
         for src, dst, v in entries:
             if src not in basis or dst not in basis:
-                raise ValueError("differential entry references unknown generator %r -> %r" % (src, dst))
+                raise ParseError("differential entry references unknown generator %r -> %r" % (src, dst))
             ks, s_off = basis.position(src)
             kd, d_off = basis.position(dst)
             if kd != ks + 1:
@@ -123,7 +123,7 @@ class CochainComplex:
             k: Matrix.from_entries(field, basis.dim(k + 1), basis.dim(k), tr)
             for k, tr in triples.items()
         }
-        return cls(field, basis, diff, check=check, display_shift=display_shift)
+        return cls(field, basis, diff, display_shift=display_shift)
 
     @classmethod
     def from_blocks(cls, field, outer, inner, blocks, check=True, display_shift=0):
@@ -142,7 +142,7 @@ class CochainComplex:
         for x, y, k, m in blocks:
             kk, k2 = deg[x] + k, deg[x] + k + 1 - deg[y]
             if m.nrows != dims.get(k2, 0) or m.ncols != dims.get(k, 0) or m.field is not field and m.field != field:
-                raise ValueError("block %r -> %r from inner degree %d has shape %s" % (x, y, k, m.shape))
+                raise InvariantError("block %r -> %r from inner degree %d has shape %s" % (x, y, k, m.shape))
             if any(m.cols):  # so inner degrees k and k2 have generators
                 placed.append((kk, off[(x, k)], off[(y, k2)], m))
                 dens[kk] = lcm(dens.get(kk, 1), m.den)
@@ -187,11 +187,11 @@ class CochainComplex:
             self._cohomology = CohomologyResult(self, dims, reps)
         return self._cohomology
 
-    def shifted(self, s, check=False):
-        """The same complex with every degree raised by s."""
+    def shifted(self, s):
+        """The same complex with every degree raised by s: d^2 = 0 carries over unchecked."""
         gens = [(g, k + s) for g, k in self.basis.generators]
         diff = {k + s: m for k, m in self._d.items()}
-        return CochainComplex(self.field, GradedBasis(gens), diff, check=check,
+        return CochainComplex(self.field, GradedBasis(gens), diff, check=False,
                               display_shift=self.display_shift)
 
 
@@ -240,21 +240,20 @@ class ChainMap:
 
     __slots__ = ("source", "target", "_blocks", "_zeros")
 
-    def __init__(self, source, target, blocks, check=True):
+    def __init__(self, source, target, blocks):
         if source.field != target.field:
-            raise ValueError("chain map between complexes over different fields")
+            raise InvariantError("chain map between complexes over different fields")
         self.source = source
         self.target = target
         b = {}
         for k, m in blocks.items():
             want = (target.dim(k), source.dim(k))
             if m.shape != want:
-                raise ValueError("chain map block in degree %d has shape %s, expected %s" % (k, m.shape, want))
+                raise InvariantError("chain map block in degree %d has shape %s, expected %s" % (k, m.shape, want))
             if not m.is_zero():
                 b[k] = m
         self._blocks, self._zeros = b, {}
-        if check:
-            self.check_commutes()
+        self.check_commutes()
 
     def check_commutes(self):
         degrees = set(self._blocks) | set(self.source._d) | set(self.target._d)
@@ -271,10 +270,10 @@ class ChainMap:
     @classmethod
     def identity(cls, complex):
         blocks = {k: Matrix.identity(complex.field, complex.dim(k)) for k in complex.degrees()}
-        return cls(complex, complex, blocks, check=False)
+        return cls(complex, complex, blocks)
 
 
-def tensor_product(a, b, check=True):
+def tensor_product(a, b):
     """Tensor product complex; generator ids are "ga|gb".
 
     d(x (x) y) = dx (x) y + (-1)^{deg x} x (x) dy: a block a_ij * identity
@@ -282,10 +281,10 @@ def tensor_product(a, b, check=True):
     product of two complexes passes the d^2 = 0 check by construction.
     """
     if a.field != b.field:
-        raise ValueError("tensor product of complexes over different fields")
+        raise InvariantError("tensor product of complexes over different fields")
     for g, _ in a.basis.generators:
         if JOIN in g:
-            raise ValueError("generator id %r contains the tensor separator %r" % (g, JOIN))
+            raise ParseError("generator id %r contains the tensor separator %r" % (g, JOIN))
     f, blocks = a.field, []
     ident = {kb: Matrix.identity(f, b.dim(kb)) for kb in b.degrees()}
     for k in a.degrees():
@@ -294,7 +293,7 @@ def tensor_product(a, b, check=True):
             blocks += [(src[j], tgt[i], kb, e.scale(m.get(i, j))) for kb, e in ident.items()]
     for ga, da in a.basis.generators:
         blocks += [(ga, ga, kb, -b.d(kb) if da % 2 else b.d(kb)) for kb in b.degrees()]
-    return CochainComplex.from_blocks(f, a.basis.generators, b.basis, blocks, check=check)
+    return CochainComplex.from_blocks(f, a.basis.generators, b.basis, blocks)
 
 
 def induced_map_on_cohomology(f):

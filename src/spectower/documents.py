@@ -179,7 +179,7 @@ def _complex_in(field, body, what):
     shift = _int_in(body.get("display_shift", 0), what + " display_shift")
     try:
         return CochainComplex.from_generator_entries(field, gens, entries, display_shift=shift)
-    except ValueError as exc:
+    except ParseError as exc:
         raise ParseError("%s: %s" % (what, exc)) from exc
 
 

@@ -195,7 +195,7 @@ def cohomology_local_system(fd, q):
             raise InvariantError("edge %r action does not act on H^%d" % (eid, q))
     transports = dict.fromkeys(fd.base.graph.edges, Matrix.identity(f, dim_q))
     transports.update((eid, coords.take_columns(range(n * dim_q, (n + 1) * dim_q))) for n, eid in enumerate(acting))
-    return LocalSystem(fd.base.graph, f, dim_q, transports, check=True)
+    return LocalSystem(fd.base.graph, f, dim_q, transports)
 
 
 def e2_table(fd):
@@ -417,7 +417,7 @@ def _window(sfc, key, den, a, b):
     kept = {g for g, _ in gens}
     pos = {k: [i for i, g in enumerate(cx.basis.gens(k)) if g in kept] for k in cx.degrees()}
     diff = {k: cx.d(k).submatrix(pos.get(k + 1, ()), pos[k]) for k in cx.degrees()}
-    sub = CochainComplex(cx.field, GradedBasis(gens), diff, check=True)
+    sub = CochainComplex(cx.field, GradedBasis(gens), diff)
     return SplitFilteredComplex(sub, {g: sfc.blocks[g] for g, _ in gens})
 
 
@@ -448,5 +448,5 @@ def truncation_map(sfc, action, src_window, dst_window):
         at = [dpos.get(g) for g in src.complex.basis.gens(k)]
         cols = [0 if i is None else 1 << i for i in at] if f.p == 2 else [{} if i is None else {i: 1} for i in at]
         blocks[k] = _matrix(f, dst.complex.dim(k), cols)
-    cmap = ChainMap(src.complex, dst.complex, blocks, check=True)
-    return FilteredChainMap(cmap, src, dst, check=True)
+    cmap = ChainMap(src.complex, dst.complex, blocks)
+    return FilteredChainMap(cmap, src, dst)

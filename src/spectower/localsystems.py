@@ -169,12 +169,12 @@ class LocalSystem:
 
     All fibers are copies of the same module: fiber_dim columns over the
     field.  Construction checks invertibility of every edge transport and
-    (unless check=False) that every declared relation word transports to
-    the identity.  An identity transport is its own inverse, with no solve;
-    any other is solved against one identity that the system builds once.
+    that every declared relation word transports to the identity.  An
+    identity transport is its own inverse, with no solve; any other is
+    solved against one identity that the system builds once.
     """
 
-    def __init__(self, graph, field, fiber_dim, transport, check=True):
+    def __init__(self, graph, field, fiber_dim, transport):
         self.graph = graph
         self.field = field
         self.fiber_dim = _int(fiber_dim, "local system fiber_dim")
@@ -192,13 +192,13 @@ class LocalSystem:
                 raise InvariantError("transport for edge %r is not invertible" % eid)
         if set(transport) - set(graph.edges):
             raise ParseError("transport given for unknown edges %s" % sorted(set(transport) - set(graph.edges)))
-        if check and (word := check_homotopy_invariance(self)) is not None:
+        if (word := check_homotopy_invariance(self)) is not None:
             raise InvariantError("relation word %s does not transport to the identity" % word_to_strings(word))
 
     @classmethod
     def trivial(cls, graph, field, fiber_dim=1):
         ident = Matrix.identity(field, fiber_dim)
-        return cls(graph, field, fiber_dim, {e: ident for e in graph.edges}, check=False)
+        return cls(graph, field, fiber_dim, {e: ident for e in graph.edges})
 
     def step_matrix(self, step):
         e, s = step
@@ -302,14 +302,18 @@ def _subsystem_reach(sub, graph):
     return _search(sub.carrier[0], ((), Matrix.identity(sub.field, sub.fiber_dim)), moves)
 
 
-def extend_subsystem(sub, graph, max_word_depth=6, base_point=None, max_states=200000):
-    """Decide whether the subsystem loops generate pi_1 of the base, and
-    build the unique extension when they do.
+MAX_STATES = 200000  # words the surjectivity search visits before it answers "unknown"
+
+
+def extend_subsystem(sub, graph, max_word_depth=6):
+    """Decide whether the subsystem loops generate pi_1 of the base at the
+    carrier's first vertex, and build the unique extension when they do.
 
     Surjectivity is three-valued: False only on a sound disproof (the loop
     and relator images fail to span the abelianization over Q or a small
     prime); True only with explicit word-search witnesses for every free
-    generator of pi_1(base); otherwise None ("unknown").
+    generator of pi_1(base); otherwise None ("unknown"), also once the
+    word search has passed MAX_STATES words.
     """
     for c in sub.carrier:
         if c not in set(graph.vertices):
@@ -326,15 +330,7 @@ def extend_subsystem(sub, graph, max_word_depth=6, base_point=None, max_states=2
     if missing:
         raise PreconditionError("subsystem support is not connected (cannot reach %s)" % missing)
 
-    x0 = base_point if base_point is not None else sub.carrier[0]
-    if x0 not in reach:
-        raise PreconditionError("base point %r is not in the carrier component" % x0)
-    if x0 != sub.carrier[0]:
-        # rebase the reach data
-        w0, m0 = reach[x0]
-        w0, m0 = word_inverse(w0), m0.inverse()
-        reach = {v: (w0 + w, m * m0) for v, (w, m) in reach.items()}
-
+    x0 = sub.carrier[0]
     inverses = {v: m.inverse() for v, (_, m) in reach.items()}
     tree, tree_paths = graph.spanning_tree(x0)
     free_gens = [e for e in graph.edges if e not in tree]
@@ -348,7 +344,7 @@ def extend_subsystem(sub, graph, max_word_depth=6, base_point=None, max_states=2
         loop_gens.append((name, loop, graph.loop_to_free(loop, tree), mat))
     relators = [graph.loop_to_free(rw, tree) for rw in graph.relations]
 
-    surjective, witnesses = _decide_surjectivity(free_gens, loop_gens, relators, max_word_depth, max_states)
+    surjective, witnesses = _decide_surjectivity(free_gens, loop_gens, relators, max_word_depth)
 
     extension = None
     if surjective is True:
@@ -377,7 +373,7 @@ def _abelianization_disproof(free_gens, loop_images, relator_images):
                for field in (Field(), Field(2), Field(3), Field(5), Field(7)))
 
 
-def _decide_surjectivity(free_gens, loop_gens, relators, depth, max_states):
+def _decide_surjectivity(free_gens, loop_gens, relators, depth):
     loop_images = [fi for _, _, fi, _ in loop_gens]
     if not free_gens:
         return True, {}
@@ -409,7 +405,7 @@ def _decide_surjectivity(free_gens, loop_gens, relators, depth, max_states):
                 if w in targets and targets[w] not in witnesses:
                     witnesses[targets[w]] = seen[w]
                 nxt.append(w)
-                if len(seen) > max_states:
+                if len(seen) > MAX_STATES:
                     nxt = []
                     break
             else:
@@ -429,7 +425,7 @@ def _build_extension(sub, graph, x0, reach, inverses, tree, tree_paths, loop_gen
     rho is pi_1 as a local system: the identity on tree edges, and on a
     free edge its witness evaluated on the loop generators (relators
     transport by the identity).  Vertex v is trivialized by a path w_v from
-    x0 with matrix T_v: its rebased reach on the carrier component (T_v^-1
+    x0 with matrix T_v: its reach on the carrier component (T_v^-1
     in `inverses`), its tree path and the identity elsewhere.  Edge
     e: u -> v transports by T_v . rho(w_u . e . w_v^-1) . T_u^-1, which is
     exact: tree steps are identities and a cancelled pair multiplies to the
@@ -446,17 +442,15 @@ def _build_extension(sub, graph, x0, reach, inverses, tree, tree_paths, loop_gen
                 acc = loops[i, s] * acc
         return acc
 
-    rho = LocalSystem(graph, field, dim, {e: ident if e in tree else evaluate(witnesses[e]) for e in graph.edges},
-                      check=False)
     triv = {v: reach.get(v, (tree_paths[v], ident)) for v in graph.vertices}
-    transport_maps = {}
-    for e in sorted(graph.edges):
-        u, v = graph.edges[e]
-        (wu, _), (wv, tv) = triv[u], triv[v]
-        transport_maps[e] = tv * rho.transport_along(wu + ((e, 1),) + word_inverse(wv)) * inverses.get(u, ident)
-
-    try:
-        ext = LocalSystem(graph, field, dim, transport_maps, check=True)
+    try:  # ext is rho conjugated vertex by vertex: both fail first at the same relation word
+        rho = LocalSystem(graph, field, dim, {e: ident if e in tree else evaluate(witnesses[e]) for e in graph.edges})
+        transport_maps = {}
+        for e in sorted(graph.edges):
+            u, v = graph.edges[e]
+            (wu, _), (wv, tv) = triv[u], triv[v]
+            transport_maps[e] = tv * rho.transport_along(wu + ((e, 1),) + word_inverse(wv)) * inverses.get(u, ident)
+        ext = LocalSystem(graph, field, dim, transport_maps)
     except InvariantError as exc:
         raise InvariantError("subsystem transports admit no consistent extension: %s" % exc) from exc
     for name, w, m in sub.generators:

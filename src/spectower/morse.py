@@ -16,7 +16,7 @@ orientation * (plus-transport - minus-transport).
 """
 
 from .complexes import JOIN, CochainComplex, GradedBasis
-from .errors import InvariantError, ParseError, _int
+from .errors import InvariantError, ParseError, PreconditionError, _int
 from .field import Q
 from .matrix import Matrix
 
@@ -222,7 +222,7 @@ def cellular_complex(cd, ls=None, field=None):
     complex with `field` coefficients, entry for entry.
     """
     if ls is None and field is None:
-        raise ValueError("cellular_complex needs a local system or a field")
+        raise PreconditionError("cellular_complex needs a local system or a field")
     if ls is not None and cd.graph is not None and ls.graph != cd.graph:
         raise ParseError("local system lives on a different base graph")
     f, dim = (field, 1) if ls is None else (ls.field, ls.fiber_dim)

@@ -321,20 +321,17 @@ class FilteredComplex:
     p = 1 .. n; F_0 is the whole complex and F_{n+1} = 0.  Pages,
     certification and the map check run on one split copy (`_split`): in
     a basis of each C^k adapted to F_n ⊆ ... ⊆ F_1 ⊆ C^k, d is block-nondecreasing.
-    Building it checks the filtration: at construction, or on first use
-    under check=False.
+    Building it, at construction, checks the filtration.
     """
 
-    def __init__(self, complex, steps, check=True):
+    def __init__(self, complex, steps):
         self.complex = complex
         steps = [{_int(k, "filtration span degree", error=InvariantError): m for k, m in step.items()} for step in steps]
         self.steps = [{k: m for k, m in step.items() if m.ncols} for step in steps]
         self.n = len(self.steps)  # filtration length: the largest p with F_p possibly nonzero
-        self._copy = None  # (split copy, frame), built by `_split`
         self._red = None
         self._converged = None
-        if check:
-            self._check()
+        self._copy = self._check()  # (split copy, frame), read by `_split`
 
     def span(self, p, k):
         """A matrix whose columns span F_p C^k inside C^k."""
@@ -349,50 +346,48 @@ class FilteredComplex:
         return m
 
     def _check(self):
-        cx = self.complex
+        """(split copy, frame {k: (T, T^-1)}): T_k takes split coordinates to
+        ambient ones, and the copy's d is T^-1 d T.  The pass is the
+        filtration check, refusing the least (p, k) that fails: a span of
+        the wrong field or height; `quotient_basis` raises unless
+        F_{p+1} ⊆ F_p, and an entry of T^-1 d T from block b into block
+        c < b means d(F_{c+1}) ⊄ F_{c+1}."""
+        cx, f = self.complex, self.complex.field
         for p in range(1, self.n + 1):
             for k, m in self.steps[p - 1].items():
-                if m.field != cx.field:
+                if m.field != f:
                     raise InvariantError("filtration span has wrong field at (p=%d, k=%d)" % (p, k))
                 if m.nrows != cx.dim(k):
                     raise InvariantError(
                         "filtration span at (p=%d, k=%d) has %d rows, expected %d"
                         % (p, k, m.nrows, cx.dim(k))
                     )
-        self._split()
+        bases, blocks, bad = {}, {}, []
+        for k in cx.degrees():
+            basis = Matrix.zero(f, cx.dim(k), 0)
+            for p in range(self.n, -1, -1):
+                try:
+                    new = quotient_basis(self.span(p, k), basis)
+                except InvariantError:  # F_{p+1} ⊄ F_p: go on from F_p alone
+                    bad.append((p, k))
+                    basis = quotient_basis(self.span(p, k), Matrix.zero(f, cx.dim(k), 0))
+                    continue
+                blocks.update(zip(cx.basis.gens(k)[basis.ncols:], [p] * new.ncols))
+                basis = Matrix.hstack(f, cx.dim(k), [basis, new])
+            bases[k] = basis
+        if bad:
+            raise InvariantError("filtration is not decreasing at (p=%d, k=%d)" % min(bad))
+        frame = {k: (t, t.inverse()) for k, t in bases.items()}
+        diff = {k: frame[k + 1][1] * cx.d(k) * frame[k][0] for k in frame if k + 1 in frame}
+        for k, d in diff.items():
+            b, c = ([blocks[g] for g in cx.basis.gens(j)] for j in (k, k + 1))
+            bad += [(c[i] + 1, k) for i, j in d.support() if c[i] < b[j]]
+        if bad:
+            raise InvariantError("differential does not respect the filtration at (p=%d, k=%d)" % min(bad))
+        return SplitFilteredComplex(CochainComplex(f, cx.basis, diff, check=False), blocks), frame
 
     def _split(self):
-        """(split copy, frame {k: (T, T^-1)}), built once: T_k takes split
-        coordinates to ambient ones, and the copy's d is T^-1 d T.  The pass
-        is the filtration check, refusing the least (p, k) that fails:
-        `quotient_basis` raises unless F_{p+1} ⊆ F_p, and an entry of
-        T^-1 d T from block b into block c < b means d(F_{c+1}) ⊄ F_{c+1}."""
-        if self._copy is None:
-            cx, f = self.complex, self.complex.field
-            bases, blocks, bad = {}, {}, []
-            for k in cx.degrees():
-                basis = Matrix.zero(f, cx.dim(k), 0)
-                for p in range(self.n, -1, -1):
-                    try:
-                        new = quotient_basis(self.span(p, k), basis)
-                    except InvariantError:  # F_{p+1} ⊄ F_p: go on from F_p alone
-                        bad.append((p, k))
-                        basis = quotient_basis(self.span(p, k), Matrix.zero(f, cx.dim(k), 0))
-                        continue
-                    blocks.update(zip(cx.basis.gens(k)[basis.ncols:], [p] * new.ncols))
-                    basis = Matrix.hstack(f, cx.dim(k), [basis, new])
-                bases[k] = basis
-            if bad:
-                raise InvariantError("filtration is not decreasing at (p=%d, k=%d)" % min(bad))
-            frame = {k: (t, t.inverse()) for k, t in bases.items()}
-            diff = {k: frame[k + 1][1] * cx.d(k) * frame[k][0] for k in frame if k + 1 in frame}
-            for k, d in diff.items():
-                b, c = ([blocks[g] for g in cx.basis.gens(j)] for j in (k, k + 1))
-                bad += [(c[i] + 1, k) for i, j in d.support() if c[i] < b[j]]
-            if bad:
-                raise InvariantError("differential does not respect the filtration at (p=%d, k=%d)" % min(bad))
-            split = SplitFilteredComplex(CochainComplex(f, cx.basis, diff, check=False), blocks, check=False)
-            self._copy = (split, frame)
+        """(split copy, frame), as the filtration check built them."""
         return self._copy
 
     def page(self, r):
@@ -437,7 +432,7 @@ class SplitFilteredComplex(FilteredComplex):
     zig-zag operations below exploit the splitting directly.
     """
 
-    def __init__(self, complex, blocks, check=True):
+    def __init__(self, complex, blocks):
         self.complex = complex
         self.blocks = dict(blocks)
         self.n = max(self.blocks.values(), default=0)
@@ -450,8 +445,7 @@ class SplitFilteredComplex(FilteredComplex):
         self._prof = {}  # degree k -> (pivot columns, sorted lows) of d^k
         self._red = None
         self._converged = None
-        if check:
-            self._check()
+        self._check()
 
     def _check(self):
         cx = self.complex
@@ -575,12 +569,11 @@ def zigzag_class_and_d(sfc, r, degree, alpha):
 class FilteredChainMap:
     """A chain map sending F_p(source) into F_p(target) for every p."""
 
-    def __init__(self, chain_map, source, target, check=True):
+    def __init__(self, chain_map, source, target):
         self.chain_map = chain_map
         self.source = source
         self.target = target
-        if check:
-            self._check()
+        self._check()
 
     def _check(self):
         """Refuse the least (p, k) with f(F_p C^k) not in F_p.  On the split

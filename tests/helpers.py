@@ -5,12 +5,20 @@ library internals) so they stay independent of the code under test.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 from spectower.complexes import CochainComplex, GradedBasis
 from spectower.errors import InvariantError
 from spectower.field import Field
 from spectower.matrix import Matrix
 from spectower.spectral import FilteredComplex, SplitFilteredComplex
+
+
+def unchecked(owner, name):
+    """A context manager under which the check owner.name does nothing, so a
+    test can build a faulty object on purpose and watch a later check refuse
+    it; unlike pytest's monkeypatch it also works inside Hypothesis tests."""
+    return mock.patch.object(owner, name, lambda *args, **kwargs: None)
 
 
 # -- oracles ----------------------------------------------------------------
@@ -229,7 +237,7 @@ def oracle_filtration_steps_check(fc):
 def to_filtered(sfc):
     """The filtration of a SplitFilteredComplex as a general FilteredComplex."""
     steps = [{k: sfc.span(p, k) for k in sfc.complex.degrees()} for p in range(1, sfc.n + 1)]
-    return FilteredComplex(sfc.complex, steps, check=False)
+    return FilteredComplex(sfc.complex, steps)
 
 
 # -- random instances ---------------------------------------------------------
@@ -699,7 +707,7 @@ def oracle_total_differential(fd):
             for i, j, v in minv.entries():
                 entries.append((t.dst + JOIN + names[j], t.src + JOIN + names[i], f.mul(sign, v)))
     entries += [(sp + JOIN + sf, dp + JOIN + df, v) for sp, sf, dp, df, v in fd.corrections]
-    return CochainComplex.from_generator_entries(f, gens, entries, check=False)
+    return CochainComplex.from_generator_entries(f, gens, entries)
 
 
 def same_differentials(cx, want):
@@ -720,7 +728,7 @@ def oracle_morse_complex(md, ls):
         for i, j, v in minv.entries():
             entries.append((t.dst + JOIN + str(j), t.src + JOIN + str(i),
                             f.mul(f.normalize(t.sign), v)))
-    return CochainComplex.from_generator_entries(f, gens, entries, check=False)
+    return CochainComplex.from_generator_entries(f, gens, entries)
 
 
 def oracle_cellular_complex(cd, ls=None, field=None):
@@ -746,7 +754,7 @@ def oracle_cellular_complex(cd, ls=None, field=None):
         for i, (rp, rm) in enumerate(zip(dense(plus), dense(minus))):
             entries += [(src + JOIN + str(j), dst + JOIN + str(i), f.mul(orient, f.sub(vp, vm)))
                         for j, (vp, vm) in enumerate(zip(rp, rm))]
-    return CochainComplex.from_generator_entries(f, gens, entries, check=False)
+    return CochainComplex.from_generator_entries(f, gens, entries)
 
 
 def oracle_tensor_product(a, b):
@@ -764,7 +772,7 @@ def oracle_tensor_product(a, b):
         for k in b.degrees():
             tgt, src = b.basis.gens(k + 1), b.basis.gens(k)
             entries += [(ga + JOIN + src[j], ga + JOIN + tgt[i], f.mul(sign, v)) for i, j, v in b.d(k).entries()]
-    return CochainComplex.from_generator_entries(f, gens, entries, check=False)
+    return CochainComplex.from_generator_entries(f, gens, entries)
 
 
 # -- dense textbook oracle for page dimensions ----------------------------------

@@ -247,6 +247,36 @@ def test_singular_transport_exits_3(tmp_path):
     assert err == "invariant violation: transport for edge 'a' is not invertible\n"
 
 
+def test_a_subsystem_with_no_consistent_extension_exits_3(tmp_path):
+    import json
+
+    from spectower.documents import load_document
+    from spectower.errors import InvariantError
+    from spectower.localsystems import extend_subsystem
+
+    # loops a and b generate pi_1 of the torus, but their transports do not
+    # commute, so the relation a b a^-1 b^-1 refuses the extension: in
+    # process and through the CLI, with one message
+    sub, graph = tmp_path / "torus_subsystem.json", tmp_path / "torus_graph.json"
+    sub.write_text(json.dumps({
+        "kind": "local_subsystem", "field": "Q", "fiber_dim": 2, "carrier": ["v"],
+        "paths": [{"name": "la", "word": ["a"], "transport": [[0, 0, 1], [0, 1, 1], [1, 1, 1]]},
+                  {"name": "lb", "word": ["b"], "transport": [[0, 0, 1], [1, 0, 1], [1, 1, 1]]}],
+    }))
+    graph.write_text(json.dumps({
+        "kind": "base_graph", "vertices": ["v"], "edges": [["a", "v", "v"], ["b", "v", "v"]],
+        "relations": [["a", "b", "~a", "~b"]],
+    }))
+    msg = ("subsystem transports admit no consistent extension: relation word ['a', 'b', '~a', '~b'] "
+           "does not transport to the identity")
+    with pytest.raises(InvariantError) as err:
+        extend_subsystem(load_document(str(sub)).payload, load_document(str(graph)).payload)
+    assert str(err.value) == msg
+    code, out, err = run(["extend", str(sub), str(graph)])
+    assert (code, out) == (3, "")
+    assert err == "invariant violation: %s\n" % msg
+
+
 @pytest.mark.parametrize("field", ("F3", "F5", "F2305843009213693951"))
 def test_every_document_under_an_odd_prime_field(field):
     # every document through each single-document subcommand, and every

@@ -1,7 +1,9 @@
 import random
+from unittest import mock
 
 import pytest
 
+from spectower import localsystems
 from spectower.errors import InvariantError, ParseError, PreconditionError
 from spectower.field import Field
 from spectower.localsystems import (
@@ -16,7 +18,7 @@ from spectower.localsystems import (
 )
 from spectower.matrix import Matrix
 
-from helpers import random_invertible
+from helpers import random_invertible, unchecked
 
 Q = Field()
 F3 = Field(3)
@@ -118,7 +120,8 @@ def test_homotopy_invariance_commuting_torus():
 def test_homotopy_invariance_noncommuting_torus():
     a = Matrix.from_rows(F3, [[1, 1], [0, 1]])
     c = Matrix.from_rows(F3, [[1, 0], [1, 1]])
-    ls = LocalSystem(torus_graph(), F3, 2, {"a": a, "b": c}, check=False)
+    with unchecked(localsystems, "check_homotopy_invariance"):
+        ls = LocalSystem(torus_graph(), F3, 2, {"a": a, "b": c})
     assert check_homotopy_invariance(ls) == parse_word(["a", "b", "~a", "~b"])
     with pytest.raises(InvariantError):
         LocalSystem(torus_graph(), F3, 2, {"a": a, "b": c})
@@ -132,7 +135,8 @@ def test_homotopy_invariance_returns_none_or_the_failing_word():
     a, flip, two = (Matrix.from_rows(Q, [[x]]) for x in (3, -1, 2))
     for g in (torus_graph(), klein):
         assert check_homotopy_invariance(LocalSystem(g, Q, 1, {"a": a, "b": flip})) is None
-    bad = LocalSystem(klein, Q, 1, {"a": a, "b": two}, check=False)
+    with unchecked(localsystems, "check_homotopy_invariance"):
+        bad = LocalSystem(klein, Q, 1, {"a": a, "b": two})
     assert check_homotopy_invariance(bad) == parse_word(["a", "b", "~a", "b"])
     with pytest.raises(InvariantError, match=r"^relation word \['a', 'b', '~a', 'b'\] does not transport"):
         LocalSystem(klein, Q, 1, {"a": a, "b": two})
@@ -163,7 +167,7 @@ def test_identity_transports_are_their_own_inverses(monkeypatch, field):
     assert solved == []
     assert all(ls.step_matrix((e, -1)) is ls.transport_maps[e] for e in ("a", "b"))
     t = Matrix.from_rows(field, [[1, 1, 0], [0, 1, 0], [1, 0, 1]])  # determinant 1 over every field
-    ls = LocalSystem(torus_graph(), field, 3, {"a": t, "b": Matrix.identity(field, 3)}, check=False)
+    ls = LocalSystem(torus_graph(), field, 3, {"a": t, "b": Matrix.identity(field, 3)})
     assert solved == [t]
     assert t * ls.step_matrix(("a", -1)) == Matrix.identity(field, 3) == ls.transport_along(parse_word(["a", "~a"]))
     with pytest.raises(InvariantError, match=r"^transport for edge 'a' is not invertible$"):
@@ -212,7 +216,8 @@ def test_extension_word_search_cut_by_max_states_is_unknown():
     rep = extend_subsystem(sub, g)
     assert rep.surjective is True
     assert rep.extension.transport_maps["b"] == Matrix.from_rows(Q, [[2]])
-    cut = extend_subsystem(sub, g, max_states=3)
+    with mock.patch.object(localsystems, "MAX_STATES", 3):
+        cut = extend_subsystem(sub, g)
     assert cut.surjective is None
     assert cut.extension is None
 
@@ -285,30 +290,6 @@ def test_extension_unknown_on_exhausted_search():
     rep = extend_subsystem(sub, g, max_word_depth=1)
     assert rep.surjective is None
     assert rep.extension is None
-
-
-def test_extension_rebased_base_point():
-    # with every vertex in the carrier the extension is fully pinned by the
-    # restriction, so rebasing must reproduce identical transport matrices
-    g = BaseGraph(["x", "y"], [("e", "x", "y"), ("f", "x", "y")])
-    t_e = Matrix.from_rows(Q, [[3]])
-    t_loop = Matrix.from_rows(Q, [[-2]])
-    sub = LocalSubsystem(
-        Q, 1, ["x", "y"],
-        [("pe", parse_word(["e"]), t_e), ("lp", parse_word(["e", "~f"]), t_loop)],
-    )
-    rep_x = extend_subsystem(sub, g, base_point="x")
-    rep_y = extend_subsystem(sub, g, base_point="y")
-    assert rep_x.surjective is rep_y.surjective is True
-    assert rep_x.base_point == "x" and rep_y.base_point == "y"
-    for e in g.edges:
-        assert rep_x.extension.transport_maps[e] == rep_y.extension.transport_maps[e]
-    # the loop generators' monodromy images at the two base points are conjugate
-    ls = rep_x.extension
-    mx = ls.monodromy([lw for _, lw, _ in rep_x.loop_generators if lw], "x")
-    conn = ls.transport_along(parse_word(["e"]), "x")
-    my = ls.monodromy([lw for _, lw, _ in rep_y.loop_generators if lw], "y")
-    assert [conn * m * conn.inverse() for m in mx] == my
 
 
 def test_monodromy_conjugation_covariance():

@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from spectower import localsystems
 from spectower.errors import InvariantError, ParseError
 from spectower.field import Field
 from spectower.localsystems import BaseGraph, LocalSystem, check_homotopy_invariance, parse_word
 from spectower.matrix import Matrix
 from spectower.morse import CellularData, MorseData, cellular_complex, morse_complex
+
+from helpers import unchecked
 
 Q = Field()
 F2 = Field(2)
@@ -52,7 +55,7 @@ def test_circle_sign_monodromy():
 
 def test_zero_dimensional_fiber():
     g, md = circle_morse()
-    ls = LocalSystem(g, Q, 0, {"a": Matrix.zero(Q, 0, 0), "b": Matrix.zero(Q, 0, 0)}, check=False)
+    ls = LocalSystem(g, Q, 0, {"a": Matrix.zero(Q, 0, 0), "b": Matrix.zero(Q, 0, 0)})
     cx = morse_complex(md, ls)
     assert len(cx.basis) == 0
 
@@ -106,11 +109,11 @@ def test_projective_plane_three_levels():
 def test_relation_violating_system_reports_pair():
     g, md = projective_plane_morse()
     shear = Matrix.from_rows(Q, [[1, 1], [0, 1]])
-    bad = LocalSystem(
-        g, Q, 2,
-        {"a": shear, "b": Matrix.identity(Q, 2), "c": Matrix.identity(Q, 2), "d": Matrix.identity(Q, 2)},
-        check=False,
-    )
+    with unchecked(localsystems, "check_homotopy_invariance"):
+        bad = LocalSystem(
+            g, Q, 2,
+            {"a": shear, "b": Matrix.identity(Q, 2), "c": Matrix.identity(Q, 2), "d": Matrix.identity(Q, 2)},
+        )
     assert check_homotopy_invariance(bad) is not None
     with pytest.raises(InvariantError) as err:
         morse_complex(md, bad)

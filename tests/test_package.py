@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -24,6 +25,22 @@ def test_every_export_is_the_object_in_its_home_module():
     namespace = {}
     exec("from spectower import *", namespace)
     assert sorted(k for k in namespace if k != "__builtins__") == spectower.__all__
+
+
+def test_check_is_an_option_only_of_the_cochain_complex_builders():
+    # every exported constructor and function runs its check; only
+    # CochainComplex and from_blocks take `check`, for the builders that
+    # report a failed d^2 = 0 themselves and for complexes that inherit it,
+    # and extend_subsystem's base point and search bound are not options
+    takes_check = set()
+    for name in spectower.__all__:
+        obj = getattr(spectower, name)
+        for attr in vars(obj) if inspect.isclass(obj) else [None]:
+            fn = getattr(obj, attr) if attr else obj
+            if inspect.isroutine(fn) and "check" in inspect.signature(fn).parameters:
+                takes_check.add(name + "." + attr if attr else name)
+    assert takes_check == {"CochainComplex.__init__", "CochainComplex.from_blocks"}
+    assert list(inspect.signature(spectower.extend_subsystem).parameters) == ["sub", "graph", "max_word_depth"]
 
 
 def test_an_unknown_name_raises_attribute_error():

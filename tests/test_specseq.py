@@ -1,4 +1,5 @@
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from spectower.spectral import (
 )
 
 from helpers import (component_matrix, oracle_cohomology_dims, oracle_h_filtration, random_matrix, random_scalar,
-                     random_split_complex, sparse_pair_tower, to_filtered)
+                     random_split_complex, sparse_pair_tower, to_filtered, unchecked)
 
 Q = Field()
 F2 = Field(2)
@@ -516,7 +517,8 @@ def test_a_map_that_is_not_a_chain_map_fails_the_commuting_square(field, framed,
     # 1): d f x != f d x, so on E_0 d_0 o f != f o d_0 at (0, 0)
     src, tgt = (pair_tower(field, 0, framed, d) for d in paired)
     one = Matrix.identity(field, 1)
-    f = ChainMap(src.complex, tgt.complex, {0: one, 1: one if paired != (True, True) else one.scale(0)}, check=False)
+    with unchecked(ChainMap, "check_commutes"):
+        f = ChainMap(src.complex, tgt.complex, {0: one, 1: one if paired != (True, True) else one.scale(0)})
     with pytest.raises(InvariantError, match=r"^induced page map does not commute with d_0 at \(p=0, q=0\)$"):
         map_of_spectral_sequences(FilteredChainMap(f, src, tgt))
 
@@ -638,29 +640,26 @@ def test_h_filtration_matches_kernel_formula():
             assert conv.certified
 
 
-def interleaved(rng, sfc, check):
+def interleaved(rng, sfc):
     """sfc with the basis of each degree shuffled, so that its blocks
-    interleave instead of coming block-sorted; with check=False nothing
-    permutes the rows of d before the first caller of `sorted_rows`."""
+    interleave instead of coming block-sorted."""
     cx = sfc.complex
     perm = {k: rng.sample(range(cx.dim(k)), cx.dim(k)) for k in cx.degrees()}
     basis = GradedBasis([(cx.basis.gens(k)[i], k) for k in cx.degrees() for i in perm[k]])
     diff = {k: cx.d(k).take_rows(perm[k + 1]).take_columns(perm[k]) for k in cx.degrees() if k + 1 in perm}
-    return SplitFilteredComplex(CochainComplex(cx.field, basis, diff, check=check), sfc.blocks, check=check)
+    return SplitFilteredComplex(CochainComplex(cx.field, basis, diff), sfc.blocks)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10 ** 6), st.sampled_from([F2, Field(3), Field(2 ** 61 - 1), Q]), st.booleans())
-def test_split_rank_profile_matches_the_kernel_formula(seed, field, check):
+@given(st.integers(0, 10 ** 6), st.sampled_from([F2, Field(3), Field(2 ** 61 - 1), Q]))
+def test_split_rank_profile_matches_the_kernel_formula(seed, field):
     # F_pH of a split tower from the rank profiles of its d^k, on bases whose
     # blocks interleave, against the kernel formula and against the span walk
     # of the same filtration as a general FilteredComplex
     from helpers import random_wide_scalar
 
     rng = random.Random(seed)
-    sfc = interleaved(rng, random_split_complex(rng, field, max_gens=18, max_len=5, scalar=random_wide_scalar),
-                      check)
-    assert check or not sfc._rows
+    sfc = interleaved(rng, random_split_complex(rng, field, max_gens=18, max_len=5, scalar=random_wide_scalar))
     profile = {pk: h for k in sfc.complex.degrees() for pk, h in sfc._h_filtration(k)}  # before any page
     conv = sfc.converge()
     assert conv.h_filtration == profile
@@ -1094,8 +1093,7 @@ def test_filtration_refusals_match_the_span_walks(data):
     # conjugated), with one fault drawn: a span replaced by a random matrix,
     # two steps swapped, or a random vector added to a span.  FilteredComplex
     # refuses exactly the filtrations the span-walk oracle refuses, with the
-    # same message: at construction, and under check=False when its first
-    # page is asked for; an accepted one certifies
+    # same message at construction; an accepted one certifies
     from helpers import oracle_filtration_steps_check, random_matrix
 
     field = data.draw(st.sampled_from([F2, Field(3), Field(2 ** 61 - 1), Q]), label="field")
@@ -1112,10 +1110,10 @@ def test_filtration_refusals_match_the_span_walks(data):
     elif fault == "extra" and steps:
         extra = random_matrix(rng, field, cx.dim(k), 1, density=0.6)
         steps[p][k] = Matrix.hstack(field, cx.dim(k), [fc.span(p + 1, k), extra])
-    want = oracle_filtration_steps_check(FilteredComplex(cx, steps, check=False))
+    with unchecked(FilteredComplex, "_check"):
+        want = oracle_filtration_steps_check(FilteredComplex(cx, steps))
     assert want is None or fault != "none"
     assert _filtration_refusal(lambda: FilteredComplex(cx, steps)) == want
-    assert _filtration_refusal(lambda: FilteredComplex(cx, steps, check=False).page(0)) == want
     if want is None:
         assert FilteredComplex(cx, steps).converge().certified
 
@@ -1173,14 +1171,16 @@ def test_map_of_spectral_sequences_matches_the_per_level_oracle(data):
             blocks = {k: one[k] + cx.d(k - 1) * h[k] + h[k + 1] * cx.d(k) for k in cx.degrees()}
         else:
             blocks = {k: one[k] + preserving(k, k, 0.2) for k in cx.degrees()}
-        fmap = FilteredChainMap(ChainMap(cx, cx, blocks, check=kind == "homotopy"), src, tgt)
+        with unchecked(ChainMap, "check_commutes") if kind == "noise" else nullcontext():
+            fmap = FilteredChainMap(ChainMap(cx, cx, blocks), src, tgt)
     if data.draw(st.booleans(), label="conjugate"):
         s, t = fmap.source, fmap.target
         degrees = set(s.complex.degrees()) | set(t.complex.degrees())
         ts, tt = ({k: random_invertible(rng, field, x.complex.dim(k)) for k in degrees} for x in (s, t))
         csrc, ctgt = conjugated(rng, s, t=ts), conjugated(rng, t, t=tt)
-        fmap = FilteredChainMap(ChainMap(csrc.complex, ctgt.complex, {
-            k: tt[k] * fmap.chain_map.block(k) * ts[k].inverse() for k in s.complex.degrees()}, check=False), csrc, ctgt)
+        with unchecked(ChainMap, "check_commutes") if kind == "noise" else nullcontext():
+            fmap = FilteredChainMap(ChainMap(csrc.complex, ctgt.complex, {
+                k: tt[k] * fmap.chain_map.block(k) * ts[k].inverse() for k in s.complex.degrees()}), csrc, ctgt)
     got = _map_or_refusal(lambda: map_of_spectral_sequences(fmap))
     assert got == _map_or_refusal(lambda: oracle_map_of_spectral_sequences(fmap))
     assert isinstance(got, dict) or (kind == "noise" and got.startswith("induced "))
