@@ -158,7 +158,7 @@ def _matrix_in(field, nrows, ncols, triples, what):
         ent.append((i, j, _scalar_in(field, v)))
     try:
         return Matrix.from_entries(field, nrows, ncols, ent)
-    except ValueError as exc:
+    except ParseError as exc:
         raise ParseError("%s: %s" % (what, exc)) from exc
 
 

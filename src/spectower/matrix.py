@@ -17,8 +17,10 @@ denominators.  Elimination over F_p and Q takes one in-place step
 writes into that copy.  Over F_p a column joins an echelon basis monic,
 by one modular inverse, so a step is x - x[low]*y and touches only the
 entries of y.  Over Q a step is fraction-free, a*x - b*y with a and b
-divided by their gcd and a > 0: x is scaled only when a != 1, the content
-is divided out, and the scale is carried beside the column.
+divided by their gcd and a > 0, and nothing more: x is scaled only when
+a != 1, so a step with scale 1 also touches only the entries of y.  The
+content is divided out once per column (`_primitive`), where a pass stores
+or returns it, and a walk carries its scale in its denominator.
 The accessors `entries`, `get` and `to_dense` are the only places that
 build Fractions.  Where structure fixes the answer nothing is computed: a
 product with an identity factor is the other factor, one with a zero factor
@@ -41,7 +43,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import eq
 
-from .errors import InvariantError
+from .errors import InvariantError, ParseError
 
 
 class Matrix:
@@ -63,7 +65,7 @@ class Matrix:
         cols = [0 if p == 2 else {} for _ in range(ncols)]
         for i, j, v in triples:
             if not (0 <= i < nrows and 0 <= j < ncols):
-                raise ValueError("entry (%d,%d) outside %dx%d" % (i, j, nrows, ncols))
+                raise ParseError("entry (%d,%d) outside %dx%d" % (i, j, nrows, ncols))
             if type(v) is not int:
                 v = field.normalize(v)
             elif p is not None:  # reduced mod p; over Q an int stays an int
@@ -110,7 +112,7 @@ class Matrix:
         which leaves no common content."""
         for m in mats:
             if m.nrows != nrows or m.field != field:
-                raise ValueError("hstack shape/field mismatch")
+                raise InvariantError("hstack shape/field mismatch")
         return _divided(field, nrows, [(c, m.den) for m in mats for c in m.cols])
 
     # -- basic structure -------------------------------------------------
@@ -174,7 +176,7 @@ class Matrix:
 
     def __add__(self, other):
         if self.field != other.field or self.shape != other.shape:
-            raise ValueError("shape/field mismatch in +")
+            raise InvariantError("shape/field mismatch in +")
         f, p = self.field, self.field.p
         if p == 2:
             return _matrix(f, self.nrows, [x ^ y for x, y in zip(self.cols, other.cols)])
@@ -215,7 +217,7 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.field != other.field or self.ncols != other.nrows:
-            raise ValueError(
+            raise InvariantError(
                 "cannot multiply %dx%d by %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols)
             )
         if _is_identity(self):
@@ -328,7 +330,7 @@ class Matrix:
         verification of an identity system or of a zero X costs O(n).
         """
         if rhs.nrows != self.nrows or rhs.field != self.field:
-            raise ValueError("solve: shape/field mismatch")
+            raise InvariantError("solve: shape/field mismatch")
         f, n = self.field, self.ncols
         if _is_identity(self):
             x = rhs
@@ -428,8 +430,8 @@ def _apply(f, cols, vec):
 def _grows(f, basis, col):
     """Reduce col against the echelon basis {pivot: column}; True, with the
     remainder added to the basis, iff col is outside its span.  Over F_p a
-    column joins the basis monic; over Q only ranks matter, so remainders
-    are kept primitive instead of exact."""
+    column joins the basis monic; over Q only ranks matter, so a remainder
+    that took a step joins primitive instead of exact (`_primitive`)."""
     p = f.p
     if p == 2:
         while col:
@@ -440,15 +442,18 @@ def _grows(f, basis, col):
                 return True
             col ^= b
         return False
-    col = dict(col)  # the one copy the steps write into
-    while col:
-        low = max(col)
-        b = basis.get(low)
-        if b is None:
-            basis[low] = _scaled(p, col, pow(col[low], -1, p)) if p else col
-            return True
+    col, stepped = dict(col), False  # the one copy the steps write into
+    while col and (b := basis.get(low := max(col))) is not None:
         _step(p, (col,), (b,), low)
-    return False
+        stepped = True
+    if not col:
+        return False
+    if p:
+        col = _scaled(p, col, pow(col[low], -1, p))
+    elif stepped:
+        _primitive((col,))
+    basis[low] = col
+    return True
 
 
 def _echelon(f, nrows, cols):
@@ -468,7 +473,9 @@ def _tracked(f, basis, j, col):
     The pair is exact only up to a common factor, so the input columns
     applied to V give the remainder exactly.  Over F_p the basis keeps each
     pair scaled so that its column is monic, and V[j] = 1 in what is
-    returned, as over F_2; over Q the pair stays integral and primitive."""
+    returned, as over F_2; over Q the pair stays integral, and once any
+    step ran its common content is divided out, for a pivot before it
+    joins the basis and for a zero remainder, whose V is a kernel vector."""
     p = f.p
     if p == 2:
         v = 1 << j
@@ -481,15 +488,15 @@ def _tracked(f, basis, j, col):
             col ^= b[0]
             v ^= b[1]
         return col, v, 1
-    col, v = dict(col), {j: 1}  # the one copy the steps write into
-    while col:
-        low = max(col)
-        b = basis.get(low)
-        if b is None:  # over F_p the pair joins monic, by one inverse
-            u = p and pow(col[low], -1, p)
-            basis[low] = (_scaled(p, col, u), _scaled(p, v, u)) if p else (col, v)
-            break
+    col, v, stepped = dict(col), {j: 1}, False  # the one copy the steps write into
+    while col and (b := basis.get(low := max(col))) is not None:
         _step(p, (col, v), b, low)
+        stepped = True
+    if stepped and not p:
+        _primitive((col, v))
+    if col:  # over F_p the pair joins monic, by one inverse
+        u = p and pow(col[low], -1, p)
+        basis[low] = (_scaled(p, col, u), _scaled(p, v, u)) if p else (col, v)
     return col, v, v[j]
 
 
@@ -498,14 +505,14 @@ def _scaled(p, x, u):
     return {i: v * u % p for i, v in x.items()}
 
 
-def _step(p, xs, ys, low, den=0):
+def _step(p, xs, ys, low):
     """Clear entry `low` of xs[0] with ys[0], in place: each dict x of xs
-    becomes a·x - b·y for its y of ys, and a·den is returned.  Over F_p
-    ys[0][low] is 1, so a = 1 and the step touches only the entries of the
-    y's.  Over Q a and b are divided by their gcd and a > 0, so x is scaled
-    only when a != 1; then the x's and den are divided by their common
-    content (with den = 0 this makes the x's primitive, and with den = 1
-    there is none), which keeps each x / den exact."""
+    becomes a·x - b·y for its y of ys, and the scale a is returned.  Over
+    F_p ys[0][low] is 1, so a = 1.  Over Q a and b are divided by their gcd
+    and a > 0, so x is scaled only when a != 1.  With a = 1 the step reads
+    and writes only the rows of the y's.  No content is divided out here:
+    a pass does that once per column, where it stores or returns it
+    (`_primitive`)."""
     b = xs[0][low]
     a = 1 if p else ys[0][low]
     if a != 1:
@@ -520,8 +527,13 @@ def _step(p, xs, ys, low, den=0):
                 x[i] = v
             else:
                 del x[i]
-    if p or (den := a * den) == 1:
-        return den
+    return a
+
+
+def _primitive(xs, den=0):
+    """Divide the common content of the integer dicts xs and of den out of
+    them, in place, and return den over it; each x / den is unchanged, and
+    with den = 0 the x's become primitive."""
     c = den
     for x in xs:
         c = gcd(c, *x.values())
@@ -545,7 +557,7 @@ def quotient_basis(z, b):
     """
     f = z.field
     if z.nrows != b.nrows or f != b.field:
-        raise ValueError("quotient_basis: shape/field mismatch")
+        raise InvariantError("quotient_basis: shape/field mismatch")
     stacked = Matrix.hstack(f, z.nrows, [b, z])
     pivots = stacked.pivot_columns()
     if len(pivots) != z.rank():

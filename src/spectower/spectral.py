@@ -51,7 +51,8 @@ from operator import neg
 
 from .complexes import CochainComplex
 from .errors import InvariantError, PreconditionError, _int
-from .matrix import Matrix, _apply, _bits, _divided, _echelon, _low, _matrix, _scaled, _step, _tracked, quotient_basis
+from .matrix import (Matrix, _apply, _bits, _divided, _echelon, _low, _matrix, _primitive, _scaled, _step, _tracked,
+                     quotient_basis)
 
 
 class Page:
@@ -137,7 +138,7 @@ class Page:
         red, k = self._red, p + q
         order = red.order.get(k, ())
         if vec.nrows != len(order):
-            raise ValueError("class_of: %d rows, expected dim C^%d" % (vec.nrows, k))
+            raise InvariantError("class_of: %d rows, expected dim C^%d" % (vec.nrows, k))
         if k in red.frame:
             vec = red.frame[k][1] * vec
         walks = [red._walk(p, k, col, vec.den) for col in vec.take_rows(order).cols]
@@ -238,7 +239,8 @@ class _Reduction:
         block + gap - p over the birth ends it meets.  Over F_p and Q it
         runs on one copy of the integer column, which each step writes
         into: over F_p W is monic, and over Q the column and x stay
-        integral over one denominator, as in `_reduce`.
+        integral over one denominator, which takes each step's scale; the
+        common content of (x, den) is divided out once, when the walk ends.
         """
         x, bound, f2 = 0 if self.f2 else {}, None, self.f2
         col = col if f2 else dict(col)
@@ -251,11 +253,13 @@ class _Reduction:
             if f2:
                 col, x = col ^ w, x | 1 << low
             else:  # col / den less (col[low] dw / (den w[low])) W, W = w / dw
-                den = _step(self.field.p, (col, x), (w, {low: -dw}), low, den)
+                den *= _step(self.field.p, (col, x), (w, {low: -dw}), low)
             mate = self.mate.get((k, low))
             if mate and mate[0] > k:  # a birth end, in Z_r while its partner's block is >= p+r
                 b = self.block[k][low] + mate[2] - p
                 bound = b if bound is None else min(bound, b)
+        if self.field.p is None and den != 1:
+            den = _primitive((x,), den)
         return x, den, bound
 
     def _cell(self, k, i):
@@ -393,7 +397,7 @@ class FilteredComplex:
     def page(self, r):
         """The page E_r with differentials; E_inf from the last breakpoint on."""
         if r < 0:
-            raise ValueError("page index must be >= 0")
+            raise PreconditionError("page index must be >= 0")
         if self._red is None:
             self._red = _Reduction(*self._split())
         return self._red.page(r)
@@ -533,11 +537,11 @@ def zigzag_class_and_d(sfc, r, degree, alpha):
     solution, i.e. alpha defines no class on page r.
     """
     if r < 1:
-        raise ValueError("zig-zag lifting needs r >= 1")
+        raise PreconditionError("zig-zag lifting needs r >= 1")
     cx = sfc.complex
     k = degree
     if alpha.shape != (cx.dim(k), 1):
-        raise ValueError("alpha has shape %s, expected a column over C^%d" % (alpha.shape, k))
+        raise InvariantError("alpha has shape %s, expected a column over C^%d" % (alpha.shape, k))
     gens = cx.basis.gens(k)
     support = {sfc.blocks[gens[i]] for i, _, _ in alpha.entries()}
     if len(support) > 1:

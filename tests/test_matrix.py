@@ -2,11 +2,12 @@ import random
 
 import pytest
 from fractions import Fraction
+from math import gcd
 from hypothesis import given, settings, strategies as st
 
 from spectower.errors import InvariantError
 from spectower.field import Field
-from spectower.matrix import Matrix, quotient_basis
+from spectower.matrix import Matrix, _apply, _echelon, _step, _tracked, quotient_basis
 
 from helpers import (
     oracle_kernel,
@@ -111,7 +112,7 @@ def test_inverse_is_two_sided():
 
 
 def test_solve_shape_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         Matrix.identity(Q, 2).solve(Matrix.from_rows(Q, [[1], [2], [3]]))
 
 
@@ -574,3 +575,67 @@ def test_an_in_place_selection_is_the_matrix_itself(field):
                 assert by_cols.shape == (m, len(cols)) and _exact(by_cols) == [[r[j] for j in cols] for r in da]
                 assert sub.shape == (len(rows), len(cols))
                 assert _exact(sub) == [[da[i][j] for j in cols] for i in rows]
+
+
+# -- the Q elimination kernel -------------------------------------------------
+
+
+class ReadCounted(dict):
+    """A dict that records each row read by get / [] and counts the passes
+    over all of it (items, values)."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.rows, self.passes = set(), 0
+
+    def get(self, i, default=None):
+        self.rows.add(i)
+        return super().get(i, default)
+
+    def __getitem__(self, i):
+        self.rows.add(i)
+        return super().__getitem__(i)
+
+    def items(self):
+        self.passes += 1
+        return super().items()
+
+    def values(self):
+        self.passes += 1
+        return super().values()
+
+
+def test_a_q_step_of_scale_one_reads_only_the_rows_of_y():
+    # x has 200 entries, y three; y[low] = 1, so the step is x - x[low]·y and
+    # divides no content out: it reads no entry of x outside rows 0, 7 and 9
+    x = ReadCounted({i: 6 * (i + 1) for i in range(200)})
+    x[9] = 4
+    y = {0: 5, 7: -2, 9: 1}
+    a = _step(None, (x,), (y,), 9)
+    assert x.passes == 0
+    assert x.rows <= set(y)
+    assert a == 1
+    assert (x[0], x[7], 9 in x, x[8]) == (6 - 20, 48 + 8, False, 54)
+
+
+def test_q_passes_store_primitive_columns():
+    # content is divided out once per column, where the pass stores it: each
+    # basis column of `_grows` that took a step, each basis pair (column, V)
+    # of `_tracked` and each V it returns for a column in the span is
+    # primitive, and every pair still satisfies D V = R
+    rng = random.Random(3232)
+    for _ in range(30):
+        m = random_matrix(rng, Q, rng.randint(1, 9), rng.randint(1, 12), density=0.7)
+        cols = [{i: 6 * v for i, v in c.items()} for c in m.cols]  # every given column has content
+        _, basis = _echelon(Q, m.nrows, cols)
+        for col in basis.values():
+            assert col in cols or gcd(*col.values()) == 1
+        basis = {}
+        for j, col in enumerate(cols):
+            rem, v, vj = _tracked(Q, basis, j, col)
+            assert _apply(Q, cols, v) == rem
+            assert vj == v[j] > 0
+            assert v == {j: 1} or gcd(*rem.values(), *v.values()) == 1
+        for col, v in basis.values():
+            assert _apply(Q, cols, v) == col
+            assert v == {max(v): 1} or gcd(*col.values(), *v.values()) == 1
