@@ -11,25 +11,28 @@ split complex (Barannikov normal form; Zomorodian-Carlsson 2005,
 Basu-Parida 2017): a column x whose R column is lowest at y pairs x -> y
 with gap s = block(y) - block(x), and E_r^{p,q} has a basis of the
 block-p generators of degree p+q that are unpaired or in a pair of gap
->= r; d_r matches the ends of the gap-r pairs.  So pages change only at
-the breakpoints r = 0 and r = s+1 for each gap s that some pair has.  A
-breakpoint is a count per cell, page s+1 being page s less both ends of
-each gap-s pair; page(r) views the last breakpoint at or below r and the
-gap-r pairs, and builds cell ids and d_r on first read, so work grows
-with the pairs, not with the cells or the filtration length.  A
-FilteredComplex is split once, by bases T_k adapted to F_n ⊆ ... ⊆ F_1
-⊆ C^k; its pages, certification and map check run on that split copy,
-whose build checks the filtration.  Checks that run: R = D V column by
-column, as D' V' = R' for D' = δ d (`matrix._tracked`); d_r o d_r = 0
-and E_{r+1} = H(E_r, d_r) dimensionwise wherever d_r ≠ 0, on the pairs
-(a matching of unit columns: its rank is its number of distinct rows);
-and `converge` certifies E_inf against F_pH and H, not from the pairing
-but by two echelon passes per d^k of the split copy (T is a filtered
-isomorphism), on its rows in block-descending order.  The profile takes
-the columns in that order too, so F_p C^k is a prefix [0, t) and dim
-F_pH^k = t - rank d^k|F_p - #{lows of im d^{k-1} below t}; dim H^k = dim
-C^k - rank d^k - rank d^{k-1} takes the nonzero columns reversed, or in
-order where that is the profile's.  The subquotient
+>= r; d_r matches the ends of the gap-r pairs.  As in PHAT (Bauer et
+al. 2017), columns and pairing are arrays per degree, indexed in
+block-descending order, so the generators of a cell are an index range.
+Pages change only at the breakpoints r = 0 and r = s+1 for each gap s
+that some pair has.  A breakpoint is a count per cell, page s+1 being
+page s less both ends of each gap-s pair; page(r) views the last
+breakpoint at or below r and the gap-r pairs, and builds cell ids and
+d_r on first read, so work grows with the pairs, not with the cells or
+the filtration length.  A FilteredComplex is split once, by bases T_k
+adapted to F_n ⊆ ... ⊆ F_1 ⊆ C^k; its pages, certification and map
+check run on that split copy, whose build checks the filtration.
+Checks that run: R = D V column by column, as D' V' = R' for D' = δ d
+(`matrix._tracked`); d_r o d_r = 0 and E_{r+1} = H(E_r, d_r)
+dimensionwise wherever d_r ≠ 0, on the pairs (a matching of unit
+columns: its rank is its number of distinct rows); and `converge`
+certifies E_inf against F_pH and H, not from the pairing but by two
+echelon passes per d^k of the split copy (T is a filtered isomorphism),
+on its rows in block-descending order.  The profile takes the columns in
+that order too, so F_p C^k is a prefix [0, t) and dim F_pH^k = t - rank
+d^k|F_p - #{lows of im d^{k-1} below t}; dim H^k = dim C^k - rank d^k -
+rank d^{k-1} takes the nonzero columns reversed, or in order where that
+is the profile's.  The subquotient
 E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2}),
 Z_r^{p,q} = {x in F_p C^{p+q} : dx in F_{p+r}}, is the test oracle.
 
@@ -85,9 +88,8 @@ class Page:
     def _cell_ids(self, c):
         """The generators of cell c on page 0 less those dead by page r: a gap-s pair dies at s+1."""
         if c not in self._ids:
-            k, mate = c[0] + c[1], self._red.mate
-            self._ids[c] = tuple([i for i in self._red.cell0.get(c, ())
-                                  if (m := mate.get((k, i))) is None or m[2] >= self.r])
+            gap, r = self._red.gap.get(c[0] + c[1]), self.r  # None in a degree with no generators
+            self._ids[c] = tuple([i for i in self._red.cell0.get(c, ()) if (g := gap[i]) is None or g >= r])
         return self._ids[c]
 
     def reps(self, p, q):
@@ -95,8 +97,8 @@ class Page:
         if m is None:
             red, k = self._red, p + q
             moves = dict(enumerate(red.order.get(k, ())))  # index coordinates -> positions in C^k
-            ws = [red.w[(k, i)] for i in self._cell_ids((p, q))]
-            m = _divided(self.field, len(moves), [(_moved(w, moves), dw) for w, dw in ws])
+            w, dw = red.w[k], red.dw[k]
+            m = _divided(self.field, len(moves), [(_moved(w[i], moves), dw[i]) for i in self._cell_ids((p, q))])
             m = self._reps[(p, q)] = red.frame[k][0] * m if k in red.frame else m
         return m
 
@@ -177,18 +179,20 @@ class ConvergenceReport:
 class _Reduction:
     """The reduction R = D V of a split complex and the pages it yields.
 
-    A breakpoint is its count per cell (`dims`), built from the one before
-    it on the pairs; the pages over it build cell ids and d_r on first read.
-
     Generators of C^k are indexed in block-descending order (`order[k]`
-    lists their positions), so F_p C^k is a prefix.
+    their positions, `block[k]` their blocks), so F_p C^k is a prefix.
+    Per-generator state is one list per degree k, indexed by i: `w[k][i]`
+    the W column, `dw[k][i]` its denominator, `gap[k][i]` the gap of i's
+    pair (None if unpaired), `up[k][i]` a birth end's partner, else -1.
     Columns in index coordinates are int bitmasks over F_2, {index: value}
     dicts otherwise.  The reduction is one `_tracked` pass over the integer
     columns D' of d, D = D'/δ (δ = 1 over F_2 and F_p): it keeps D' V' = R'
     exactly, checked column by column, so V_j = V'_j / V'_j[j] and
-    R_j = R'_j / (δ V'_j[j]).  A W column is kept as such a pair (column,
-    denominator); the denominator is 1 over F_2, and over F_p the column is
+    R_j = R'_j / (δ V'_j[j]).  W is kept as such a column over its
+    denominator; the denominator is 1 over F_2, and over F_p the column is
     monic (1 at its lowest entry) for the steps of `class_of`.
+    A breakpoint is its count per cell (`dims`), built from the one before
+    it on the pairs; the pages over it build cell ids and d_r on first read.
     `frame[k]` = (T, T^-1) takes split coordinates of C^k to ambient ones.
     """
 
@@ -197,11 +201,11 @@ class _Reduction:
         self.field = cx.field
         self.f2 = cx.field.p == 2
         self.frame = frame or {}
-        self.order, self.block = {}, {}
+        self.order, self.block, self.w, self.dw, self.gap, self.up = {}, {}, {}, {}, {}, {}
         for k in cx.degrees():
             self.order[k], self.block[k] = sfc.order[k]
-        self.w = {}  # (k, i) -> W column over C^k
-        self.mate = {}  # (k, i) -> (k +- 1, j, gap): the other end of its pair
+            n = len(self.block[k])
+            self.w[k], self.dw[k], self.gap[k], self.up[k] = [None] * n, [None] * n, [None] * n, [-1] * n
         for k in cx.degrees():
             self._reduce(k, sfc.sorted_rows(k).take_columns(self.order[k]))
         self.views = {}  # r -> Page
@@ -209,24 +213,23 @@ class _Reduction:
 
     def _reduce(self, k, d):
         f, delta, basis = self.field, d.den, {}  # D' = δ D in index coordinates
+        w, dw, gap, up, block = self.w[k], self.dw[k], self.gap[k], self.up[k], self.block[k]
         for j, col in enumerate(d.cols):
             col, v, vj = _tracked(f, basis, j, col)  # V_j = v / v[j], R_j = col / (δ v[j])
             if _apply(f, d.cols, v) != col:
                 raise InvariantError("reduction R = D V fails in degree %d: engine bug" % k)
-            if (k, j) not in self.w:
-                self.w[(k, j)] = (v, vj)
+            if w[j] is None:
+                w[j], dw[j] = v, vj
             elif col:
                 raise InvariantError("death end %d in degree %d has a nonzero R column: engine bug" % (j, k))
             if col:
-                low = _low(col)
-                gap = self.block[k + 1][low] - self.block[k][j]
-                self.mate[(k, j)] = (k + 1, low, gap)
-                self.mate[(k + 1, low)] = (k, j, gap)
+                low = up[j] = _low(col)
+                gap[j] = self.gap[k + 1][low] = self.block[k + 1][low] - block[j]
                 if f.p in (2, None):
-                    self.w[(k + 1, low)] = (col, delta * vj)
+                    self.w[k + 1][low], self.dw[k + 1][low] = col, delta * vj
                 else:  # W = col / (δ v[j]) with its column monic; a birth's v is 1 at j already
                     u = pow(col[low], -1, f.p)
-                    self.w[(k + 1, low)] = (_scaled(f.p, col, u), delta * vj * u % f.p)
+                    self.w[k + 1][low], self.dw[k + 1][low] = _scaled(f.p, col, u), delta * vj * u % f.p
 
     def _walk(self, p, k, col, den):
         """(x, den, bound) of the column col / den over C^k in index
@@ -243,20 +246,19 @@ class _Reduction:
         common content of (x, den) is divided out once, when the walk ends.
         """
         x, bound, f2 = 0 if self.f2 else {}, None, self.f2
+        block, w, dw, up, gap = [a.get(k) for a in (self.block, self.w, self.dw, self.up, self.gap)]  # None if C^k = 0
         col = col if f2 else dict(col)
         while col:
             low = _low(col)
-            if self.block[k][low] < p:
+            if block[low] < p:
                 bound = -1
                 break
-            w, dw = self.w[(k, low)]
             if f2:
-                col, x = col ^ w, x | 1 << low
+                col, x = col ^ w[low], x | 1 << low
             else:  # col / den less (col[low] dw / (den w[low])) W, W = w / dw
-                den *= _step(self.field.p, (col, x), (w, {low: -dw}), low)
-            mate = self.mate.get((k, low))
-            if mate and mate[0] > k:  # a birth end, in Z_r while its partner's block is >= p+r
-                b = self.block[k][low] + mate[2] - p
+                den *= _step(self.field.p, (col, x), (w[low], {low: -dw[low]}), low)
+            if up[low] >= 0:  # a birth end, in Z_r while its partner's block is >= p+r
+                b = block[low] + gap[low] - p
                 bound = b if bound is None else min(bound, b)
         if self.field.p is None and den != 1:
             den = _primitive((x,), den)
@@ -274,14 +276,16 @@ class _Reduction:
             return self.views[r]
         if not self.dims:  # the gap buckets, read from the pairing when a page is first asked for
             self.gaps = {}  # gap -> [(k, i, j)]: the pairs (k, i) -> (k+1, j)
-            for (k, i), (kk, j, gap) in self.mate.items():
-                if kk > k:
-                    self.gaps.setdefault(gap, []).append((k, i, j))
+            for k, up in self.up.items():
+                for i, j in enumerate(up):
+                    if j >= 0:
+                        self.gaps.setdefault(self.gap[k][i], []).append((k, i, j))
             self.breaks = [0] + [s + 1 for s in sorted(self.gaps)]
-            self.cell0 = {}  # (p, q) -> ascending indices of its generators
+            self.cell0 = {}  # (p, q) -> the range of indices of its generators
             for k, blocks in self.block.items():
-                for i, b in enumerate(blocks):
-                    self.cell0.setdefault((b, k - b), []).append(i)
+                ends = [i for i in range(1, len(blocks)) if blocks[i] != blocks[i - 1]] + [len(blocks)]
+                for a, b in zip([0] + ends, ends):
+                    self.cell0[(blocks[a], k - blocks[a])] = range(a, b)
             self.dims.append({c: len(ids) for c, ids in self.cell0.items()})
         t = bisect_right(self.breaks, r) - 1
         while len(self.dims) <= t:
@@ -396,7 +400,7 @@ class FilteredComplex:
 
     def page(self, r):
         """The page E_r with differentials; E_inf from the last breakpoint on."""
-        if r < 0:
+        if _int(r, "page index", error=PreconditionError) < 0:
             raise PreconditionError("page index must be >= 0")
         if self._red is None:
             self._red = _Reduction(*self._split())
@@ -626,16 +630,12 @@ def map_of_spectral_sequences(fmap):
     those, at every level.
     """
     src, tgt, fld = fmap.source, fmap.target, fmap.chain_map.source.field
-    s0, tred, zero = src.page(0), tgt.page(0)._red, 0 if fld.p == 2 else {}
-    gs, walked = {}, {}  # walked: (k, i) -> (x, den, bound), source W_i carried into the target and walked there
-    for p, q in s0.cells():
-        k = p + q
-        if k not in gs:  # f_k in index coordinates on both sides
-            gs[k] = fmap._split_block(k).take_columns(s0._red.order[k]).take_rows(tred.order.get(k, ()))
-        g = gs[k]
-        for i in s0._cell_ids((p, q)):
-            w, dw = s0._red.w[(k, i)]
-            walked[(k, i)] = tred._walk(p, k, _apply(fld, g.cols, w), g.den * dw)
+    sred, tred, zero = src.page(0)._red, tgt.page(0)._red, 0 if fld.p == 2 else {}
+    walked = {}  # walked[k][i]: (x, den, bound), source W_i carried into the target and walked there
+    for k, order in sred.order.items():  # f_k in index coordinates on both sides
+        g = fmap._split_block(k).take_columns(order).take_rows(tred.order.get(k, ()))
+        walked[k] = [tred._walk(p, k, _apply(fld, g.cols, w), g.den * dw)
+                     for p, w, dw in zip(sred.block[k], sred.w[k], sred.dw[k])]
     out, last = {}, {}  # last: cell -> (source ids, target ids, least bound, matrix), as last picked
     for r in range(max(src.n, tgt.n) + 2):
         ps, pt, level = src.page(r), tgt.page(r), {}
@@ -643,7 +643,7 @@ def map_of_spectral_sequences(fmap):
             ids = ps._cell_ids((p, q)), pt._cell_ids((p, q))
             held = last.get((p, q))
             if held is None or held[:2] != ids:  # the ids moved: pick the columns and rows again, in one pass
-                cols, rows = [walked[(p + q, i)] for i in ids[0]], {i: n for n, i in enumerate(ids[1])}
+                cols, rows = [walked[p + q][i] for i in ids[0]], {i: n for n, i in enumerate(ids[1])}
                 bound = min([b for _, _, b in cols if b is not None], default=inf)
                 m = _divided(fld, len(rows), [(_moved(x, rows), den) for x, den, _ in cols])
                 held = last[(p, q)] = ids + (bound, m)

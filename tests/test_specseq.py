@@ -527,11 +527,12 @@ def test_a_map_that_is_not_a_chain_map_fails_the_commuting_square(field, framed,
 @pytest.mark.parametrize("field", PAGE_CHECK_FIELDS, ids=str)
 def test_a_target_pair_that_dies_early_fails_the_escape_check(field, framed):
     # the identity between two copies of x -> y at block gap 2, after the
-    # target's reduction is told the pair has gap 0: on page 1 the target's x
-    # is no longer in Z_1, while the source's x still is
+    # target's reduction is told the pair has gap 0 at both its ends: on
+    # page 1 the target's x is no longer in Z_1, while the source's x still is
     src, tgt = pair_tower(field, 2, framed), pair_tower(field, 2, framed)
     red = tgt.page(0)._red
-    red.mate[(0, 0)], red.mate[(1, 0)] = (1, 0, 0), (0, 0, 0)
+    assert red.up[0] == [0] and red.gap[0] == red.gap[1] == [2]
+    red.gap[0][0] = red.gap[1][0] = 0
     fmap = FilteredChainMap(ChainMap.identity(src.complex), src, tgt)
     with pytest.raises(InvariantError, match=r"^induced map escaped the target page at r=1, \(p=0, q=0\)$"):
         map_of_spectral_sequences(fmap)
@@ -724,18 +725,20 @@ def test_incremental_pages_on_sparse_block_indices():
 
 
 def test_certification_does_not_read_the_pairing():
-    # deleting one pair from the reduction changes E_inf; F_pH comes from
-    # ranks alone, so it must not move, and certification must fail
+    # deleting one pair from the reduction (both ends unpaired: no partner,
+    # no gap) changes E_inf; F_pH comes from ranks alone, so it must not
+    # move, and certification must fail
     rng = random.Random(606)
     checked = 0
     while checked < 60:
         sfc = random_split_complex(rng, FIELDS[checked % 3], max_gens=18, max_len=4)
         red = sfc._red = _Reduction(*sfc._split())
-        births = sorted(key for key, (kk, _, _) in red.mate.items() if kk > key[0])
+        births = [(k, i) for k, up in red.up.items() for i, j in enumerate(up) if j >= 0]
         if not births:
             continue
-        kk, j, _ = red.mate.pop(rng.choice(births))
-        del red.mate[(kk, j)]
+        k, i = rng.choice(births)
+        j, red.up[k][i] = red.up[k][i], -1
+        red.gap[k][i] = red.gap[k + 1][j] = None
         clean = SplitFilteredComplex(sfc.complex, sfc.blocks).converge()
         conv = sfc.converge()
         assert conv.certified is False
@@ -846,7 +849,8 @@ def test_tower_steps_never_write_into_the_columns_they_are_given(field):
         out += [cols(x.sorted_rows(k)) for x in (split, fc._split()[0]) for k in x.complex.degrees()]
         out += [cols(m) for t, t_inv in fc._split()[1].values() for m in (t, t_inv)]
         out += [cols(fmap.chain_map.block(k)) for k in fmap.chain_map.source.degrees()]
-        out += [{key: (dict(w), d) for key, (w, d) in x._red.w.items()} for x in (split, fc, fmap.target)]
+        out += [{k: [(dict(w), d) for w, d in zip(ws, x._red.dw[k])] for k, ws in x._red.w.items()}
+                for x in (split, fc, fmap.target)]
         return out + [cols(m) for m in vecs.values()]
 
     rng = random.Random(2929)
@@ -916,23 +920,85 @@ def test_q_reduction_keeps_its_pairs_primitive_and_small():
 
     red = sparse_pair_tower(random.Random(5), Q, 800).page(0)._red
     bits = 0
-    for (k, i), (w, dw) in red.w.items():
-        bits = max(bits, abs(dw).bit_length(), *[abs(v).bit_length() for v in w.values()])
-        mate = red.mate.get((k, i))
-        if mate is None or mate[0] > k:
-            assert dw == w[i] > 0
-            assert gcd(*w.values()) == 1
+    for k, ws in red.w.items():
+        for i, (w, dw) in enumerate(zip(ws, red.dw[k])):
+            bits = max(bits, abs(dw).bit_length(), *[abs(v).bit_length() for v in w.values()])
+            if red.gap[k][i] is None or red.up[k][i] >= 0:
+                assert dw == w[i] > 0
+                assert gcd(*w.values()) == 1
     assert bits <= 64
     rng = random.Random(32)
     for k, blocks in red.block.items():  # a walk of sum c_i W_i over the lcm of the dw_i returns (c, 1)
         for _ in range(5):
             c = {i: rng.choice((-3, -1, 2, 5)) for i in rng.sample(range(len(blocks)), 4)}
-            den, col = lcm(*[red.w[(k, i)][1] for i in c]), {}
+            den, col = lcm(*[red.dw[k][i] for i in c]), {}
             for i, ci in c.items():
-                w, dw = red.w[(k, i)]
-                for row, v in w.items():
-                    col[row] = col.get(row, 0) + ci * den // dw * v
+                for row, v in red.w[k][i].items():
+                    col[row] = col.get(row, 0) + ci * den // red.dw[k][i] * v
             assert red._walk(0, k, {row: v for row, v in col.items() if v}, den)[:2] == (c, 1)
+
+
+@pytest.mark.parametrize("field", PAGE_CHECK_FIELDS, ids=str)
+def test_reduction_arrays_hold_one_pairing(field):
+    # the per-degree lists of the reduction: both ends of a pair hold its
+    # gap, the block difference of its ends (>= 0); an index is an end of
+    # at most one pair, and only an end holds a gap; the up partners are
+    # distinct; and the page-0 ranges of a degree partition its indices,
+    # each the block_indices of its cell in index coordinates
+    rng = random.Random(3434)
+    for _ in range(25):
+        sfc = random_split_complex(rng, field, max_gens=20, max_len=4)
+        red = sfc.page(0)._red
+        for k, up in red.up.items():
+            gap, block, down = red.gap[k], red.block[k], [j for j in red.up.get(k - 1, ()) if j >= 0]
+            assert len(set(down)) == len(down)
+            for i, j in enumerate(up):
+                if j >= 0:
+                    assert red.gap[k + 1][j] == gap[i] == red.block[k + 1][j] - block[i] >= 0
+                assert not (j >= 0 and i in down)
+                assert (gap[i] is not None) == (j >= 0 or i in down)
+            cells = sorted((rg.start, rg, p) for (p, q), rg in red.cell0.items() if p + q == k)
+            assert [i for _, rg, _ in cells for i in rg] == list(range(len(block)))
+            for _, rg, p in cells:
+                assert tuple(red.order[k][i] for i in rg) == sfc.block_indices(k, p)
+
+
+@pytest.mark.parametrize("field, most", [(F2, 400), (Field(3), 1000), (Field(2 ** 61 - 1), 1000), (Q, 1000)],
+                         ids=str)
+def test_reduction_keeps_no_record_per_generator(field, most):
+    # the reduction stores per-degree lists, not a key and a record tuple
+    # per generator: building it on 400 generators leaves fewer new objects
+    # under the garbage collector than there are generators over F_2, where
+    # columns are ints: 89, and about 570 over F_3, F_(2^61-1) and Q, where
+    # tuple-keyed maps of W pairs and of the pairing left 1376 and 1856
+    import gc
+
+    sfc = sparse_pair_tower(random.Random(5), field, 400)
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        red = _Reduction(*sfc._split())  # held until the count is read: freeing it lowers the count
+        rise = gc.get_count()[0] - before
+    finally:
+        gc.enable()
+    del red
+    assert rise < most
+
+
+def test_page_refuses_an_index_that_is_not_an_integer():
+    # a float, a bool, a string, None or a Fraction is refused, not compared
+    # or truncated: page(1.5) gave a view whose d_r out of a cell of dim 1
+    # had shape (0, 1), and page("2") a bare TypeError
+    import re
+
+    cx = CochainComplex.from_generator_entries(Q, [("a", 0), ("b", 1)], [("a", "b", 1)])
+    sfc = SplitFilteredComplex(cx, {"a": 0, "b": 1})
+    for fc in (sfc, to_filtered(sfc)):
+        for r in (1.5, True, "2", None, Fraction(2)):
+            with pytest.raises(PreconditionError, match="^page index is not an integer: %s$" % re.escape(repr(r))):
+                fc.page(r)
+        assert fc.page(1).differential(0, 0) == Matrix.identity(Q, 1)
 
 
 def test_matrix_and_tower_refusals_are_spectower_errors():
