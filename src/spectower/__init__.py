@@ -14,20 +14,18 @@ __version__ = "0.1.0"
 # use of one of its names or of the module itself (PEP 562), so `import
 # spectower` imports none
 _EXPORTS = {
-    "complexes": ("ChainMap", "CochainComplex", "CohomologyResult", "GradedBasis", "induced_map_on_cohomology",
-                  "tensor_product"),
+    "complexes": ("ChainMap", "CochainComplex", "CohomologyResult", "GradedBasis", "tensor_product"),
     "documents": ("Document", "load_document", "parse_text", "print_document"),
     "errors": ("InvariantError", "ParseError", "PreconditionError", "SpectowerError"),
-    "fibration": ("ComposeReport", "E2Table", "FibrationData", "LerayComparison", "action_window",
-                  "assemble_fibration", "chain_transport", "e2_table", "leray_serre_compare",
-                  "transport_compose_check", "truncation_map"),
+    "fibration": ("E2Table", "FibrationData", "LerayComparison", "action_window", "assemble_fibration",
+                  "chain_transport", "e2_table", "leray_serre_compare", "truncation_map"),
     "field": ("Field", "parse_field"),
     "localsystems": ("BaseGraph", "LocalSubsystem", "LocalSystem", "MonodromyReport", "check_homotopy_invariance",
                      "extend_subsystem", "parse_word"),
     "matrix": ("Matrix", "quotient_basis"),
     "morse": ("CellularData", "MorseData", "Trajectory", "cellular_complex", "morse_complex"),
     "spectral": ("ConvergenceReport", "FilteredChainMap", "FilteredComplex", "Page", "SplitFilteredComplex",
-                 "ZigzagWitness", "map_of_spectral_sequences", "zigzag_class_and_d"),
+                 "map_of_spectral_sequences"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME)

@@ -16,8 +16,7 @@ where bytecode is not cached, each imported module is compiled per run.
 import argparse
 import sys
 
-from .complexes import JOIN
-from .documents import Document, load_document, print_document
+from .documents import MAX_TRAJECTORIES, Document, load_document, print_document
 from .errors import InvariantError, ParseError, PreconditionError
 
 MAX_SPAN = 100
@@ -244,22 +243,16 @@ def product_fibration(base_cx, fiber_cx):
 
     Each integral differential entry c becomes |c| unit-sign trajectories
     (over F_p, the canonical residue is the count); non-integral entries
-    over Q cannot be modelled as signed trajectory counts.
+    over Q cannot be modelled as signed trajectory counts.  The counts are
+    summed before any trajectory is built, and past MAX_TRAJECTORIES in
+    all the run exits 4.  FibrationData refuses a negative base degree and
+    a JOIN in a base id.
     """
     from .fibration import FibrationData
     from .localsystems import BaseGraph
     from .morse import MorseData, Trajectory
 
-    field = base_cx.field
-    points = []
-    for g, k in base_cx.basis.generators:
-        if k < 0:
-            raise InvariantError("kunneth base degrees must be >= 0, got %d for %r" % (k, g))
-        if JOIN in g:
-            raise InvariantError("kunneth base generator %r must not contain %r" % (g, JOIN))
-        points.append((g, k))
-    edges = []
-    trajs = []
+    field, entries, total = base_cx.field, [], 0
     for k in base_cx.degrees():
         src, tgt = base_cx.basis.gens(k), base_cx.basis.gens(k + 1)
         for i, j, v in base_cx.d(k).entries():
@@ -271,12 +264,19 @@ def product_fibration(base_cx, fiber_cx):
                 count, sign = abs(v.numerator), (1 if v.numerator > 0 else -1)
             else:
                 count, sign = int(v), 1
-            for t in range(count):
-                eid = "t%d_%s_%s_%d" % (k, src[j], tgt[i], t)
-                edges.append((eid, tgt[i], src[j]))
-                trajs.append(Trajectory(eid, tgt[i], src[j], sign, ((eid, 1),)))
-    graph = BaseGraph([g for g, _ in points], edges)
-    md = MorseData(graph, points, trajs)
+            total += count
+            if total > MAX_TRAJECTORIES:
+                raise PreconditionError("kunneth base differential entry %r -> %r takes the trajectory count to %d, "
+                                        "above the limit %d" % (src[j], tgt[i], total, MAX_TRAJECTORIES))
+            entries.append((k, src[j], tgt[i], count, sign))
+    edges, trajs = [], []
+    for k, s, t, count, sign in entries:
+        for n in range(count):
+            eid = "t%d_%s_%s_%d" % (k, s, t, n)
+            edges.append((eid, t, s))
+            trajs.append(Trajectory(eid, t, s, sign, ((eid, 1),)))
+    points = base_cx.basis.generators
+    md = MorseData(BaseGraph([g for g, _ in points], edges), points, trajs)
     return FibrationData(md, fiber_cx, {})
 
 

@@ -294,21 +294,3 @@ def tensor_product(a, b):
     for ga, da in a.basis.generators:
         blocks += [(ga, ga, kb, -b.d(kb) if da % 2 else b.d(kb)) for kb in b.degrees()]
     return CochainComplex.from_blocks(f, a.basis.generators, b.basis, blocks)
-
-
-def induced_map_on_cohomology(f):
-    """Per-degree matrices H^k(source) -> H^k(target) of a chain map.
-
-    Well-definedness is a theorem; an inexpressible image marks an engine
-    bug and raises.
-    """
-    h_src = f.source.cohomology()
-    h_tgt = f.target.cohomology()
-    out = {}
-    for k in sorted(set(h_src.dims()) | set(h_tgt.dims())):
-        imgs = f.block(k) * h_src.representatives(k)
-        coords = h_tgt.coordinates(k, imgs)
-        if coords is None:
-            raise InvariantError("image of a cocycle is not a cocycle in degree %d" % k)
-        out[k] = coords
-    return out

@@ -21,6 +21,7 @@ from .field import parse_field, parse_scalar
 from .matrix import Matrix
 
 MAX_FIBER_DIM = 1000  # a larger declared fiber_dim exits 4 before one column is allocated
+MAX_TRAJECTORIES = 10000  # kunneth: more unit trajectories in all exit 4 before one is built
 
 
 class Document:

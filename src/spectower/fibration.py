@@ -24,7 +24,7 @@ from math import lcm
 
 from .complexes import JOIN, ChainMap, CochainComplex, GradedBasis
 from .errors import InvariantError, ParseError, PreconditionError, _int
-from .localsystems import LocalSystem, free_reduce, word_inverse
+from .localsystems import LocalSystem, word_inverse
 from .matrix import Matrix, _matrix
 from .morse import cellular_complex, morse_complex
 
@@ -205,10 +205,7 @@ def e2_table(fd):
     entries = {}
     systems = {}
     for q in fib_h.degrees():
-        sysq = cohomology_local_system(fd, q)
-        if sysq is None:
-            continue
-        systems[q] = sysq
+        sysq = systems[q] = cohomology_local_system(fd, q)
         mc = morse_complex(fd.base, sysq)
         for p in mc.degrees():  # dim H^p from the ranks of d alone, nonzero cells only
             if d := mc.dim(p) - mc.d(p).rank() - mc.d(p - 1).rank():
@@ -287,75 +284,6 @@ def leray_serre_compare(cd_total, fd):
     )
     return LerayComparison(pages_c, pages_f, conv_c.einf, conv_f.einf, conv_c.h_dims,
                            equal, pages_c[1] == pages_f[1])
-
-
-class ComposeReport:
-    """Transport comparison along a broken pair against its gluing path.
-
-    cohomology_equal is the verdict; chain_diff_degrees lists fiber
-    degrees where the chain-level matrices differ (legitimately allowed:
-    chain-homotopic transports coincide only on cohomology).
-    """
-
-    __slots__ = ("cohomology_equal", "chain_equal", "chain_diff_degrees")
-
-    def __init__(self, cohomology_equal, chain_equal, chain_diff_degrees):
-        self.cohomology_equal = cohomology_equal
-        self.chain_equal = chain_equal
-        self.chain_diff_degrees = chain_diff_degrees
-
-    def __bool__(self):
-        return self.cohomology_equal
-
-
-def _cyclic_variants(word):
-    w = free_reduce(word)
-    out = set()
-    for base in (w, word_inverse(w)):
-        for i in range(max(1, len(base))):
-            out.add(base[i:] + base[:i])
-    return out
-
-
-def transport_compose_check(fd, u_id, v_id, gamma_id):
-    """Check transport along gamma against the composite along u then v.
-
-    u: x -> y, v: y -> z, gamma: x -> z, with the homotopy gamma ~ u.v
-    declared among the base graph relations (or the words equal after
-    free reduction).  Equality is required on fiber cohomology; the
-    chain-level comparison is reported alongside.
-    """
-    u = fd.base.trajectory(u_id)
-    v = fd.base.trajectory(v_id)
-    g = fd.base.trajectory(gamma_id)
-    if u.dst != v.src or g.src != u.src or g.dst != v.dst:
-        raise PreconditionError(
-            "paths are not composable: u: %s->%s, v: %s->%s, gamma: %s->%s"
-            % (u.src, u.dst, v.src, v.dst, g.src, g.dst)
-        )
-    loop = free_reduce(u.word + v.word + word_inverse(g.word))
-    if loop:
-        declared = set()
-        for rel in fd.base.graph.relations:
-            declared |= _cyclic_variants(rel)
-        if loop not in declared:
-            raise PreconditionError(
-                "homotopy between gamma and u.v is not declared in the base graph relations"
-            )
-    t_g = chain_transport(fd, g.word)
-    t_uv = chain_transport(fd, u.word + v.word)
-    diff_degrees = tuple(k for k in sorted(t_g) if t_g[k] != t_uv[k])
-    fib_h = fd.fiber.cohomology()
-    coh_equal = True
-    for q in fib_h.degrees():
-        reps = fib_h.representatives(q)
-        a = fib_h.coordinates(q, t_g[q] * reps)
-        b = fib_h.coordinates(q, t_uv[q] * reps)
-        if a is None or b is None:
-            raise InvariantError("transport image escaped the cocycles in degree %d" % q)
-        if a != b:
-            coh_equal = False
-    return ComposeReport(coh_equal, not diff_degrees, diff_degrees)
 
 
 # -- action windows ------------------------------------------------------------

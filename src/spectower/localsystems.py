@@ -362,10 +362,9 @@ def extend_subsystem(sub, graph, max_word_depth=6):
 
 
 def _abelianization_disproof(free_gens, loop_images, relator_images):
-    """True if the images provably fail to generate pi_1 (checked in H_1)."""
+    """True if the images provably fail to generate pi_1 (checked in H_1);
+    the caller answers for a tree (no free generators) first."""
     m = len(free_gens)
-    if m == 0:
-        return False
     idx = {e: i for i, e in enumerate(free_gens)}
     words = loop_images + relator_images
     triples = [(idx[e], j, s) for j, w in enumerate(words) for e, s in w]  # duplicates accumulate

@@ -285,8 +285,7 @@ class Matrix:
     def pivot_columns(self):
         """The RREF pivot columns, ascending, without building the RREF: the
         columns outside the span of the columns before them, from one cached
-        `_echelon` pass (over Q on the integer columns), or `kernel`'s /
-        `solve`'s."""
+        `_echelon` pass (over Q on the integer columns)."""
         if self._piv is None:
             self._piv = _echelon(self.field, self.nrows, self.cols)[0]
         return self._piv
@@ -298,15 +297,12 @@ class Matrix:
     def _column_pass(self, cols):
         """One tracked pass over the first ncols columns `cols`: (the echelon
         basis {low: (column, V)}, [(V, V[j])] for each column j in the span
-        of the columns before it); caches the pivot columns."""
-        f, basis, deps, piv = self.field, {}, [], []
+        of the columns before it)."""
+        f, basis, deps = self.field, {}, []
         for j in range(self.ncols):
             rem, v, vj = _tracked(f, basis, j, cols[j])
-            if rem:
-                piv.append(j)
-            else:
+            if not rem:
                 deps.append((v, vj))
-        self._piv = tuple(piv)
         return basis, deps
 
     def kernel(self):

@@ -72,15 +72,8 @@ class MorseData:
         self.trajectories = tuple(trajs)
 
     def differential_trajectories(self):
-        """Trajectories with index drop exactly one (the others only feed
-        transport-composition tests)."""
+        """Trajectories with index drop exactly one, the ones d counts."""
         return [t for t in self.trajectories if self.points[t.src] == self.points[t.dst] + 1]
-
-    def trajectory(self, tid):
-        for t in self.trajectories:
-            if t.id == tid:
-                return t
-        raise KeyError("no trajectory %r" % tid)
 
 
 def _twisted_complex(f, outer, dim, blocks, what):

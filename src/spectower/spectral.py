@@ -42,10 +42,10 @@ its W coordinates and the largest r with it in Z_r, and page r selects
 from those; d_r matches pairs with coefficient 1, so each square against
 d_r moves rows and columns.
 
-Entry representatives are ambient vectors in C^{p+q}, which makes the
-zig-zag cross-check direct linear algebra.  Pages stabilize at the last
-breakpoint r_stop <= n+1 for a length-n filtration (d_r moves p by r),
-and `page(r)` for any larger r is E_inf.
+Entry representatives are ambient vectors in C^{p+q}, so the zig-zag
+lift of d_r in tests/helpers.py checks them by direct linear algebra.
+Pages stabilize at the last breakpoint r_stop <= n+1 for a length-n
+filtration (d_r moves p by r), and `page(r)` for any larger r is E_inf.
 """
 
 from bisect import bisect_left, bisect_right
@@ -237,22 +237,24 @@ class _Reduction:
 
         The column lies in Z_r^{p,q} iff it avoids blocks < p and each birth
         end the walk meets has its partner in block >= p+r, so its bound,
-        the largest such r, is -1 if the walk meets a block < p (and stops
-        there), None if it meets no birth end, and else the least
-        block + gap - p over the birth ends it meets.  Over F_p and Q it
-        runs on one copy of the integer column, which each step writes
-        into: over F_p W is monic, and over Q the column and x stay
-        integral over one denominator, which takes each step's scale; the
-        common content of (x, den) is divided out once, when the walk ends.
+        the largest such r, is -1 if its lowest entry is in a block < p (and
+        the walk does not start), None if it meets no birth end, and else the
+        least block + gap - p over the birth ends it meets.  W_low is lowest
+        at low, so the rows a walk clears only rise and their blocks never
+        fall: the lowest entry decides whether the column avoids blocks < p.
+        Over F_p and Q it runs on one copy of the integer column, which each
+        step writes into: over F_p W is monic, and over Q the column and x
+        stay integral over one denominator, which takes each step's scale;
+        the common content of (x, den) is divided out once, when the walk
+        ends.
         """
         x, bound, f2 = 0 if self.f2 else {}, None, self.f2
         block, w, dw, up, gap = [a.get(k) for a in (self.block, self.w, self.dw, self.up, self.gap)]  # None if C^k = 0
+        if col and block[_low(col)] < p:
+            return x, den, -1
         col = col if f2 else dict(col)
         while col:
             low = _low(col)
-            if block[low] < p:
-                bound = -1
-                break
             if f2:
                 col, x = col ^ w[low], x | 1 << low
             else:  # col / den less (col[low] dw / (den w[low])) W, W = w / dw
@@ -338,7 +340,6 @@ class FilteredComplex:
         self.steps = [{k: m for k, m in step.items() if m.ncols} for step in steps]
         self.n = len(self.steps)  # filtration length: the largest p with F_p possibly nonzero
         self._red = None
-        self._converged = None
         self._copy = self._check()  # (split copy, frame), read by `_split`
 
     def span(self, p, k):
@@ -411,8 +412,6 @@ class FilteredComplex:
         F_pH and H by two echelon passes per d^k on the rows of `sorted_rows(k)`,
         never the pairing: F_pH (`_h_filtration`) takes the columns block-descending,
         H the nonzero ones in reversed document order, or in document order where that is the profile's."""
-        if self._converged is not None:
-            return self._converged
         cx, split, rank = self.complex, self._split()[0], {}
         r_stop = self.page(0)._red.breaks[-1]  # the last breakpoint: every d_r with r >= r_stop is zero
         einf = self.page(r_stop).dims()
@@ -428,16 +427,14 @@ class FilteredComplex:
             graded[(p, k - p)] = h - below.get(k, 0)
             below[k] = h
         certified = graded == einf and below == h_dims
-        self._converged = ConvergenceReport(r_stop, einf, h_filt, h_dims, certified)
-        return self._converged
+        return ConvergenceReport(r_stop, einf, h_filt, h_dims, certified)
 
 
 class SplitFilteredComplex(FilteredComplex):
     """A complex split as C^k = ⊕_p C_p^k with a block-nondecreasing d.
 
     `blocks` maps generator ids to their p-index, and F_p is the span of
-    the blocks >= p.  Pages come from the reduction of d itself; the
-    zig-zag operations below exploit the splitting directly.
+    the blocks >= p.  Pages come from the reduction of d itself.
     """
 
     def __init__(self, complex, blocks):
@@ -452,7 +449,6 @@ class SplitFilteredComplex(FilteredComplex):
         self._rows = {}  # degree k -> d^k with its rows in order[k + 1]
         self._prof = {}  # degree k -> (pivot columns, sorted lows) of d^k
         self._red = None
-        self._converged = None
         self._check()
 
     def _check(self):
@@ -512,66 +508,6 @@ class SplitFilteredComplex(FilteredComplex):
 
     def _split(self):
         return self, {}
-
-
-class ZigzagWitness:
-    """Result of a successful zig-zag lift of a single-block element.
-
-    chain = alpha + beta_{p+1} + ... + beta_{p+r-1} is an ambient vector
-    with d(chain) in F_{p+r}; image is the block-(p+r) component of
-    d(chain), which represents d_r[alpha].
-    """
-
-    __slots__ = ("p", "degree", "r", "chain", "image")
-
-    def __init__(self, p, degree, r, chain, image):
-        self.p = p
-        self.degree = degree
-        self.r = r
-        self.chain = chain
-        self.image = image
-
-
-def zigzag_class_and_d(sfc, r, degree, alpha):
-    """Lift a block-p element to an E_r class and read off d_r, or None.
-
-    alpha is a column over C^degree supported in one block p.  The lift
-    solves the staircase system: for j = 0..r-1 the block p+j of
-    d(alpha + sum beta) must vanish.  Returns None when the system has no
-    solution, i.e. alpha defines no class on page r.
-    """
-    if r < 1:
-        raise PreconditionError("zig-zag lifting needs r >= 1")
-    cx = sfc.complex
-    k = degree
-    if alpha.shape != (cx.dim(k), 1):
-        raise InvariantError("alpha has shape %s, expected a column over C^%d" % (alpha.shape, k))
-    gens = cx.basis.gens(k)
-    support = {sfc.blocks[gens[i]] for i, _, _ in alpha.entries()}
-    if len(support) > 1:
-        raise PreconditionError("alpha is supported in blocks %s, expected one" % sorted(support))
-    if not support:
-        raise PreconditionError("alpha is zero; it defines no leading block")
-    p = support.pop()
-
-    # d never lowers the block index, so the staircase system is the
-    # submatrix of d from blocks p+1..p+r-1 into blocks p..p+r-1
-    unknown = [i for b in range(p + 1, p + r) for i in sfc.block_indices(k, b)]
-    rows = [i for b in range(p, p + r) for i in sfc.block_indices(k + 1, b)]
-    f, d = cx.field, cx.d(k)
-    sol = d.submatrix(rows, unknown).solve(-(d * alpha).take_rows(rows))
-    if sol is None:
-        return None
-    chain = alpha + Matrix.from_entries(f, cx.dim(k), 1, [(unknown[t], 0, v) for t, _, v in sol.entries()])
-    dchain = d * chain
-    img_idx = set(sfc.block_indices(k + 1, p + r))
-    image = Matrix.from_entries(f, cx.dim(k + 1), 1, [t for t in dchain.entries() if t[0] in img_idx])
-    # blocks p..p+r-1 of d(chain) vanish by construction; check it anyway
-    for pos in rows:
-        if dchain.get(pos, 0):
-            block = sfc.blocks[cx.basis.gens(k + 1)[pos]]
-            raise InvariantError("zig-zag system solution failed to clear block %d" % block)
-    return ZigzagWitness(p, k, r, chain, image)
 
 
 class FilteredChainMap:

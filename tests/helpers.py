@@ -903,3 +903,165 @@ class DensePageOracle:
                 if d:
                     out[(p, k - p)] = d
         return out
+
+
+# -- cross-checks of the tower, the transports and the maps ---------------------
+
+
+from spectower.errors import PreconditionError  # noqa: E402
+from spectower.fibration import chain_transport  # noqa: E402
+from spectower.localsystems import free_reduce, word_inverse  # noqa: E402
+
+
+class ZigzagWitness:
+    """Result of a successful zig-zag lift of a single-block element.
+
+    chain = alpha + beta_{p+1} + ... + beta_{p+r-1} is an ambient vector
+    with d(chain) in F_{p+r}; image is the block-(p+r) component of
+    d(chain), which represents d_r[alpha].
+    """
+
+    __slots__ = ("p", "degree", "r", "chain", "image")
+
+    def __init__(self, p, degree, r, chain, image):
+        self.p = p
+        self.degree = degree
+        self.r = r
+        self.chain = chain
+        self.image = image
+
+
+def zigzag_class_and_d(sfc, r, degree, alpha):
+    """Lift a block-p element to an E_r class and read off d_r, or None.
+
+    alpha is a column over C^degree supported in one block p.  The lift
+    solves the staircase system: for j = 0..r-1 the block p+j of
+    d(alpha + sum beta) must vanish.  Returns None when the system has no
+    solution, i.e. alpha defines no class on page r.
+    """
+    if r < 1:
+        raise PreconditionError("zig-zag lifting needs r >= 1")
+    cx = sfc.complex
+    k = degree
+    if alpha.shape != (cx.dim(k), 1):
+        raise InvariantError("alpha has shape %s, expected a column over C^%d" % (alpha.shape, k))
+    gens = cx.basis.gens(k)
+    support = {sfc.blocks[gens[i]] for i, _, _ in alpha.entries()}
+    if len(support) > 1:
+        raise PreconditionError("alpha is supported in blocks %s, expected one" % sorted(support))
+    if not support:
+        raise PreconditionError("alpha is zero; it defines no leading block")
+    p = support.pop()
+
+    # d never lowers the block index, so the staircase system is the
+    # submatrix of d from blocks p+1..p+r-1 into blocks p..p+r-1
+    unknown = [i for b in range(p + 1, p + r) for i in sfc.block_indices(k, b)]
+    rows = [i for b in range(p, p + r) for i in sfc.block_indices(k + 1, b)]
+    f, d = cx.field, cx.d(k)
+    sol = d.submatrix(rows, unknown).solve(-(d * alpha).take_rows(rows))
+    if sol is None:
+        return None
+    chain = alpha + Matrix.from_entries(f, cx.dim(k), 1, [(unknown[t], 0, v) for t, _, v in sol.entries()])
+    dchain = d * chain
+    img_idx = set(sfc.block_indices(k + 1, p + r))
+    image = Matrix.from_entries(f, cx.dim(k + 1), 1, [t for t in dchain.entries() if t[0] in img_idx])
+    # blocks p..p+r-1 of d(chain) vanish by construction; check it anyway
+    for pos in rows:
+        if dchain.get(pos, 0):
+            block = sfc.blocks[cx.basis.gens(k + 1)[pos]]
+            raise InvariantError("zig-zag system solution failed to clear block %d" % block)
+    return ZigzagWitness(p, k, r, chain, image)
+
+
+class ComposeReport:
+    """Transport comparison along a broken pair against its gluing path.
+
+    cohomology_equal is the verdict; chain_diff_degrees lists fiber
+    degrees where the chain-level matrices differ (legitimately allowed:
+    chain-homotopic transports coincide only on cohomology).
+    """
+
+    __slots__ = ("cohomology_equal", "chain_equal", "chain_diff_degrees")
+
+    def __init__(self, cohomology_equal, chain_equal, chain_diff_degrees):
+        self.cohomology_equal = cohomology_equal
+        self.chain_equal = chain_equal
+        self.chain_diff_degrees = chain_diff_degrees
+
+    def __bool__(self):
+        return self.cohomology_equal
+
+
+def _cyclic_variants(word):
+    w = free_reduce(word)
+    out = set()
+    for base in (w, word_inverse(w)):
+        for i in range(max(1, len(base))):
+            out.add(base[i:] + base[:i])
+    return out
+
+
+def _trajectory(md, tid):
+    for t in md.trajectories:
+        if t.id == tid:
+            return t
+    raise KeyError("no trajectory %r" % tid)
+
+
+def transport_compose_check(fd, u_id, v_id, gamma_id):
+    """Check transport along gamma against the composite along u then v.
+
+    u: x -> y, v: y -> z, gamma: x -> z, with the homotopy gamma ~ u.v
+    declared among the base graph relations (or the words equal after
+    free reduction).  Equality is required on fiber cohomology; the
+    chain-level comparison is reported alongside.
+    """
+    u = _trajectory(fd.base, u_id)
+    v = _trajectory(fd.base, v_id)
+    g = _trajectory(fd.base, gamma_id)
+    if u.dst != v.src or g.src != u.src or g.dst != v.dst:
+        raise PreconditionError(
+            "paths are not composable: u: %s->%s, v: %s->%s, gamma: %s->%s"
+            % (u.src, u.dst, v.src, v.dst, g.src, g.dst)
+        )
+    loop = free_reduce(u.word + v.word + word_inverse(g.word))
+    if loop:
+        declared = set()
+        for rel in fd.base.graph.relations:
+            declared |= _cyclic_variants(rel)
+        if loop not in declared:
+            raise PreconditionError(
+                "homotopy between gamma and u.v is not declared in the base graph relations"
+            )
+    t_g = chain_transport(fd, g.word)
+    t_uv = chain_transport(fd, u.word + v.word)
+    diff_degrees = tuple(k for k in sorted(t_g) if t_g[k] != t_uv[k])
+    fib_h = fd.fiber.cohomology()
+    coh_equal = True
+    for q in fib_h.degrees():
+        reps = fib_h.representatives(q)
+        a = fib_h.coordinates(q, t_g[q] * reps)
+        b = fib_h.coordinates(q, t_uv[q] * reps)
+        if a is None or b is None:
+            raise InvariantError("transport image escaped the cocycles in degree %d" % q)
+        if a != b:
+            coh_equal = False
+    return ComposeReport(coh_equal, not diff_degrees, diff_degrees)
+
+
+def induced_map_on_cohomology(f):
+    """Per-degree matrices H^k(source) -> H^k(target) of a chain map.
+
+    Well-definedness is a theorem; an inexpressible image marks an engine
+    bug and raises.
+    """
+    h_src = f.source.cohomology()
+    h_tgt = f.target.cohomology()
+    out = {}
+    for k in sorted(set(h_src.dims()) | set(h_tgt.dims())):
+        imgs = f.block(k) * h_src.representatives(k)
+        coords = h_tgt.coordinates(k, imgs)
+        if coords is None:
+            raise InvariantError("image of a cocycle is not a cocycle in degree %d" % k)
+        out[k] = coords
+    return out

@@ -12,8 +12,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from spectower import localsystems
 from spectower.complexes import CochainComplex, GradedBasis
 from spectower.field import Field
@@ -34,7 +32,7 @@ from spectower.fibration import (
     leray_serre_compare,
     truncation_map,
 )
-from spectower.spectral import SplitFilteredComplex, map_of_spectral_sequences, zigzag_class_and_d
+from spectower.spectral import SplitFilteredComplex, map_of_spectral_sequences
 
 from helpers import (
     _random_unitriangular,
@@ -45,6 +43,7 @@ from helpers import (
     random_twisted_fibration,
     to_filtered,
     unchecked,
+    zigzag_class_and_d,
 )
 
 FIELDS = (Field(2), Field(3), Field())

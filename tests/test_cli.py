@@ -66,6 +66,12 @@ def test_exit_code_parse_error():
     assert "line" in err and "column" in err
 
 
+def test_a_missing_file_is_a_parse_error_in_one_line(tmp_path):
+    path = str(tmp_path / "missing.json")
+    assert run(["homology", path]) == (
+        2, "", "parse error: cannot read %s: [Errno 2] No such file or directory: %r\n" % (path, path))
+
+
 def _set(path, value):
     def mutate(doc):
         *outer, last = path
@@ -305,8 +311,8 @@ def _homology_dims(out):
 def test_prime_fields_never_lose_homology_against_q():
     # universal coefficients: over F_p each H^k of an integral document is at
     # least its value over Q (torsion only adds), and the Euler characteristic
-    # does not depend on the field.  The Klein bottle over F2 is where they
-    # differ, so the comparison is not vacuous
+    # does not depend on the field.  The Klein bottle and the twisted circle
+    # over F2 are where they differ, so the comparison is not vacuous
     fields = ("F2", "F3", "F5", "F2305843009213693951")
     differ, compared = set(), 0
     for doc in sorted(f for f in os.listdir(DATA) if f.endswith(".json")):
@@ -324,7 +330,7 @@ def test_prime_fields_never_lose_homology_against_q():
                 differ.add((doc, fl))
         compared += 1
     assert compared >= 9
-    assert differ == {("klein_cellular.json", "F2"), ("klein_twisted.json", "F2")}
+    assert differ == {("klein_cellular.json", "F2"), ("klein_twisted.json", "F2"), ("twisted_circle_morse.json", "F2")}
 
 
 def test_exit_code_precondition():
@@ -392,6 +398,27 @@ def test_homology_reads_dims_from_ranks(monkeypatch, name):
     with open(os.path.join(GOLDEN, name + ".txt"), "r", encoding="utf-8") as fh:
         want = fh.read()
     assert run(argv) == (0, want, "")
+
+
+@pytest.mark.parametrize("field, system, want", [
+    ("Q", True, "H^0 0\nH^1 0\n"),
+    ("F2", True, "H^0 1\nH^1 1\n"),
+    ("Q", False, "H^0 1\nH^1 1\n"),
+], ids=["twisted_q", "twisted_f2", "trivial_q"])
+def test_homology_of_a_morse_data_document(tmp_path, field, system, want):
+    # klein_twisted's base: two trajectories M -> m of opposite signs.  With
+    # edge b negated they add up to d = 2, a unit over Q and zero over F2;
+    # with the default trivial system they cancel
+    import json
+
+    path = data("twisted_circle_morse.json")
+    if not system:
+        with open(path) as fh:
+            doc = json.load(fh)
+        del doc["local_system"]
+        path = tmp_path / "circle_morse.json"
+        path.write_text(json.dumps(doc))
+    assert run(["homology", str(path), "--field", field]) == (0, want, "")
 
 
 def test_compare_mismatch_exits_nonzero():
@@ -472,6 +499,42 @@ def test_kunneth_rejects_fractional_base():
         assert "integer" in err
     finally:
         os.remove(tmp)
+
+
+def _base(generators, differential):
+    return {"kind": "cochain_complex", "field": "Q", "generators": generators, "differential": differential}
+
+
+@pytest.mark.parametrize("entry, field, total", [(10 ** 40, [], 10 ** 40), (-1, ["--field", "F1000003"], 1000002)],
+                         ids=["entry_1e40", "minus_one_over_F1000003"])
+def test_kunneth_past_the_trajectory_limit_exits_4_within_budget(tmp_path, entry, field, total):
+    # an entry c is |c| trajectories (its residue over F_p): the counts are
+    # summed before one is built, so a huge count is refused at once
+    import json
+    import time
+
+    from spectower.documents import MAX_TRAJECTORIES
+
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(_base([["a", 0], ["b", 1]], [["a", "b", entry]])))
+    start = time.perf_counter()
+    code, out, err = run(["kunneth", str(path), data("circle.json")] + field)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert err == ("precondition violation: kunneth base differential entry 'a' -> 'b' takes the trajectory count "
+                   "to %d, above the limit %d\n" % (total, MAX_TRAJECTORIES))
+
+
+@pytest.mark.parametrize("generators, differential, msg", [
+    ([["a", -1], ["b", 0]], [["a", "b", 1]], "critical point 'a' has negative index -1"),
+    ([["a|x", 0], ["b", 1]], [["a|x", "b", 1]], "critical point id 'a|x' must not contain '|'"),
+], ids=["negative_degree", "join_in_id"])
+def test_kunneth_base_refusals_are_the_fibration_datas(tmp_path, generators, differential, msg):
+    import json
+
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(_base(generators, differential)))
+    assert run(["kunneth", str(path), data("circle.json")]) == (2, "", "parse error: %s\n" % msg)
 
 
 def test_pages_stabilized_query_matches_page_one():

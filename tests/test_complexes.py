@@ -6,14 +6,14 @@ from spectower.complexes import (
     ChainMap,
     CochainComplex,
     GradedBasis,
-    induced_map_on_cohomology,
     tensor_product,
 )
 from spectower.errors import InvariantError, ParseError
 from spectower.field import Field
 from spectower.matrix import Matrix
 
-from helpers import oracle_cohomology_dims, random_matrix, random_split_complex, random_wide_scalar
+from helpers import (induced_map_on_cohomology, oracle_cohomology_dims, random_matrix, random_split_complex,
+                     random_wide_scalar)
 
 Q = Field()
 F2 = Field(2)

@@ -3,13 +3,7 @@ import os
 
 import pytest
 
-from spectower.documents import (
-    Document,
-    document_to_json,
-    load_document,
-    parse_text,
-    print_document,
-)
+from spectower.documents import document_to_json, load_document, parse_text, print_document
 from spectower.errors import ParseError, PreconditionError
 from spectower.field import Field
 
@@ -31,6 +25,7 @@ ALL_DOCS = [
     "disconnected_graph.json",
     "disconnected_subsystem.json",
     "gap_huge.json",
+    "twisted_circle_morse.json",
 ]
 
 
@@ -296,6 +291,24 @@ SHAPE_ERRORS = [
      "local_subsystem path 'la' transport: bad matrix 5, expected a list of entries"),
     ("action", _edited("hopf.json", ["edge_action"], {"c": 5}),
      "fibration_data: bad action 5 on edge 'c'"),
+    # the checks past the shape of a row
+    ("document", [], "document must be a JSON object"),
+    ("scalar", _edited("interval.json", ["differential", 0, 2], 1.5), "bad scalar 1.5"),
+    ("filtration_steps", _edited("interval_filtered.json", ["filtration", 0, "p"], 2),
+     "filtered_complex: filtration steps must cover p = 1..n"),
+    ("spans", _edited("interval_filtered.json", ["filtration", 0, "spans", "0"], 5),
+     "filtered_complex: bad spans 5 in degree 0"),
+    ("span_generator", _edited("interval_filtered.json", ["filtration", 0, "spans", "0"], [{"zz": 1}]),
+     "filtered_complex: span vector uses unknown generator 'zz' in degree 0"),
+    ("cellular_filtration", _edited("klein_cellular.json", ["filtration"], 5),
+     "cellular_data: bad filtration"),
+    ("edge_action_generator", _edited("hopf.json", ["edge_action"], {"c": [["u", "zz", 1]]}),
+     "fibration_data: edge action uses unknown fiber generator 'u' or 'zz'"),
+    ("edge_action_degree", _edited("hopf.json", ["edge_action"], {"c": [["u", "w", 1]]}),
+     "fibration_data: edge action entry 'u' -> 'w' changes degree"),
+    ("system_without_graph", _edited("klein_cellular.json", ["local_system"], {"fiber_dim": 1, "transport": {}}),
+     "cellular_data: a local system needs a base graph"),
+    ("transport_table", dict(LOCAL_SYSTEM, transport=5), "local_system: bad transport table"),
 ]
 
 

@@ -20,7 +20,6 @@ from spectower.fibration import (
     cohomology_local_system,
     e2_table,
     leray_serre_compare,
-    transport_compose_check,
     truncation_map,
 )
 from spectower.spectral import FilteredComplex, SplitFilteredComplex, map_of_spectral_sequences
@@ -32,11 +31,11 @@ from helpers import (
     random_multistep_fibration,
     random_product_fibration,
     random_split_complex,
-    random_standard_fiber,
     random_twisted_fibration,
     random_two_level_base,
     same_differentials,
     sphere_base,
+    transport_compose_check,
 )
 
 Q = Field()

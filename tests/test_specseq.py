@@ -15,11 +15,10 @@ from spectower.spectral import (
     SplitFilteredComplex,
     _Reduction,
     map_of_spectral_sequences,
-    zigzag_class_and_d,
 )
 
 from helpers import (component_matrix, oracle_cohomology_dims, oracle_h_filtration, random_matrix, random_scalar,
-                     random_split_complex, sparse_pair_tower, to_filtered, unchecked)
+                     random_split_complex, sparse_pair_tower, to_filtered, unchecked, zigzag_class_and_d)
 
 Q = Field()
 F2 = Field(2)
