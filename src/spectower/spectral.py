@@ -15,11 +15,12 @@ block-p generators of degree p+q that are unpaired or in a pair of gap
 al. 2017), columns and pairing are arrays per degree, indexed in
 block-descending order, so the generators of a cell are an index range.
 Pages change only at the breakpoints r = 0 and r = s+1 for each gap s
-that some pair has.  A breakpoint is a count per cell, page s+1 being
-page s less both ends of each gap-s pair; page(r) views the last
-breakpoint at or below r and the gap-r pairs, and builds cell ids and
-d_r on first read, so work grows with the pairs, not with the cells or
-the filtration length.  A FilteredComplex is split once, by bases T_k
+that some pair has.  Page 0 numbers its cells and counts them; page s+1
+is page s less both ends of each gap-s pair, and its breakpoint stores
+only the counts those pairs change, so breakpoints cost the pairs, not
+the cells or the filtration length.  page(r) views the last breakpoint
+at or below r and the gap-r pairs, and reads its counts, cell ids and
+d_r on first use.  A FilteredComplex is split once, by bases T_k
 adapted to F_n ⊆ ... ⊆ F_1 ⊆ C^k; its pages, certification and map
 check run on that split copy, whose build checks the filtration.
 Checks that run: R = D V column by column, as D' V' = R' for D' = δ d
@@ -49,8 +50,9 @@ filtration (d_r moves p by r), and `page(r)` for any larger r is E_inf.
 """
 
 from bisect import bisect_left, bisect_right
+from itertools import chain, compress
 from math import inf
-from operator import neg
+from operator import ne, neg
 
 from .complexes import CochainComplex
 from .errors import InvariantError, PreconditionError, _int
@@ -61,19 +63,21 @@ from .matrix import (Matrix, _apply, _bits, _divided, _echelon, _low, _matrix, _
 class Page:
     """One page E_r: a view over the reduction of its tower.
 
-    It holds its breakpoint's count per cell, which `dim`, `dims`, `cells`
-    and `flagged` read, and its gap-r pairs.  The ids of a cell are built
-    on its first `reps`, `class_of` or `differential`, and the d_r matching
-    of its pairs on first use.  `reps(p, q)` columns are ambient
-    cocycle-like vectors in C^{p+q} representing a basis of E_r^{p,q};
-    `class_of` expresses any ambient element of Z_r^{p,q} in that basis.
+    It holds its breakpoint and its gap-r pairs.  Its count per cell, which
+    `dim`, `dims`, `cells` and `flagged` read, is materialised once per
+    breakpoint, on first read, and shared by the pages over it.  The ids
+    of a cell are built on its first `reps`, `class_of` or `differential`,
+    and the d_r matching of its pairs on first use.  `reps(p, q)` columns
+    are ambient cocycle-like vectors in C^{p+q} representing a basis of
+    E_r^{p,q}; `class_of` expresses any ambient element of Z_r^{p,q} in
+    that basis.
     """
 
-    __slots__ = ("r", "field", "_red", "_dims", "_pairs", "_ids", "_match", "_reps")
+    __slots__ = ("r", "field", "_red", "_t", "_counts", "_pairs", "_ids", "_match", "_reps")
 
-    def __init__(self, r, red, dims, pairs):
+    def __init__(self, r, red, t, pairs):
         self.r, self.field, self._red, self._reps = r, red.field, red, {}
-        self._dims = dims  # (p, q) -> dim, nonzero cells only: its breakpoint's, shared
+        self._t, self._counts = t, None  # its breakpoint, and that breakpoint's counts once read
         self._pairs = pairs  # the gap-r pairs (k, i, j): d_r matches i -> j
         self._ids = {}  # (p, q) -> indices of its surviving generators, ascending
         self._match = None  # (p, q) -> [(row, column)]: d_r out of the cell, by places in the cell ids
@@ -82,14 +86,30 @@ class Page:
     def flagged(self):
         return tuple(c for c in self.cells() if c[1] < 0)  # nonzero cells with q < 0
 
+    def _read(self):
+        """Its breakpoint's counts by cell number, a trailing 0 for cells
+        outside the tower, built once and shared by every page over that
+        breakpoint: a copy of the latest counts, or page 0's replayed
+        through the changes up to its breakpoint if a later one is built."""
+        red, t = self._red, self._t
+        if t not in red.read and t == len(red.changes) - 1:
+            red.read[t] = red.counts[:]
+        elif t not in red.read:
+            counts = red.read[t] = red.read[0][:]
+            for c, n in chain.from_iterable(red.changes[1:t + 1]):
+                counts[c] = n
+        self._counts = red.read[t]
+        return self._counts
+
     def dim(self, p, q):
-        return self._dims.get((p, q), 0)
+        return (self._counts or self._read())[self._red.number.get((p, q), -1)]
 
     def _cell_ids(self, c):
         """The generators of cell c on page 0 less those dead by page r: a gap-s pair dies at s+1."""
         if c not in self._ids:
-            gap, r = self._red.gap.get(c[0] + c[1]), self.r  # None in a degree with no generators
-            self._ids[c] = tuple([i for i in self._red.cell0.get(c, ()) if (g := gap[i]) is None or g >= r])
+            red, r, n = self._red, self.r, self._red.number.get(c)  # n is None off the tower
+            gap, ids = red.gap.get(c[0] + c[1]), () if n is None else red.cell0[n]
+            self._ids[c] = tuple([i for i in ids if (g := gap[i]) is None or g >= r])
         return self._ids[c]
 
     def reps(self, p, q):
@@ -104,10 +124,10 @@ class Page:
 
     def cells(self):
         """Sorted (p, q) with nonzero dimension."""
-        return sorted(self._dims)
+        return [c for c, n in zip(self._red.cells, self._counts or self._read()) if n]
 
     def dims(self):
-        return dict(sorted(self._dims.items()))
+        return {c: n for c, n in zip(self._red.cells, self._counts or self._read()) if n}
 
     def _matching(self):
         """d_r with coefficient 1 on each gap-r pair i -> j, as {source cell:
@@ -191,8 +211,12 @@ class _Reduction:
     R_j = R'_j / (δ V'_j[j]).  W is kept as such a column over its
     denominator; the denominator is 1 over F_2, and over F_p the column is
     monic (1 at its lowest entry) for the steps of `class_of`.
-    A breakpoint is its count per cell (`dims`), built from the one before
-    it on the pairs; the pages over it build cell ids and d_r on first read.
+    Page 0 numbers its cells in (p, q) order (`cells`; `cell0` their index
+    ranges, `cell_of[k][i]` the cell of i) and `counts` holds the latest
+    breakpoint's count per cell.  `changes[t]` stores the (cell, count)
+    pairs breakpoint t changes from the one before, so a breakpoint costs
+    its pairs; `read[t]` holds its counts once a page reads them (page 0's
+    from the start); pages read cell ids and d_r on first use.
     `frame[k]` = (T, T^-1) takes split coordinates of C^k to ambient ones.
     """
 
@@ -202,6 +226,7 @@ class _Reduction:
         self.f2 = cx.field.p == 2
         self.frame = frame or {}
         self.order, self.block, self.w, self.dw, self.gap, self.up = {}, {}, {}, {}, {}, {}
+        self.runs = sfc.runs
         for k in cx.degrees():
             self.order[k], self.block[k] = sfc.order[k]
             n = len(self.block[k])
@@ -209,7 +234,7 @@ class _Reduction:
         for k in cx.degrees():
             self._reduce(k, sfc.sorted_rows(k).take_columns(self.order[k]))
         self.views = {}  # r -> Page
-        self.dims = []  # the counts {(p, q): dim} of each breakpoint built so far
+        self.changes = []  # per breakpoint built so far, the (cell, count) pairs it changes
 
     def _reduce(self, k, d):
         f, delta, basis = self.field, d.den, {}  # D' = δ D in index coordinates
@@ -276,52 +301,60 @@ class _Reduction:
         death end is also a gap-r birth end."""
         if r in self.views:
             return self.views[r]
-        if not self.dims:  # the gap buckets, read from the pairing when a page is first asked for
+        if not self.changes:  # the gap buckets, read from the pairing when a page is first asked for
             self.gaps = {}  # gap -> [(k, i, j)]: the pairs (k, i) -> (k+1, j)
             for k, up in self.up.items():
                 for i, j in enumerate(up):
                     if j >= 0:
                         self.gaps.setdefault(self.gap[k][i], []).append((k, i, j))
             self.breaks = [0] + [s + 1 for s in sorted(self.gaps)]
-            self.cell0 = {}  # (p, q) -> the range of indices of its generators
-            for k, blocks in self.block.items():
-                ends = [i for i in range(1, len(blocks)) if blocks[i] != blocks[i - 1]] + [len(blocks)]
-                for a, b in zip([0] + ends, ends):
-                    self.cell0[(blocks[a], k - blocks[a])] = range(a, b)
-            self.dims.append({c: len(ids) for c, ids in self.cell0.items()})
+            runs = sorted((p, k - p, k, a, b) for k, rs in self.runs.items() for p, a, b in rs)
+            self.cells = [(p, q) for p, q, _, _, _ in runs]  # the page-0 cells, sorted: a cell's number is its place
+            self.number = dict(zip(self.cells, range(len(runs))))
+            self.cell0 = [range(a, b) for _, _, _, a, b in runs]  # per cell, the range of indices of its generators
+            self.cell_of = {k: [0] * len(blocks) for k, blocks in self.block.items()}  # index -> cell
+            for n, (_, _, k, a, b) in enumerate(runs):
+                self.cell_of[k][a:b] = [n] * (b - a)
+            self.read = {0: list(map(len, self.cell0)) + [0]}  # breakpoint t -> its counts, shared by its pages
+            self.counts = self.read[0][:]  # the latest breakpoint's, updated in place
+            self.changes.append(())
         t = bisect_right(self.breaks, r) - 1
-        while len(self.dims) <= t:
+        while len(self.changes) <= t:
             self._advance()
         pairs = self.gaps.get(r, ())
         births = {(k, i) for k, i, _ in pairs}
         bad = [self._cell(k, i) for k, i, j in pairs if (k + 1, j) in births]
         if bad:
             raise InvariantError("d_%d o d_%d != 0 at (p=%d, q=%d): engine bug" % ((r, r) + min(bad)))
-        self.views[r] = Page(r, self, self.dims[t], pairs)
+        self.views[r] = Page(r, self, t, pairs)
         return self.views[r]
 
     def _advance(self):
         """Build the next breakpoint s+1: the counts of page s less both
         ends of each gap-s pair, checked against H(E_s, d_s) dimensionwise
-        on the cells d_s touches; no other count moves.  d_s out of a cell
-        is a matching: its columns are unit vectors e_j, one per pair, so its
-        rank is exactly its number of distinct death ends j."""
-        s = self.breaks[len(self.dims)] - 1
-        prev = self.page(s)._dims
-        dims, ends = dict(prev), {}
+        on the cells the pairs touch, which are the cells it stores; no
+        other count moves.  d_s out of a cell is a matching: its columns are
+        unit vectors e_j, one per pair, so its rank is exactly its number of
+        distinct death ends j."""
+        s = self.breaks[len(self.changes)] - 1
+        self.page(s)  # d_s o d_s = 0
+        counts, cell_of, hit, ends = self.counts, self.cell_of, {}, {}
         for k, i, j in self.gaps[s]:
-            src, tgt = self._cell(k, i), self._cell(k + 1, j)
-            dims[src] = dims.get(src, 0) - 1
-            dims[tgt] = dims.get(tgt, 0) - 1
+            src, tgt = cell_of[k][i], cell_of[k + 1][j]
+            hit[src] = hit.get(src, 0) + 1
+            hit[tgt] = hit.get(tgt, 0) + 1
             ends.setdefault(src, set()).add(j)  # the rank of d_s out of src is len(ends[src])
-        for p, q in sorted({c for src in ends for c in (src, (src[0] + s, src[1] - s + 1))}):
-            expect = prev.get((p, q), 0) - len(ends.get((p, q), ())) - len(ends.get((p - s, q + s - 1), ()))
-            if dims[(p, q)] != expect:
+        changes = []
+        for c in sorted(hit):  # cell numbers sort as their (p, q)
+            (p, q), n = self.cells[c], counts[c] - hit[c]
+            expect = counts[c] - len(ends.get(c, ())) - len(ends.get(self.number.get((p - s, q + s - 1)), ()))
+            if n != expect:
                 raise InvariantError("page %d cell (%d, %d) has dim %d but H(E_%d, d_%d) gives %d: engine bug"
-                                     % (s + 1, p, q, dims[(p, q)], s, s, expect))
-            if not expect:
-                del dims[(p, q)]
-        self.dims.append(dims)
+                                     % (s + 1, p, q, n, s, s, expect))
+            changes.append((c, n))
+        for c, n in changes:
+            counts[c] = n
+        self.changes.append(changes)
 
 
 class FilteredComplex:
@@ -417,8 +450,8 @@ class FilteredComplex:
         einf = self.page(r_stop).dims()
         for k in cx.degrees():
             d = split.sorted_rows(k)
-            cols = [c for c in reversed(d.cols) if c]
-            cols = cols[::-1] if cols == [d.cols[j] for j in split.order[k][0] if d.cols[j]] else cols
+            cols = list(filter(None, reversed(d.cols)))
+            cols = cols[::-1] if cols == list(filter(None, map(d.cols.__getitem__, split.order[k][0]))) else cols
             rank[k] = len(_echelon(d.field, d.nrows, cols)[0])
         h_dims = {k: h for k in cx.degrees() if (h := cx.dim(k) - rank[k] - rank.get(k - 1, 0))}
         h_filt = dict(sorted((pk, h) for k in cx.degrees() for pk, h in split._h_filtration(k)))
@@ -438,35 +471,36 @@ class SplitFilteredComplex(FilteredComplex):
     """
 
     def __init__(self, complex, blocks):
-        self.complex = complex
-        self.blocks = dict(blocks)
-        self.n = max(self.blocks.values(), default=0)
+        self.complex, self.blocks = complex, {}  # the generators' blocks only
+        for g, _ in complex.basis.generators:  # the first refusal in document order
+            if g not in blocks:
+                raise InvariantError("generator %r has no block index" % g)
+            b = self.blocks[g] = blocks[g]
+            if type(b) is not int:  # a float or a bool is refused, not truncated
+                raise InvariantError("generator %r has non-integer block index %r" % (g, b))
+            if b < 0:
+                raise InvariantError("generator %r has negative block index" % g)
+        by_degree = {k: list(map(self.blocks.__getitem__, complex.basis.gens(k))) for k in complex.degrees()}
         self.order = {}  # degree k -> (positions of C^k in block-descending order, the block of each)
-        for k in complex.degrees():
-            b = [self.blocks.get(g, -1) for g in complex.basis.gens(k)]  # `_check` refuses a missing one
-            pos = sorted(range(len(b)), key=lambda i: -b[i])
-            self.order[k] = (pos, [b[i] for i in pos])
+        for k, b in by_degree.items():
+            pos = sorted(range(len(b)), key=b.__getitem__, reverse=True)  # stable: ties keep document order
+            self.order[k] = (pos, list(map(b.__getitem__, pos)))
+        self.runs = {k: _runs(bs) for k, (_, bs) in self.order.items()}  # degree k -> (block, start, end) per block
+        self.n = max([bs[0] for _, bs in self.order.values()], default=0)
         self._rows = {}  # degree k -> d^k with its rows in order[k + 1]
         self._prof = {}  # degree k -> (pivot columns, sorted lows) of d^k
         self._red = None
-        self._check()
+        self._check(by_degree)
 
-    def _check(self):
+    def _check(self, by_degree):
         cx = self.complex
-        for g, _ in cx.basis.generators:
-            if g not in self.blocks:
-                raise InvariantError("generator %r has no block index" % g)
-            if type(self.blocks[g]) is not int:  # a float or a bool is refused, not truncated
-                raise InvariantError("generator %r has non-integer block index %r" % (g, self.blocks[g]))
-            if self.blocks[g] < 0:
-                raise InvariantError("generator %r has negative block index" % g)
-        for k in cx.degrees():
-            src, dst, low = cx.basis.gens(k), cx.basis.gens(k + 1), self.order.get(k + 1, ((), ()))[1]
+        for k, b in by_degree.items():
+            c, low = by_degree.get(k + 1, ()), self.order.get(k + 1, ((), ()))[1]
             # rows in block-descending order, so the last row of a column has its lowest block
-            if any(c and low[_low(c)] < self.blocks[src[j]] for j, c in enumerate(self.sorted_rows(k).cols)):
-                i, j = min((i, j) for i, j in cx.d(k).support() if self.blocks[dst[i]] < self.blocks[src[j]])
+            if any(col and low[_low(col)] < bj for col, bj in zip(self.sorted_rows(k).cols, b)):
+                i, j = min((i, j) for i, j in cx.d(k).support() if c[i] < b[j])
                 raise InvariantError("differential entry %r -> %r lowers the block index by %d"
-                                     % (src[j], dst[i], self.blocks[src[j]] - self.blocks[dst[i]]))
+                                     % (cx.basis.gens(k)[j], cx.basis.gens(k + 1)[i], b[j] - c[i]))
 
     def sorted_rows(self, k):
         """d^k with its rows in order[k + 1]: permuted once, for whichever
@@ -491,10 +525,10 @@ class SplitFilteredComplex(FilteredComplex):
         for j in (k - 1, k):
             if j not in self._prof:
                 d = self.sorted_rows(j)
-                piv, basis = _echelon(d.field, d.nrows, [d.cols[i] for i in self.order.get(j, ((), ()))[0]])
+                piv, basis = _echelon(d.field, d.nrows, list(map(d.cols.__getitem__, self.order.get(j, ((), ()))[0])))
                 self._prof[j] = (piv, sorted(basis))
         piv, lows, h = self._prof[k][0], self._prof[k - 1][1], 0
-        for b, t in {b: t for t, b in enumerate(self.order[k][1], 1)}.items():  # F_b C^k = [0, t)
+        for b, _, t in self.runs[k]:  # F_b C^k = [0, t)
             new = t - bisect_left(piv, t) - bisect_left(lows, t)
             if new != h:
                 h = new
@@ -539,6 +573,12 @@ class FilteredChainMap:
         g = self.chain_map.block(k)
         g = tframe[k][1] * g if k in tframe else g
         return g * sframe[k][0] if k in sframe else g
+
+
+def _runs(blocks):
+    """(block, start, end) of each run of equal blocks in a list, in order."""
+    ends = list(compress(range(1, len(blocks)), map(ne, blocks, blocks[1:]))) + [len(blocks)]
+    return [(blocks[a], a, b) for a, b in zip([0] + ends, ends)]
 
 
 def _moved(col, moves):

@@ -1,4 +1,5 @@
 import random
+import re
 from contextlib import nullcontext
 from fractions import Fraction
 
@@ -78,7 +79,25 @@ def test_split_blocks_must_be_ints():
     for block in (1.0, True):
         with pytest.raises(InvariantError, match=r"^generator 'b' has non-integer block index %s$" % block):
             SplitFilteredComplex(cx, {"a": 0, "b": block})
+    # each is refused before any block is compared: a string, None or a list
+    # raised a bare TypeError from max() over the blocks
+    for block in ("x", None, [1], 1.5, True):
+        with pytest.raises(InvariantError, match=r"^generator 'a' has non-integer block index %s$"
+                           % re.escape(repr(block))):
+            SplitFilteredComplex(cx, {"a": block, "b": 0})
     assert SplitFilteredComplex(cx, {"a": 0, "b": 1}).blocks == {"a": 0, "b": 1}
+
+
+def test_split_blocks_are_read_for_the_generators_only():
+    # an id that is no generator neither sets the filtration length nor
+    # stays in the tower: the identity map of this 2-generator tower has 3
+    # levels, r = 0..n+1, where the stray block made it 100002
+    cx = CochainComplex.from_generator_entries(Q, [("a", 0), ("b", 1)], [("a", "b", 1)])
+    sfc = SplitFilteredComplex(cx, {"a": 0, "b": 1, "zzz": 10 ** 5})
+    assert sfc.n == 1
+    assert sfc.blocks == {"a": 0, "b": 1}
+    maps = map_of_spectral_sequences(FilteredChainMap(ChainMap.identity(cx), sfc, sfc))
+    assert sorted(maps) == [0, 1, 2]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -795,23 +814,115 @@ def test_unconjugated_chain_converges_within_budget():
     assert time.perf_counter() - start < 1
 
 
+def distinct_gap_chain(n):
+    """a_i -> b_i over F_2, a_i in block 0 and b_i in block i + 1: n distinct gaps."""
+    gens = [("a%d" % i, 0) for i in range(n)] + [("b%d" % i, 1) for i in range(n)]
+    d = {0: Matrix.from_entries(F2, n, n, [(i, i, 1) for i in range(n)])}
+    blocks = {g: 0 if g[0] == "a" else int(g[1:]) + 1 for g, _ in gens}
+    return SplitFilteredComplex(CochainComplex(F2, GradedBasis(gens), d), blocks)
+
+
 def test_distinct_gaps_converge_within_budget():
-    # a_i -> b_i with a_i in block 0 and b_i in block i + 1: 2000 distinct
-    # gaps, so 2001 breakpoints over 2001 cells; each breakpoint costs its
-    # one pair, not a pass over every cell of the page before it
+    # 2000 distinct gaps, so 2001 breakpoints over 2001 cells; each breakpoint
+    # costs its one pair, not a pass over every cell of the page before it
+    # (the time and memory of that are bounded at 4000 gaps in
+    # test_distinct_gaps_cost_their_pairs)
     import time
 
     n = 2000
     start = time.perf_counter()
-    gens = [("a%d" % i, 0) for i in range(n)] + [("b%d" % i, 1) for i in range(n)]
-    d = {0: Matrix.from_entries(F2, n, n, [(i, i, 1) for i in range(n)])}
-    blocks = {g: 0 if g[0] == "a" else int(g[1:]) + 1 for g, _ in gens}
-    sfc = SplitFilteredComplex(CochainComplex(F2, GradedBasis(gens), d), blocks)
-    conv = sfc.converge()
+    conv = distinct_gap_chain(n).converge()
     assert conv.certified
     assert conv.r_stop == n + 1
     assert conv.einf == {}
     assert time.perf_counter() - start < 1
+
+
+def test_distinct_gaps_cost_their_pairs():
+    # 4000 distinct gaps: a breakpoint stores the counts of the two cells its
+    # pair touches, so converge takes about 0.03 s with a 6 MB traced peak;
+    # a copy of every count per breakpoint took 0.62 s and 312 MB.  Time and
+    # memory are measured in separate runs, since tracing allocations slows them
+    import time
+    import tracemalloc
+
+    n = 4000
+    sfc = distinct_gap_chain(n)
+    start = time.perf_counter()
+    conv = sfc.converge()
+    elapsed = time.perf_counter() - start
+    assert conv.certified and conv.r_stop == n + 1 and conv.einf == {}
+    assert elapsed < 0.25
+    sfc = distinct_gap_chain(n)
+    tracemalloc.start()
+    try:
+        sfc.converge()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
+def test_pages_of_one_breakpoint_share_their_counts():
+    # 1001 cells, one pair of gap 1 and a filtration of length 5000: the
+    # 5002 pages lie over two breakpoints and read two lists of counts, not
+    # one per page (that would take about 40 MB here)
+    import tracemalloc
+
+    n, m = 5000, 1000
+    gens = [("x%d" % i, 0) for i in range(m)] + [("z", 0), ("a", 1), ("b", 2)]
+    blocks = {**{"x%d" % i: i for i in range(m)}, "z": n, "a": 0, "b": 1}
+    d = {1: Matrix.from_entries(F2, 1, 1, [(0, 0, 1)])}
+    sfc = SplitFilteredComplex(CochainComplex(F2, GradedBasis(gens), d), blocks)
+    assert sfc.converge().r_stop == 2
+    tracemalloc.start()
+    try:
+        a_dims = [sfc.page(r).dim(0, 1) for r in range(n + 2)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a_dims == [1, 1] + [0] * n
+    assert [sfc.page(r).dim(m - 1, 1 - m) for r in (0, 2, n + 1)] == [1, 1, 1]
+    assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("field", PAGE_CHECK_FIELDS, ids=str)
+def test_page_views_agree_and_never_change(field):
+    # three towers on one complex read each page three ways: as soon as it
+    # is built (a copy of the latest counts), built early and read only
+    # once every breakpoint is (replayed from page 0 through the stored
+    # changes), and after converge.  They agree with the subquotient oracle
+    # and with each other; dims() is fresh, sorted and nonzero, and a view
+    # read before the last breakpoint was built reads the same afterwards
+    from helpers import DensePageOracle
+
+    rng = random.Random(3536)
+    for _ in range(10):
+        sfc = random_split_complex(rng, field, max_gens=16, max_len=4)
+        cx, rs = sfc.complex, range(sfc.n + 3)
+        oracle = DensePageOracle.from_filtered(sfc)
+        eager = SplitFilteredComplex(cx, sfc.blocks)
+        first = {r: eager.page(r).dims() for r in rs}
+        lazy = SplitFilteredComplex(cx, sfc.blocks)
+        views = [lazy.page(r) for r in rs]
+        late = SplitFilteredComplex(cx, sfc.blocks)
+        late.converge()
+        cells0 = list(eager.page(0).dims())
+        for r in rs:
+            want = oracle.page_dims(r, cx.degrees())
+            for page in (eager.page(r), views[r], late.page(r)):
+                dims = page.dims()
+                assert dims == first[r] == want
+                assert list(dims) == sorted(dims) and all(dims.values())
+                assert page.cells() == list(dims)
+                assert page.flagged == tuple(c for c in dims if c[1] < 0)
+                assert [page.dim(p, q) for p, q in cells0] == [dims.get(c, 0) for c in cells0]
+                assert page.dim(-1, 0) == page.dim(sfc.n + 1, 0) == page.dim(0, 10 ** 6) == 0
+                dims[(0, 0)] = dims.get((0, 0), 0) + 5
+                dims.pop(next(iter(want), None), None)
+                page.cells().append((-1, 0))
+                assert page.dims() == want and page.dims() is not page.dims()
+                assert page.dim(-1, 0) == 0
 
 
 def test_q_tower_converges_within_budget():
@@ -956,10 +1067,12 @@ def test_reduction_arrays_hold_one_pairing(field):
                     assert red.gap[k + 1][j] == gap[i] == red.block[k + 1][j] - block[i] >= 0
                 assert not (j >= 0 and i in down)
                 assert (gap[i] is not None) == (j >= 0 or i in down)
-            cells = sorted((rg.start, rg, p) for (p, q), rg in red.cell0.items() if p + q == k)
-            assert [i for _, rg, _ in cells for i in rg] == list(range(len(block)))
-            for _, rg, p in cells:
+            cells = sorted((rg.start, rg, p, n) for n, ((p, q), rg) in enumerate(zip(red.cells, red.cell0))
+                           if p + q == k)
+            assert [i for _, rg, _, _ in cells for i in rg] == list(range(len(block)))
+            for _, rg, p, n in cells:
                 assert tuple(red.order[k][i] for i in rg) == sfc.block_indices(k, p)
+                assert [red.cell_of[k][i] for i in rg] == [n] * len(rg)
 
 
 @pytest.mark.parametrize("field, most", [(F2, 400), (Field(3), 1000), (Field(2 ** 61 - 1), 1000), (Q, 1000)],
