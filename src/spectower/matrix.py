@@ -28,15 +28,15 @@ is zero, `solve` of an identity is its right-hand side, verified, and an
 in-place selection (every row or column, in order) is the matrix itself.
 
 One elimination.  All elimination is one left-to-right pass over the
-columns, each reduced against the earlier column owning its lowest entry
-(the column reduction R = D V of persistence).  A column is a pivot
+columns, each reduced against the earlier column owning its pivot, its
+least row (the column reduction R = D V of persistence).  A column is a pivot
 column iff it grows the span of the columns before it, which is the RREF
 pivot set.  `pivot_columns` and the subspace helpers keep no V and stop
 at nrows pivots (`_echelon`); `pivot_columns` caches its pivot set, which
 `kernel` and `solve` also fill, and `rank` is its length.  `kernel` and
 `solve` track V (`_tracked`), and read the canonical RREF kernel basis
 and free-variables-zero solution off it.  The tower reduction of
-`spectral._Reduction` is the same tracked pass, one per d^k.
+`spectral._Reduction` is the same tracked pass per d^k, last column first.
 """
 
 from fractions import Fraction
@@ -390,8 +390,8 @@ def _divided(field, nrows, pairs):
 
 
 def _low(col):
-    """The largest row of a nonzero column."""
-    return col.bit_length() - 1 if type(col) is int else max(col)
+    """The pivot of a nonzero column: its least row (x ^ (x - 1) sets the bits up to it)."""
+    return (col ^ (col - 1)).bit_length() - 1 if type(col) is int else min(col)
 
 
 def _bits(x):
@@ -431,7 +431,7 @@ def _grows(f, basis, col):
     p = f.p
     if p == 2:
         while col:
-            low = col.bit_length() - 1
+            low = (col ^ (col - 1)).bit_length() - 1
             b = basis.get(low)
             if b is None:
                 basis[low] = col
@@ -439,7 +439,7 @@ def _grows(f, basis, col):
             col ^= b
         return False
     col, stepped = dict(col), False  # the one copy the steps write into
-    while col and (b := basis.get(low := max(col))) is not None:
+    while col and (b := basis.get(low := min(col))) is not None:
         _step(p, (col,), (b,), low)
         stepped = True
     if not col:
@@ -476,7 +476,7 @@ def _tracked(f, basis, j, col):
     if p == 2:
         v = 1 << j
         while col:
-            low = col.bit_length() - 1
+            low = (col ^ (col - 1)).bit_length() - 1
             b = basis.get(low)
             if b is None:
                 basis[low] = (col, v)
@@ -485,7 +485,7 @@ def _tracked(f, basis, j, col):
             v ^= b[1]
         return col, v, 1
     col, v, stepped = dict(col), {j: 1}, False  # the one copy the steps write into
-    while col and (b := basis.get(low := max(col))) is not None:
+    while col and (b := basis.get(low := min(col))) is not None:
         _step(p, (col, v), b, low)
         stepped = True
     if stepped and not p:

@@ -8,12 +8,14 @@ d_r of bidegree (r, -r+1) and satisfy E_{r+1} = H(E_r, d_r).
 
 Every page is a view over one persistence column reduction R = D V of a
 split complex (Barannikov normal form; Zomorodian-Carlsson 2005,
-Basu-Parida 2017): a column x whose R column is lowest at y pairs x -> y
-with gap s = block(y) - block(x), and E_r^{p,q} has a basis of the
-block-p generators of degree p+q that are unpaired or in a pair of gap
->= r; d_r matches the ends of the gap-r pairs.  As in PHAT (Bauer et
-al. 2017), columns and pairing are arrays per degree, indexed in
-block-descending order, so the generators of a cell are an index range.
+Basu-Parida 2017): a column x whose R column has its pivot, its least
+index, at y pairs x -> y with gap s = block(y) - block(x), and E_r^{p,q}
+has a basis of the block-p generators of degree p+q that are unpaired or
+in a pair of gap >= r; d_r matches the ends of the gap-r pairs.  As in
+PHAT (Bauer et al. 2017), columns and pairing are arrays per degree,
+indexed block-ascending with ties in document order (a degree listed
+block by block is indexed as listed), and reduced from the highest index
+down, so the generators of a cell are an index range and F_p a suffix.
 Pages change only at the breakpoints r = 0 and r = s+1 for each gap s
 that some pair has.  Page 0 numbers its cells and counts them; page s+1
 is page s less both ends of each gap-s pair, and its breakpoint stores
@@ -29,11 +31,12 @@ dimensionwise wherever d_r ≠ 0, on the pairs (a matching of unit
 columns: its rank is its number of distinct rows); and `converge`
 certifies E_inf against F_pH and H, not from the pairing but by two
 echelon passes per d^k of the split copy (T is a filtered isomorphism),
-on its rows in block-descending order.  The profile takes the columns in
-that order too, so F_p C^k is a prefix [0, t) and dim F_pH^k = t - rank
-d^k|F_p - #{lows of im d^{k-1} below t}; dim H^k = dim C^k - rank d^k -
-rank d^{k-1} takes the nonzero columns reversed, or in order where that
-is the profile's.  The subquotient
+on its rows in index order.  The profile takes the columns from the top
+index down, so F_p C^k = [t, n) is its first n - t columns and dim
+F_pH^k = n - t - rank d^k|F_p - #{pivots of im d^{k-1} >= t}; dim H^k =
+dim C^k - rank d^k - rank d^{k-1} takes the nonzero columns by blocks
+from the highest, each in document order, or all reversed where that is
+the profile's order.  The subquotient
 E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2}),
 Z_r^{p,q} = {x in F_p C^{p+q} : dx in F_{p+r}}, is the test oracle.
 
@@ -52,7 +55,7 @@ filtration (d_r moves p by r), and `page(r)` for any larger r is E_inf.
 from bisect import bisect_left, bisect_right
 from itertools import chain, compress
 from math import inf
-from operator import ne, neg
+from operator import ne
 
 from .complexes import CochainComplex
 from .errors import InvariantError, PreconditionError, _int
@@ -116,9 +119,9 @@ class Page:
         m = self._reps.get((p, q))
         if m is None:
             red, k = self._red, p + q
-            moves = dict(enumerate(red.order.get(k, ())))  # index coordinates -> positions in C^k
-            w, dw = red.w[k], red.dw[k]
-            m = _divided(self.field, len(moves), [(_moved(w[i], moves), dw[i]) for i in self._cell_ids((p, q))])
+            w, dw, moves = red.w[k], red.dw[k], red.moves.get(k)  # moves: None where order[k] is the identity
+            m = _divided(self.field, len(w), [(w[i] if moves is None else _moved(w[i], moves), dw[i])
+                                              for i in self._cell_ids((p, q))])
             m = self._reps[(p, q)] = red.frame[k][0] * m if k in red.frame else m
         return m
 
@@ -199,18 +202,18 @@ class ConvergenceReport:
 class _Reduction:
     """The reduction R = D V of a split complex and the pages it yields.
 
-    Generators of C^k are indexed in block-descending order (`order[k]`
-    their positions, `block[k]` their blocks), so F_p C^k is a prefix.
-    Per-generator state is one list per degree k, indexed by i: `w[k][i]`
-    the W column, `dw[k][i]` its denominator, `gap[k][i]` the gap of i's
-    pair (None if unpaired), `up[k][i]` a birth end's partner, else -1.
-    Columns in index coordinates are int bitmasks over F_2, {index: value}
-    dicts otherwise.  The reduction is one `_tracked` pass over the integer
-    columns D' of d, D = D'/δ (δ = 1 over F_2 and F_p): it keeps D' V' = R'
-    exactly, checked column by column, so V_j = V'_j / V'_j[j] and
-    R_j = R'_j / (δ V'_j[j]).  W is kept as such a column over its
-    denominator; the denominator is 1 over F_2, and over F_p the column is
-    monic (1 at its lowest entry) for the steps of `class_of`.
+    Generators of C^k are indexed block-ascending (`order[k]` their
+    positions, `moves[k]` the same as a map where it is no identity,
+    `block[k]` their blocks), so F_p C^k is a suffix.  Per-generator state
+    is one list per degree k, indexed by i: `w[k][i]` the W column,
+    `dw[k][i]` its denominator, `gap[k][i]` the gap of i's pair (None if
+    unpaired), `up[k][i]` a birth end's partner, else -1.  Columns in index
+    coordinates are int bitmasks over F_2, {index: value} dicts otherwise.
+    The reduction is one `_tracked` pass over the integer columns D' of d,
+    D = D'/δ (δ = 1 over F_2 and F_p): it keeps D' V' = R' exactly, checked
+    column by column, so V_j = V'_j / V'_j[j] and R_j = R'_j / (δ V'_j[j]).
+    W is kept as such a column over its denominator, 1 over F_2; over F_p
+    the column is monic (1 at its pivot) for the steps of `class_of`.
     Page 0 numbers its cells in (p, q) order (`cells`; `cell0` their index
     ranges, `cell_of[k][i]` the cell of i) and `counts` holds the latest
     breakpoint's count per cell.  `changes[t]` stores the (cell, count)
@@ -222,11 +225,11 @@ class _Reduction:
 
     def __init__(self, sfc, frame=None):
         cx = sfc.complex
-        self.field = cx.field
-        self.f2 = cx.field.p == 2
-        self.frame = frame or {}
+        self.field, self.f2, self.frame = cx.field, cx.field.p == 2, frame or {}
         self.order, self.block, self.w, self.dw, self.gap, self.up = {}, {}, {}, {}, {}, {}
         self.runs = sfc.runs
+        self.moves = {k: dict(enumerate(pos)) for k, (pos, _) in sfc.order.items()
+                      if any(map(ne, pos, range(len(pos))))}  # index -> position, where order[k] is no identity
         for k in cx.degrees():
             self.order[k], self.block[k] = sfc.order[k]
             n = len(self.block[k])
@@ -239,8 +242,8 @@ class _Reduction:
     def _reduce(self, k, d):
         f, delta, basis = self.field, d.den, {}  # D' = δ D in index coordinates
         w, dw, gap, up, block = self.w[k], self.dw[k], self.gap[k], self.up[k], self.block[k]
-        for j, col in enumerate(d.cols):
-            col, v, vj = _tracked(f, basis, j, col)  # V_j = v / v[j], R_j = col / (δ v[j])
+        for j in range(len(d.cols) - 1, -1, -1):  # from the highest index down
+            col, v, vj = _tracked(f, basis, j, d.cols[j])  # V_j = v / v[j], R_j = col / (δ v[j])
             if _apply(f, d.cols, v) != col:
                 raise InvariantError("reduction R = D V fails in degree %d: engine bug" % k)
             if w[j] is None:
@@ -258,15 +261,15 @@ class _Reduction:
 
     def _walk(self, p, k, col, den):
         """(x, den, bound) of the column col / den over C^k in index
-        coordinates: col / den = x / den in the W basis (W_i is lowest at i).
+        coordinates: col / den = x / den in the W basis (W_i's pivot is i).
 
         The column lies in Z_r^{p,q} iff it avoids blocks < p and each birth
         end the walk meets has its partner in block >= p+r, so its bound,
-        the largest such r, is -1 if its lowest entry is in a block < p (and
-        the walk does not start), None if it meets no birth end, and else the
-        least block + gap - p over the birth ends it meets.  W_low is lowest
-        at low, so the rows a walk clears only rise and their blocks never
-        fall: the lowest entry decides whether the column avoids blocks < p.
+        the largest such r, is -1 if its pivot is in a block < p (and the
+        walk does not start), None if it meets no birth end, and else the
+        least block + gap - p over the birth ends it meets.  W_low has its
+        pivot, its least index, at low, so the rows a walk clears only rise
+        and their blocks never fall: the pivot decides if it avoids blocks < p.
         Over F_p and Q it runs on one copy of the integer column, which each
         step writes into: over F_p W is monic, and over Q the column and x
         stay integral over one denominator, which takes each step's scale;
@@ -377,15 +380,11 @@ class FilteredComplex:
 
     def span(self, p, k):
         """A matrix whose columns span F_p C^k inside C^k."""
-        dim = self.complex.dim(k)
+        dim, f = self.complex.dim(k), self.complex.field
         if p <= 0:
-            return Matrix.identity(self.complex.field, dim)
-        if p > self.n:
-            return Matrix.zero(self.complex.field, dim, 0)
-        m = self.steps[p - 1].get(k)
-        if m is None:
-            return Matrix.zero(self.complex.field, dim, 0)
-        return m
+            return Matrix.identity(f, dim)
+        m = self.steps[p - 1].get(k) if p <= self.n else None
+        return Matrix.zero(f, dim, 0) if m is None else m
 
     def _check(self):
         """(split copy, frame {k: (T, T^-1)}): T_k takes split coordinates to
@@ -400,13 +399,11 @@ class FilteredComplex:
                 if m.field != f:
                     raise InvariantError("filtration span has wrong field at (p=%d, k=%d)" % (p, k))
                 if m.nrows != cx.dim(k):
-                    raise InvariantError(
-                        "filtration span at (p=%d, k=%d) has %d rows, expected %d"
-                        % (p, k, m.nrows, cx.dim(k))
-                    )
+                    raise InvariantError("filtration span at (p=%d, k=%d) has %d rows, expected %d"
+                                         % (p, k, m.nrows, cx.dim(k)))
         bases, blocks, bad = {}, {}, []
         for k in cx.degrees():
-            basis = Matrix.zero(f, cx.dim(k), 0)
+            basis, pieces = Matrix.zero(f, cx.dim(k), 0), []  # (p, a basis of F_p / F_{p+1}), block 0 first
             for p in range(self.n, -1, -1):
                 try:
                     new = quotient_basis(self.span(p, k), basis)
@@ -414,9 +411,10 @@ class FilteredComplex:
                     bad.append((p, k))
                     basis = quotient_basis(self.span(p, k), Matrix.zero(f, cx.dim(k), 0))
                     continue
-                blocks.update(zip(cx.basis.gens(k)[basis.ncols:], [p] * new.ncols))
+                pieces.insert(0, (p, new))  # so the split copy is listed block-ascending
                 basis = Matrix.hstack(f, cx.dim(k), [basis, new])
-            bases[k] = basis
+            blocks.update(zip(cx.basis.gens(k), [p for p, m in pieces for _ in range(m.ncols)]))
+            bases[k] = Matrix.hstack(f, cx.dim(k), [m for _, m in pieces])
         if bad:
             raise InvariantError("filtration is not decreasing at (p=%d, k=%d)" % min(bad))
         frame = {k: (t, t.inverse()) for k, t in bases.items()}
@@ -443,15 +441,15 @@ class FilteredComplex:
     def converge(self):
         """Walk the breakpoints to stabilization and certify E_inf against
         F_pH and H by two echelon passes per d^k on the rows of `sorted_rows(k)`,
-        never the pairing: F_pH (`_h_filtration`) takes the columns block-descending,
-        H the nonzero ones in reversed document order, or in document order where that is the profile's."""
+        never the pairing: F_pH (`_h_filtration`) takes the columns from the top index down,
+        H the nonzero ones by blocks from the highest, each in document order, or reversed."""
         cx, split, rank = self.complex, self._split()[0], {}
         r_stop = self.page(0)._red.breaks[-1]  # the last breakpoint: every d_r with r >= r_stop is zero
         einf = self.page(r_stop).dims()
         for k in cx.degrees():
-            d = split.sorted_rows(k)
-            cols = list(filter(None, reversed(d.cols)))
-            cols = cols[::-1] if cols == list(filter(None, map(d.cols.__getitem__, split.order[k][0]))) else cols
+            d, pos = split.sorted_rows(k), split.order[k][0]
+            cols = list(filter(None, map(d.cols.__getitem__, chain(*[pos[a:b] for _, a, b in reversed(split.runs[k])]))))
+            cols = cols[::-1] if cols == list(filter(None, map(d.cols.__getitem__, reversed(pos)))) else cols
             rank[k] = len(_echelon(d.field, d.nrows, cols)[0])
         h_dims = {k: h for k in cx.degrees() if (h := cx.dim(k) - rank[k] - rank.get(k - 1, 0))}
         h_filt = dict(sorted((pk, h) for k in cx.degrees() for pk, h in split._h_filtration(k)))
@@ -481,14 +479,14 @@ class SplitFilteredComplex(FilteredComplex):
             if b < 0:
                 raise InvariantError("generator %r has negative block index" % g)
         by_degree = {k: list(map(self.blocks.__getitem__, complex.basis.gens(k))) for k in complex.degrees()}
-        self.order = {}  # degree k -> (positions of C^k in block-descending order, the block of each)
+        self.order = {}  # degree k -> (positions of C^k in block-ascending order, the block of each)
         for k, b in by_degree.items():
-            pos = sorted(range(len(b)), key=b.__getitem__, reverse=True)  # stable: ties keep document order
+            pos = sorted(range(len(b)), key=b.__getitem__)  # stable: ties keep document order
             self.order[k] = (pos, list(map(b.__getitem__, pos)))
         self.runs = {k: _runs(bs) for k, (_, bs) in self.order.items()}  # degree k -> (block, start, end) per block
-        self.n = max([bs[0] for _, bs in self.order.values()], default=0)
+        self.n = max([bs[-1] for _, bs in self.order.values()], default=0)
         self._rows = {}  # degree k -> d^k with its rows in order[k + 1]
-        self._prof = {}  # degree k -> (pivot columns, sorted lows) of d^k
+        self._prof = {}  # degree k -> (pivot columns, sorted pivot rows) of d^k
         self._red = None
         self._check(by_degree)
 
@@ -496,7 +494,7 @@ class SplitFilteredComplex(FilteredComplex):
         cx = self.complex
         for k, b in by_degree.items():
             c, low = by_degree.get(k + 1, ()), self.order.get(k + 1, ((), ()))[1]
-            # rows in block-descending order, so the last row of a column has its lowest block
+            # rows in block-ascending order, so the pivot of a column, its least row, has its lowest block
             if any(col and low[_low(col)] < bj for col, bj in zip(self.sorted_rows(k).cols, b)):
                 i, j = min((i, j) for i, j in cx.d(k).support() if c[i] < b[j])
                 raise InvariantError("differential entry %r -> %r lowers the block index by %d"
@@ -510,26 +508,28 @@ class SplitFilteredComplex(FilteredComplex):
         return self._rows[k]
 
     def block_indices(self, k, p):
-        """Coordinate positions of block-p generators inside C^k, ascending."""
+        """Coordinate positions of block-p generators inside C^k, ascending: a run of order[k]."""
         pos, blocks = self.order.get(k, ((), ()))
-        return tuple(pos[bisect_left(blocks, -p, key=neg):bisect_right(blocks, -p, key=neg)])
+        return tuple(pos[bisect_left(blocks, p):bisect_right(blocks, p)])
 
     def _h_filtration(self, k):
         """((p, k), dim F_pH^k) at the occupied blocks p where it differs
-        from dim F_{p+1}H^k.  F_p C^k is the prefix [0, t) of order[k], and
-        an echelon basis of B^k = im d^{k-1} has distinct lows, so
-        dim F_pH^k = t - rank d^k|F_p - #{lows < t}.  One cached `_echelon`
-        pass over the columns of each d^j in order[j] (rows in order[j + 1])
-        gives its pivots and lows.  Nothing here reads the reduction.
+        from dim F_{p+1}H^k.  F_p C^k is the suffix [t, n) of order[k], the
+        first n - t columns of a pass from the top index down, and an echelon
+        basis of B^k = im d^{k-1} has distinct pivots (least rows), so
+        dim F_pH^k = n - t - rank d^k|F_p - #{pivots >= t}.  One cached
+        `_echelon` pass over the columns of each d^j in reversed order[j]
+        (rows in order[j + 1]) gives its pivot columns and rows.  Nothing
+        here reads the reduction.
         """
         for j in (k - 1, k):
             if j not in self._prof:
-                d = self.sorted_rows(j)
-                piv, basis = _echelon(d.field, d.nrows, list(map(d.cols.__getitem__, self.order.get(j, ((), ()))[0])))
+                d, pos = self.sorted_rows(j), self.order.get(j, ((), ()))[0]
+                piv, basis = _echelon(d.field, d.nrows, list(map(d.cols.__getitem__, reversed(pos))))
                 self._prof[j] = (piv, sorted(basis))
-        piv, lows, h = self._prof[k][0], self._prof[k - 1][1], 0
-        for b, _, t in self.runs[k]:  # F_b C^k = [0, t)
-            new = t - bisect_left(piv, t) - bisect_left(lows, t)
+        piv, rows, h, n = self._prof[k][0], self._prof[k - 1][1], 0, len(self.order[k][0])
+        for b, t, _ in reversed(self.runs[k]):  # F_b C^k = [t, n)
+            new = n - t - bisect_left(piv, n - t) - len(rows) + bisect_left(rows, t)
             if new != h:
                 h = new
                 yield (b, k), h
@@ -595,9 +595,9 @@ def map_of_spectral_sequences(fmap):
     Returns {r: {(p, q): Matrix}} for r = 0 .. max(n_src, n_tgt) + 1.  Each
     source generator costs one walk (`_Reduction._walk`) of the image of its
     W pair (column, denominator), taken in index coordinates through f_k
-    between the split copies, permuted once per degree.  Level r restricts
-    that one computation: its columns are the source ids alive on page r
-    and its rows the target ids alive there, picked in one pass.  A
+    between the split copies, permuted where an order is no identity.  Level
+    r restricts that one computation: its columns are the source ids alive
+    on page r and its rows the target ids alive there, picked in one pass.  A
     selected column whose bound is below r has escaped the target page; a
     cell whose ids have not moved since the last level keeps its matrix.
     d_r matches each gap-r birth end to its death end with coefficient 1,

@@ -90,11 +90,12 @@ def oracle_solve(a, b):
 def oracle_reduction_basis(sfc):
     """{(k, position): W column, dense over positions} by the textbook
     persistence reduction in scalar field arithmetic: generators of each
-    degree in block-descending order, each column cleared against the
-    earlier column owning its lowest entry; W is the R column at a death
-    end and the V column elsewhere."""
+    degree in block-ascending order, ties in document order, columns taken
+    from the last down, each cleared against the column taken before it
+    that owns its least nonzero row; W is the R column at a death end and
+    the V column elsewhere."""
     cx, f = sfc.complex, sfc.complex.field
-    order = {k: sorted(range(cx.dim(k)), key=lambda i: -sfc.blocks[cx.basis.gens(k)[i]])
+    order = {k: sorted(range(cx.dim(k)), key=lambda i: sfc.blocks[cx.basis.gens(k)[i]])
              for k in cx.degrees()}
     w = {}
     for k in cx.degrees():
@@ -103,9 +104,9 @@ def oracle_reduction_basis(sfc):
         r = [[dense[i][j] for i in dst] for j in src]
         v = [[f.one if a == j else f.zero for a in range(len(src))] for j in range(len(src))]
         owner = {}
-        for j in range(len(src)):
+        for j in reversed(range(len(src))):
             while any(x != f.zero for x in r[j]):
-                low = max(i for i, x in enumerate(r[j]) if x != f.zero)
+                low = min(i for i, x in enumerate(r[j]) if x != f.zero)
                 i = owner.setdefault(low, j)
                 if i == j:
                     break

@@ -206,6 +206,36 @@ def test_e2_table_reads_dims_from_ranks(monkeypatch):
         assert e2_table(fd).entries == want
 
 
+def test_e2_table_refuses_a_table_that_disagrees_with_page_2(monkeypatch):
+    # the table is cross-checked against page 2 of the assembled tower: with
+    # the fiber's local systems untwisted, the Klein bottle's q = 1 column,
+    # which the -1 monodromy kills over Q, survives in the table alone
+    from spectower import fibration
+
+    def untwisted(fd, q):
+        sysq = cohomology_local_system(fd, q)
+        return sysq and LocalSystem.trivial(fd.base.graph, sysq.field, sysq.fiber_dim)
+
+    monkeypatch.setattr(fibration, "cohomology_local_system", untwisted)
+    with pytest.raises(InvariantError, match="^" + re.escape(
+            "E_2 table {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1} disagrees with page 2 dimensions "
+            "{(0, 0): 1, (1, 0): 1}: engine bug") + "$"):
+        e2_table(klein_fibration())
+
+
+def test_an_edge_action_that_does_not_act_on_cohomology_is_refused(monkeypatch):
+    # each acting edge's image of the H^q representatives must have
+    # coordinates in H^q: where the solve finds none, the first acting edge
+    # is named.  Only b acts on the Klein bottle's fiber, in degree 1
+    from spectower.complexes import CohomologyResult
+
+    fd = klein_fibration()
+    monkeypatch.setattr(CohomologyResult, "coordinates", lambda self, k, vecs: None)
+    assert cohomology_local_system(fd, 0) is not None  # no edge acts on H^0
+    with pytest.raises(InvariantError, match=r"^edge 'b' action does not act on H\^1$"):
+        cohomology_local_system(fd, 1)
+
+
 def test_grading_shift_covariance():
     # shifting all fiber degrees by s shifts every q by s and nothing else
     rng = random.Random(17)

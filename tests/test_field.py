@@ -26,6 +26,16 @@ def test_primality_enforced():
         parse_field("R")
 
 
+def test_miller_rabin_refuses_composites_past_the_trial_divisors():
+    # 65537 - 1 = 2^16, so each base runs the squaring loop; 2173 = 41 * 53
+    # has no factor among the bases, and 3215031751 = 151 * 751 * 28351 is a
+    # strong pseudoprime to bases 2, 3, 5 and 7, refused by base 11
+    assert Field(65537).p == 65537
+    for n in (2173, 3215031751):
+        with pytest.raises(ValueError, match="^%d is not prime$" % n):
+            Field(n)
+
+
 def test_normalize_canonical():
     f5 = Field(5)
     assert f5.normalize(-3) == 2

@@ -188,6 +188,23 @@ def test_extension_of_fully_defined_subsystem():
     assert rep.extension.transport_maps["b"] == tb
 
 
+def test_extension_refuses_one_that_does_not_restrict_to_the_subsystem(monkeypatch):
+    # the extension is checked against every subsystem path: with the word
+    # search's witnesses for the free generators a and b swapped, the wedge
+    # extension transports a by tb, and path la is refused
+    decide = localsystems._decide_surjectivity
+
+    def swapped(*args):
+        surjective, witnesses = decide(*args)
+        return surjective, {"a": witnesses["b"], "b": witnesses["a"]}
+
+    monkeypatch.setattr(localsystems, "_decide_surjectivity", swapped)
+    ta, tb = Matrix.from_rows(Q, [[2]]), Matrix.from_rows(Q, [[-1]])
+    sub = LocalSubsystem(Q, 1, ["v"], [("la", parse_word(["a"]), ta), ("lb", parse_word(["b"]), tb)])
+    with pytest.raises(InvariantError, match=r"^extension does not restrict to the subsystem transport on path 'la'$"):
+        extend_subsystem(sub, wedge_graph())
+
+
 def test_extension_forced_on_wedge():
     # spanning tree is a point; both loop generators present: factorization
     # through the free group is forced and unique
