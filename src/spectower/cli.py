@@ -5,12 +5,13 @@ kunneth.  All output is byte-deterministic.  Exit codes: 0 ok (for
 oracle-check and compare-ls: the check passed), 1 check failed,
 2 parse error, 3 invariant violation, 4 precondition violation,
 5 internal error (any other exception: a bug in spectower).  Output
-stays bounded: `pages --all` prints at most MAX_SPAN pages, `homology` at
-most MAX_SPAN degrees, and a table spans at most MAX_SPAN values of p or
-of q; past that, exit 4.  A run imports only the modules its subcommand
-and document kind use (`homology` on a cochain complex: no spectral or
-fibration; `extend`: plus localsystems; `kunneth`: all but spectral):
-where bytecode is not cached, each imported module is compiled per run.
+stays bounded: `pages --all` and `compare-ls` print at most MAX_SPAN
+pages, `homology` at most MAX_SPAN degrees, and a table spans at most
+MAX_SPAN values of p or of q; past that, exit 4.  A run imports only the
+modules its subcommand and document kind use (`homology` on a cochain
+complex: no spectral or fibration; `extend`: plus localsystems;
+`kunneth`: all but spectral): where bytecode is not cached, each
+imported module is compiled per run.
 """
 
 import argparse
@@ -211,14 +212,16 @@ def cmd_compare_ls(args):
     from .fibration import leray_serre_compare
     cmp = leray_serre_compare(cell_doc.payload, fib_doc.payload)
     lines = []
-    for r in sorted(cmp.pages_cellular):
-        same = cmp.pages_cellular[r] == cmp.pages_fibration[r]
-        lines.append("page %d: %s" % (r, "equal" if same else "DIFFERENT"))
-        if not same:
+    for r in range(1, min(cmp.rmax, MAX_SPAN) + 1):
+        cell, fib = cmp.page_dims(r)
+        lines.append("page %d: %s" % (r, "equal" if cell == fib else "DIFFERENT"))
+        if cell != fib:
             lines.append("  cellular:")
-            lines += ["  " + l for l in render_table(cmp.pages_cellular[r])]
+            lines += ["  " + l for l in render_table(cell)]
             lines.append("  fibration:")
-            lines += ["  " + l for l in render_table(cmp.pages_fibration[r])]
+            lines += ["  " + l for l in render_table(fib)]
+    if cmp.rmax > MAX_SPAN:  # after the pages above: a too-wide table among them is named first
+        raise PreconditionError("compare-ls would compare pages 1..%d, more than %d pages" % (cmp.rmax, MAX_SPAN))
     lines.append("E_infinity: %s" % ("equal" if cmp.einf_cellular == cmp.einf_fibration else "DIFFERENT"))
     lines.append("towers agree (pages >= 2 through E_infinity): %s" % ("yes" if cmp.equal else "no"))
     _emit(lines)

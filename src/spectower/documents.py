@@ -283,7 +283,10 @@ def _filtered_in(field, body, what):
     for st in _list_in(body, "filtration", what):
         if not isinstance(st, dict) or "p" not in st or not isinstance(st.get("spans", {}), dict):
             raise ParseError("%s: bad filtration step %r" % (what, st))
-        by_p[_int_in(st["p"], what + " filtration step p")] = st.get("spans", {})
+        p = _int_in(st["p"], what + " filtration step p")
+        if p in by_p:
+            raise ParseError("%s: filtration step p = %d is listed twice" % (what, p))
+        by_p[p] = st.get("spans", {})
     if by_p and sorted(by_p) != list(range(1, max(by_p) + 1)):
         raise ParseError("%s: filtration steps must cover p = 1..n" % what)
     steps = []

@@ -173,7 +173,7 @@ class E2Table:
 
 
 def cohomology_local_system(fd, q):
-    """The induced local system with fiber H^q(fiber), or None if that is 0.
+    """The induced local system with fiber H^q(fiber), for a q with H^q != 0.
 
     Transport per edge is the induced map of the chain-level action on
     cohomology representatives, solved only where the edge has a degree-q
@@ -183,8 +183,6 @@ def cohomology_local_system(fd, q):
     """
     fib_h = fd.fiber.cohomology()
     dim_q = fib_h.dim(q)
-    if dim_q == 0:
-        return None
     reps, f = fib_h.representatives(q), fd.fiber.field
     acting = [eid for eid in fd.base.graph.edges if q in fd.edge_action.get(eid, {})]
     imgs = [fd.edge_action[eid][q] * reps for eid in acting]
@@ -220,28 +218,36 @@ def e2_table(fd):
 
 
 class LerayComparison:
-    """Page-by-page dimension comparison of two towers over the same space.
+    """Page-by-page dimension comparison of two converged towers of one space.
 
-    The verdict `equal` covers pages r >= 2 through E_infinity; the r = 1
-    tables are reported but informational (an arbitrary CW model need not
+    `page_dims(r)` is the (cellular, fibration) pair of page-r dimension
+    tables for r = 1 .. rmax, each page built when it is first read.  The
+    verdict `equal` covers pages r >= 2 through E_infinity; the r = 1
+    tables (`r1_equal`) are informational (an arbitrary CW model need not
     match the Morse model before page 2).
     """
 
-    __slots__ = ("pages_cellular", "pages_fibration", "einf_cellular", "einf_fibration",
-                 "h_dims", "equal", "r1_equal")
+    __slots__ = ("towers", "rmax", "einf_cellular", "einf_fibration", "h_dims", "certified")
 
-    def __init__(self, pages_cellular, pages_fibration, einf_cellular, einf_fibration, h_dims,
-                 equal, r1_equal):
-        self.pages_cellular = pages_cellular
-        self.pages_fibration = pages_fibration
-        self.einf_cellular = einf_cellular
-        self.einf_fibration = einf_fibration
-        self.h_dims = h_dims
-        self.equal = equal
-        self.r1_equal = r1_equal
+    def __init__(self, towers, convs):
+        self.towers = towers
+        self.rmax = max(t.n for t in towers) + 1
+        self.einf_cellular, self.einf_fibration = (c.einf for c in convs)
+        self.h_dims = convs[0].h_dims
+        self.certified = all(c.certified for c in convs)
 
-    def __bool__(self):
-        return self.equal
+    def page_dims(self, r):
+        return tuple(t.page(r).dims() for t in self.towers)
+
+    @property
+    def r1_equal(self):
+        cell, fib = self.page_dims(1)
+        return cell == fib
+
+    @property
+    def equal(self):
+        return self.certified and self.einf_cellular == self.einf_fibration and all(
+            cell == fib for cell, fib in map(self.page_dims, range(2, self.rmax + 1)))
 
 
 def leray_serre_compare(cd_total, fd):
@@ -251,7 +257,7 @@ def leray_serre_compare(cd_total, fd):
     indices in `filtration`; its cochain complex is untwisted over the
     fiber complex's field.  Refuses with a precondition error when the
     two total cohomologies, the certified `h_dims` of the two converged
-    towers, disagree.
+    towers, disagree.  It builds no page: `LerayComparison` reads them.
     """
     if cd_total.filtration is None:
         raise PreconditionError("total-space cellular data carries no filtration labels")
@@ -270,20 +276,7 @@ def leray_serre_compare(cd_total, fd):
         raise PreconditionError(
             "total cohomology disagrees: cellular %s vs fibration %s" % (conv_c.h_dims, conv_f.h_dims)
         )
-
-    rmax = max(cell_tower.n, fib_tower.n) + 1
-    pages_c, pages_f = {}, {}
-    for r in range(1, rmax + 1):
-        pages_c[r] = cell_tower.page(r).dims()
-        pages_f[r] = fib_tower.page(r).dims()
-    equal = (
-        all(pages_c[r] == pages_f[r] for r in range(2, rmax + 1))
-        and conv_c.einf == conv_f.einf
-        and conv_c.certified
-        and conv_f.certified
-    )
-    return LerayComparison(pages_c, pages_f, conv_c.einf, conv_f.einf, conv_c.h_dims,
-                           equal, pages_c[1] == pages_f[1])
+    return LerayComparison((cell_tower, fib_tower), (conv_c, conv_f))
 
 
 # -- action windows ------------------------------------------------------------

@@ -19,9 +19,7 @@ _ONE = Fraction(1)
 
 
 def _is_prime(n):
-    # deterministic Miller-Rabin, exact for n < 3.3e24
-    if n < 2:
-        return False
+    # deterministic Miller-Rabin, exact for 2 <= n < 3.3e24
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -95,8 +93,6 @@ class Field:
         if self.p is None:
             return x if type(x) is Fraction else Fraction(x)
         if isinstance(x, Fraction):
-            if x.denominator == 1:
-                return x.numerator % self.p
             den = x.denominator % self.p
             if den == 0:
                 raise ZeroDivisionError("denominator %d is 0 in F%d" % (x.denominator, self.p))
@@ -131,17 +127,13 @@ class Field:
 
     def format_scalar(self, a):
         """Canonical text form: decimal integer, or "a/b" over Q."""
-        if self.p is None:
-            if a.denominator == 1:
-                return str(a.numerator)
-            return "%d/%d" % (a.numerator, a.denominator)
-        return str(a)
+        if a.denominator == 1:
+            return str(a.numerator)
+        return "%d/%d" % (a.numerator, a.denominator)
 
 
 def parse_scalar(text):
     """Parse "-7" or "3/4" into an int or Fraction (no reduction target)."""
-    if isinstance(text, int):
-        return text
     s = text.strip()
     try:
         if "/" in s:

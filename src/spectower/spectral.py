@@ -557,22 +557,18 @@ class FilteredChainMap:
         """Refuse the least (p, k) with f(F_p C^k) not in F_p.  On the split
         copies one pass over the entries of g_k = T_tgt^-1 f_k T_src finds
         it, a factor only on a side that has a frame: an entry from block b
-        into block c < b first fails at p = c + 1."""
-        src, tgt = self.source._split()[0], self.target._split()[0]
-        bad = []
+        into block c < b first fails at p = c + 1.  Each g_k is kept in
+        `split_blocks` for the maps of pages."""
+        (src, sframe), (tgt, tframe) = self.source._split(), self.target._split()
+        bad, self.split_blocks = [], {}
         for k in self.chain_map.source.degrees():
-            g = self._split_block(k)
+            g = self.chain_map.block(k)
+            g = tframe[k][1] * g if k in tframe else g
+            g = self.split_blocks[k] = g * sframe[k][0] if k in sframe else g
             b, c = ([x.blocks[gen] for gen in x.complex.basis.gens(k)] for x in (src, tgt))
             bad += [(c[i] + 1, k) for i, j in g.support() if c[i] < b[j]]
         if bad:
             raise PreconditionError("chain map does not preserve the filtration at (p=%d, k=%d)" % min(bad))
-
-    def _split_block(self, k):
-        """f_k between the split copies, T_tgt^-1 f_k T_src, a factor only on a side that has a frame."""
-        sframe, tframe = self.source._split()[1], self.target._split()[1]
-        g = self.chain_map.block(k)
-        g = tframe[k][1] * g if k in tframe else g
-        return g * sframe[k][0] if k in sframe else g
 
 
 def _runs(blocks):
@@ -609,7 +605,7 @@ def map_of_spectral_sequences(fmap):
     sred, tred, zero = src.page(0)._red, tgt.page(0)._red, 0 if fld.p == 2 else {}
     walked = {}  # walked[k][i]: (x, den, bound), source W_i carried into the target and walked there
     for k, order in sred.order.items():  # f_k in index coordinates on both sides
-        g = fmap._split_block(k).take_columns(order).take_rows(tred.order.get(k, ()))
+        g = fmap.split_blocks[k].take_columns(order).take_rows(tred.order.get(k, ()))
         walked[k] = [tred._walk(p, k, _apply(fld, g.cols, w), g.den * dw)
                      for p, w, dw in zip(sred.block[k], sred.w[k], sred.dw[k])]
     out, last = {}, {}  # last: cell -> (source ids, target ids, least bound, matrix), as last picked

@@ -352,6 +352,8 @@ KIND_REFUSALS = [
      "compare-ls needs a fibration_data document second"),
     ("extend_swapped", ["extend", "wedge2_graph.json", "wedge2_subsystem.json"],
      "extend needs a local_subsystem document"),
+    ("extend_complex_second", ["extend", "wedge2_subsystem.json", "circle.json"],
+     "extend needs a base_graph document"),
     ("kunneth_fibration_first", ["kunneth", "hopf.json", "circle.json"],
      "kunneth needs two cochain_complex documents"),
 ]
@@ -361,6 +363,101 @@ KIND_REFUSALS = [
 def test_wrong_document_kind_is_refused_in_one_line(name, argv, msg):
     command, *files = argv
     assert run([command] + [data(f) for f in files]) == (4, "", "precondition violation: %s\n" % msg)
+
+
+DOC = "DOC"  # in REFUSED, the place of the changed document among the files of a run
+
+# (name, source document, [(path, value)] set in a copy of it, [command, files], exit
+# code, stderr): each refusal of a document part that a builder checks, with its one line
+REFUSED = [
+    ("field_tag", "circle.json", [(["field"], "Fx")], ["homology", DOC], 2, "parse error: bad field tag 'Fx'"),
+    ("repeated_step", "interval_filtered.json",
+     [(["filtration"], [{"p": 1, "spans": {"0": [{"v0": 1}], "1": [{"e": 1}]}}, {"p": 1, "spans": {}}])],
+     ["pages", DOC], 2, "parse error: filtered_complex: filtration step p = 1 is listed twice"),
+    ("negative_block", "gap_huge.json", [(["generators", 0, 2], -1)], ["pages", DOC], 3,
+     "invariant violation: generator 'a' has negative block index"),
+    ("matrix_entry_outside", "wedge2_subsystem.json", [(["paths", 0, "transport"], [[1, 0, 2]])],
+     ["extend", DOC, "wedge2_graph.json"], 2,
+     "parse error: local_subsystem path 'la' transport: entry (1,0) outside 1x1"),
+    ("step_sign", "wedge2_subsystem.json", [(["paths", 0, "word"], [["a", 2]])],
+     ["extend", DOC, "wedge2_graph.json"], 2, "parse error: bad step sign 2"),
+    ("word_step", "wedge2_subsystem.json", [(["paths", 0, "word"], [5])],
+     ["extend", DOC, "wedge2_graph.json"], 2, "parse error: bad word step 5"),
+    ("word_unknown_edge", "wedge2_subsystem.json", [(["paths", 0, "word"], ["zz"])],
+     ["extend", DOC, "wedge2_graph.json"], 4, "precondition violation: unknown edge 'zz' in word"),
+    ("duplicate_path", "wedge2_subsystem.json", [(["paths", 1, "name"], "la")],
+     ["extend", DOC, "wedge2_graph.json"], 2, "parse error: duplicate subsystem path name 'la'"),
+    ("carrier_outside_graph", "wedge2_subsystem.json", [(["carrier"], ["x"])],
+     ["extend", DOC, "wedge2_graph.json"], 2, "parse error: carrier vertex 'x' is not in the base graph"),
+    ("path_leaves_carrier", "disconnected_subsystem.json", [(["carrier"], ["x"]), (["paths", 0, "word"], ["e"])],
+     ["extend", DOC, "disconnected_graph.json"], 2, "parse error: path 'cx' has an endpoint outside the carrier"),
+    ("duplicate_vertex", "wedge2_graph.json", [(["vertices"], ["v", "v"])],
+     ["extend", "wedge2_subsystem.json", DOC], 2, "parse error: duplicate vertex ids"),
+    ("duplicate_edge", "wedge2_graph.json", [(["edges", 1, 0], "a")],
+     ["extend", "wedge2_subsystem.json", DOC], 2, "parse error: duplicate edge id 'a'"),
+    ("empty_relation", "circle_graph.json", [(["relations"], [[]])],
+     ["extend", "circle_squares_subsystem.json", DOC], 4,
+     "precondition violation: empty word needs an explicit base vertex"),
+    ("graph_not_connected", "disconnected_graph.json", [(["edges"], [])],
+     ["extend", "disconnected_subsystem.json", DOC], 4, "precondition violation: base graph is not connected"),
+    ("transport_missing", "twisted_circle_morse.json", [(["local_system", "transport"], {"a": [[0, 0, 1]]})],
+     ["homology", DOC], 2, "parse error: no transport matrix for edge 'b'"),
+    ("transport_unknown_edge", "twisted_circle_morse.json", [(["local_system", "transport", "zz"], [[0, 0, 1]])],
+     ["homology", DOC], 2, "parse error: transport given for unknown edges ['zz']"),
+    ("point_not_vertex", "twisted_circle_morse.json", [(["points", 0, 0], "zz")],
+     ["homology", DOC], 2, "parse error: critical point 'zz' is not a base graph vertex"),
+    ("duplicate_trajectory", "twisted_circle_morse.json", [(["trajectories", 1, 0], "ta")],
+     ["homology", DOC], 2, "parse error: duplicate trajectory id 'ta'"),
+    ("trajectory_endpoint", "twisted_circle_morse.json", [(["trajectories", 0, 2], "zz")],
+     ["homology", DOC], 2, "parse error: trajectory 'ta' endpoint 'zz' is not a critical point"),
+    ("cell_separator", "klein_cellular.json", [(["cells", 0, 0], "v|x"), (["filtration"], None)],
+     ["homology", DOC], 2, "parse error: id 'v|x' must not contain '|'"),
+    ("duplicate_cell", "klein_cellular.json", [(["cells", 1, 0], "v")],
+     ["homology", DOC], 2, "parse error: duplicate cell id 'v'"),
+    ("anchor_not_vertex", "klein_cellular.json",
+     [(["graph"], {"vertices": ["v"], "edges": [], "relations": []}), (["cells", 0, 2], "zz")],
+     ["homology", DOC], 2, "parse error: cell 'v' anchor 'zz' is not a base graph vertex"),
+    ("exceptional_dimensions", "klein_cellular.json", [(["exceptional"], [["b", "F", [], []]])],
+     ["homology", DOC], 2, "parse error: exceptional incidence 'b' -> 'F' must join a 0-cell to a 1-cell"),
+    ("filtration_unknown_cell", "klein_cellular.json", [(["filtration", "zz"], 0)],
+     ["homology", DOC], 2, "parse error: filtration labels unknown cell 'zz'"),
+    ("incidence_unknown_cell", "klein_cellular.json", [(["incidences", 0, 0], "zz")],
+     ["homology", DOC], 2, "parse error: incidence references unknown cell 'zz' -> 'F'"),
+    ("incidence_dimension", "klein_cellular.json", [(["incidences", 0, 0], "v")],
+     ["homology", DOC], 2, "parse error: incidence 'v' -> 'F' must raise dimension by one"),
+    ("word_without_graph", "klein_cellular.json", [(["incidences", 0, 3], ["e"])],
+     ["homology", DOC], 2, "parse error: transport words need a base graph"),
+    ("empty_word_two_anchors", "klein_cellular.json",
+     [(["graph"], {"vertices": ["x", "y"], "edges": [["e", "x", "y"]], "relations": []}),
+      (["cells", 1, 2], "x"), (["cells", 3, 2], "y")],
+     ["homology", DOC], 2, "parse error: incidence 'b' -> 'F' has an empty word but different anchors"),
+    ("unlabelled_cell", "klein_cellular.json", [(["filtration"], {"v": 0, "b": 0, "a": 1})],
+     ["compare-ls", DOC, "klein_twisted.json"], 4, "precondition violation: cell 'F' has no filtration label"),
+    ("action_unknown_edge", "hopf.json", [(["edge_action", "zz"], [["w", "w", 1]])],
+     ["homology", DOC], 2, "parse error: edge action on unknown edge 'zz'"),
+    ("correction_unknown_point", "hopf.json", [(["corrections", 0, 0], "zz")],
+     ["homology", DOC], 2, "parse error: correction references unknown critical point 'zz' or 'b2'"),
+    ("correction_unknown_generator", "hopf.json", [(["corrections", 0, 1], "zz")],
+     ["homology", DOC], 2, "parse error: correction references unknown fiber generator 'zz' or 'u'"),
+    ("correction_index", "hopf.json", [(["corrections", 0], ["b2", "u", "b0", "w", 1])],
+     ["homology", DOC], 2, "parse error: correction 'b2' -> 'b0' raises the base index by -2, need >= 2"),
+    ("kunneth_fields", "circle.json", [(["field"], "F2")],
+     ["kunneth", DOC, "circle.json"], 4, "precondition violation: kunneth factors must share a field"),
+]
+
+
+@pytest.mark.parametrize("name,source,sets,argv,code,msg", REFUSED, ids=[c[0] for c in REFUSED])
+def test_a_refused_document_exits_with_its_code_in_one_line(tmp_path, name, source, sets, argv, code, msg):
+    import json
+
+    with open(data(source), "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for path, value in sets:
+        _set(path, value)(doc)
+    changed = tmp_path / source
+    changed.write_text(json.dumps(doc))
+    command, *files = argv
+    assert run([command] + [str(changed) if f == DOC else data(f) for f in files]) == (code, "", msg + "\n")
 
 
 @pytest.mark.parametrize("name,page", [("hopf.json", -1), ("interval_filtered.json", -3)])
@@ -398,6 +495,23 @@ def test_homology_reads_dims_from_ranks(monkeypatch, name):
     with open(os.path.join(GOLDEN, name + ".txt"), "r", encoding="utf-8") as fh:
         want = fh.read()
     assert run(argv) == (0, want, "")
+
+
+@pytest.mark.parametrize("field, want", [("Q", "H^0 0\nH^1 0\n"), ("F2", "H^0 1\nH^1 1\n")])
+def test_homology_of_a_twisted_cellular_document(tmp_path, field, want):
+    # a circle of one 0-cell and one 1-cell on the loop a, which transports by
+    # -1: the exceptional incidence gives d(v) = (t(a) - 1) e = -2 e, a unit
+    # over Q and zero over F2
+    import json
+
+    path = tmp_path / "twisted_circle_cells.json"
+    path.write_text(json.dumps({
+        "kind": "cellular_data", "field": field,
+        "graph": {"vertices": ["v"], "edges": [["a", "v", "v"]], "relations": []},
+        "cells": [["v", 0, "v"], ["e", 1, "v"]], "incidences": [], "exceptional": [["v", "e", ["a"], []]],
+        "local_system": {"fiber_dim": 1, "transport": {"a": [[0, 0, -1]]}},
+    }))
+    assert run(["homology", str(path)]) == (0, want, "")
 
 
 @pytest.mark.parametrize("field, system, want", [
@@ -659,6 +773,87 @@ def test_compare_ls_table_past_the_span_limit_names_no_option(tmp_path):
     code, out, err = run(["compare-ls", str(path), data("klein_twisted.json")])
     assert (code, out) == (4, "")
     assert err == "precondition violation: a table spans p 0..1000 and q -998..1, more than 100 values\n"
+
+
+@pytest.mark.parametrize("filtration, msg", [
+    ({"v": 0, "b": 0, "a": 1, "F": 10 ** 30},
+     "a table spans p 0..%d and q -%d..1, more than 100 values" % (10 ** 30, 10 ** 30 - 2)),
+    ({"v": 10 ** 30, "b": 10 ** 30, "a": 10 ** 30 + 1, "F": 10 ** 30 + 1},
+     "compare-ls would compare pages 1..%d, more than 100 pages" % (10 ** 30 + 2)),
+], ids=["wide_table", "many_pages"])
+def test_compare_ls_at_filtration_1e30_exits_4_within_budget(tmp_path, filtration, msg):
+    # klein_cellular.json with a label of 10^30: both towers converge at their
+    # breakpoints and compare-ls reads pages 1..MAX_SPAN at most, so it exits
+    # 4 at once, at the first table too wide to print (F alone at 10^30) or,
+    # with every label shifted by 10^30 so that each table is narrow, at the
+    # page limit.  A page view for every r <= 10^30 + 1 never ended
+    import json
+    import time
+
+    with open(data("klein_cellular.json")) as fh:
+        doc = json.load(fh)
+    doc["filtration"] = filtration
+    path = tmp_path / "klein_far.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(["compare-ls", str(path), data("klein_twisted.json")])
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (4, "", "precondition violation: %s\n" % msg)
+
+
+def test_compare_ls_prints_the_tables_of_a_differing_page(tmp_path):
+    # klein_cellular.json with every cell at filtration 0: the cellular tower
+    # has one column and the fibration tower two, so each page differs, both
+    # tables are printed, and the verdict exits 1
+    import json
+
+    with open(data("klein_cellular.json")) as fh:
+        doc = json.load(fh)
+    doc["filtration"] = dict.fromkeys(doc["filtration"], 0)
+    path = tmp_path / "klein_flat.json"
+    path.write_text(json.dumps(doc))
+    cellular = ["  cellular:", "    q\\p |  0", "      1 |  1", "      0 |  1"]
+    fibration = ["  fibration:", "    q\\p |  0  1"]
+    assert run(["compare-ls", str(path), data("klein_twisted.json")]) == (1, "\n".join(
+        ["page 1: DIFFERENT"] + cellular + fibration + ["      1 |  1  1", "      0 |  1  1"]
+        + ["page 2: DIFFERENT"] + cellular + fibration + ["      0 |  1  1"]
+        + ["E_infinity: DIFFERENT", "towers agree (pages >= 2 through E_infinity): no", ""]), "")
+
+
+def test_an_empty_page_prints_as_empty(tmp_path):
+    # one pair a -> b at block gap 1 dies on page 2, which has no cell left
+    import json
+
+    path = tmp_path / "gap1.json"
+    path.write_text(json.dumps({"kind": "split_filtered_complex", "field": "F2",
+                                "generators": [["a", 0, 0], ["b", 1, 1]], "differential": [["a", "b", 1]]}))
+    assert run(["pages", str(path), "--page", "2"]) == (0, "page 2\n  (empty)\n", "")
+
+
+def test_extend_answers_unknown_when_the_word_search_is_cut():
+    # at depth 0 no word is searched, so no witness is found, and the loops
+    # 2 and -1/3 on a and b span H_1 of the wedge, so nothing disproves it
+    code, out, err = run(["extend", data("wedge2_subsystem.json"), data("wedge2_graph.json"), "--max-word-depth", "0"])
+    assert (code, err) == (0, "")
+    assert out.endswith("surjective on pi1: unknown\nextension: none\n")
+
+
+def test_extend_over_a_tree_needs_no_search(tmp_path):
+    # disconnected_subsystem.json's path made to run along the edge e of
+    # disconnected_graph.json, a tree: pi_1 has no generator, so the loops
+    # generate it, and the extension transports e as the path does
+    import json
+
+    with open(data("disconnected_subsystem.json")) as fh:
+        doc = json.load(fh)
+    doc["paths"][0]["word"] = ["e"]
+    path = tmp_path / "tree_subsystem.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["extend", str(path), data("disconnected_graph.json")])
+    head, _, extension = out.partition("extension:\n")
+    assert (code, err) == (0, "")
+    assert head == "base point: x\npi1 generators of base: (none)\nsubsystem loops: cx\nsurjective on pi1: yes\n"
+    assert json.loads(extension)["transport"] == {"e": [[0, 0, 1]]}
 
 
 @pytest.mark.parametrize("top", [100, 10 ** 30])

@@ -151,6 +151,29 @@ def test_chain_map_commutation_checked():
         ChainMap(src, tgt, bad)
 
 
+def test_chain_maps_and_tensor_products_refuse_mismatched_complexes():
+    a, b = interval(), interval(Field(3))
+    with pytest.raises(InvariantError, match="^chain map between complexes over different fields$"):
+        ChainMap(a, b, {})
+    with pytest.raises(InvariantError, match=r"^chain map block in degree 1 has shape \(2, 2\), expected \(1, 1\)$"):
+        ChainMap(a, a, {1: Matrix.identity(Q, 2)})
+    with pytest.raises(InvariantError, match="^tensor product of complexes over different fields$"):
+        tensor_product(a, b)
+    with pytest.raises(ParseError, match=r"^generator id 'x\|y' contains the tensor separator '\|'$"):
+        tensor_product(CochainComplex.from_generator_entries(Q, [("x|y", 0)], []), a)
+
+
+def test_cohomology_of_a_zero_degree_and_coordinates_of_a_non_cocycle():
+    # H^1 of the interval is 0 and C^2 is 0: their representatives are a
+    # 1 x 0 and a 0 x 0 matrix.  v0 is no cocycle (d v0 = -e), so it has no
+    # coordinates in H^0
+    h = interval().cohomology()
+    assert h.representatives(1) == Matrix.zero(Q, 1, 0)
+    assert h.representatives(2) == Matrix.zero(Q, 0, 0)
+    assert h.coordinates(0, Matrix.from_rows(Q, [[1], [0]])) is None
+    assert h.coordinates(0, h.representatives(0)) == Matrix.identity(Q, 1)
+
+
 def test_subcomplex_inclusion_with_acyclic_quotient():
     # C: u0; v0 -> v1; w1 -> w2.  C' = span{u0, v0, v1}; C/C' acyclic.
     c = CochainComplex.from_generator_entries(

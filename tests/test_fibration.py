@@ -140,6 +140,11 @@ def test_edge_action_must_be_chain_map():
         FibrationData(circle_base(), fiber, bad)
 
 
+def test_edge_action_blocks_must_be_square_on_the_fiber():
+    with pytest.raises(ParseError, match=r"^edge 'b' action in degree 1 has shape \(2, 2\), expected \(1, 1\)$"):
+        FibrationData(circle_base(), circle_fiber(), {"b": {1: Matrix.identity(Q, 2)}})
+
+
 # -- e2 ------------------------------------------------------------------------
 
 
@@ -194,8 +199,9 @@ def test_e2_table_reads_dims_from_ranks(monkeypatch):
 
     rng = random.Random(2121)
     cases = [klein_fibration()] + [random_twisted_fibration(rng, FIELDS[i % 3]) for i in range(6)]
-    wants = [{(p, q): d for q in fd.fiber.cohomology().degrees() if (sq := cohomology_local_system(fd, q))
-              for p, d in morse_complex(fd.base, sq).cohomology().dims().items()} for fd in cases]
+    wants = [{(p, q): d for q in fd.fiber.cohomology().degrees()
+              for p, d in morse_complex(fd.base, cohomology_local_system(fd, q)).cohomology().dims().items()}
+             for fd in cases]
     cohomology = CochainComplex.cohomology
     for fd, want in zip(cases, wants):
         def fiber_only(self, fiber=fd.fiber):
@@ -213,8 +219,7 @@ def test_e2_table_refuses_a_table_that_disagrees_with_page_2(monkeypatch):
     from spectower import fibration
 
     def untwisted(fd, q):
-        sysq = cohomology_local_system(fd, q)
-        return sysq and LocalSystem.trivial(fd.base.graph, sysq.field, sysq.fiber_dim)
+        return LocalSystem.trivial(fd.base.graph, fd.fiber.field, fd.fiber.cohomology().dim(q))
 
     monkeypatch.setattr(fibration, "cohomology_local_system", untwisted)
     with pytest.raises(InvariantError, match="^" + re.escape(
@@ -656,6 +661,8 @@ def test_float_actions_and_bounds_refused():
     g0 = sfc.complex.basis.generators[0][0]
     with pytest.raises(ParseError, match="action of generator %r is the float 0.1" % g0):
         action_window(sfc, {**action, g0: 0.1})
+    with pytest.raises(ParseError, match="^generator %r has no action value$" % g0):
+        action_window(sfc, {**action, g0: None})
     with pytest.raises(ParseError, match="window bound 'b' is the float 0.5"):
         action_window(sfc, action, None, 0.5)
     with pytest.raises(ParseError, match="window bound 'a2' is the float -2.5"):

@@ -46,6 +46,7 @@ def test_normalize_canonical():
         q.normalize(0.5)
     with pytest.raises(ZeroDivisionError):
         f5.normalize(Fraction(1, 5))
+    assert f5.normalize(Fraction(4, 2)) == 2  # a "4/2" scalar: an integer Fraction
 
 
 def test_scalar_strings():
@@ -56,6 +57,7 @@ def test_scalar_strings():
     q = Field()
     assert q.format_scalar(Fraction(-1, 3)) == "-1/3"
     assert q.format_scalar(Fraction(4, 2)) == "2"
+    assert Field(5).format_scalar(3) == "3"
 
 
 @given(st.integers(-50, 50), st.sampled_from([2, 3, 5, 7, 11]))
@@ -74,3 +76,12 @@ def test_q_inverse_roundtrip(x):
     assert q.add(x, q.neg(x)) == 0
     if x != 0:
         assert q.mul(x, q.inv(x)) == 1
+
+
+def test_a_field_is_immutable_and_refuses_to_invert_zero():
+    with pytest.raises(AttributeError, match="^Field is immutable$"):
+        Field(5).p = 7
+    with pytest.raises(ZeroDivisionError, match="^inverse of 0$"):
+        Field().inv(Fraction(0))
+    with pytest.raises(ZeroDivisionError, match="^inverse of 0 in F5$"):
+        Field(5).inv(10)

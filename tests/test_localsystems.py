@@ -343,3 +343,11 @@ def test_a_singular_transport_on_a_constant_path_is_refused():
     sub = LocalSubsystem(F3, 2, ["v"], [("c", (), Matrix.zero(F3, 2, 2))])
     with pytest.raises(InvariantError, match=r"^matrix is not invertible \(rank 0 of 2\)$"):
         extend_subsystem(sub, circle_graph())
+
+
+def test_a_transport_of_the_wrong_shape_is_refused():
+    g = BaseGraph(["v"], [("a", "v", "v")])
+    with pytest.raises(ParseError, match=r"^transport for edge 'a' has shape \(2, 2\)$"):
+        LocalSystem(g, Q, 1, {"a": Matrix.identity(Q, 2)})
+    with pytest.raises(ParseError, match=r"^transport for path 'la' has shape \(2, 2\)$"):
+        LocalSubsystem(Q, 1, ["v"], [("la", parse_word(["a"]), Matrix.identity(Q, 2))])

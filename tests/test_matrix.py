@@ -77,6 +77,24 @@ def test_solve_identity():
     assert Matrix.identity(Q, 2).solve(b) == b
 
 
+def test_solve_refuses_an_x_that_fails_its_verification(monkeypatch):
+    # solve checks A X = B by one product: an elimination that assembled a
+    # wrong X, here the zero matrix, answers None, never the wrong X
+    import spectower.matrix as mx
+
+    a = Matrix.from_rows(Q, [[1, 1], [0, 1]])
+    assert a.solve(Matrix.identity(Q, 2)) == Matrix.from_rows(Q, [[1, -1], [0, 1]])
+    monkeypatch.setattr(mx, "_divided", lambda f, n, sols: Matrix.zero(f, n, len(sols)))
+    assert a.solve(Matrix.identity(Q, 2)) is None
+
+
+def test_repr_and_a_product_with_a_non_matrix():
+    m = Matrix.identity(F3, 2)
+    assert repr(m) == "Matrix(F3, 2x2, nnz=2)"
+    with pytest.raises(TypeError):
+        m * 2
+
+
 def test_solve_zero_matrix_no_solution():
     m = Matrix.zero(Q, 2, 2)
     assert m.solve(Matrix.from_rows(Q, [[1], [0]])) is None

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from spectower import localsystems
-from spectower.errors import InvariantError, ParseError
+from spectower.errors import InvariantError, ParseError, PreconditionError
 from spectower.field import Field
 from spectower.localsystems import BaseGraph, LocalSystem, check_homotopy_invariance, parse_word
 from spectower.matrix import Matrix
@@ -34,6 +34,18 @@ def test_morse_data_validation():
         MorseData(g, [("m", 0), ("M", 1)], [("t", "M", "m", 2, parse_word(["a"]))])  # bad sign
     with pytest.raises(ParseError):
         MorseData(g, [("m", 0), ("M", 1)], [("t", "M", "m", 1, parse_word(["~a"]))])  # word backwards
+
+
+def test_complexes_over_a_local_system_of_another_graph_are_refused():
+    g, md = circle_morse()
+    other = LocalSystem.trivial(BaseGraph(["m", "M"], [("a", "M", "m")]), Q, 1)
+    with pytest.raises(ParseError, match="^local system lives on a different base graph$"):
+        morse_complex(md, other)
+    cd = CellularData([("m", 0, "m"), ("M", 0, "M")], [], graph=g)
+    with pytest.raises(ParseError, match="^local system lives on a different base graph$"):
+        cellular_complex(cd, other)
+    with pytest.raises(PreconditionError, match="^cellular_complex needs a local system or a field$"):
+        cellular_complex(cd)
 
 
 def test_circle_trivial_system():

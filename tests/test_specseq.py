@@ -65,6 +65,19 @@ def test_filtration_must_respect_differential():
         FilteredComplex(cx, [{0: Matrix.from_rows(Q, [[1], [0]])}])
 
 
+def test_filtration_spans_of_the_wrong_field_or_height_are_refused():
+    with pytest.raises(InvariantError, match=r"^filtration span has wrong field at \(p=1, k=0\)$"):
+        FilteredComplex(interval(), [{0: Matrix.from_rows(Field(3), [[1], [1]])}])
+    with pytest.raises(InvariantError, match=r"^filtration span at \(p=1, k=0\) has 3 rows, expected 2$"):
+        FilteredComplex(interval(), [{0: Matrix.from_rows(Q, [[1], [1], [0]])}])
+
+
+def test_every_generator_needs_a_block():
+    cx = CochainComplex.from_generator_entries(Q, [("a", 0), ("b", 1)], [("a", "b", 1)])
+    with pytest.raises(InvariantError, match="^generator 'b' has no block index$"):
+        SplitFilteredComplex(cx, {"a": 0})
+
+
 def test_split_blocks_must_not_decrease():
     cx = CochainComplex.from_generator_entries(Q, [("a", 0), ("b", 1)], [("a", "b", 1)])
     with pytest.raises(InvariantError):
@@ -990,12 +1003,14 @@ def test_large_prime_tower_converges_within_budget():
     # 600 generators over F_(2^61-1), 15k nonzeros after the change of basis.
     # Each basis column is monic, so an elimination step subtracts x[low]·y
     # and touches only the entries of y: 0.32 s and more (best of three)
-    # when every step scaled all of x by a·x - b·y and reduced it mod p
+    # when every step scaled all of x by a·x - b·y and reduced it mod p.  A
+    # shared machine runs 1.6 times slower for a second or two at a time, so
+    # the best of ten fresh copies of one tower is taken
     import time
 
-    times = []
-    for _ in range(3):
-        sfc = sparse_pair_tower(random.Random(5), Field(2 ** 61 - 1), 600)
+    tower, times = sparse_pair_tower(random.Random(5), Field(2 ** 61 - 1), 600), []
+    for _ in range(10):
+        sfc = SplitFilteredComplex(tower.complex, tower.blocks)
         start = time.perf_counter()
         assert sfc.converge().certified
         times.append(time.perf_counter() - start)
@@ -1007,12 +1022,13 @@ def test_dense_q_tower_converges_within_budget():
     # 800 generators over Q.  A step is a·x - b·y and nothing more, and each
     # pass divides the content out once per column it stores or returns:
     # 0.40 s (best of three, 2-CPU Xeon, Python 3.11) when every step ran a
-    # content pass over its whole working column, 0.28 s without
+    # content pass over its whole working column, 0.28 s without.  Best of
+    # ten fresh copies of one tower, as in the one-run-order test below
     import time
 
-    times = []
-    for _ in range(3):
-        sfc = sparse_pair_tower(random.Random(5), Q, 800)
+    tower, times = sparse_pair_tower(random.Random(5), Q, 800), []
+    for _ in range(10):
+        sfc = SplitFilteredComplex(tower.complex, tower.blocks)
         start = time.perf_counter()
         assert sfc.converge().certified
         times.append(time.perf_counter() - start)
