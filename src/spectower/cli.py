@@ -223,9 +223,10 @@ def cmd_compare_ls(args):
     if cmp.rmax > MAX_SPAN:  # after the pages above: a too-wide table among them is named first
         raise PreconditionError("compare-ls would compare pages 1..%d, more than %d pages" % (cmp.rmax, MAX_SPAN))
     lines.append("E_infinity: %s" % ("equal" if cmp.einf_cellular == cmp.einf_fibration else "DIFFERENT"))
-    lines.append("towers agree (pages >= 2 through E_infinity): %s" % ("yes" if cmp.equal else "no"))
+    equal = cmp.equal
+    lines.append("towers agree (pages >= 2 through E_infinity): %s" % ("yes" if equal else "no"))
     _emit(lines)
-    return 0 if cmp.equal else 1
+    return 0 if equal else 1
 
 
 def cmd_kunneth(args):

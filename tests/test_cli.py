@@ -81,47 +81,6 @@ def _set(path, value):
     return mutate
 
 
-MALFORMED = [
-    ("step_p", "interval_filtered.json", _set(["filtration", 0, "p"], "x"), "filtration step p"),
-    ("degree_key", "interval_filtered.json", _set(["filtration", 0, "spans"], {"a": []}), "spans degree"),
-    ("spans_list", "interval_filtered.json", _set(["filtration", 0, "spans"], []), "filtration step"),
-    ("shift_n", "hopf.json", _set(["shift_n"], "a"), "shift_n"),
-    ("edge_action_list", "hopf.json", _set(["edge_action"], []), "edge_action"),
-    ("relation_int", "circle_graph.json", _set(["relations"], [5]), "relation"),
-    ("cell_int", "klein_cellular.json", _set(["cells", 1], 5), "bad cell"),
-    ("cell_dimension", "klein_cellular.json", _set(["cells", 1, 1], "a"), "dimension"),
-    ("fibration_base_int", "hopf.json", _set(["base"], 5), "fibration_data.base"),
-    ("fibration_fiber_list", "hopf.json", _set(["fiber"], []), "fibration_data.fiber"),
-    ("filtered_complex_int", "interval_filtered.json", _set(["complex"], 5), "filtered_complex.complex"),
-    ("local_system_int", "hopf.json", _set(["base", "local_system"], 5), "fibration_data.base.local_system"),
-    ("local_system_in_base", "hopf.json",
-     _set(["base", "local_system"], {"fiber_dim": 1, "transport": {"c": [[0, 0, 1]]}}),
-     "fibration_data.base.local_system: a fibration's transport is its edge_action\n"),
-    ("differential_int", "circle.json", _set(["differential"], 5), "cochain_complex: bad differential"),
-    ("paths_int", "wedge2_subsystem.json", _set(["paths"], 5), "local_subsystem: bad paths"),
-    ("transport_int", "wedge2_subsystem.json", _set(["paths", 0, "transport"], 5), "transport"),
-    ("trajectories_int", "hopf.json", _set(["base", "trajectories"], 5), "fibration_data.base: bad trajectories"),
-    ("fiber_differential_null", "hopf.json", _set(["fiber", "differential"], None),
-     "fibration_data.fiber: bad differential"),
-]
-
-
-@pytest.mark.parametrize("name,source,mutate,part", MALFORMED, ids=[c[0] for c in MALFORMED])
-def test_malformed_document_is_a_parse_error(tmp_path, name, source, mutate, part):
-    # ill-shaped payloads are rejected where they are parsed, with one line
-    # naming the document part, not left to fail inside a builder (exit 5)
-    import json
-
-    with open(data(source), "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    mutate(doc)
-    path = tmp_path / (name + ".json")
-    path.write_text(json.dumps(doc))
-    code, out, err = run(["homology", str(path)])
-    assert (code, out) == (2, "")
-    assert err.startswith("parse error: ") and err.count("\n") == 1 and part in err
-
-
 SHIFTED_BODIES = [
     ("circle.json", [], "cochain_complex display_shift"),
     ("gap_huge.json", [], "split_filtered_complex display_shift"),
@@ -370,6 +329,43 @@ DOC = "DOC"  # in REFUSED, the place of the changed document among the files of 
 # (name, source document, [(path, value)] set in a copy of it, [command, files], exit
 # code, stderr): each refusal of a document part that a builder checks, with its one line
 REFUSED = [
+    ("step_p", "interval_filtered.json", [(["filtration", 0, "p"], "x")], ["homology", DOC], 2,
+     "parse error: filtered_complex filtration step p: bad integer 'x'"),
+    ("degree_key", "interval_filtered.json", [(["filtration", 0, "spans"], {"a": []})], ["homology", DOC], 2,
+     "parse error: filtered_complex spans degree: bad integer 'a'"),
+    ("spans_list", "interval_filtered.json", [(["filtration", 0, "spans"], [])], ["homology", DOC], 2,
+     "parse error: filtered_complex: bad filtration step {'p': 1, 'spans': []}"),
+    ("shift_n", "hopf.json", [(["shift_n"], "a")], ["homology", DOC], 2,
+     "parse error: fibration_data shift_n: bad integer 'a'"),
+    ("edge_action_list", "hopf.json", [(["edge_action"], [])], ["homology", DOC], 2,
+     "parse error: fibration_data: bad edge_action table"),
+    ("relation_int", "circle_graph.json", [(["relations"], [5])], ["homology", DOC], 2,
+     "parse error: bad word 5 in base_graph relation"),
+    ("cell_int", "klein_cellular.json", [(["cells", 1], 5)], ["homology", DOC], 2,
+     "parse error: cellular_data: bad cell 5"),
+    ("cell_dimension", "klein_cellular.json", [(["cells", 1, 1], "a")], ["homology", DOC], 2,
+     "parse error: cellular_data cell 'b' dimension: bad integer 'a'"),
+    ("fibration_base_int", "hopf.json", [(["base"], 5)], ["homology", DOC], 2,
+     "parse error: fibration_data.base: expected an object"),
+    ("fibration_fiber_list", "hopf.json", [(["fiber"], [])], ["homology", DOC], 2,
+     "parse error: fibration_data.fiber: expected an object"),
+    ("filtered_complex_int", "interval_filtered.json", [(["complex"], 5)], ["homology", DOC], 2,
+     "parse error: filtered_complex.complex: expected an object"),
+    ("local_system_int", "hopf.json", [(["base", "local_system"], 5)], ["homology", DOC], 2,
+     "parse error: fibration_data.base.local_system: a fibration's transport is its edge_action"),
+    ("local_system_in_base", "hopf.json",
+     [(["base", "local_system"], {"fiber_dim": 1, "transport": {"c": [[0, 0, 1]]}})], ["homology", DOC], 2,
+     "parse error: fibration_data.base.local_system: a fibration's transport is its edge_action"),
+    ("differential_int", "circle.json", [(["differential"], 5)], ["homology", DOC], 2,
+     "parse error: cochain_complex: bad differential 5, expected a list"),
+    ("paths_int", "wedge2_subsystem.json", [(["paths"], 5)], ["homology", DOC], 2,
+     "parse error: local_subsystem: bad paths 5, expected a list"),
+    ("transport_int", "wedge2_subsystem.json", [(["paths", 0, "transport"], 5)], ["homology", DOC], 2,
+     "parse error: local_subsystem path 'la' transport: bad matrix 5, expected a list of entries"),
+    ("trajectories_int", "hopf.json", [(["base", "trajectories"], 5)], ["homology", DOC], 2,
+     "parse error: fibration_data.base: bad trajectories 5, expected a list"),
+    ("fiber_differential_null", "hopf.json", [(["fiber", "differential"], None)], ["homology", DOC], 2,
+     "parse error: fibration_data.fiber: bad differential None, expected a list"),
     ("field_tag", "circle.json", [(["field"], "Fx")], ["homology", DOC], 2, "parse error: bad field tag 'Fx'"),
     ("repeated_step", "interval_filtered.json",
      [(["filtration"], [{"p": 1, "spans": {"0": [{"v0": 1}], "1": [{"e": 1}]}}, {"p": 1, "spans": {}}])],
@@ -446,8 +442,8 @@ REFUSED = [
 ]
 
 
-@pytest.mark.parametrize("name,source,sets,argv,code,msg", REFUSED, ids=[c[0] for c in REFUSED])
-def test_a_refused_document_exits_with_its_code_in_one_line(tmp_path, name, source, sets, argv, code, msg):
+def _refusal(tmp_path, source, sets, argv):
+    """(exit code, stdout, stderr) of argv, DOC in it a copy of source changed by sets."""
     import json
 
     with open(data(source), "r", encoding="utf-8") as fh:
@@ -457,7 +453,23 @@ def test_a_refused_document_exits_with_its_code_in_one_line(tmp_path, name, sour
     changed = tmp_path / source
     changed.write_text(json.dumps(doc))
     command, *files = argv
-    assert run([command] + [str(changed) if f == DOC else data(f) for f in files]) == (code, "", msg + "\n")
+    return run([command] + [str(changed) if f == DOC else data(f) for f in files])
+
+
+# the rows of REFUSED split by exit code: an ill-shaped payload is rejected where it is
+# parsed, with one line naming the document part, not left to fail inside a builder (exit 5)
+PARSE_ERRORS = [c for c in REFUSED if c[4] == 2]
+OTHER_REFUSALS = [c for c in REFUSED if c[4] != 2]
+
+
+@pytest.mark.parametrize("name,source,sets,argv,code,msg", PARSE_ERRORS, ids=[c[0] for c in PARSE_ERRORS])
+def test_malformed_document_is_a_parse_error(tmp_path, name, source, sets, argv, code, msg):
+    assert _refusal(tmp_path, source, sets, argv) == (2, "", msg + "\n")
+
+
+@pytest.mark.parametrize("name,source,sets,argv,code,msg", OTHER_REFUSALS, ids=[c[0] for c in OTHER_REFUSALS])
+def test_a_refused_document_exits_with_its_code_in_one_line(tmp_path, name, source, sets, argv, code, msg):
+    assert _refusal(tmp_path, source, sets, argv) == (code, "", msg + "\n")
 
 
 @pytest.mark.parametrize("name,page", [("hopf.json", -1), ("interval_filtered.json", -3)])
