@@ -78,6 +78,8 @@ class BaseGraph:
             self.edges[eid] = (src, dst)
         self.relations = tuple(parse_word(w) for w in relations)
         for w in self.relations:
+            if not w:
+                raise ParseError("empty word needs an explicit base vertex")
             a, b = self.word_endpoints(w)
             if a != b:
                 raise ParseError("relation word %s is not a closed loop" % word_to_strings(w))
@@ -95,7 +97,7 @@ class BaseGraph:
     def step_endpoints(self, step):
         e, s = step
         if e not in self.edges:
-            raise PreconditionError("unknown edge %r in word" % e)
+            raise ParseError("unknown edge %r in word" % e)
         src, dst = self.edges[e]
         return (src, dst) if s == 1 else (dst, src)
 

@@ -258,18 +258,9 @@ class Matrix:
             pos = {r: k for k, r in enumerate(rows)}
             return _matrix(self.field, len(rows), [{pos[i]: v for i, v in c.items() if i in pos} for c in self.cols],
                            self.den)
-        runs, start = [], 0  # over F_2 a run of rows that stay adjacent moves as one shift
-        for k in range(1, len(rows) + 1):
-            if k == len(rows) or rows[k] != rows[k - 1] + 1:
-                runs.append((rows[start], start, (1 << (k - start)) - 1))
-                start = k
         bit, out = {r: 1 << k for k, r in enumerate(rows)}, []
         for x in self.cols:
             y = 0
-            if len(runs) < x.bit_count():  # fewer shifts than bits
-                for s, t, m in runs:
-                    y |= (x >> s & m) << t
-                x = 0
             while x:
                 low = x & -x
                 y |= bit.get(low.bit_length() - 1, 0)

@@ -12,30 +12,33 @@ Basu-Parida 2017): a column x whose R column has its pivot, its least
 index, at y pairs x -> y with gap s = block(y) - block(x), and E_r^{p,q}
 has a basis of the block-p generators of degree p+q that are unpaired or
 in a pair of gap >= r; d_r matches the ends of the gap-r pairs.  As in
-PHAT (Bauer et al. 2017), columns and pairing are arrays per degree,
-indexed block-ascending with ties in document order (a degree listed
-block by block is indexed as listed), and reduced from the highest index
-down, so the generators of a cell are an index range and F_p a suffix.
+PHAT (Bauer et al. 2017), the reduction has one index order: columns and
+pairing are arrays per degree of a split copy listed block by block,
+reduced from the last generator down, so the generators of a cell are a
+range and F_p a suffix.  Every tower changes coordinates once, into that
+copy, with a frame {k: (T, T^-1)}, T_k taking the copy's coordinates of
+C^k to the tower's: a FilteredComplex by bases T_k adapted to F_n ⊆ ...
+⊆ F_1 ⊆ C^k, a SplitFilteredComplex listed out of block order by sorting
+each degree stably by block (a permutation frame); one listed block by
+block is its own copy.  Pages, certification and the map check run on
+the copy, whose build checks the filtration.
 Pages change only at the breakpoints r = 0 and r = s+1 for each gap s
 that some pair has.  Page 0 numbers its cells and counts them; page s+1
 is page s less both ends of each gap-s pair, and its breakpoint stores
 only the counts those pairs change, so breakpoints cost the pairs, not
 the cells or the filtration length.  page(r) views the last breakpoint
 at or below r and the gap-r pairs, and reads its counts, cell ids and
-d_r on first use.  A FilteredComplex is split once, by bases T_k
-adapted to F_n ⊆ ... ⊆ F_1 ⊆ C^k; its pages, certification and map
-check run on that split copy, whose build checks the filtration.
-Checks that run: R = D V column by column, as D' V' = R' for D' = δ d
+d_r on first use.  Checks that run: R = D V column by column, as D' V' = R' for D' = δ d
 (`matrix._tracked`); d_r o d_r = 0 and E_{r+1} = H(E_r, d_r)
 dimensionwise wherever d_r ≠ 0, on the pairs (a matching of unit
 columns: its rank is its number of distinct rows); and `converge`
 certifies E_inf against F_pH and H, not from the pairing but by two
 echelon passes per d^k of the split copy (T is a filtered isomorphism),
-on its rows in index order.  The profile takes the columns from the top
-index down, so F_p C^k = [t, n) is its first n - t columns and dim
-F_pH^k = n - t - rank d^k|F_p - #{pivots of im d^{k-1} >= t}; dim H^k =
+on its rows as listed.  The profile takes the columns from the last
+down, so F_p C^k = [t, n) is its first n - t columns and dim F_pH^k =
+n - t - rank d^k|F_p - #{pivots of im d^{k-1} >= t}; dim H^k =
 dim C^k - rank d^k - rank d^{k-1} takes the nonzero columns by blocks
-from the highest, each in document order, or all reversed where that is
+from the highest, each in listed order, or all reversed where that is
 the profile's order.  The subquotient
 E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2}),
 Z_r^{p,q} = {x in F_p C^{p+q} : dx in F_{p+r}}, is the test oracle.
@@ -57,7 +60,7 @@ from itertools import chain, compress
 from math import inf
 from operator import ne
 
-from .complexes import CochainComplex
+from .complexes import CochainComplex, GradedBasis
 from .errors import InvariantError, PreconditionError, _int
 from .matrix import (Matrix, _apply, _bits, _divided, _echelon, _low, _matrix, _primitive, _scaled, _step, _tracked,
                      quotient_basis)
@@ -119,9 +122,8 @@ class Page:
         m = self._reps.get((p, q))
         if m is None:
             red, k = self._red, p + q
-            w, dw, moves = red.w[k], red.dw[k], red.moves.get(k)  # moves: None where order[k] is the identity
-            m = _divided(self.field, len(w), [(w[i] if moves is None else _moved(w[i], moves), dw[i])
-                                              for i in self._cell_ids((p, q))])
+            w, dw = red.w[k], red.dw[k]
+            m = _divided(self.field, len(w), [(w[i], dw[i]) for i in self._cell_ids((p, q))])
             m = self._reps[(p, q)] = red.frame[k][0] * m if k in red.frame else m
         return m
 
@@ -155,21 +157,21 @@ class Page:
 
         Accepts a column Matrix (or several columns) over C^{p+q}; returns
         None when a column is not in Z_r^{p,q} at all.  Back substitution
-        (`_Reduction._walk`) writes each column in the W basis, in index
-        coordinates: one walk, the same for every r, whose bound below r
-        puts the column outside Z_r.  Modulo B_r only the ids of page r
-        remain.
+        (`_Reduction._walk`) writes each column, taken into the split copy's
+        coordinates by the frame, in the W basis: one walk, the same for
+        every r, whose bound below r puts the column outside Z_r.  Modulo
+        B_r only the ids of page r remain.
         """
         red, k = self._red, p + q
-        order = red.order.get(k, ())
-        if vec.nrows != len(order):
+        n = len(red.block.get(k, ()))
+        if vec.nrows != n:
             raise InvariantError("class_of: %d rows, expected dim C^%d" % (vec.nrows, k))
         if k in red.frame:
             vec = red.frame[k][1] * vec
-        walks = [red._walk(p, k, col, vec.den) for col in vec.take_rows(order).cols]
+        walks = [red._walk(p, k, col, vec.den) for col in vec.cols]
         if any(b is not None and b < self.r for _, _, b in walks):
             return None
-        return _divided(self.field, len(order), [(x, den) for x, den, _ in walks]).take_rows(self._cell_ids((p, q)))
+        return _divided(self.field, n, [(x, den) for x, den, _ in walks]).take_rows(self._cell_ids((p, q)))
 
 
 class ConvergenceReport:
@@ -202,20 +204,19 @@ class ConvergenceReport:
 class _Reduction:
     """The reduction R = D V of a split complex and the pages it yields.
 
-    Generators of C^k are indexed block-ascending (`order[k]` their
-    positions, `moves[k]` the same as a map where it is no identity,
-    `block[k]` their blocks), so F_p C^k is a suffix.  Per-generator state
-    is one list per degree k, indexed by i: `w[k][i]` the W column,
-    `dw[k][i]` its denominator, `gap[k][i]` the gap of i's pair (None if
-    unpaired), `up[k][i]` a birth end's partner, else -1.  Columns in index
-    coordinates are int bitmasks over F_2, {index: value} dicts otherwise.
+    The complex is a split copy, listed block by block (`block[k]` the
+    blocks of C^k), so F_p C^k is a suffix of its generators.  Per-generator
+    state is one list per degree k, indexed by the generator's place i:
+    `w[k][i]` the W column, `dw[k][i]` its denominator, `gap[k][i]` the gap
+    of i's pair (None if unpaired), `up[k][i]` a birth end's partner, else
+    -1.  Columns are int bitmasks over F_2, {place: value} dicts otherwise.
     The reduction is one `_tracked` pass over the integer columns D' of d,
     D = D'/δ (δ = 1 over F_2 and F_p): it keeps D' V' = R' exactly, checked
     column by column, so V_j = V'_j / V'_j[j] and R_j = R'_j / (δ V'_j[j]).
     W is kept as such a column over its denominator, 1 over F_2; over F_p
     the column is monic (1 at its pivot) for the steps of `class_of`.
-    Page 0 numbers its cells in (p, q) order (`cells`; `cell0` their index
-    ranges, `cell_of[k][i]` the cell of i) and `counts` holds the latest
+    Page 0 numbers its cells in (p, q) order (`cells`; `cell0` their ranges
+    of places, `cell_of[k][i]` the cell of i) and `counts` holds the latest
     breakpoint's count per cell.  `changes[t]` stores the (cell, count)
     pairs breakpoint t changes from the one before, so a breakpoint costs
     its pairs; `read[t]` holds its counts once a page reads them (page 0's
@@ -223,26 +224,22 @@ class _Reduction:
     `frame[k]` = (T, T^-1) takes split coordinates of C^k to ambient ones.
     """
 
-    def __init__(self, sfc, frame=None):
+    def __init__(self, sfc, frame):
         cx = sfc.complex
-        self.field, self.f2, self.frame = cx.field, cx.field.p == 2, frame or {}
-        self.order, self.block, self.w, self.dw, self.gap, self.up = {}, {}, {}, {}, {}, {}
-        self.runs = sfc.runs
-        self.moves = {k: dict(enumerate(pos)) for k, (pos, _) in sfc.order.items()
-                      if any(map(ne, pos, range(len(pos))))}  # index -> position, where order[k] is no identity
+        self.field, self.f2, self.frame, self.runs = cx.field, cx.field.p == 2, frame, sfc.runs
+        self.block, self.w, self.dw, self.gap, self.up = {}, {}, {}, {}, {}
         for k in cx.degrees():
-            self.order[k], self.block[k] = sfc.order[k]
-            n = len(self.block[k])
+            self.block[k], n = list(map(sfc.blocks.__getitem__, cx.basis.gens(k))), cx.dim(k)
             self.w[k], self.dw[k], self.gap[k], self.up[k] = [None] * n, [None] * n, [None] * n, [-1] * n
         for k in cx.degrees():
-            self._reduce(k, sfc.sorted_rows(k).take_columns(self.order[k]))
+            self._reduce(k, cx.d(k))
         self.views = {}  # r -> Page
         self.changes = []  # per breakpoint built so far, the (cell, count) pairs it changes
 
     def _reduce(self, k, d):
-        f, delta, basis = self.field, d.den, {}  # D' = δ D in index coordinates
+        f, delta, basis = self.field, d.den, {}  # D' = δ D
         w, dw, gap, up, block = self.w[k], self.dw[k], self.gap[k], self.up[k], self.block[k]
-        for j in range(len(d.cols) - 1, -1, -1):  # from the highest index down
+        for j in range(len(d.cols) - 1, -1, -1):  # from the last generator down
             col, v, vj = _tracked(f, basis, j, d.cols[j])  # V_j = v / v[j], R_j = col / (δ v[j])
             if _apply(f, d.cols, v) != col:
                 raise InvariantError("reduction R = D V fails in degree %d: engine bug" % k)
@@ -260,8 +257,8 @@ class _Reduction:
                     self.w[k + 1][low], self.dw[k + 1][low] = _scaled(f.p, col, u), delta * vj * u % f.p
 
     def _walk(self, p, k, col, den):
-        """(x, den, bound) of the column col / den over C^k in index
-        coordinates: col / den = x / den in the W basis (W_i's pivot is i).
+        """(x, den, bound) of the column col / den over C^k of the split
+        copy: col / den = x / den in the W basis (W_i's pivot is i).
 
         The column lies in Z_r^{p,q} iff it avoids blocks < p and each birth
         end the walk meets has its partner in block >= p+r, so its bound,
@@ -440,16 +437,16 @@ class FilteredComplex:
 
     def converge(self):
         """Walk the breakpoints to stabilization and certify E_inf against
-        F_pH and H by two echelon passes per d^k on the rows of `sorted_rows(k)`,
-        never the pairing: F_pH (`_h_filtration`) takes the columns from the top index down,
-        H the nonzero ones by blocks from the highest, each in document order, or reversed."""
+        F_pH and H by two echelon passes per d^k of the split copy, never the
+        pairing: F_pH (`_h_filtration`) takes the columns from the last down,
+        H the nonzero ones by blocks from the highest, each in listed order, or reversed."""
         cx, split, rank = self.complex, self._split()[0], {}
         r_stop = self.page(0)._red.breaks[-1]  # the last breakpoint: every d_r with r >= r_stop is zero
         einf = self.page(r_stop).dims()
         for k in cx.degrees():
-            d, pos = split.sorted_rows(k), split.order[k][0]
-            cols = list(filter(None, map(d.cols.__getitem__, chain(*[pos[a:b] for _, a, b in reversed(split.runs[k])]))))
-            cols = cols[::-1] if cols == list(filter(None, map(d.cols.__getitem__, reversed(pos)))) else cols
+            d = split.complex.d(k)
+            cols = list(filter(None, chain(*[d.cols[a:b] for _, a, b in reversed(split.runs[k])])))
+            cols = cols[::-1] if cols == list(filter(None, reversed(d.cols))) else cols
             rank[k] = len(_echelon(d.field, d.nrows, cols)[0])
         h_dims = {k: h for k in cx.degrees() if (h := cx.dim(k) - rank[k] - rank.get(k - 1, 0))}
         h_filt = dict(sorted((pk, h) for k in cx.degrees() for pk, h in split._h_filtration(k)))
@@ -465,7 +462,7 @@ class SplitFilteredComplex(FilteredComplex):
     """A complex split as C^k = ⊕_p C_p^k with a block-nondecreasing d.
 
     `blocks` maps generator ids to their p-index, and F_p is the span of
-    the blocks >= p.  Pages come from the reduction of d itself.
+    the blocks >= p.  Pages come from the reduction of its split copy.
     """
 
     def __init__(self, complex, blocks):
@@ -479,55 +476,55 @@ class SplitFilteredComplex(FilteredComplex):
             if b < 0:
                 raise InvariantError("generator %r has negative block index" % g)
         by_degree = {k: list(map(self.blocks.__getitem__, complex.basis.gens(k))) for k in complex.degrees()}
-        self.order = {}  # degree k -> (positions of C^k in block-ascending order, the block of each)
-        for k, b in by_degree.items():
-            pos = sorted(range(len(b)), key=b.__getitem__)  # stable: ties keep document order
-            self.order[k] = (pos, list(map(b.__getitem__, pos)))
-        self.runs = {k: _runs(bs) for k, (_, bs) in self.order.items()}  # degree k -> (block, start, end) per block
-        self.n = max([bs[-1] for _, bs in self.order.values()], default=0)
-        self._rows = {}  # degree k -> d^k with its rows in order[k + 1]
-        self._prof = {}  # degree k -> (pivot columns, sorted pivot rows) of d^k
-        self._red = None
-        self._check(by_degree)
+        self.runs = {k: _runs(sorted(b)) for k, b in by_degree.items()}  # degree k -> (block, start, end) per block
+        self.n = max([rs[-1][0] for rs in self.runs.values()], default=0)
+        self._prof, self._red = {}, None  # _prof: degree k -> (pivot columns, sorted pivot rows) of d^k
+        self._copy = self._check(by_degree)
 
     def _check(self, by_degree):
+        """(split copy, frame): the tower itself and {} if each degree is
+        listed block by block; else each degree sorted stably by block, d
+        permuted to match, and {k: (P, P^-1)} for the degrees that move.
+        The check runs on the copy's d, whose rows ascend by block, so the
+        pivot of a column, its least row, has its lowest block; a refusal
+        names the least (row, column) entry as the tower lists it."""
         cx = self.complex
+        pos = {k: sorted(range(len(b)), key=b.__getitem__) for k, b in by_degree.items()}  # stable
+        diff = {k: cx.d(k).take_columns(pos[k]).take_rows(pos.get(k + 1, ())) for k in cx.degrees()}
         for k, b in by_degree.items():
-            c, low = by_degree.get(k + 1, ()), self.order.get(k + 1, ((), ()))[1]
-            # rows in block-ascending order, so the pivot of a column, its least row, has its lowest block
-            if any(col and low[_low(col)] < bj for col, bj in zip(self.sorted_rows(k).cols, b)):
+            low = sorted(c := by_degree.get(k + 1, ()))
+            if any(col and low[_low(col)] < b[j] for col, j in zip(diff[k].cols, pos[k])):
                 i, j = min((i, j) for i, j in cx.d(k).support() if c[i] < b[j])
                 raise InvariantError("differential entry %r -> %r lowers the block index by %d"
                                      % (cx.basis.gens(k)[j], cx.basis.gens(k + 1)[i], b[j] - c[i]))
-
-    def sorted_rows(self, k):
-        """d^k with its rows in order[k + 1]: permuted once, for whichever
-        of the check, the reduction and the rank profile runs first."""
-        if k not in self._rows:
-            self._rows[k] = self.complex.d(k).take_rows(self.order.get(k + 1, ((), ()))[0])
-        return self._rows[k]
+        moved = {k: ps for k, ps in pos.items() if any(map(ne, ps, range(len(ps))))}
+        if not moved:
+            return self, {}
+        gens = [(cx.basis.gens(k)[i], k) for k in cx.degrees() for i in pos[k]]
+        copy = SplitFilteredComplex(CochainComplex(cx.field, GradedBasis(gens), diff, check=False), self.blocks)
+        eye = {k: Matrix.identity(cx.field, len(ps)) for k, ps in moved.items()}
+        return copy, {k: (eye[k].take_columns(ps), eye[k].take_rows(ps)) for k, ps in moved.items()}
 
     def block_indices(self, k, p):
-        """Coordinate positions of block-p generators inside C^k, ascending: a run of order[k]."""
-        pos, blocks = self.order.get(k, ((), ()))
-        return tuple(pos[bisect_left(blocks, p):bisect_right(blocks, p)])
+        """Coordinate positions of block-p generators inside C^k, ascending."""
+        return tuple(i for i, g in enumerate(self.complex.basis.gens(k)) if self.blocks[g] == p)
 
     def _h_filtration(self, k):
         """((p, k), dim F_pH^k) at the occupied blocks p where it differs
-        from dim F_{p+1}H^k.  F_p C^k is the suffix [t, n) of order[k], the
-        first n - t columns of a pass from the top index down, and an echelon
-        basis of B^k = im d^{k-1} has distinct pivots (least rows), so
-        dim F_pH^k = n - t - rank d^k|F_p - #{pivots >= t}.  One cached
-        `_echelon` pass over the columns of each d^j in reversed order[j]
-        (rows in order[j + 1]) gives its pivot columns and rows.  Nothing
-        here reads the reduction.
+        from dim F_{p+1}H^k, on a tower listed block by block.  F_p C^k is
+        the suffix [t, n) of its generators, the first n - t columns of a
+        pass from the last down, and an echelon basis of B^k = im d^{k-1}
+        has distinct pivots (least rows), so dim F_pH^k = n - t - rank
+        d^k|F_p - #{pivots >= t}.  One cached `_echelon` pass over the
+        columns of each d^j in reversed order gives its pivot columns and
+        rows.  Nothing here reads the reduction.
         """
         for j in (k - 1, k):
             if j not in self._prof:
-                d, pos = self.sorted_rows(j), self.order.get(j, ((), ()))[0]
-                piv, basis = _echelon(d.field, d.nrows, list(map(d.cols.__getitem__, reversed(pos))))
+                d = self.complex.d(j)
+                piv, basis = _echelon(d.field, d.nrows, d.cols[::-1])
                 self._prof[j] = (piv, sorted(basis))
-        piv, rows, h, n = self._prof[k][0], self._prof[k - 1][1], 0, len(self.order[k][0])
+        piv, rows, h, n = self._prof[k][0], self._prof[k - 1][1], 0, self.complex.dim(k)
         for b, t, _ in reversed(self.runs[k]):  # F_b C^k = [t, n)
             new = n - t - bisect_left(piv, n - t) - len(rows) + bisect_left(rows, t)
             if new != h:
@@ -539,9 +536,6 @@ class SplitFilteredComplex(FilteredComplex):
         cx = self.complex
         idx = [i for i, g in enumerate(cx.basis.gens(k)) if self.blocks[g] >= p]
         return Matrix.identity(cx.field, cx.dim(k)).take_columns(idx)
-
-    def _split(self):
-        return self, {}
 
 
 class FilteredChainMap:
@@ -577,12 +571,12 @@ def _runs(blocks):
     return [(blocks[a], a, b) for a, b in zip([0] + ends, ends)]
 
 
-def _moved(col, moves):
-    """The column with each row b of `moves` moved to row moves[b], distinct
+def _moved(col, rows):
+    """The column with each row b of `rows` moved to row rows[b], distinct
     targets, and its other rows dropped."""
     if type(col) is int:
-        return sum(1 << moves[b] for b in _bits(col) if b in moves)
-    return {moves[b]: v for b, v in col.items() if b in moves}
+        return sum(1 << rows[b] for b in _bits(col) if b in rows)
+    return {rows[b]: v for b, v in col.items() if b in rows}
 
 
 def map_of_spectral_sequences(fmap):
@@ -590,12 +584,12 @@ def map_of_spectral_sequences(fmap):
 
     Returns {r: {(p, q): Matrix}} for r = 0 .. max(n_src, n_tgt) + 1.  Each
     source generator costs one walk (`_Reduction._walk`) of the image of its
-    W pair (column, denominator), taken in index coordinates through f_k
-    between the split copies, permuted where an order is no identity.  Level
-    r restricts that one computation: its columns are the source ids alive
-    on page r and its rows the target ids alive there, picked in one pass.  A
-    selected column whose bound is below r has escaped the target page; a
-    cell whose ids have not moved since the last level keeps its matrix.
+    W pair (column, denominator) through f_k between the split copies (the
+    `split_blocks` of the map).  Level r restricts that one computation: its
+    columns are the source ids alive on page r and its rows the target ids
+    alive there, picked in one pass.  A selected column whose bound is below
+    r has escaped the target page; a cell whose ids have not moved since the
+    last level keeps its matrix.
     d_r matches each gap-r birth end to its death end with coefficient 1,
     so d_r^tgt o m moves rows of m and m' o d_r^src places columns of m'
     (m' the matrix at the cell d_r lands in): every square is checked on
@@ -603,11 +597,8 @@ def map_of_spectral_sequences(fmap):
     """
     src, tgt, fld = fmap.source, fmap.target, fmap.chain_map.source.field
     sred, tred, zero = src.page(0)._red, tgt.page(0)._red, 0 if fld.p == 2 else {}
-    walked = {}  # walked[k][i]: (x, den, bound), source W_i carried into the target and walked there
-    for k, order in sred.order.items():  # f_k in index coordinates on both sides
-        g = fmap.split_blocks[k].take_columns(order).take_rows(tred.order.get(k, ()))
-        walked[k] = [tred._walk(p, k, _apply(fld, g.cols, w), g.den * dw)
-                     for p, w, dw in zip(sred.block[k], sred.w[k], sred.dw[k])]
+    walked = {k: [tred._walk(p, k, _apply(fld, g.cols, w), g.den * dw)  # [k][i]: (x, den, bound) of source W_i
+                  for p, w, dw in zip(sred.block[k], sred.w[k], sred.dw[k])] for k, g in fmap.split_blocks.items()}
     out, last = {}, {}  # last: cell -> (source ids, target ids, least bound, matrix), as last picked
     for r in range(max(src.n, tgt.n) + 2):
         ps, pt, level = src.page(r), tgt.page(r), {}

@@ -394,6 +394,21 @@ def sparse_pair_tower(rng, field, n, degrees=5, nblocks=5, density=0.3):
     return SplitFilteredComplex(CochainComplex(field, basis, diff), blocks)
 
 
+def best_converge_time(tower, runs=10):
+    """The least wall time of converge() over `runs` fresh copies of a split
+    tower, each certified.  A shared machine runs 1.6 times slower for a
+    second or two at a time, so a time budget reads the best of ten."""
+    import time
+
+    times = []
+    for _ in range(runs):
+        sfc = SplitFilteredComplex(tower.complex, tower.blocks)
+        start = time.perf_counter()
+        assert sfc.converge().certified
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
 def random_fields(rng):
     return rng.choice([Field(2), Field(3), Field()])
 

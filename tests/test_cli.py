@@ -380,7 +380,7 @@ REFUSED = [
     ("word_step", "wedge2_subsystem.json", [(["paths", 0, "word"], [5])],
      ["extend", DOC, "wedge2_graph.json"], 2, "parse error: bad word step 5"),
     ("word_unknown_edge", "wedge2_subsystem.json", [(["paths", 0, "word"], ["zz"])],
-     ["extend", DOC, "wedge2_graph.json"], 4, "precondition violation: unknown edge 'zz' in word"),
+     ["extend", DOC, "wedge2_graph.json"], 2, "parse error: unknown edge 'zz' in word"),
     ("duplicate_path", "wedge2_subsystem.json", [(["paths", 1, "name"], "la")],
      ["extend", DOC, "wedge2_graph.json"], 2, "parse error: duplicate subsystem path name 'la'"),
     ("carrier_outside_graph", "wedge2_subsystem.json", [(["carrier"], ["x"])],
@@ -392,8 +392,8 @@ REFUSED = [
     ("duplicate_edge", "wedge2_graph.json", [(["edges", 1, 0], "a")],
      ["extend", "wedge2_subsystem.json", DOC], 2, "parse error: duplicate edge id 'a'"),
     ("empty_relation", "circle_graph.json", [(["relations"], [[]])],
-     ["extend", "circle_squares_subsystem.json", DOC], 4,
-     "precondition violation: empty word needs an explicit base vertex"),
+     ["extend", "circle_squares_subsystem.json", DOC], 2,
+     "parse error: empty word needs an explicit base vertex"),
     ("graph_not_connected", "disconnected_graph.json", [(["edges"], [])],
      ["extend", "disconnected_subsystem.json", DOC], 4, "precondition violation: base graph is not connected"),
     ("transport_missing", "twisted_circle_morse.json", [(["local_system", "transport"], {"a": [[0, 0, 1]]})],

@@ -129,7 +129,7 @@ def test_inconsistent_trajectories_report_lowest_bidegree():
 
 
 def test_correction_constraints_validated():
-    with pytest.raises(Exception):
+    with pytest.raises(ParseError, match=r"^correction \(b0,u\) -> \(b2,u\) changes total degree by 2, not \+1$"):
         FibrationData(sphere_base(), circle_fiber(), {}, corrections=[("b0", "u", "b2", "u", 1)])
 
 

@@ -74,6 +74,19 @@ def test_transport_not_composable():
     assert ls.transport_along(parse_word(["e", "~f"])) == Matrix.identity(Q, 1)
 
 
+def test_malformed_words_are_parse_errors():
+    # an unknown edge is an unresolved id, and an empty relation word is
+    # refused before it is walked; through the library an empty word with no
+    # base vertex stays a precondition
+    g = BaseGraph(["x", "y"], [("e", "x", "y")])
+    with pytest.raises(ParseError, match="^unknown edge 'zz' in word$"):
+        LocalSystem.trivial(g, Q, 1).transport_along(parse_word(["e", "zz"]))
+    with pytest.raises(ParseError, match="^empty word needs an explicit base vertex$"):
+        BaseGraph(["x"], [], relations=[[]])
+    with pytest.raises(PreconditionError, match="^empty word needs an explicit base vertex$"):
+        g.word_endpoints(())
+
+
 def test_monodromy_walks_each_loop_once(monkeypatch):
     # one word_endpoints walk per loop gives both its basedness and the
     # steps to fold; an unbased loop is refused with its own message

@@ -584,7 +584,7 @@ def test_an_in_place_selection_is_the_matrix_itself(field):
             for _ in range(6):
                 rows = rng.sample(range(m), rng.randint(0, m))
                 cols = rng.sample(range(n), rng.randint(0, n))
-                if m and rng.random() < 0.3:  # adjacent rows shifted down: one run over F_2
+                if m and rng.random() < 0.3:  # adjacent rows shifted down by one: a proper subset in order
                     rows = list(range(1, m))
                 by_rows, by_cols, sub = a.take_rows(rows), a.take_columns(cols), a.submatrix(rows, cols)
                 assert (by_rows is a) == (rows == list(range(m)))

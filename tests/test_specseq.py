@@ -18,8 +18,8 @@ from spectower.spectral import (
     map_of_spectral_sequences,
 )
 
-from helpers import (component_matrix, oracle_cohomology_dims, oracle_h_filtration, random_matrix, random_scalar,
-                     random_split_complex, sparse_pair_tower, to_filtered, unchecked, zigzag_class_and_d)
+from helpers import (best_converge_time, component_matrix, oracle_cohomology_dims, oracle_h_filtration, random_matrix,
+                     random_scalar, random_split_complex, sparse_pair_tower, to_filtered, unchecked, zigzag_class_and_d)
 
 Q = Field()
 F2 = Field(2)
@@ -82,6 +82,18 @@ def test_split_blocks_must_not_decrease():
     cx = CochainComplex.from_generator_entries(Q, [("a", 0), ("b", 1)], [("a", "b", 1)])
     with pytest.raises(InvariantError):
         SplitFilteredComplex(cx, {"a": 1, "b": 0})
+
+
+def test_a_block_lowering_refusal_names_the_least_entry_as_listed():
+    # d(a) = x + y lowers the block at both entries.  Each degree below is
+    # listed out of block order in at least one listing, and its split copy
+    # lists y before x, yet the refusal names the least (row, column) entry
+    # in the tower's own coordinates: 'a' -> 'x' under either listing
+    blocks = {"a": 3, "b": 0, "x": 2, "y": 1}
+    for gens in ([("a", 0), ("b", 0), ("x", 1), ("y", 1)], [("b", 0), ("a", 0), ("x", 1), ("y", 1)]):
+        cx = CochainComplex.from_generator_entries(Q, gens, [("a", "x", 1), ("a", "y", 1)])
+        with pytest.raises(InvariantError, match="^differential entry 'a' -> 'x' lowers the block index by 1$"):
+            SplitFilteredComplex(cx, blocks)
 
 
 def test_split_blocks_must_be_ints():
@@ -685,14 +697,15 @@ def interleaved(rng, sfc):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6), st.sampled_from([F2, Field(3), Field(2 ** 61 - 1), Q]))
 def test_split_rank_profile_matches_the_kernel_formula(seed, field):
-    # F_pH of a split tower from the rank profiles of its d^k, on bases whose
-    # blocks interleave, against the kernel formula and against the span walk
-    # of the same filtration as a general FilteredComplex
+    # F_pH of a split tower from the rank profiles of the d^k of its split
+    # copy, on bases whose blocks interleave, against the kernel formula and
+    # against the span walk of the same filtration as a general FilteredComplex
     from helpers import random_wide_scalar
 
     rng = random.Random(seed)
     sfc = interleaved(rng, random_split_complex(rng, field, max_gens=18, max_len=5, scalar=random_wide_scalar))
-    profile = {pk: h for k in sfc.complex.degrees() for pk, h in sfc._h_filtration(k)}  # before any page
+    split = sfc._split()[0]
+    profile = {pk: h for k in split.complex.degrees() for pk, h in split._h_filtration(k)}  # before any page
     conv = sfc.converge()
     assert conv.h_filtration == profile
     assert_h_filtration_matches_oracle(sfc, conv)
@@ -956,38 +969,37 @@ def test_q_tower_converges_within_budget():
 @pytest.mark.parametrize("field", (Field(3), Field(2 ** 61 - 1), Q), ids=str)
 def test_tower_steps_never_write_into_the_columns_they_are_given(field):
     # each elimination pass and each walk writes into its own copy of a
-    # column: taken after page(0), a snapshot of d^k (as given and with its
-    # rows block-sorted) of a split tower and of a general filtration's split
-    # copy, of that copy's frame, of the blocks of a truncation map, of the
-    # W pairs each reduction stores and of the columns given to class_of
-    # reads the same after converge(), class_of on every cell of every page
-    # and map_of_spectral_sequences
+    # column: taken after page(0), a snapshot of d^k of a split tower, of the
+    # same tower listed out of block order, of a general filtration and of a
+    # truncation map's target, as given and in each one's split copy, of the
+    # copies' frames, of the blocks of the truncation map, of the W pairs each
+    # reduction stores and of the columns given to class_of reads the same
+    # after converge(), class_of on every cell of every page and
+    # map_of_spectral_sequences
     from spectower.fibration import truncation_map
 
     def cols(m):
         return [dict(c) for c in m.cols], m.den
 
-    def snapshot(split, fc, fmap, vecs):
-        out = [cols(x.complex.d(k)) for x in (split, fc._split()[0]) for k in x.complex.degrees()]
-        out += [cols(x.sorted_rows(k)) for x in (split, fc._split()[0]) for k in x.complex.degrees()]
-        out += [cols(m) for t, t_inv in fc._split()[1].values() for m in (t, t_inv)]
+    def snapshot(towers, fmap, vecs):
+        out = [cols(y.complex.d(k)) for x in towers for y in (x, x._split()[0]) for k in x.complex.degrees()]
+        out += [cols(m) for x in towers for t, t_inv in x._split()[1].values() for m in (t, t_inv)]
         out += [cols(fmap.chain_map.block(k)) for k in fmap.chain_map.source.degrees()]
-        out += [{k: [(dict(w), d) for w, d in zip(ws, x._red.dw[k])] for k, ws in x._red.w.items()}
-                for x in (split, fc, fmap.target)]
+        out += [{k: [(dict(w), d) for w, d in zip(ws, x._red.dw[k])] for k, ws in x._red.w.items()} for x in towers]
         return out + [cols(m) for m in vecs.values()]
 
     rng = random.Random(2929)
     for _ in range(3):
         split = random_split_complex(rng, field, max_gens=20, max_len=4)
-        fc, cx = conjugated(rng, split), split.complex
+        shuffled, cx = {g: rng.random() for g in split.blocks}, split.complex
         action = {g: -10 * k + Fraction(rng.randint(0, 9), 10) for g, k in cx.basis.generators}
         fmap = truncation_map(split, action, (None, None), (-10 * cx.degrees()[len(cx.degrees()) // 2], None))
-        towers = (split, fc, fmap.target)
+        towers = (split, reordered(split, shuffled.__getitem__), conjugated(rng, split), fmap.target)
         vecs = {(n, k): random_matrix(rng, field, x.complex.dim(k), 3, 0.6)
                 for n, x in enumerate(towers) for k in x.complex.degrees()}
         for x in towers:
             x.page(0)
-        before = snapshot(split, fc, fmap, vecs)
+        before = snapshot(towers, fmap, vecs)
         for n, x in enumerate(towers):
             assert x.converge().certified
             for r in range(x.n + 2):
@@ -996,43 +1008,23 @@ def test_tower_steps_never_write_into_the_columns_they_are_given(field):
                     page.class_of(p, q, vecs[(n, p + q)])
                     page.class_of(p, q, Matrix.identity(field, x.complex.dim(p + q)))
         map_of_spectral_sequences(fmap)
-        assert snapshot(split, fc, fmap, vecs) == before
+        assert snapshot(towers, fmap, vecs) == before
 
 
 def test_large_prime_tower_converges_within_budget():
     # 600 generators over F_(2^61-1), 15k nonzeros after the change of basis.
     # Each basis column is monic, so an elimination step subtracts x[low]·y
     # and touches only the entries of y: 0.32 s and more (best of three)
-    # when every step scaled all of x by a·x - b·y and reduced it mod p.  A
-    # shared machine runs 1.6 times slower for a second or two at a time, so
-    # the best of ten fresh copies of one tower is taken
-    import time
-
-    tower, times = sparse_pair_tower(random.Random(5), Field(2 ** 61 - 1), 600), []
-    for _ in range(10):
-        sfc = SplitFilteredComplex(tower.complex, tower.blocks)
-        start = time.perf_counter()
-        assert sfc.converge().certified
-        times.append(time.perf_counter() - start)
-    assert min(times) < 0.3
-
+    # when every step scaled all of x by a·x - b·y and reduced it mod p
+    assert best_converge_time(sparse_pair_tower(random.Random(5), Field(2 ** 61 - 1), 600)) < 0.3
 
 
 def test_dense_q_tower_converges_within_budget():
     # 800 generators over Q.  A step is a·x - b·y and nothing more, and each
     # pass divides the content out once per column it stores or returns:
     # 0.40 s (best of three, 2-CPU Xeon, Python 3.11) when every step ran a
-    # content pass over its whole working column, 0.28 s without.  Best of
-    # ten fresh copies of one tower, as in the one-run-order test below
-    import time
-
-    tower, times = sparse_pair_tower(random.Random(5), Q, 800), []
-    for _ in range(10):
-        sfc = SplitFilteredComplex(tower.complex, tower.blocks)
-        start = time.perf_counter()
-        assert sfc.converge().certified
-        times.append(time.perf_counter() - start)
-    assert min(times) < 0.35
+    # content pass over its whole working column, 0.28 s without
+    assert best_converge_time(sparse_pair_tower(random.Random(5), Q, 800)) < 0.35
 
 
 def test_q_reduction_keeps_its_pairs_primitive_and_small():
@@ -1069,12 +1061,14 @@ def test_reduction_arrays_hold_one_pairing(field):
     # the per-degree lists of the reduction: both ends of a pair hold its
     # gap, the block difference of its ends (>= 0); an index is an end of
     # at most one pair, and only an end holds a gap; the up partners are
-    # distinct; and the page-0 ranges of a degree partition its indices,
-    # each the block_indices of its cell in index coordinates
+    # distinct; and the page-0 ranges of a degree partition its places, each
+    # listing in the split copy the generators of its cell's block_indices,
+    # on towers listed block by block and interleaved
     rng = random.Random(3434)
     for _ in range(25):
         sfc = random_split_complex(rng, field, max_gens=20, max_len=4)
-        red = sfc.page(0)._red
+        sfc = interleaved(rng, sfc) if rng.random() < 0.5 else sfc
+        red, gens = sfc.page(0)._red, sfc._split()[0].complex.basis.gens
         for k, up in red.up.items():
             gap, block, down = red.gap[k], red.block[k], [j for j in red.up.get(k - 1, ()) if j >= 0]
             assert len(set(down)) == len(down)
@@ -1087,7 +1081,7 @@ def test_reduction_arrays_hold_one_pairing(field):
                            if p + q == k)
             assert [i for _, rg, _, _ in cells for i in rg] == list(range(len(block)))
             for _, rg, p, n in cells:
-                assert tuple(red.order[k][i] for i in rg) == sfc.block_indices(k, p)
+                assert [gens(k)[i] for i in rg] == [sfc.complex.basis.gens(k)[i] for i in sfc.block_indices(k, p)]
                 assert [red.cell_of[k][i] for i in rg] == [n] * len(rg)
 
 
@@ -1233,7 +1227,7 @@ def test_h_dims_and_rank_profile_run_different_column_orders(monkeypatch):
             seen.clear()
             assert sfc.converge().certified
             for k in sfc.complex.degrees():
-                d = sfc.sorted_rows(k)
+                d = sfc._split()[0].complex.d(k)
                 nz = tuple(sorted(_column_key(c) for c in d.cols if c))
                 if len(nz) >= 2:
                     ours, profile = seen[("converge", d.nrows, nz)], seen[("_h_filtration", d.nrows, nz)]
@@ -1283,8 +1277,8 @@ def test_an_ascending_listing_moves_no_row(monkeypatch):
 
 @pytest.mark.parametrize("field", (F2, Field(3), Q), ids=str)
 def test_a_tower_listed_out_of_block_order_reads_the_same(field):
-    # the permutation into index coordinates runs only for a tower listed
-    # out of block order.  The same tower with each degree's generators
+    # a tower listed out of block order gets a sorted copy and a permutation
+    # frame, and only such a tower.  The same tower with each degree's generators
     # shuffled, or listed block-descending, has the same pages, r_stop,
     # filtration on H, h_dims and certification; its representatives are
     # the textbook reduction's, class_of inverts them on every page, and the
@@ -1296,7 +1290,7 @@ def test_a_tower_listed_out_of_block_order_reads_the_same(field):
         shuffled, want, cx = {g: rng.random() for g in tower.blocks}, tower.converge(), tower.complex
         for other in (reordered(tower, shuffled.__getitem__), reordered(tower, lambda g: -tower.blocks[g])):
             got, ox, w = other.converge(), other.complex, oracle_reduction_basis(other)
-            assert other._red.moves
+            assert other._split()[0] is not other and other._split()[1]
             assert (got.r_stop, got.h_filtration, got.h_dims, got.certified) == (
                 want.r_stop, want.h_filtration, want.h_dims, True)
             for r in range(tower.n + 2):
@@ -1320,17 +1314,8 @@ def test_dense_q_tower_converges_in_one_run_order():
     # highest down, each in document order.  In block-descending index
     # coordinates, with rows permuted into that order, it read 0.26-0.33 s
     # (best of three, shared 2-CPU Xeon, Python 3.11), and 0.13-0.16 s in
-    # block-ascending ones.  That machine ran 1.6 times slower for a second
-    # or two at a time, so the best of ten fresh copies of one tower is taken
-    import time
-
-    tower, times = sparse_pair_tower(random.Random(5), Q, 800), []
-    for _ in range(10):
-        sfc = SplitFilteredComplex(tower.complex, tower.blocks)
-        start = time.perf_counter()
-        assert sfc.converge().certified
-        times.append(time.perf_counter() - start)
-    assert min(times) < 0.2
+    # block-ascending ones
+    assert best_converge_time(sparse_pair_tower(random.Random(5), Q, 800)) < 0.2
 
 
 def test_h_dims_match_cohomology():
