@@ -56,6 +56,7 @@ filtration (d_r moves p by r), and `page(r)` for any larger r is E_inf.
 """
 
 from bisect import bisect_left, bisect_right
+from copy import copy as _shallow
 from itertools import chain, compress
 from math import inf
 from operator import ne
@@ -501,13 +502,11 @@ class SplitFilteredComplex(FilteredComplex):
         if not moved:
             return self, {}
         gens = [(cx.basis.gens(k)[i], k) for k in cx.degrees() for i in pos[k]]
-        copy = SplitFilteredComplex(CochainComplex(cx.field, GradedBasis(gens), diff, check=False), self.blocks)
+        copy = _shallow(self)  # the checked blocks, runs and n; listed block by block, so its own copy, unchecked
+        copy.complex = CochainComplex(cx.field, GradedBasis(gens), diff, check=False)
+        copy._prof, copy._copy = {}, (copy, {})
         eye = {k: Matrix.identity(cx.field, len(ps)) for k, ps in moved.items()}
         return copy, {k: (eye[k].take_columns(ps), eye[k].take_rows(ps)) for k, ps in moved.items()}
-
-    def block_indices(self, k, p):
-        """Coordinate positions of block-p generators inside C^k, ascending."""
-        return tuple(i for i, g in enumerate(self.complex.basis.gens(k)) if self.blocks[g] == p)
 
     def _h_filtration(self, k):
         """((p, k), dim F_pH^k) at the occupied blocks p where it differs
